@@ -2,11 +2,12 @@
 //!
 //! One config surface for every execution mode. A [`DeployTopology`] lists
 //! the [`NodeSpec`]s of a cluster — hub plus leaves — and each spec names
-//! the [`ActorGroup`]s that node hosts. The single-process harnesses
-//! (`fuxi_rt::LiveCluster`, the sim [`crate::Cluster`]) flatten the whole
-//! topology into one runtime; the multi-process runner (`fuxi-node`,
-//! `bench_live --distributed`) boots one OS process per node and connects
-//! them over the versioned wire protocol.
+//! the [`ActorGroup`]s that node hosts. Every engine hands those groups to
+//! the one [`crate::boot::boot_groups`]: the sim [`crate::Cluster`] and
+//! `fuxi_rt::LiveCluster` boot all of them in one world/runtime; the
+//! multi-process runner (`fuxi-node`, `bench_live --distributed`) boots one
+//! OS process per node, each over its own node's groups, and connects them
+//! over the versioned wire protocol.
 //!
 //! Actor addressing is deterministic: node `i` numbers its actors from
 //! `ActorId::node_base(i)` in spec order, so every process can compute the
@@ -142,8 +143,8 @@ impl DeployTopology {
 
     /// The canonical all-in-one layout every single-process harness uses:
     /// lock service, primary master (+ optional hot standby), one agent
-    /// per machine, client — in that spawn order, matching the historical
-    /// `LiveCluster::new` wiring exactly.
+    /// per machine, client — in that spawn order, which fixes every actor
+    /// id (and, in the sim, every RNG draw).
     pub fn single_process(cluster: ClusterConfig) -> Self {
         let n_machines = cluster.n_machines as u32;
         let standby = cluster.standby_master;
@@ -192,9 +193,9 @@ impl DeployTopology {
             .expect("topology has a hub")
     }
 
-    /// First actor id node `node` assigns. The single-process flatteners
-    /// ignore windows (everything lands in window 0); the multi-process
-    /// runner gives each node its own id window.
+    /// First actor id node `node` assigns. Single-process engines ignore
+    /// windows (everything lands in window 0); the multi-process runner
+    /// gives each node its own id window.
     pub fn actor_base(&self, node: usize) -> u32 {
         ActorId::node_base(node as u32)
     }
@@ -207,51 +208,47 @@ impl DeployTopology {
         ActorId(self.actor_base(node) + offset + k)
     }
 
-    fn find_group(&self, want: impl Fn(&ActorGroup) -> bool) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for (ni, node) in self.nodes.iter().enumerate() {
-            for (gi, g) in node.actors.iter().enumerate() {
-                if want(g) {
-                    out.push((ni, gi));
-                }
-            }
+    /// `(node, group)` indices of every group `want` accepts, in node order.
+    fn find_groups<'a>(
+        &'a self,
+        want: impl Fn(&ActorGroup) -> bool + 'a,
+    ) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let nodes = self.nodes.iter().enumerate();
+        nodes
+            .flat_map(|(ni, node)| (0..node.actors.len()).map(move |gi| (ni, gi)))
+            .filter(move |&(ni, gi)| want(&self.nodes[ni].actors[gi]))
+    }
+
+    fn placed(&self, (node, group): (usize, usize)) -> PlacedActor {
+        PlacedActor {
+            node,
+            id: self.actor_id(node, group, 0),
         }
-        out
     }
 
     /// The lock service's address (windowed).
     pub fn lock_id(&self) -> PlacedActor {
-        let (ni, gi) = self.find_group(|g| matches!(g, ActorGroup::LockService))[0];
-        PlacedActor {
-            node: ni,
-            id: self.actor_id(ni, gi, 0),
-        }
+        let mut at = self.find_groups(|g| matches!(g, ActorGroup::LockService));
+        self.placed(at.next().expect("build() checked: one lock service"))
     }
 
     /// Every master's address (windowed), in node order.
     pub fn master_ids(&self) -> Vec<PlacedActor> {
-        self.find_group(|g| matches!(g, ActorGroup::Master))
-            .into_iter()
-            .map(|(ni, gi)| PlacedActor {
-                node: ni,
-                id: self.actor_id(ni, gi, 0),
-            })
+        self.find_groups(|g| matches!(g, ActorGroup::Master))
+            .map(|at| self.placed(at))
             .collect()
     }
 
     /// The client's address (windowed).
     pub fn client_id(&self) -> PlacedActor {
-        let (ni, gi) = self.find_group(|g| matches!(g, ActorGroup::Client))[0];
-        PlacedActor {
-            node: ni,
-            id: self.actor_id(ni, gi, 0),
-        }
+        let mut at = self.find_groups(|g| matches!(g, ActorGroup::Client));
+        self.placed(at.next().expect("build() checked: one client"))
     }
 
     /// Agent addresses (windowed) keyed by machine.
     pub fn agent_ids(&self) -> Vec<(MachineId, PlacedActor)> {
         let mut out = Vec::new();
-        for (ni, gi) in self.find_group(|g| matches!(g, ActorGroup::Agents { .. })) {
+        for (ni, gi) in self.find_groups(|g| matches!(g, ActorGroup::Agents { .. })) {
             if let ActorGroup::Agents { first, count } = self.nodes[ni].actors[gi] {
                 for k in 0..count {
                     out.push((
@@ -280,20 +277,65 @@ impl DeployBuilder {
         self
     }
 
-    /// Validates and returns the topology.
+    /// Validates and returns the topology. Everything the boot path and the
+    /// `*_id()` lookups index without checking is checked here, once, with a
+    /// message naming the offending node or group: exactly one hub, lock
+    /// service and client; at least one master; `Agents` ranges that stay
+    /// inside `cluster.n_machines` and cover every machine exactly once.
     pub fn build(self) -> DeployTopology {
-        let hubs = self
-            .topo
-            .nodes
-            .iter()
-            .filter(|n| n.role == NodeRole::Hub)
-            .count();
+        let t = self.topo;
+        let hubs = t.nodes.iter().filter(|n| n.role == NodeRole::Hub).count();
         assert_eq!(hubs, 1, "a topology needs exactly one hub node");
         assert!(
-            self.topo.nodes.len() < 256,
+            t.nodes.len() < 256,
             "node index must fit the actor-id window bits"
         );
-        self.topo
+        let hosts = |want: &ActorGroup| -> Vec<&str> {
+            let at = t.find_groups(|g| g == want);
+            at.map(|(ni, _)| t.nodes[ni].name.as_str()).collect()
+        };
+        for (what, group) in [
+            ("lock service", ActorGroup::LockService),
+            ("client", ActorGroup::Client),
+        ] {
+            let on = hosts(&group);
+            assert!(
+                on.len() == 1,
+                "a topology needs exactly one {what}, found {} (on nodes {on:?})",
+                on.len()
+            );
+        }
+        assert!(
+            !hosts(&ActorGroup::Master).is_empty(),
+            "a topology needs at least one master"
+        );
+        let n = t.cluster.n_machines;
+        let mut owner: Vec<Option<&str>> = vec![None; n];
+        for node in &t.nodes {
+            for group in &node.actors {
+                let ActorGroup::Agents { first, count } = *group else {
+                    continue;
+                };
+                let (first, end) = (first as usize, first as usize + count as usize);
+                assert!(
+                    end <= n,
+                    "node {:?}: agents {first}..{end} run past cluster.n_machines = {n}",
+                    node.name
+                );
+                for (m, slot) in owner.iter_mut().enumerate().take(end).skip(first) {
+                    if let Some(other) = slot.replace(&node.name) {
+                        panic!(
+                            "machine {m} has two agents: the ranges on nodes {other:?} and {:?} overlap",
+                            node.name
+                        );
+                    }
+                }
+            }
+        }
+        if let Some(m) = owner.iter().position(Option::is_none) {
+            panic!("machine {m} is covered by no agents group");
+        }
+        t
     }
 }
 
@@ -349,5 +391,82 @@ mod tests {
         DeployTopology::builder(ClusterConfig::default())
             .node(NodeSpec::leaf("a"))
             .build();
+    }
+
+    use ActorGroup::{Client, LockService, Master};
+
+    fn agents(first: u32, count: u32) -> ActorGroup {
+        ActorGroup::Agents { first, count }
+    }
+
+    /// Builds a 4-machine topology: `hub` groups on the hub "h", `leaf`
+    /// groups on the leaf "l".
+    fn build(hub: &[ActorGroup], leaf: &[ActorGroup]) -> DeployTopology {
+        let cfg = ClusterConfig {
+            n_machines: 4,
+            ..ClusterConfig::default()
+        };
+        let fill = |node: NodeSpec, groups: &[ActorGroup]| {
+            groups.iter().cloned().fold(node, NodeSpec::with)
+        };
+        DeployTopology::builder(cfg)
+            .node(fill(NodeSpec::hub("h"), hub))
+            .node(fill(NodeSpec::leaf("l"), leaf))
+            .build()
+    }
+
+    #[test]
+    fn well_formed_split_topology_builds() {
+        let t = build(&[LockService, Client, agents(2, 2)], &[Master, agents(0, 2)]);
+        assert_eq!(t.agent_ids().len(), 4);
+        assert_eq!(t.master_ids().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one lock service, found 0")]
+    fn topology_requires_a_lock_service() {
+        build(&[Client], &[Master, agents(0, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one lock service, found 2 (on nodes [\"h\", \"l\"])")]
+    fn topology_rejects_two_lock_services() {
+        build(&[LockService, Client], &[LockService, Master, agents(0, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one client, found 0")]
+    fn topology_requires_a_client() {
+        build(&[LockService], &[Master, agents(0, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one client, found 2 (on nodes [\"h\", \"h\"])")]
+    fn topology_rejects_two_clients() {
+        build(&[LockService, Client, Client], &[Master, agents(0, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one master")]
+    fn topology_requires_a_master() {
+        build(&[LockService, Client], &[agents(0, 4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "node \"l\": agents 2..5 run past cluster.n_machines = 4")]
+    fn topology_rejects_agents_past_the_last_machine() {
+        build(&[LockService, Client, agents(0, 2)], &[Master, agents(2, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine 1 has two agents: the ranges on nodes \"h\" and \"l\" overlap")]
+    fn topology_rejects_overlapping_agent_ranges() {
+        build(&[LockService, Client, agents(0, 2)], &[Master, agents(1, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "machine 2 is covered by no agents group")]
+    fn topology_rejects_an_uncovered_machine() {
+        build(&[LockService, Client, agents(0, 2)], &[Master, agents(3, 1)]);
     }
 }

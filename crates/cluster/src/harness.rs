@@ -1,20 +1,19 @@
 //! Cluster construction and control.
 
-use fuxi_agent::{AgentConfig, FuxiAgent, MasterFactory, MasterLaunch, WorkerFactory, WorkerLaunch};
-use fuxi_apsara::{LockService, NameRegistry, PanguHandle, StoreHandle};
-use fuxi_core::master::{FuxiMaster, MasterConfig};
-use fuxi_job::job_master::{JobMaster, JobMasterConfig};
-use fuxi_job::worker::TaskWorker;
+use crate::boot::{boot_groups, Shared};
+use crate::deploy::DeployTopology;
+use fuxi_agent::AgentConfig;
+use fuxi_apsara::{NameRegistry, PanguHandle, StoreHandle};
+use fuxi_core::master::MasterConfig;
+use fuxi_job::job_master::JobMasterConfig;
 use fuxi_job::JobDesc;
-use fuxi_proto::msg::AppDescription;
-use fuxi_proto::topology::{MachineSpec, Topology, TopologyBuilder};
+use fuxi_proto::topology::{MachineSpec, Topology};
 use fuxi_proto::{JobId, MachineId, Msg, Priority, QuotaGroupId};
 use fuxi_sim::{
-    Actor, ActorId, Ctx, MachineConfig, NetConfig, SimDuration, SimTime, TraceId, TracerConfig,
-    World, WorldConfig,
+    Actor, ActorId, Ctx, NetConfig, SimDuration, SimTime, TraceId, TracerConfig, World,
+    WorldConfig,
 };
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -93,81 +92,6 @@ pub struct JobState {
     pub done: Option<(bool, f64, String)>,
 }
 
-type ClientLog = Arc<Mutex<BTreeMap<JobId, JobState>>>;
-
-/// The client actor: submits jobs to the current master (retrying across
-/// failovers) and records outcomes.
-struct Client {
-    naming: NameRegistry,
-    log: ClientLog,
-    pending: BTreeMap<JobId, AppDescription>,
-}
-
-impl Actor<Msg> for Client {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.timer(SimDuration::from_secs(2), 1);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
-        match msg {
-            Msg::SubmitJob { job, desc, .. } => {
-                self.log.lock().unwrap().entry(job).or_insert(JobState {
-                    submitted_s: ctx.now().as_secs_f64(),
-                    ..Default::default()
-                });
-                self.pending.insert(job, desc.clone());
-                if let Some(fm) = self.naming.master() {
-                    ctx.send(
-                        fm,
-                        Msg::SubmitJob {
-                            job,
-                            desc,
-                            client: ctx.id(),
-                        },
-                    );
-                }
-            }
-            Msg::JobAccepted { job, .. } => {
-                if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
-                    st.accepted = true;
-                }
-                self.pending.remove(&job);
-            }
-            Msg::JobFinished {
-                job,
-                success,
-                message,
-                ..
-            } => {
-                if let Some(st) = self.log.lock().unwrap().get_mut(&job) {
-                    st.done = Some((success, ctx.now().as_secs_f64(), message));
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
-        // Retry unaccepted submissions (master may have failed over). Each
-        // retry re-opens the job's causal trace so a post-failover resubmit
-        // joins the same chain as the original.
-        if let Some(fm) = self.naming.master() {
-            for (&job, desc) in &self.pending {
-                ctx.send_traced(
-                    fm,
-                    Msg::SubmitJob {
-                        job,
-                        desc: desc.clone(),
-                        client: ctx.id(),
-                    },
-                    TraceId::from_job(job.0),
-                );
-            }
-        }
-        ctx.timer(SimDuration::from_secs(2), 1);
-    }
-}
-
 /// Samples shared gauges into the Figure 10 time series.
 struct Sampler {
     interval: SimDuration,
@@ -218,201 +142,79 @@ pub struct Cluster {
     pub agents: Vec<ActorId>,
     /// Submitting client's actor address.
     pub client: ActorId,
-    cfg: ClusterConfig,
-    log: ClientLog,
-    next_job: u32,
-    master_factory: MasterFactory,
-    worker_factory: WorkerFactory,
+    shared: Shared,
 }
 
 impl Cluster {
-    /// Creates a new instance with the given configuration.
+    /// Boots [`DeployTopology::single_process`] under the sim kernel, plus
+    /// the sim-only utilization sampler. Spawn order — lock, master(s),
+    /// agents, client, sampler — fixes actor ids and RNG draws.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let topo = {
-            // Exactly n_machines: full racks plus a remainder rack.
-            let mut b = TopologyBuilder::new();
-            let full = cfg.n_machines / cfg.rack_size;
-            let rem = cfg.n_machines % cfg.rack_size;
-            b = b.uniform(full, cfg.rack_size, cfg.machine_spec.clone());
-            if rem > 0 {
-                b = b.add_rack(vec![cfg.machine_spec.clone(); rem]);
-            }
-            Arc::new(b.build())
-        };
-        let machines: Vec<MachineConfig> = topo
-            .machines()
-            .map(|m| MachineConfig {
-                rack: topo.rack_of(m).0,
-                disk_bw_mbps: topo.spec(m).disk_bw_mbps,
-                net_bw_mbps: topo.spec(m).net_bw_mbps,
-            })
-            .collect();
+        let deploy = DeployTopology::single_process(cfg);
+        let cfg = &deploy.cluster;
+        let shared = Shared::new(cfg);
         let mut world: World<Msg> = World::new(WorldConfig {
-            machines,
+            machines: shared.machine_configs(),
             net: cfg.net.clone(),
             seed: cfg.seed,
             obs: cfg.obs.clone(),
             kernel: fuxi_sim::QueueKernel::default(),
         });
-        let naming = NameRegistry::new();
-        let store = StoreHandle::new();
-        let pangu = PanguHandle::new(cfg.seed.wrapping_mul(31).wrapping_add(7));
-
-        let lock = world.spawn(None, Box::new(LockService::with_defaults()));
-
-        // Factories: the simulation counterpart of downloaded binaries.
-        let worker_cfg = cfg.jm.worker.clone();
-        let worker_factory: WorkerFactory = Arc::new(move |launch: &WorkerLaunch| {
-            Box::new(TaskWorker::from_spec(&launch.spec, worker_cfg.clone()))
-        });
-        let jm_cfg = cfg.jm.clone();
-        let (n2, s2, p2, t2) = (naming.clone(), store.clone(), pangu.clone(), topo.clone());
-        let master_factory: MasterFactory = Arc::new(move |launch: &MasterLaunch| {
-            Box::new(JobMaster::new(
-                launch.app,
-                launch.job,
-                jm_cfg.clone(),
-                n2.clone(),
-                s2.clone(),
-                p2.clone(),
-                t2.clone(),
-                launch.desc.payload.clone(),
-                launch.desc.master_resource.clone(),
-            ))
-        });
-
-        // Masters: primary (+ optional hot standby). Both share one hub —
-        // a promoted standby inherits the pending-age clocks and alert
-        // history of the master it replaces.
-        let hub = fuxi_sim::obs::MetricsHub::new(cfg.master.metrics.window_s);
-        let mut masters = Vec::new();
-        let n_masters = if cfg.standby_master { 2 } else { 1 };
-        for _ in 0..n_masters {
-            let m = world.spawn(
-                None,
-                Box::new(FuxiMaster::new(
-                    cfg.master.clone(),
-                    (*topo).clone(),
-                    naming.clone(),
-                    store.clone(),
-                    lock,
-                    hub.clone(),
-                )),
-            );
-            masters.push(m);
-        }
-
-        // One agent per machine.
-        let mut agents = Vec::new();
-        for m in topo.machines() {
-            let a = world.spawn(
-                Some(m.0),
-                Box::new(FuxiAgent::new(
-                    m,
-                    topo.spec(m).resources.clone(),
-                    cfg.agent.clone(),
-                    naming.clone(),
-                    master_factory.clone(),
-                    worker_factory.clone(),
-                )),
-            );
-            agents.push(a);
-        }
-
-        let log: ClientLog = Arc::new(Mutex::new(BTreeMap::new()));
-        let client = world.spawn(
-            None,
-            Box::new(Client {
-                naming: naming.clone(),
-                log: log.clone(),
-                pending: BTreeMap::new(),
-            }),
-        );
-        world.spawn(
-            None,
-            Box::new(Sampler {
-                interval: cfg.sample_interval,
-            }),
-        );
-
+        let groups = &deploy.nodes[0].actors;
+        let b = boot_groups(&mut world, &shared, groups, deploy.lock_id().id, |_, _, _| {});
+        let interval = cfg.sample_interval;
+        world.spawn(None, Box::new(Sampler { interval }));
         Self {
             world,
-            naming,
-            hub,
-            store,
-            pangu,
-            topo,
-            lock,
-            masters,
-            agents,
-            client,
-            cfg,
-            log,
-            next_job: 1,
-            master_factory,
-            worker_factory,
+            naming: shared.naming.clone(),
+            hub: shared.hub.clone(),
+            store: shared.store.clone(),
+            pangu: shared.pangu.clone(),
+            topo: shared.topo.clone(),
+            lock: b.lock.expect("single_process hosts the lock service"),
+            masters: b.masters,
+            agents: b.agents,
+            client: b.client.expect("single_process hosts the client"),
+            shared,
         }
     }
 
     // ------------------------------------------------------------------
-    // Jobs
+    // Jobs (delegations to the shared `JobLog`)
     // ------------------------------------------------------------------
 
     /// Submits a job description; returns its id.
     pub fn submit(&mut self, desc: &JobDesc, opts: &SubmitOpts) -> JobId {
-        let job = JobId(self.next_job);
-        self.next_job += 1;
-        let app_desc = AppDescription {
-            app_type: "fuxi_job".to_owned(),
-            quota_group: opts.quota_group,
-            priority: opts.priority,
-            master_resource: fuxi_proto::ResourceVec::cores_mb(1, 2048),
-            master_package_mb: opts.master_package_mb,
-            payload: desc.to_json(),
-        };
-        // The causal trace opens here: everything downstream of this
-        // submission inherits `TraceId::from_job(job)` via the kernel's
-        // delivery envelopes.
-        self.world.send_external_traced(
-            self.client,
-            Msg::SubmitJob {
-                job,
-                desc: app_desc,
-                client: self.client,
-            },
-            TraceId::from_job(job.0),
-        );
+        let (job, msg) = self.shared.jobs.submission(self.client, desc, opts);
+        self.world.send_external_traced(self.client, msg, TraceId::from_job(job.0));
         job
     }
 
     /// Job state.
     pub fn job_state(&self, job: JobId) -> Option<JobState> {
-        self.log.lock().unwrap().get(&job).cloned()
+        self.shared.jobs.state(job)
     }
 
     /// `Some((success, finish_time_s))` once the job reached a terminal
     /// state.
     pub fn job_done(&self, job: JobId) -> Option<(bool, f64)> {
-        self.log
-            .lock()
-            .unwrap()
-            .get(&job)
-            .and_then(|st| st.done.as_ref().map(|&(ok, t, _)| (ok, t)))
+        self.shared.jobs.done(job)
     }
 
     /// Finished count.
     pub fn finished_count(&self) -> usize {
-        self.log.lock().unwrap().values().filter(|s| s.done.is_some()).count()
+        self.shared.jobs.finished_count()
     }
 
     /// All jobs.
     pub fn all_jobs(&self) -> Vec<(JobId, JobState)> {
-        self.log
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&j, s)| (j, s.clone()))
-            .collect()
+        self.shared.jobs.all()
+    }
+
+    /// Duplicate terminal job notifications the client saw (0 = the
+    /// exactly-once completion invariant held across failovers).
+    pub fn duplicate_finishes(&self) -> u64 {
+        self.shared.jobs.duplicate_finishes()
     }
 
     // ------------------------------------------------------------------
@@ -431,14 +233,8 @@ impl Cluster {
 
     /// Runs until the job finishes or the deadline passes.
     pub fn run_until_job_done(&mut self, job: JobId, deadline: SimTime) -> Option<(bool, f64)> {
-        let log = self.log.clone();
-        self.world.run_until_cond(deadline, move |_| {
-            log.lock()
-            .unwrap()
-                .get(&job)
-                .map(|s| s.done.is_some())
-                .unwrap_or(false)
-        });
+        let jobs = self.shared.jobs.clone();
+        self.world.run_until_cond(deadline, move |_| jobs.done(job).is_some());
         self.job_done(job)
     }
 
@@ -452,10 +248,8 @@ impl Cluster {
     /// Runs until `n` jobs have finished or the deadline passes; returns
     /// how many finished.
     pub fn run_until_n_done(&mut self, n: usize, deadline: SimTime) -> usize {
-        let log = self.log.clone();
-        self.world.run_until_cond(deadline, move |_| {
-            log.lock().unwrap().values().filter(|s| s.done.is_some()).count() >= n
-        });
+        let jobs = self.shared.jobs.clone();
+        self.world.run_until_cond(deadline, move |_| jobs.finished_count() >= n);
         self.finished_count()
     }
 
@@ -476,23 +270,6 @@ impl Cluster {
         }
     }
 
-    /// Spawns a fresh standby master (e.g. to replace a killed primary).
-    pub fn spawn_standby_master(&mut self) -> ActorId {
-        let m = self.world.spawn(
-            None,
-            Box::new(FuxiMaster::new(
-                self.cfg.master.clone(),
-                (*self.topo).clone(),
-                self.naming.clone(),
-                self.store.clone(),
-                self.lock,
-                self.hub.clone(),
-            )),
-        );
-        self.masters.push(m);
-        m
-    }
-
     /// Kills only the agent process on `m` (workers survive — the agent
     /// failover scenario). Returns the old agent actor.
     pub fn kill_agent(&mut self, m: MachineId) -> ActorId {
@@ -503,17 +280,7 @@ impl Cluster {
 
     /// Starts a new agent on `m` (it adopts surviving processes).
     pub fn respawn_agent(&mut self, m: MachineId) -> ActorId {
-        let a = self.world.spawn(
-            Some(m.0),
-            Box::new(FuxiAgent::new(
-                m,
-                self.topo.spec(m).resources.clone(),
-                self.cfg.agent.clone(),
-                self.naming.clone(),
-                self.master_factory.clone(),
-                self.worker_factory.clone(),
-            )),
-        );
+        let a = self.world.spawn(Some(m.0), self.shared.agent(m));
         self.agents[m.0 as usize] = a;
         a
     }

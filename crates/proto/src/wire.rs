@@ -356,16 +356,6 @@ pub fn decode_payload<T: Deserialize>(version: u16, bytes: &[u8]) -> Result<T, W
     T::from_value(&value).map_err(|DeError(why)| WireError::Malformed(why))
 }
 
-/// Serializes one [`Msg`] — the entry point all transports use.
-pub fn encode_msg(version: u16, msg: &Msg) -> Result<Vec<u8>, WireError> {
-    encode_payload(version, msg)
-}
-
-/// Deserializes one [`Msg`].
-pub fn decode_msg(version: u16, bytes: &[u8]) -> Result<Msg, WireError> {
-    decode_payload(version, bytes)
-}
-
 // ---------------------------------------------------------------------
 // Frame header
 // ---------------------------------------------------------------------
@@ -421,8 +411,8 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn roundtrip(msg: &Msg) -> Msg {
-        let bytes = encode_msg(PROTO_VERSION, msg).unwrap();
-        decode_msg(PROTO_VERSION, &bytes).unwrap()
+        let bytes = encode_payload(PROTO_VERSION, msg).unwrap();
+        decode_payload::<Msg>(PROTO_VERSION, &bytes).unwrap()
     }
 
     fn rid(rng: &mut SmallRng) -> ActorId {
@@ -766,12 +756,12 @@ mod tests {
     fn wrong_version_is_typed_mismatch() {
         let msg = Msg::StopJob { job: JobId(1) };
         assert_eq!(
-            encode_msg(PROTO_VERSION + 1, &msg).unwrap_err(),
+            encode_payload(PROTO_VERSION + 1, &msg).unwrap_err(),
             WireError::VersionMismatch { ours: PROTO_VERSION, theirs: PROTO_VERSION + 1 }
         );
-        let bytes = encode_msg(PROTO_VERSION, &msg).unwrap();
+        let bytes = encode_payload(PROTO_VERSION, &msg).unwrap();
         assert_eq!(
-            decode_msg(PROTO_VERSION + 9, &bytes).unwrap_err(),
+            decode_payload::<Msg>(PROTO_VERSION + 9, &bytes).unwrap_err(),
             WireError::VersionMismatch { ours: PROTO_VERSION, theirs: PROTO_VERSION + 9 }
         );
     }
@@ -801,15 +791,15 @@ mod tests {
 
     #[test]
     fn malformed_payload_is_error_not_panic() {
-        assert!(decode_msg(PROTO_VERSION, &[]).is_err());
-        assert!(decode_msg(PROTO_VERSION, &[255, 0, 1]).is_err());
+        assert!(decode_payload::<Msg>(PROTO_VERSION, &[]).is_err());
+        assert!(decode_payload::<Msg>(PROTO_VERSION, &[255, 0, 1]).is_err());
         // A valid value of the wrong shape fails typed decode cleanly.
         let bytes = encode_payload(PROTO_VERSION, &"just a string".to_owned()).unwrap();
-        assert!(decode_msg(PROTO_VERSION, &bytes).is_err());
+        assert!(decode_payload::<Msg>(PROTO_VERSION, &bytes).is_err());
         // Trailing garbage after a valid value is rejected.
-        let mut bytes = encode_msg(PROTO_VERSION, &Msg::WorkerExit).unwrap();
+        let mut bytes = encode_payload(PROTO_VERSION, &Msg::WorkerExit).unwrap();
         bytes.push(0);
-        assert!(decode_msg(PROTO_VERSION, &bytes).is_err());
+        assert!(decode_payload::<Msg>(PROTO_VERSION, &bytes).is_err());
     }
 
     #[test]

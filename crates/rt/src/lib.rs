@@ -11,7 +11,7 @@
 //!   bounded mailboxes, a hashed timer wheel and wall-clock flow engine
 //!   on a dedicated clock thread;
 //! * [`cluster`] — [`cluster::LiveCluster`]: the full Fuxi stack wired
-//!   exactly like the simulated harness, driven by the same config;
+//!   booted by `fuxi_cluster::boot`, the path the simulated harness takes;
 //! * [`scrape`] — an HTTP endpoint (`/metrics` Prometheus text, `/json`)
 //!   serving the live cluster view;
 //! * [`mailbox`], [`timer`] — the underlying building blocks;
@@ -25,7 +25,7 @@ pub mod scrape;
 pub mod timer;
 pub mod transport;
 
-pub use cluster::LiveCluster;
+pub use cluster::{live_runtime, LiveCluster};
 pub use mailbox::{MailboxGauges, PushOutcome};
 pub use runtime::{LiveRuntime, RuntimeConfig};
 pub use timer::TimerWheel;

@@ -44,6 +44,7 @@ fn master_failover_is_user_transparent() {
     assert_eq!(m.counter("fm.became_primary"), 2, "standby took over");
     assert_eq!(m.counter("fm.rebuild_done"), 1, "soft state was rebuilt");
     assert_eq!(m.counter("lock.lease_expired"), 1, "takeover via lease expiry");
+    assert_eq!(c.duplicate_finishes(), 0, "the job completed exactly once");
 }
 
 #[test]

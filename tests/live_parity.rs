@@ -5,7 +5,7 @@
 //! wall clock), so the comparison is the order-insensitive set of
 //! `(JobId, success)` pairs, not timestamps.
 
-use fuxi::cluster::{Cluster, ClusterConfig, SubmitOpts};
+use fuxi::cluster::{Cluster, ClusterConfig, DeployTopology, SubmitOpts};
 use fuxi::job::JobDesc;
 use fuxi::proto::{JobId, MachineId};
 use fuxi::rt::LiveCluster;
@@ -66,6 +66,7 @@ fn run_sim() -> Outcomes {
     c.world.kill_machine(VICTIM.0);
     let done = c.run_until_n_done(N_JOBS, SimTime::from_secs(7200));
     assert_eq!(done, N_JOBS, "sim run left jobs unfinished");
+    assert_eq!(c.duplicate_finishes(), 0, "sim: a job completed twice");
     outcomes(&c.all_jobs())
 }
 
@@ -78,10 +79,33 @@ fn run_live() -> Outcomes {
     assert!(done >= DEATHS_AFTER_DONE, "live warm-up stalled at {done}");
     c.kill_machine(VICTIM);
     let done = c.wait_n_done(N_JOBS, Duration::from_secs(120));
-    let jobs = c.all_jobs();
+    let (jobs, duplicates) = (c.all_jobs(), c.duplicate_finishes());
     c.shutdown();
     assert_eq!(done, N_JOBS, "live run left jobs unfinished");
+    assert_eq!(duplicates, 0, "live: a job completed twice");
     outcomes(&jobs)
+}
+
+/// The live half of `crates/cluster/tests/boot_placement.rs`: both engines
+/// boot through `fuxi_cluster::boot`, so a `LiveCluster` must also report
+/// the ids the topology computes — with and without a standby master.
+#[test]
+fn live_cluster_lands_actors_where_the_topology_says() {
+    for standby in [false, true] {
+        let cfg = ClusterConfig {
+            n_machines: 6,
+            rack_size: 4,
+            standby_master: standby,
+            ..ClusterConfig::default()
+        };
+        let deploy = DeployTopology::single_process(cfg.clone());
+        let masters: Vec<_> = deploy.master_ids().iter().map(|p| p.id).collect();
+        let agents: Vec<_> = deploy.agent_ids().iter().map(|(_, p)| p.id).collect();
+        let live = LiveCluster::new(cfg);
+        let got = (live.lock, live.masters.clone(), live.agents.clone(), live.client);
+        live.shutdown();
+        assert_eq!(got, (deploy.lock_id().id, masters, agents, deploy.client_id().id));
+    }
 }
 
 #[test]
