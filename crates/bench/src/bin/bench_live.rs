@@ -35,6 +35,7 @@
 //! stall; single-process mode only), or on any actor panic (propagated at
 //! shutdown).
 
+use fuxi_bench::json::{fixed, obj, render, text, uint, Value};
 use fuxi_cluster::{ClusterConfig, DeployTopology, SubmitOpts};
 use fuxi_core::master::MasterConfig;
 use fuxi_node::LiveNode;
@@ -446,73 +447,45 @@ fn run_distributed(args: &LiveArgs) {
         })
     });
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"mode\": \"distributed\",\n",
-            "  \"processes\": {},\n  \"machines\": {},\n  \"jobs\": {},\n",
-            "  \"completed\": {},\n  \"failed\": {},\n  \"duplicate_finishes\": {},\n",
-            "  \"elapsed_s\": {:.3},\n  \"jobs_per_sec\": {:.3},\n",
-            "  \"hub_relayed_frames\": {},\n  \"hub_relayed_per_sec\": {:.1},\n",
-            "  \"hub_dropped_frames\": {},\n  \"hub_connections_accepted\": {},\n",
-            "  \"master_killed\": {},\n  \"failover_recovered\": {},\n",
-            "  \"failover_latency_s\": {},\n",
-            "  \"metrics_scrape_ok\": {},\n  \"json_scrape_ok\": {}\n",
-            "}}\n"
-        ),
-        deploy.nodes.len(),
-        args.machines,
-        args.jobs,
-        completed,
-        failed,
-        dup,
-        elapsed_s,
-        completed as f64 / elapsed_s.max(1e-9),
-        relayed,
-        relayed as f64 / elapsed_s.max(1e-9),
-        dropped,
-        accepted,
-        killed.is_some(),
-        failover.is_some(),
-        failover.map_or("null".to_owned(), |(_, l)| format!("{l:.3}")),
-        scrape.as_ref().is_some_and(|s| s.2),
-        scrape.as_ref().is_some_and(|s| s.3),
-    );
+    let per_sec = |n: f64| n / elapsed_s.max(1e-9);
+    let failover_latency = failover.map_or(Value::Null, |(_, l)| fixed(l, 3));
+    let json = render(&obj([
+        ("mode", text("distributed")),
+        ("processes", uint(deploy.nodes.len())),
+        ("machines", uint(args.machines)),
+        ("jobs", uint(args.jobs)),
+        ("completed", uint(completed)),
+        ("failed", uint(failed)),
+        ("duplicate_finishes", uint(dup)),
+        ("elapsed_s", fixed(elapsed_s, 3)),
+        ("jobs_per_sec", fixed(per_sec(completed as f64), 3)),
+        ("hub_relayed_frames", uint(relayed)),
+        ("hub_relayed_per_sec", fixed(per_sec(relayed as f64), 1)),
+        ("hub_dropped_frames", uint(dropped)),
+        ("hub_connections_accepted", uint(accepted)),
+        ("master_killed", Value::Bool(killed.is_some())),
+        ("failover_recovered", Value::Bool(failover.is_some())),
+        ("failover_latency_s", failover_latency.clone()),
+        ("metrics_scrape_ok", Value::Bool(scrape.as_ref().is_some_and(|s| s.2))),
+        ("json_scrape_ok", Value::Bool(scrape.as_ref().is_some_and(|s| s.3))),
+    ]));
     std::fs::write(&args.out, &json).expect("write distributed results");
 
     // Failover flight dump: the kill/takeover timeline for post-mortems
     // (uploaded by the CI distributed-smoke job next to the results).
-    let flight = format!(
-        concat!(
-            "{{\n",
-            "  \"hub_addr\": \"{}\",\n  \"hub_pid\": {},\n",
-            "  \"nodes\": [{}],\n",
-            "  \"killed_master_actor\": {},\n  \"killed_node\": {},\n",
-            "  \"killed_pid\": {},\n  \"kill_at_s\": {},\n",
-            "  \"new_master_actor\": {},\n  \"new_master_node\": {},\n",
-            "  \"failover_latency_s\": {},\n",
-            "  \"scrape_addr\": {}\n",
-            "}}\n"
-        ),
-        hub_addr,
-        std::process::id(),
-        deploy
-            .nodes
-            .iter()
-            .map(|n| format!("\"{}\"", n.name))
-            .collect::<Vec<_>>()
-            .join(", "),
-        killed.map_or("null".to_owned(), |(m, ..)| m.0.to_string()),
-        killed.map_or("null".to_owned(), |(_, n, ..)| n.to_string()),
-        killed.map_or("null".to_owned(), |(.., pid)| pid.to_string()),
-        killed.map_or("null".to_owned(), |(_, _, _, at, _)| format!("{at:.3}")),
-        failover.map_or("null".to_owned(), |(m, _)| m.0.to_string()),
-        failover.map_or("null".to_owned(), |(m, _)| m.node_index().to_string()),
-        failover.map_or("null".to_owned(), |(_, l)| format!("{l:.3}")),
-        scrape
-            .as_ref()
-            .map_or("null".to_owned(), |s| format!("\"{}\"", s.1)),
-    );
+    let flight = render(&obj([
+        ("hub_addr", text(&hub_addr)),
+        ("hub_pid", uint(std::process::id())),
+        ("nodes", Value::Array(deploy.nodes.iter().map(|n| text(&n.name)).collect())),
+        ("killed_master_actor", killed.map_or(Value::Null, |(m, ..)| uint(m.0))),
+        ("killed_node", killed.map_or(Value::Null, |(_, n, ..)| uint(n))),
+        ("killed_pid", killed.map_or(Value::Null, |(.., pid)| uint(pid))),
+        ("kill_at_s", killed.map_or(Value::Null, |(_, _, _, at, _)| fixed(at, 3))),
+        ("new_master_actor", failover.map_or(Value::Null, |(m, _)| uint(m.0))),
+        ("new_master_node", failover.map_or(Value::Null, |(m, _)| uint(m.node_index()))),
+        ("failover_latency_s", failover_latency),
+        ("scrape_addr", scrape.as_ref().map_or(Value::Null, |s| text(&s.1))),
+    ]));
     std::fs::write(&args.snapshot_out, &flight).expect("write failover flight dump");
     println!("{json}");
     eprintln!(
@@ -692,41 +665,35 @@ fn main() {
     let (p50, p99) = metrics
         .histogram("fm.sched_s")
         .map_or((0.0, 0.0), |h| (h.quantile(0.5), h.quantile(0.99)));
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"machines\": {},\n  \"jobs\": {},\n  \"completed\": {},\n",
-            "  \"failed\": {},\n  \"elapsed_s\": {:.3},\n",
-            "  \"jobs_per_sec\": {:.3},\n  \"msgs_per_sec\": {:.1},\n",
-            "  \"sched_p50_s\": {:.6},\n  \"sched_p99_s\": {:.6},\n",
-            "  \"mailbox_hwm\": {},\n  \"mailbox_parked\": {},\n",
-            "  \"master_killed\": {},\n  \"failover_recovered\": {},\n",
-            "  \"slo_alerts_total\": {},\n",
-            "  \"cluster_view\": {{\n",
-            "    \"pre_kill\": {},\n",
-            "    \"during_failover\": {},\n",
-            "    \"post_recovery\": {}\n",
-            "  }}\n",
-            "}}\n"
+    // The view renders its own summary; embed it as a tree, not as text.
+    let summary = |v: &fuxi_sim::obs::ClusterView| {
+        serde_json::value_from_str(&v.summary_json()).expect("view summary is JSON")
+    };
+    let per_sec = |n: f64| n / elapsed_s.max(1e-9);
+    let json = render(&obj([
+        ("machines", uint(args.machines)),
+        ("jobs", uint(args.jobs)),
+        ("completed", uint(completed)),
+        ("failed", uint(failed)),
+        ("elapsed_s", fixed(elapsed_s, 3)),
+        ("jobs_per_sec", fixed(per_sec(completed as f64), 3)),
+        ("msgs_per_sec", fixed(per_sec(msgs as f64), 1)),
+        ("sched_p50_s", fixed(p50, 6)),
+        ("sched_p99_s", fixed(p99, 6)),
+        ("mailbox_hwm", uint(metrics.gauge("rt.mailbox_hwm") as u64)),
+        ("mailbox_parked", uint(metrics.counter("rt.mailbox_parked"))),
+        ("master_killed", Value::Bool(killed_master.is_some())),
+        ("failover_recovered", Value::Bool(failover_recovered)),
+        ("slo_alerts_total", uint(view_post.alerts_total)),
+        (
+            "cluster_view",
+            obj([
+                ("pre_kill", view_pre_kill.as_ref().map_or(Value::Null, summary)),
+                ("during_failover", view_during_failover.as_ref().map_or(Value::Null, summary)),
+                ("post_recovery", summary(&view_post)),
+            ]),
         ),
-        args.machines,
-        args.jobs,
-        completed,
-        failed,
-        elapsed_s,
-        completed as f64 / elapsed_s.max(1e-9),
-        msgs as f64 / elapsed_s.max(1e-9),
-        p50,
-        p99,
-        metrics.gauge("rt.mailbox_hwm"),
-        metrics.counter("rt.mailbox_parked"),
-        killed_master.is_some(),
-        failover_recovered,
-        view_post.alerts_total,
-        view_pre_kill.as_ref().map_or("null".to_owned(), |v| v.summary_json()),
-        view_during_failover.as_ref().map_or("null".to_owned(), |v| v.summary_json()),
-        view_post.summary_json(),
-    );
+    ]));
     std::fs::write(&args.out, &json).expect("write BENCH_live.json");
     std::fs::write(&args.snapshot_out, view_post.to_json()).expect("write view snapshot");
     println!("{json}");

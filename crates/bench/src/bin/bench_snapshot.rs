@@ -16,10 +16,9 @@
 //! `sched_delta_*` bench.
 //!
 //! The snapshot also measures end-to-end kernel throughput
-//! (`sim_events_per_sec`: a 5k-machine × 100k-job event storm on both the
-//! calendar and heap kernels), runs the §5.2 synthetic experiment twice —
-//! tracing on and off — and records the Figure 9 decision-time medians of
-//! both. It exits non-zero if the instrumented median regresses more than
+//! (`sim_events_per_sec`: a 5k-machine × 100k-job event storm), runs the
+//! §5.2 synthetic experiment twice — tracing on and off — and records the
+//! Figure 9 decision-time medians of both. It exits non-zero if the instrumented median regresses more than
 //! 5%, and writes a `trace_sample.jsonl` (next to the output file) from
 //! the traced run for CI artifact upload / `trace_dump` smoke tests.
 //!
@@ -28,6 +27,7 @@
 //! same 5% budget on the scheduling median (`metrics_plane_overhead`).
 
 use criterion::{black_box, Criterion};
+use fuxi_bench::json::{fixed, obj, text, uint, Value};
 use fuxi_bench::{scenarios, Args};
 use fuxi_sim::obs::export::export_jsonl;
 use fuxi_sim::TracerConfig;
@@ -212,29 +212,20 @@ fn main() {
     run_scale(&mut c, "5k_machines", 100, 50);
     run_tree(&mut c);
 
-    // Hand-rolled JSON: names are static identifiers, nothing to escape.
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"generated_by\": \"bench_snapshot\",\n");
-    json.push_str(&format!("  \"quick_mode\": {quick},\n"));
-    json.push_str(&format!("  \"git_rev\": \"{rev}\",\n"));
-    json.push_str("  \"unit\": \"ns_per_decision\",\n");
-    json.push_str("  \"benches\": [\n");
-    for (i, s) in c.collected.iter().enumerate() {
-        let sep = if i + 1 == c.collected.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"machines\": {}, \"median_ns\": {:.1}, \
-             \"mean_ns\": {:.1}, \"p95_ns\": {:.1}, \"iterations\": {}}}{sep}\n",
-            s.name,
-            machines_of(&s.name),
-            s.median_ns,
-            s.mean_ns,
-            s.p95_ns,
-            s.iterations
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"naive_over_indexed\": {\n");
+    let benches = c
+        .collected
+        .iter()
+        .map(|s| {
+            obj([
+                ("name", text(&s.name)),
+                ("machines", uint(machines_of(&s.name))),
+                ("median_ns", fixed(s.median_ns, 1)),
+                ("mean_ns", fixed(s.mean_ns, 1)),
+                ("p95_ns", fixed(s.p95_ns, 1)),
+                ("iterations", uint(s.iterations)),
+            ])
+        })
+        .collect();
     let pairs: Vec<(String, f64)> = c
         .collected
         .iter()
@@ -244,66 +235,62 @@ fn main() {
             Some((base.to_owned(), naive.median_ns / s.median_ns))
         })
         .collect();
-    for (i, (base, ratio)) in pairs.iter().enumerate() {
-        let sep = if i + 1 == pairs.len() { "" } else { "," };
-        json.push_str(&format!("    \"{base}\": {ratio:.2}{sep}\n"));
-    }
-    json.push_str("  },\n");
 
     println!("\nmeasuring end-to-end kernel throughput (event storm)...");
     let (storm_machines, storm_jobs) = if quick { (500, 10_000) } else { (5_000, 100_000) };
-    let cal = fuxi_bench::sim_storm::run_event_storm(
-        storm_machines,
-        storm_jobs,
-        fuxi_sim::QueueKernel::Calendar,
-        2014,
-    );
-    let heap = fuxi_bench::sim_storm::run_event_storm(
-        storm_machines,
-        storm_jobs,
-        fuxi_sim::QueueKernel::Heap,
-        2014,
-    );
-    assert_eq!(cal.events, heap.events, "kernels must process identical schedules");
-    json.push_str("  \"sim_events_per_sec\": {\n");
-    json.push_str(&format!(
-        "    \"machines\": {},\n    \"jobs\": {},\n    \"events\": {},\n",
-        cal.machines, cal.jobs, cal.events
-    ));
-    json.push_str(&format!(
-        "    \"calendar\": {{\"wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
-        cal.wall_s, cal.events_per_sec
-    ));
-    json.push_str(&format!(
-        "    \"heap\": {{\"wall_s\": {:.3}, \"events_per_sec\": {:.0}}},\n",
-        heap.wall_s, heap.events_per_sec
-    ));
-    json.push_str(&format!(
-        "    \"calendar_over_heap\": {:.3}\n",
-        cal.events_per_sec / heap.events_per_sec.max(1e-9)
-    ));
-    json.push_str("  },\n");
+    let storm = fuxi_bench::sim_storm::run_event_storm(storm_machines, storm_jobs, 2014);
 
     println!("\nmeasuring fig9 tracing overhead (two synthetic runs)...");
     let ovh = measure_tracing_overhead(quick);
-    json.push_str("  \"fig9_tracing_overhead\": {\n");
-    json.push_str(&format!(
-        "    \"untraced_median_s\": {:.9},\n    \"traced_median_s\": {:.9},\n    \
-         \"traced_decisions\": {},\n    \"traced_over_untraced\": {:.4}\n",
-        ovh.untraced_median_s, ovh.traced_median_s, ovh.traced_count, ovh.ratio
-    ));
-    json.push_str("  },\n");
 
     println!("\nmeasuring metrics-plane overhead (two synthetic runs)...");
     let plane = measure_plane_overhead(quick);
-    json.push_str("  \"metrics_plane_overhead\": {\n");
-    json.push_str(&format!(
-        "    \"plane_off_median_s\": {:.9},\n    \"plane_on_median_s\": {:.9},\n    \
-         \"plane_on_decisions\": {},\n    \"reports_received\": {},\n    \
-         \"on_over_off\": {:.4}\n",
-        plane.off_median_s, plane.on_median_s, plane.on_count, plane.reports_received, plane.ratio
-    ));
-    json.push_str("  }\n}\n");
+
+    let json = fuxi_bench::json::render(&obj([
+        ("generated_by", text("bench_snapshot")),
+        ("quick_mode", Value::Bool(quick)),
+        ("git_rev", text(rev)),
+        ("unit", text("ns_per_decision")),
+        ("benches", Value::Array(benches)),
+        (
+            "naive_over_indexed",
+            Value::Object(pairs.iter().map(|(base, r)| (base.clone(), fixed(*r, 2))).collect()),
+        ),
+        (
+            "sim_events_per_sec",
+            obj([
+                ("machines", uint(storm.machines)),
+                ("jobs", uint(storm.jobs)),
+                ("events", uint(storm.events)),
+                (
+                    "calendar",
+                    obj([
+                        ("wall_s", fixed(storm.wall_s, 3)),
+                        ("events_per_sec", uint(storm.events_per_sec.round() as u64)),
+                    ]),
+                ),
+            ]),
+        ),
+        (
+            "fig9_tracing_overhead",
+            obj([
+                ("untraced_median_s", fixed(ovh.untraced_median_s, 9)),
+                ("traced_median_s", fixed(ovh.traced_median_s, 9)),
+                ("traced_decisions", uint(ovh.traced_count)),
+                ("traced_over_untraced", fixed(ovh.ratio, 4)),
+            ]),
+        ),
+        (
+            "metrics_plane_overhead",
+            obj([
+                ("plane_off_median_s", fixed(plane.off_median_s, 9)),
+                ("plane_on_median_s", fixed(plane.on_median_s, 9)),
+                ("plane_on_decisions", uint(plane.on_count)),
+                ("reports_received", uint(plane.reports_received)),
+                ("on_over_off", fixed(plane.ratio, 4)),
+            ]),
+        ),
+    ]));
 
     std::fs::write(&out_path, &json).expect("write snapshot");
     let sample_path = std::path::Path::new(&out_path).with_file_name("trace_sample.jsonl");
@@ -314,8 +301,8 @@ fn main() {
         println!("  {base}: naive/indexed = {ratio:.2}x");
     }
     println!(
-        "  sim_events_per_sec ({} machines, {} jobs): calendar {:.0}/s ({:.2}s), heap {:.0}/s ({:.2}s)",
-        cal.machines, cal.jobs, cal.events_per_sec, cal.wall_s, heap.events_per_sec, heap.wall_s
+        "  sim_events_per_sec ({} machines, {} jobs): {:.0}/s ({:.2}s)",
+        storm.machines, storm.jobs, storm.events_per_sec, storm.wall_s
     );
     // The CI perf gate: the fit index must not lose its own hot paths, and
     // the end-to-end scenario must stay inside the 30 s wall budget.
@@ -329,10 +316,10 @@ fn main() {
                 bad = true;
             }
         }
-        if !quick && cal.wall_s > 30.0 {
+        if !quick && storm.wall_s > 30.0 {
             eprintln!(
                 "FAIL: 5k-machine × 100k-job event storm took {:.1}s (> 30s budget)",
-                cal.wall_s
+                storm.wall_s
             );
             bad = true;
         }

@@ -238,6 +238,40 @@ pub mod scenarios {
     }
 }
 
+/// The one JSON emitter behind `BENCH_sched.json`, `BENCH_live.json` and the
+/// failover flight dump: callers build a [`serde_json::Value`] tree (object
+/// keys keep insertion order) and the shim renders it, escaping included.
+pub mod json {
+    pub use serde_json::Value;
+
+    /// An object from `(key, value)` pairs, in the order given.
+    pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+        Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// An unsigned count (`usize`, `u32` and `u64` all occur in callers).
+    pub fn uint(n: impl TryInto<u64>) -> Value {
+        Value::UInt(n.try_into().ok().expect("count fits in u64"))
+    }
+
+    /// `v` rounded to `places` decimals: artifact precision, not the 17
+    /// digits a raw `f64` renders with.
+    pub fn fixed(v: f64, places: i32) -> Value {
+        let scale = 10f64.powi(places);
+        Value::Float((v * scale).round() / scale)
+    }
+
+    /// A string.
+    pub fn text(s: impl Into<String>) -> Value {
+        Value::Str(s.into())
+    }
+
+    /// The tree as indented JSON text with a trailing newline.
+    pub fn render(v: &Value) -> String {
+        serde_json::to_string_pretty(v).expect("a Value tree always renders") + "\n"
+    }
+}
+
 /// End-to-end kernel throughput: a cluster-sized world where a driver keeps
 /// a window of jobs in flight over per-machine worker actors. Each job is
 /// one submit delivery, one runtime timer, and one completion delivery, so
@@ -246,8 +280,7 @@ pub mod scenarios {
 /// wall time measures the kernel, not the workload.
 pub mod sim_storm {
     use fuxi_sim::{
-        Actor, ActorId, Ctx, KernelMsg, QueueKernel, SimDuration, SimTime, TracerConfig, World,
-        WorldConfig,
+        Actor, ActorId, Ctx, KernelMsg, SimDuration, SimTime, TracerConfig, World, WorldConfig,
     };
     use std::cell::Cell;
     use std::rc::Rc;
@@ -332,11 +365,10 @@ pub mod sim_storm {
         pub events_per_sec: f64,
     }
 
-    /// Runs `jobs` jobs over `machines` worker actors on the given kernel
-    /// and measures wall-clock event throughput. Panics if any job is lost.
-    pub fn run_event_storm(machines: usize, jobs: u64, kernel: QueueKernel, seed: u64) -> StormStats {
+    /// Runs `jobs` jobs over `machines` worker actors and measures
+    /// wall-clock event throughput. Panics if any job is lost.
+    pub fn run_event_storm(machines: usize, jobs: u64, seed: u64) -> StormStats {
         let mut cfg = WorldConfig::uniform(machines, 50, seed);
-        cfg.kernel = kernel;
         cfg.obs = TracerConfig {
             enabled: false,
             ..TracerConfig::default()
@@ -384,11 +416,11 @@ mod tests {
 
     #[test]
     fn event_storm_completes_and_counts() {
-        let s = sim_storm::run_event_storm(100, 2_000, fuxi_sim::QueueKernel::Calendar, 42);
+        let s = sim_storm::run_event_storm(100, 2_000, 42);
         // ≥3 events per job: submit delivery, runtime timer, completion.
         assert!(s.events >= 3 * s.jobs, "{} events for {} jobs", s.events, s.jobs);
-        let h = sim_storm::run_event_storm(100, 2_000, fuxi_sim::QueueKernel::Heap, 42);
-        assert_eq!(s.events, h.events, "kernels must process identical schedules");
+        let again = sim_storm::run_event_storm(100, 2_000, 42);
+        assert_eq!(s.events, again.events, "same seed must process the same schedule");
     }
 
     #[test]

@@ -158,7 +158,6 @@ impl Cluster {
             net: cfg.net.clone(),
             seed: cfg.seed,
             obs: cfg.obs.clone(),
-            kernel: fuxi_sim::QueueKernel::default(),
         });
         let groups = &deploy.nodes[0].actors;
         let b = boot_groups(&mut world, &shared, groups, deploy.lock_id().id, |_, _, _| {});

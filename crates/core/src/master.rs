@@ -144,9 +144,6 @@ pub struct FuxiMaster {
     sched_win: WindowedHistogram,
     /// Job completions per window, for the jobs/sec rate.
     jobs_done_win: WindowRing,
-    /// Cumulative submit/finish counters mirrored into each rollup.
-    jobs_submitted_total: u64,
-    jobs_finished_total: u64,
     /// This master's election ordinal (1 = first primary), from the hub.
     epoch: u32,
 }
@@ -168,8 +165,6 @@ impl FuxiMaster {
             watchdog: SloWatchdog::default(),
             sched_win: WindowedHistogram::new(w, r),
             jobs_done_win: WindowRing::new(w, r),
-            jobs_submitted_total: 0,
-            jobs_finished_total: 0,
             epoch: 0,
             cfg,
             topo,
@@ -381,7 +376,6 @@ impl FuxiMaster {
             self.launch_jm(ctx, job);
         }
         ctx.metrics().count("fm.jobs_submitted", 1);
-        self.jobs_submitted_total += 1;
     }
 
     fn launch_jm(&mut self, ctx: &mut Ctx<'_, Msg>, job: JobId) {
@@ -470,7 +464,6 @@ impl FuxiMaster {
             },
         );
         ctx.metrics().count("fm.jobs_finished", 1);
-        self.jobs_finished_total += 1;
         if self.cfg.metrics.enabled {
             self.jobs_done_win.observe(ctx.now().as_secs_f64(), 1.0);
         }
@@ -722,11 +715,15 @@ impl FuxiMaster {
         let (free, stranded, largest) =
             engine.free_summary(self.cfg.metrics.frag_probe_mem_mb);
         let sched = self.sched_win.merged();
+        // Both totals come from checkpointed hard state, so they carry
+        // across master epochs: every accepted submit takes one app id,
+        // never reused, and a job leaves `jobs` exactly when it finishes.
+        let submitted = u64::from(self.next_app);
         let rollup = MasterRollup {
             t_s: now,
             jobs_per_sec: self.jobs_done_win.rate_per_sec(now),
-            jobs_submitted_total: self.jobs_submitted_total,
-            jobs_finished_total: self.jobs_finished_total,
+            jobs_submitted_total: submitted,
+            jobs_finished_total: submitted - self.jobs.len() as u64,
             sched_p50_s: sched.quantile(0.5),
             sched_p95_s: sched.quantile(0.95),
             sched_p99_s: sched.quantile(0.99),

@@ -1,15 +1,19 @@
-//! Metrics recording: counters, time series, log-bucketed histograms, and
-//! fixed-width windowed series (the live metrics plane's storage format).
+//! Metrics recording: counters, gauges, time series and log-bucketed
+//! histograms in a mergeable [`Metrics`] sink, plus the windowed histogram
+//! the master's rollup reads recent quantiles from.
 //!
 //! Every experiment binary reads its table/figure data out of the world's
 //! [`Metrics`] sink after the run; the live runtime additionally merges
 //! per-thread sinks into a shared one every flush interval so the same
-//! data is readable *during* the run.
+//! data is readable *during* the run. Everything in a sink is additive;
+//! windowed series are not kept here but owned directly by their one
+//! reader (the master's rollup, the cluster view).
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
-use fuxi_obs::export::json_string;
-use fuxi_obs::window::{WindowRing, DEFAULT_RETAIN, DEFAULT_WINDOW_S};
+use crate::export::json_string;
+use crate::window::{Aggregate, Ring};
 
 /// A log-bucketed latency/size histogram with exact count/sum/min/max.
 /// Buckets are powers of `2^(1/4)` (≈19% wide), giving percentile estimates
@@ -142,95 +146,27 @@ impl Histogram {
     }
 }
 
-/// A ring of per-window [`Histogram`]s keyed by absolute window index,
-/// mirroring [`WindowRing`]'s retention and merge semantics — the live
-/// plane's source for *recent* latency quantiles (e.g. the sched-p99
-/// watchdog rule), as opposed to the run-lifetime histogram.
-#[derive(Debug, Clone)]
-pub struct WindowedHistogram {
-    width_s: f64,
-    retain: usize,
-    head: Option<i64>,
-    /// `slots[idx.rem_euclid(retain)]` is valid iff its stored index
-    /// matches; stale entries are lazily reset.
-    slots: Vec<(i64, Histogram)>,
-}
-
-impl Default for WindowedHistogram {
-    fn default() -> Self {
-        WindowedHistogram::new(DEFAULT_WINDOW_S, DEFAULT_RETAIN)
+impl Aggregate for Histogram {
+    fn count(&self) -> u64 {
+        self.count
+    }
+    fn merge(&mut self, other: &Histogram) {
+        Histogram::merge(self, other);
     }
 }
 
-impl WindowedHistogram {
-    /// Ring with the given window width (seconds) and retention count.
-    pub fn new(width_s: f64, retain: usize) -> WindowedHistogram {
-        let retain = retain.max(1);
-        WindowedHistogram {
-            width_s: if width_s > 0.0 { width_s } else { DEFAULT_WINDOW_S },
-            retain,
-            head: None,
-            slots: vec![(i64::MIN, Histogram::new()); retain],
-        }
-    }
+/// A [`Ring`] of per-window [`Histogram`]s — the live plane's source for
+/// *recent* latency quantiles (e.g. the sched-p99 watchdog rule), as
+/// opposed to the run-lifetime histogram.
+pub type WindowedHistogram = Ring<Histogram>;
 
-    fn slot_mut(&mut self, idx: i64) -> &mut Histogram {
-        let pos = idx.rem_euclid(self.retain as i64) as usize;
-        let slot = &mut self.slots[pos];
-        if slot.0 != idx {
-            *slot = (idx, Histogram::new());
-        }
-        &mut slot.1
-    }
-
+impl Ring<Histogram> {
     /// Records `v` into the window containing `t_s`. Values older than
     /// the retention horizon are dropped.
     pub fn record(&mut self, t_s: f64, v: f64) {
-        let idx = (t_s / self.width_s).floor() as i64;
-        let head = self.head.map_or(idx, |h| h.max(idx));
-        self.head = Some(head);
-        if idx > head - self.retain as i64 {
-            self.slot_mut(idx).record(v);
+        if let Some(h) = self.window_mut(t_s) {
+            h.record(v);
         }
-    }
-
-    /// Merges another ring with the same width/retention. Associative and
-    /// commutative, like [`WindowRing::merge`].
-    pub fn merge(&mut self, other: &WindowedHistogram) {
-        debug_assert_eq!(self.width_s, other.width_s, "window width mismatch");
-        let head = match (self.head, other.head) {
-            (Some(a), Some(b)) => a.max(b),
-            (a, b) => match a.or(b) {
-                Some(h) => h,
-                None => return,
-            },
-        };
-        self.head = Some(head);
-        let horizon = head - self.retain as i64;
-        for (idx, h) in &other.slots {
-            if *idx != i64::MIN && *idx > horizon && h.count() > 0 {
-                self.slot_mut(*idx).merge(h);
-            }
-        }
-        for slot in &mut self.slots {
-            if slot.0 != i64::MIN && slot.0 <= horizon {
-                *slot = (i64::MIN, Histogram::new());
-            }
-        }
-    }
-
-    /// Populated windows within retention, ascending by absolute index.
-    pub fn windows(&self) -> Vec<(i64, &Histogram)> {
-        let Some(head) = self.head else { return Vec::new() };
-        let horizon = head - self.retain as i64;
-        let mut out: Vec<(i64, &Histogram)> = self
-            .slots
-            .iter()
-            .filter(|(idx, h)| *idx != i64::MIN && *idx > horizon && h.count() > 0)
-            .map(|(idx, h)| (*idx, h))
-            .collect();
-        out.sort_by_key(|(idx, _)| *idx);
-        out
     }
 
     /// One histogram merging every retained window — quantiles over the
@@ -242,11 +178,6 @@ impl WindowedHistogram {
         }
         out
     }
-
-    /// Samples inside the retained windows.
-    pub fn count(&self) -> u64 {
-        self.windows().iter().map(|(_, h)| h.count()).sum()
-    }
 }
 
 /// The per-world metrics sink.
@@ -256,8 +187,16 @@ pub struct Metrics {
     gauges: HashMap<String, f64>,
     series: HashMap<String, Vec<(f64, f64)>>,
     histograms: HashMap<String, Histogram>,
-    windows: HashMap<String, WindowRing>,
-    whistograms: HashMap<String, WindowedHistogram>,
+}
+
+/// Applies `f` to `map[name]`, inserted as `V::default()` on first sight.
+/// An existing key costs one lookup and no allocation: the owned `String`
+/// is built only on a miss.
+fn upsert<V: Default>(map: &mut HashMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
 }
 
 impl Metrics {
@@ -268,7 +207,7 @@ impl Metrics {
 
     /// Increments counter `name` by `by`.
     pub fn count(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += by;
+        upsert(&mut self.counters, name, |c| *c += by);
     }
 
     /// Counter.
@@ -281,7 +220,7 @@ impl Metrics {
     /// `AM_obtained` / `FA_planned` curves) that a sampler turns into a
     /// series.
     pub fn gauge_add(&mut self, name: &str, delta: f64) {
-        *self.gauges.entry(name.to_owned()).or_insert(0.0) += delta;
+        upsert(&mut self.gauges, name, |g| *g += delta);
     }
 
     /// Gauge.
@@ -291,7 +230,7 @@ impl Metrics {
 
     /// Appends `(t_seconds, value)` to time series `name`.
     pub fn push_series(&mut self, name: &str, t_s: f64, v: f64) {
-        self.series.entry(name.to_owned()).or_default().push((t_s, v));
+        upsert(&mut self.series, name, |s| s.push((t_s, v)));
     }
 
     /// Series.
@@ -299,48 +238,14 @@ impl Metrics {
         self.series.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Series names.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
-    }
-
     /// Records `v` into histogram `name`.
     pub fn record(&mut self, name: &str, v: f64) {
-        self.histograms.entry(name.to_owned()).or_default().record(v);
+        upsert(&mut self.histograms, name, |h| h.record(v));
     }
 
     /// Histogram.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Adds `delta` to the windowed counter `name` at time `t_s` (read
-    /// back as a rate via [`WindowRing::rate_per_sec`]).
-    pub fn window_count(&mut self, name: &str, t_s: f64, delta: f64) {
-        self.windows.entry(name.to_owned()).or_default().observe(t_s, delta);
-    }
-
-    /// Samples the instantaneous value `v` into the windowed gauge `name`
-    /// at time `t_s` (read back via `last`/`min`/`max` per window — this
-    /// is what makes live mailbox backlog visible, not just its high-water
-    /// mark).
-    pub fn window_sample(&mut self, name: &str, t_s: f64, v: f64) {
-        self.windows.entry(name.to_owned()).or_default().observe(t_s, v);
-    }
-
-    /// Records `v` into the windowed histogram `name` at time `t_s`.
-    pub fn window_record(&mut self, name: &str, t_s: f64, v: f64) {
-        self.whistograms.entry(name.to_owned()).or_default().record(t_s, v);
-    }
-
-    /// Windowed series (counter or gauge semantics are the caller's).
-    pub fn window(&self, name: &str) -> Option<&WindowRing> {
-        self.windows.get(name)
-    }
-
-    /// Windowed histogram.
-    pub fn window_histogram(&self, name: &str) -> Option<&WindowedHistogram> {
-        self.whistograms.get(name)
     }
 
     /// Time-weighted mean of a series: the trapezoid integral of `v` over
@@ -403,75 +308,36 @@ impl Metrics {
     /// thread its own `Metrics` and folds them together at shutdown.
     pub fn merge(&mut self, other: &Metrics) {
         for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            upsert(&mut self.counters, k, |c| *c += v);
         }
         for (k, &v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0.0) += v;
+            upsert(&mut self.gauges, k, |g| *g += v);
         }
         for (k, pts) in &other.series {
-            let s = self.series.entry(k.clone()).or_default();
-            s.extend_from_slice(pts);
-            s.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            upsert(&mut self.series, k, |s| {
+                s.extend_from_slice(pts);
+                s.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            });
         }
         for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-        // Clone-on-first-sight keeps the source ring's width/retention.
-        for (k, w) in &other.windows {
-            match self.windows.entry(k.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(w),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(w.clone());
-                }
-            }
-        }
-        for (k, w) in &other.whistograms {
-            match self.whistograms.entry(k.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(w),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(w.clone());
-                }
-            }
+            upsert(&mut self.histograms, k, |mine| mine.merge(h));
         }
     }
 
-    /// A deterministic JSON snapshot of every counter, gauge, histogram
-    /// (count/mean/min/max/p50/p95/p99), windowed series, and windowed
-    /// histogram, keys sorted and escaped. Series are summarised by length
-    /// and time-weighted mean rather than dumped point-by-point; windowed
-    /// series report their retained windows in full.
+    /// A deterministic JSON snapshot of every counter, gauge and histogram
+    /// (count/mean/min/max/p50/p95/p99), keys sorted and escaped. Series
+    /// are summarised by length and time-weighted mean rather than dumped
+    /// point-by-point.
     pub fn snapshot_json(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::from("{\"counters\":{");
-        let mut keys: Vec<&String> = self.counters.keys().collect();
-        keys.sort();
-        for (i, k) in keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(k), self.counters[*k]);
-        }
+        write_sorted(&mut out, &self.counters, |out, _, v| out.push_str(&v.to_string()));
         out.push_str("},\"gauges\":{");
-        let mut keys: Vec<&String> = self.gauges.keys().collect();
-        keys.sort();
-        for (i, k) in keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_string(k), self.gauges[*k]);
-        }
+        write_sorted(&mut out, &self.gauges, |out, _, v| out.push_str(&v.to_string()));
         out.push_str("},\"histograms\":{");
-        let mut keys: Vec<&String> = self.histograms.keys().collect();
-        keys.sort();
-        for (i, k) in keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let h = &self.histograms[*k];
+        write_sorted(&mut out, &self.histograms, |out, _, h| {
             let _ = write!(
                 out,
-                "{}:{{\"count\":{},\"mean\":{:.9},\"min\":{:.9},\"max\":{:.9},\"p50\":{:.9},\"p95\":{:.9},\"p99\":{:.9}}}",
-                json_string(k),
+                "{{\"count\":{},\"mean\":{:.9},\"min\":{:.9},\"max\":{:.9},\"p50\":{:.9},\"p95\":{:.9},\"p99\":{:.9}}}",
                 h.count(),
                 h.mean(),
                 h.min(),
@@ -480,76 +346,39 @@ impl Metrics {
                 h.quantile(0.95),
                 h.quantile(0.99)
             );
-        }
+        });
         out.push_str("},\"series\":{");
-        let mut keys: Vec<&String> = self.series.keys().collect();
-        keys.sort();
-        for (i, k) in keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"points\":{},\"mean\":{:.9}}}",
-                json_string(k),
-                self.series[*k].len(),
-                self.series_mean(k)
-            );
-        }
-        out.push_str("},\"windows\":{");
-        let mut keys: Vec<&String> = self.windows.keys().collect();
-        keys.sort();
-        for (i, k) in keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let w = &self.windows[*k];
-            let _ = write!(
-                out,
-                "{}:{{\"width_s\":{},\"total_count\":{},\"total_sum\":{:.9},\"windows\":[",
-                json_string(k),
-                w.width_s(),
-                w.total_count,
-                w.total_sum
-            );
-            for (j, (idx, agg)) in w.windows().iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "[{},{},{:.9},{:.9},{:.9},{:.9}]",
-                    idx, agg.count, agg.sum, agg.min, agg.max, agg.last
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("},\"windowed_histograms\":{");
-        let mut keys: Vec<&String> = self.whistograms.keys().collect();
-        keys.sort();
-        for (i, k) in keys.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let merged = self.whistograms[*k].merged();
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"p50\":{:.9},\"p95\":{:.9},\"p99\":{:.9}}}",
-                json_string(k),
-                merged.count(),
-                merged.quantile(0.5),
-                merged.quantile(0.95),
-                merged.quantile(0.99)
-            );
-        }
+        write_sorted(&mut out, &self.series, |out, k, pts| {
+            let _ = write!(out, "{{\"points\":{},\"mean\":{:.9}}}", pts.len(), self.series_mean(k));
+        });
         out.push_str("}}");
         out
+    }
+}
+
+/// Writes `map` as the comma-separated members of a JSON object, keys
+/// sorted and escaped, each value rendered by `value`.
+fn write_sorted<V>(
+    out: &mut String,
+    map: &HashMap<String, V>,
+    mut value: impl FnMut(&mut String, &str, &V),
+) {
+    let mut keys: Vec<&String> = map.keys().collect();
+    keys.sort();
+    for (i, k) in keys.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&json_string(k));
+        out.push(':');
+        value(out, k, &map[k]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WindowRing;
 
     #[test]
     fn counters_accumulate() {
@@ -747,80 +576,60 @@ mod tests {
         m.count("evil\"key\\with\nspecials", 7);
         m.gauge_add("also\"evil", 1.0);
         m.record("hist\"key", 0.5);
-        m.window_count("win\"key", 0.1, 1.0);
         let j = m.snapshot_json();
         assert!(j.contains("\"evil\\\"key\\\\with\\nspecials\":7"), "{j}");
         assert!(j.contains("\"also\\\"evil\":1"), "{j}");
         assert!(j.contains("\"hist\\\"key\":{"), "{j}");
-        assert!(j.contains("\"win\\\"key\":{"), "{j}");
         assert!(!j.contains("evil\"key"), "raw quote leaked into the JSON");
     }
 
     #[test]
-    fn windowed_recording_round_trips() {
-        let mut m = Metrics::new();
-        for i in 0..5 {
-            m.window_count("rate", i as f64 + 0.5, 2.0);
-            m.window_sample("depth", i as f64 + 0.5, i as f64);
-            m.window_record("lat", i as f64 + 0.5, 0.001 * (i + 1) as f64);
-        }
-        let w = m.window("rate").unwrap();
-        assert_eq!(w.total_count, 5);
-        assert!((w.rate_per_sec(4.5) - 2.0).abs() < 1e-9);
-        assert_eq!(m.window("depth").unwrap().latest(), Some(4.0));
-        let wh = m.window_histogram("lat").unwrap();
-        assert_eq!(wh.count(), 5);
-        assert_eq!(wh.merged().count(), 5);
-        assert!(m.window("absent").is_none());
-        let j = m.snapshot_json();
-        assert!(j.contains("\"rate\":{\"width_s\":1,\"total_count\":5"), "{j}");
-        assert!(j.contains("\"windowed_histograms\":{\"lat\":{\"count\":5"), "{j}");
-    }
-
-    #[test]
     fn merge_combines_windows() {
-        let mut a = Metrics::new();
-        a.window_count("r", 0.5, 1.0);
-        a.window_record("h", 0.5, 0.001);
-        let mut b = Metrics::new();
-        b.window_count("r", 0.6, 2.0);
-        b.window_count("r", 1.6, 4.0);
-        b.window_record("h", 1.5, 0.002);
-        a.merge(&b);
-        let w = a.window("r").unwrap();
-        assert_eq!(w.total_count, 3);
-        let ws = w.windows();
+        let (mut ar, mut ah) = (WindowRing::new(1.0, 60), WindowedHistogram::new(1.0, 60));
+        ar.observe(0.5, 1.0);
+        ah.record(0.5, 0.001);
+        let (mut br, mut bh) = (WindowRing::new(1.0, 60), WindowedHistogram::new(1.0, 60));
+        br.observe(0.6, 2.0);
+        br.observe(1.6, 4.0);
+        bh.record(1.5, 0.002);
+        ar.merge(&br);
+        ah.merge(&bh);
+        assert_eq!(ar.total_count, 3);
+        let ws = ar.windows();
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].1.sum, 3.0);
         assert_eq!(ws[1].1.sum, 4.0);
-        assert_eq!(a.window_histogram("h").unwrap().count(), 2);
+        assert_eq!(ah.merged().count(), 2);
     }
 
     // Property: splitting one observation stream across any number of
-    // per-thread sinks and merging them back — in any order — yields the
-    // same windows, histograms, and totals as recording the stream into a
-    // single sink. This is the invariant that lets fuxi-rt flush
-    // per-thread metrics periodically instead of only at shutdown.
+    // rings and merging them back — in any order, with or without windows
+    // falling out of retention on the way — yields the same windows,
+    // histograms, and totals as recording the stream into a single ring.
+    // This is the invariant that lets per-shard rings be folded at any
+    // cadence instead of only once at the end.
     proptest! {
         #[test]
         fn window_merge_any_order_equals_single_stream(
             obs in prop::collection::vec((0.0f64..30.0f64, -5.0f64..5.0f64, 0u8..3u8), 1..120),
             order_seed in 0usize..4usize,
+            retain in 4usize..64usize,
         ) {
             let order = [[0usize, 1, 2], [2, 0, 1], [1, 2, 0], [2, 1, 0]][order_seed];
-            let mut single = Metrics::new();
-            let mut parts = [Metrics::new(), Metrics::new(), Metrics::new()];
+            let fresh = || (WindowRing::new(1.0, retain), WindowedHistogram::new(1.0, retain));
+            let (mut sw, mut sh) = fresh();
+            let mut parts = [fresh(), fresh(), fresh()];
             for (i, &(t, v, _)) in obs.iter().enumerate() {
-                single.window_count("w", t, v);
-                single.window_record("h", t, v.abs().max(1e-6));
-                parts[i % 3].window_count("w", t, v);
-                parts[i % 3].window_record("h", t, v.abs().max(1e-6));
+                sw.observe(t, v);
+                sh.record(t, v.abs().max(1e-6));
+                parts[i % 3].0.observe(t, v);
+                parts[i % 3].1.record(t, v.abs().max(1e-6));
             }
-            let mut merged = Metrics::new();
+            let (mut mw, mut mh) = fresh();
             for &p in &order {
-                merged.merge(&parts[p]);
+                mw.merge(&parts[p].0);
+                mh.merge(&parts[p].1);
             }
-            let (sw, mw) = (single.window("w").unwrap(), merged.window("w").unwrap());
             // Window sets and order-insensitive aggregates must be exactly
             // equal; sums only up to FP addition-order noise.
             let (svw, mvw) = (sw.windows(), mw.windows());
@@ -836,11 +645,7 @@ mod tests {
             }
             prop_assert_eq!(sw.total_count, mw.total_count);
             prop_assert!((sw.total_sum - mw.total_sum).abs() < 1e-6);
-            let (sh, mh) = (
-                single.window_histogram("h").unwrap(),
-                merged.window_histogram("h").unwrap(),
-            );
-            prop_assert_eq!(sh.count(), mh.count());
+            prop_assert_eq!(sh.merged().count(), mh.merged().count());
             prop_assert_eq!(sh.merged().quantile(0.99), mh.merged().quantile(0.99));
         }
 

@@ -1,16 +1,17 @@
 //! Fixed-width windowed time-series: the storage format of the live
 //! metrics plane.
 //!
-//! A [`WindowRing`] aggregates observations into fixed-width time windows
-//! (1 s by default) and retains the most recent `retain` windows (60 by
-//! default) in a ring buffer, plus running totals over the whole stream.
-//! Windows are keyed by their **absolute** index `floor(t / width)`, not by
-//! a ring position, which makes [`WindowRing::merge`] associative and
-//! commutative: merging per-thread rings in any order yields the same ring
-//! as recording the interleaved stream into a single ring (the property the
-//! metrics-plane proptests pin down). That in turn is what lets `fuxi-rt`
-//! flush per-thread metrics into the shared view periodically instead of
-//! only at shutdown.
+//! A [`Ring`] folds observations into fixed-width time windows (1 s by
+//! default) and retains the most recent `retain` windows (60 by default)
+//! in a ring buffer of per-window [`Aggregate`]s. Windows are keyed by
+//! their **absolute** index `floor(t / width)`, not by a ring position,
+//! which makes [`Ring::merge`] associative and commutative: merging rings
+//! in any order yields the same ring as recording the interleaved stream
+//! into a single ring (the property the proptests in `metrics.rs` pin
+//! down). It is the one ring in the repo: [`WindowRing`] is a ring of
+//! [`WindowAgg`]s plus running totals over the whole stream, and
+//! [`WindowedHistogram`](crate::metrics::WindowedHistogram) is a ring of
+//! [`Histogram`](crate::metrics::Histogram)s.
 //!
 //! Everything here is plain-`std` and dependency-free so the same types
 //! serve the deterministic simulator (sim seconds) and the live runtime
@@ -78,20 +79,29 @@ impl WindowAgg {
             self.last = other.last;
         }
     }
+}
 
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
+/// What a [`Ring`] keeps per window.
+pub trait Aggregate: Clone + Default {
+    /// Observations folded in; windows with none are never reported.
+    fn count(&self) -> u64;
+    /// Combines two aggregates of the same window. Must be associative
+    /// and commutative for [`Ring::merge`] to be.
+    fn merge(&mut self, other: &Self);
+}
+
+impl Aggregate for WindowAgg {
+    fn count(&self) -> u64 {
+        self.count
+    }
+    fn merge(&mut self, other: &WindowAgg) {
+        WindowAgg::merge(self, other);
     }
 }
 
-/// A ring of the most recent `retain` windows plus running stream totals.
+/// A ring of the most recent `retain` windows, each an `A`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindowRing {
+pub struct Ring<A> {
     width_s: f64,
     retain: usize,
     /// Highest absolute window index observed so far (`None` when empty).
@@ -99,7 +109,89 @@ pub struct WindowRing {
     /// `slots[idx.rem_euclid(retain)]` holds the aggregate for absolute
     /// window `idx` iff the stored index matches; stale entries are
     /// ignored and lazily overwritten.
-    slots: Vec<(i64, WindowAgg)>,
+    slots: Vec<(i64, A)>,
+}
+
+impl<A: Aggregate> Ring<A> {
+    /// Ring with the given window width (seconds) and retention count.
+    pub fn new(width_s: f64, retain: usize) -> Self {
+        let retain = retain.max(1);
+        Ring {
+            width_s: if width_s > 0.0 { width_s } else { DEFAULT_WINDOW_S },
+            retain,
+            head: None,
+            slots: vec![(i64::MIN, A::default()); retain],
+        }
+    }
+
+    /// Window width, seconds.
+    pub fn width_s(&self) -> f64 {
+        self.width_s
+    }
+
+    /// Absolute window index of timestamp `t_s`.
+    pub fn index_of(&self, t_s: f64) -> i64 {
+        (t_s / self.width_s).floor() as i64
+    }
+
+    fn slot_mut(&mut self, idx: i64) -> &mut A {
+        let pos = idx.rem_euclid(self.retain as i64) as usize;
+        let slot = &mut self.slots[pos];
+        if slot.0 != idx {
+            *slot = (idx, A::default());
+        }
+        &mut slot.1
+    }
+
+    /// Is `idx` a populated window inside the retention that ends at `head`?
+    fn live(&self, head: i64, (idx, agg): &(i64, A)) -> bool {
+        *idx != i64::MIN && *idx > head - self.retain as i64 && agg.count() > 0
+    }
+
+    /// The aggregate of the window containing `t_s`, for recording into;
+    /// advances the head. `None` when `t_s` is older than the retention
+    /// horizon: such an observation is assigned no window.
+    pub fn window_mut(&mut self, t_s: f64) -> Option<&mut A> {
+        let idx = self.index_of(t_s);
+        let head = self.head.map_or(idx, |h| h.max(idx));
+        self.head = Some(head);
+        (idx > head - self.retain as i64).then(|| self.slot_mut(idx))
+    }
+
+    /// Merges another ring recorded with the same width/retention.
+    /// Associative and commutative; see the module docs. Own windows that
+    /// fall out of retention because `other` advanced the head need no
+    /// reset: `live` hides them and `slot_mut` overwrites them.
+    pub fn merge(&mut self, other: &Self) {
+        debug_assert_eq!(self.width_s, other.width_s, "window width mismatch");
+        let Some(head) = self.head.max(other.head) else { return };
+        self.head = Some(head);
+        for slot in &other.slots {
+            if self.live(head, slot) {
+                self.slot_mut(slot.0).merge(&slot.1);
+            }
+        }
+    }
+
+    /// Populated windows within retention, ascending by absolute index.
+    pub fn windows(&self) -> Vec<(i64, &A)> {
+        let Some(head) = self.head else { return Vec::new() };
+        let mut out: Vec<(i64, &A)> = self
+            .slots
+            .iter()
+            .filter(|slot| self.live(head, slot))
+            .map(|(idx, agg)| (*idx, agg))
+            .collect();
+        out.sort_by_key(|(idx, _)| *idx);
+        out
+    }
+}
+
+/// A [`Ring`] of [`WindowAgg`]s plus running stream totals: the windowed
+/// counter/gauge series.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowRing {
+    ring: Ring<WindowAgg>,
     /// Observations ever recorded (including ones older than retention).
     pub total_count: u64,
     /// Sum of every value ever recorded.
@@ -115,35 +207,11 @@ impl Default for WindowRing {
 impl WindowRing {
     /// Ring with the given window width (seconds) and retention count.
     pub fn new(width_s: f64, retain: usize) -> WindowRing {
-        let retain = retain.max(1);
         WindowRing {
-            width_s: if width_s > 0.0 { width_s } else { DEFAULT_WINDOW_S },
-            retain,
-            head: None,
-            slots: vec![(i64::MIN, WindowAgg::default()); retain],
+            ring: Ring::new(width_s, retain),
             total_count: 0,
             total_sum: 0.0,
         }
-    }
-
-    /// Window width, seconds.
-    pub fn width_s(&self) -> f64 {
-        self.width_s
-    }
-
-    /// Absolute window index of timestamp `t_s`.
-    pub fn index_of(&self, t_s: f64) -> i64 {
-        (t_s / self.width_s).floor() as i64
-    }
-
-    fn slot_mut(&mut self, idx: i64) -> &mut WindowAgg {
-        let retain = self.retain as i64;
-        let pos = idx.rem_euclid(retain) as usize;
-        let slot = &mut self.slots[pos];
-        if slot.0 != idx {
-            *slot = (idx, WindowAgg::default());
-        }
-        &mut slot.1
     }
 
     /// Records one observation at time `t_s`. Observations older than the
@@ -152,62 +220,22 @@ impl WindowRing {
     pub fn observe(&mut self, t_s: f64, v: f64) {
         self.total_count += 1;
         self.total_sum += v;
-        let idx = self.index_of(t_s);
-        let head = self.head.map_or(idx, |h| h.max(idx));
-        self.head = Some(head);
-        if idx > head - self.retain as i64 {
-            self.slot_mut(idx).observe(t_s, v);
+        if let Some(agg) = self.ring.window_mut(t_s) {
+            agg.observe(t_s, v);
         }
     }
 
     /// Merges another ring recorded with the same width/retention.
     /// Associative and commutative; see the module docs.
     pub fn merge(&mut self, other: &WindowRing) {
-        debug_assert_eq!(self.width_s, other.width_s, "window width mismatch");
         self.total_count += other.total_count;
         self.total_sum += other.total_sum;
-        let head = match (self.head, other.head) {
-            (Some(a), Some(b)) => a.max(b),
-            (a, b) => match a.or(b) {
-                Some(h) => h,
-                None => return,
-            },
-        };
-        self.head = Some(head);
-        let horizon = head - self.retain as i64;
-        for &(idx, ref agg) in &other.slots {
-            if idx != i64::MIN && idx > horizon && agg.count > 0 {
-                self.slot_mut(idx).merge(agg);
-            }
-        }
-        // Invalidate own windows that fell out of retention when `other`
-        // advanced the head past them.
-        for slot in &mut self.slots {
-            if slot.0 != i64::MIN && slot.0 <= horizon {
-                *slot = (i64::MIN, WindowAgg::default());
-            }
-        }
+        self.ring.merge(&other.ring);
     }
 
     /// Populated windows within retention, ascending by absolute index.
     pub fn windows(&self) -> Vec<(i64, WindowAgg)> {
-        let Some(head) = self.head else { return Vec::new() };
-        let horizon = head - self.retain as i64;
-        let mut out: Vec<(i64, WindowAgg)> = self
-            .slots
-            .iter()
-            .filter(|(idx, agg)| *idx != i64::MIN && *idx > horizon && agg.count > 0)
-            .cloned()
-            .collect();
-        out.sort_by_key(|(idx, _)| *idx);
-        out
-    }
-
-    /// The aggregate for the window containing `t_s`, if populated.
-    pub fn window_at(&self, t_s: f64) -> Option<&WindowAgg> {
-        let idx = self.index_of(t_s);
-        let slot = &self.slots[idx.rem_euclid(self.retain as i64) as usize];
-        (slot.0 == idx && slot.1.count > 0).then_some(&slot.1)
+        self.ring.windows().into_iter().map(|(idx, agg)| (idx, *agg)).collect()
     }
 
     /// Event rate per second over the retained **complete** windows — the
@@ -215,7 +243,7 @@ impl WindowRing {
     /// Counter-style rings (`observe` with deltas) get events/sec; returns
     /// 0 when no complete window is populated.
     pub fn rate_per_sec(&self, now_s: f64) -> f64 {
-        let cur = self.index_of(now_s);
+        let cur = self.ring.index_of(now_s);
         let ws = self.windows();
         let complete: Vec<&(i64, WindowAgg)> = ws.iter().filter(|(i, _)| *i < cur).collect();
         if complete.is_empty() {
@@ -223,9 +251,10 @@ impl WindowRing {
         }
         // Span from the oldest complete window to `cur` so idle (empty)
         // windows dilute the rate instead of being skipped.
-        let span = (cur - complete[0].0) as f64 * self.width_s;
+        let width_s = self.ring.width_s();
+        let span = (cur - complete[0].0) as f64 * width_s;
         let sum: f64 = complete.iter().map(|(_, a)| a.sum).sum();
-        sum / span.max(self.width_s)
+        sum / span.max(width_s)
     }
 
     /// Most recent gauge reading within retention (`last` of the newest

@@ -182,7 +182,7 @@ struct Shared<M: KernelMsg + Send> {
     metrics: Mutex<Metrics>,
     tracer: Mutex<Tracer>,
     /// Cluster metrics view, if a harness attached one: the clock thread
-    /// samples mailbox pressure into it alongside the windowed series.
+    /// samples mailbox pressure into it.
     hub: Mutex<Option<fuxi_obs::MetricsHub>>,
     /// Outbound path for destinations in other processes.
     remote_router: RwLock<Option<RemoteRouter<M>>>,
@@ -348,11 +348,9 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
     }
 
     /// Samples mailbox pressure: per-actor depth gauges for non-empty
-    /// queues, the global depth/high-water gauges, a windowed depth series
-    /// (so a pressure spike between scrapes still shows up), and — when a
-    /// hub is attached — the cluster view's mailbox fields.
+    /// queues, the global depth/high-water gauges, and — when a hub is
+    /// attached — the cluster view's mailbox fields.
     fn sample_mailboxes(&self) {
-        let t = self.now().as_secs_f64();
         let mut total = 0usize;
         let mut hwm = 0usize;
         {
@@ -368,7 +366,6 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
             }
             metrics.gauge_set("rt.mailbox_depth", total as f64);
             metrics.gauge_max("rt.mailbox_hwm", hwm as f64);
-            metrics.window_sample("rt.mailbox_depth.w", t, total as f64);
         }
         let hub = self.hub.lock().unwrap().clone();
         if let Some(hub) = hub {
@@ -433,7 +430,7 @@ fn actor_thread<M: KernelMsg + Send + 'static>(
         // runtime-global sink so live scrapes see near-current data
         // instead of waiting for the shutdown merge. Safe because actor
         // code only uses additive instruments (counters, gauge deltas,
-        // histograms, windows) whose merge is take-and-sum.
+        // histograms) whose merge is take-and-sum.
         if flush_every > Duration::ZERO && last_flush.elapsed() >= flush_every {
             let m = std::mem::take(&mut tc.metrics);
             tc.shared.metrics.lock().unwrap().merge(&m);
@@ -713,9 +710,9 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
             };
             deliver(&shared, &mut backlog, done.owner, env);
         }
-        // Queue pressure is a time series, not a shutdown summary: sample
+        // Queue pressure is live state, not a shutdown summary: sample
         // depths on the flush cadence so a mid-run spike is visible in the
-        // windowed series and the cluster view.
+        // gauges and the cluster view.
         if sample_every > Duration::ZERO && last_sample.elapsed() >= sample_every {
             shared.sample_mailboxes();
             last_sample = Instant::now();
@@ -893,9 +890,9 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
     }
 
     /// Records mailbox pressure into the runtime metrics: current depths
-    /// as gauges *and* a windowed time series (the clock thread does this
-    /// periodically on `metrics_flush` cadence; this forces one sample
-    /// now), plus the global high-water mark.
+    /// as gauges (the clock thread does this periodically on
+    /// `metrics_flush` cadence; this forces one sample now), plus the
+    /// global high-water mark.
     pub fn record_mailbox_gauges(&self) {
         self.shared.sample_mailboxes();
     }

@@ -13,10 +13,9 @@
 
 use crate::event::{EventKind, KernelMsg};
 use crate::flow::FlowSpec;
-use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
 use crate::world::WorldCore;
-use fuxi_obs::{SpanKind, TraceEvent, TraceId, Tracer};
+use fuxi_obs::{Metrics, SpanKind, TraceEvent, TraceId, Tracer};
 use rand::rngs::SmallRng;
 use std::fmt;
 

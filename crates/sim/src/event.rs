@@ -11,13 +11,14 @@
 //! at a time as the horizon advances, so the heap only ever contains the
 //! events of the current tick neighbourhood — the same shape as the
 //! runtime's `TimerWheel`, but deterministic: total order is exactly
-//! `(time, seq)`, i.e. FIFO within a tick and stable across backends.
+//! `(time, seq)`, i.e. FIFO within a tick.
 //!
 //! Determinism rules: `seq` is assigned at push, strictly increasing;
 //! the window heap orders by `(time, seq)`; slot migration moves *whole
-//! ticks*, so no slot event can ever order before a window event. The
-//! original heap kernel is kept as [`QueueKernel::Heap`] and a
-//! differential proptest pins both kernels to byte-identical pop streams.
+//! ticks*, so no slot event can ever order before a window event. A plain
+//! `(time, seq)` binary heap lives in this file's test module as the
+//! reference model, and two differential proptests pin the calendar to a
+//! byte-identical pop stream.
 //!
 //! # Envelope arena
 //!
@@ -44,16 +45,6 @@ pub trait KernelMsg: std::fmt::Debug + 'static {
 
 /// A scripted control step run against the whole world.
 pub(crate) type ControlFn<M> = Box<dyn FnOnce(&mut crate::world::World<M>)>;
-
-/// Which event-queue implementation a world runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKernel {
-    /// Hierarchical calendar queue (the default).
-    #[default]
-    Calendar,
-    /// The original binary heap, kept as the differential reference.
-    Heap,
-}
 
 pub(crate) enum EventKind<M: KernelMsg> {
     /// Deliver `msg` from `from` to `to`. The delivery envelope carries the
@@ -170,7 +161,7 @@ const TICK_US: u64 = 1_000;
 /// Hashed wheel size: tick `t` lands in slot `t % N_SLOTS`.
 const N_SLOTS: usize = 256;
 
-/// The calendar backend: near-term window heap + hashed far-tick slots.
+/// The calendar: near-term window heap + hashed far-tick slots.
 ///
 /// Invariants: `horizon_us` is a multiple of [`TICK_US`]; every window
 /// event has `time < horizon_us`; every slot event has `time >=
@@ -260,32 +251,19 @@ impl<M: KernelMsg> Calendar<M> {
     }
 }
 
-enum Backend<M: KernelMsg> {
-    Calendar(Calendar<M>),
-    Heap(BinaryHeap<QEvent<M>>),
-}
-
-/// The kernel's event queue: total order by `(time, seq)` regardless of
-/// backend, with `Deliver` payloads parked in the envelope arena.
+/// The kernel's event queue: total order by `(time, seq)`, with `Deliver`
+/// payloads parked in the envelope arena.
 pub(crate) struct EventQueue<M: KernelMsg> {
     arena: EnvelopeArena<M>,
-    backend: Backend<M>,
+    calendar: Calendar<M>,
     next_seq: u64,
 }
 
 impl<M: KernelMsg> EventQueue<M> {
-    #[cfg(test)]
     pub fn new() -> Self {
-        Self::with_kernel(QueueKernel::Calendar)
-    }
-
-    pub fn with_kernel(kernel: QueueKernel) -> Self {
         Self {
             arena: EnvelopeArena::new(),
-            backend: match kernel {
-                QueueKernel::Calendar => Backend::Calendar(Calendar::new()),
-                QueueKernel::Heap => Backend::Heap(BinaryHeap::with_capacity(1024)),
-            },
+            calendar: Calendar::new(),
             next_seq: 0,
         }
     }
@@ -301,18 +279,11 @@ impl<M: KernelMsg> EventQueue<M> {
             EventKind::FlowTick => QueuedKind::FlowTick,
             EventKind::Control(f) => QueuedKind::Control(f),
         };
-        let ev = QEvent { time, seq, kind };
-        match &mut self.backend {
-            Backend::Calendar(c) => c.push(ev),
-            Backend::Heap(h) => h.push(ev),
-        }
+        self.calendar.push(QEvent { time, seq, kind });
     }
 
     pub fn pop(&mut self) -> Option<Event<M>> {
-        let ev = match &mut self.backend {
-            Backend::Calendar(c) => c.pop(),
-            Backend::Heap(h) => h.pop(),
-        }?;
+        let ev = self.calendar.pop()?;
         let kind = match ev.kind {
             QueuedKind::Deliver(i) => {
                 let Envelope { to, from, msg, trace } = self.arena.take(i);
@@ -329,25 +300,14 @@ impl<M: KernelMsg> EventQueue<M> {
         })
     }
 
-    /// Time of the next event. `&mut`: the calendar backend may migrate a
-    /// tick into its window to answer.
+    /// Time of the next event. `&mut`: the calendar may migrate a tick
+    /// into its window to answer.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Calendar(c) => c.peek_time(),
-            Backend::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.calendar.peek_time()
     }
 
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len(),
-            Backend::Heap(h) => h.len(),
-        }
-    }
-
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.calendar.len()
     }
 }
 
@@ -392,16 +352,14 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for kernel in [QueueKernel::Calendar, QueueKernel::Heap] {
-            let mut q: EventQueue<NoMsg> = EventQueue::with_kernel(kernel);
-            for i in 0..10u32 {
-                q.push(SimTime::from_secs(1), timer_ev(i));
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|e| tag_of(&e.kind))
-                .collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{kernel:?}");
+        let mut q: EventQueue<NoMsg> = EventQueue::new();
+        for i in 0..10u32 {
+            q.push(SimTime::from_secs(1), timer_ev(i));
         }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|e| tag_of(&e.kind))
+            .collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -473,12 +431,42 @@ mod tests {
         assert!(q.arena.slots.len() <= 4, "slab grew: {}", q.arena.slots.len());
     }
 
-    /// Drives one kernel through an op tape: pushes at `now + dt`, pops
+    type Popped = (u64, u64, u32);
+
+    /// The calendar queue's `(time, seq, tag)` pop stream for an op tape.
+    fn calendar_stream(ops: &[(u32, u8)]) -> Vec<Popped> {
+        drive(
+            EventQueue::<NoMsg>::new(),
+            |q, at, tag| q.push(SimTime(at), timer_ev(tag)),
+            |q| q.pop().map(|ev| (ev.time.0, ev.seq, tag_of(&ev.kind))),
+            ops,
+        )
+    }
+
+    /// The same from the reference model: the original kernel's queue, a
+    /// binary min-heap on `(time, seq)` with `seq` assigned at push.
+    fn reference_stream(ops: &[(u32, u8)]) -> Vec<Popped> {
+        drive(
+            (BinaryHeap::new(), 0u64),
+            |(heap, seq), at, tag| {
+                heap.push(std::cmp::Reverse((at, *seq, tag)));
+                *seq += 1;
+            },
+            |(heap, _)| heap.pop().map(|r| r.0),
+            ops,
+        )
+    }
+
+    /// Drives one queue through an op tape: pushes at `now + dt`, pops
     /// (advancing `now`), and same-tick storm re-pushes at pop time. The
-    /// resulting `(time, seq, tag)` stream must be identical across
-    /// kernels — the calendar queue is a drop-in reordering-free swap.
-    fn drive(kernel: QueueKernel, ops: &[(u32, u8)]) -> Vec<(u64, u64, u32)> {
-        let mut q: EventQueue<NoMsg> = EventQueue::with_kernel(kernel);
+    /// resulting `(time, seq, tag)` stream must be identical for the
+    /// calendar and the reference heap.
+    fn drive<Q>(
+        mut q: Q,
+        push_tag: fn(&mut Q, u64, u32),
+        pop_tag: fn(&mut Q) -> Option<Popped>,
+        ops: &[(u32, u8)],
+    ) -> Vec<Popped> {
         let mut now = 0u64;
         let mut tag = 0u32;
         let mut out = Vec::new();
@@ -486,43 +474,40 @@ mod tests {
             match kind % 4 {
                 // Near and far pushes (dt spans sub-tick to many ticks).
                 0 | 1 => {
-                    q.push(SimTime(now + dt as u64), timer_ev(tag));
+                    push_tag(&mut q, now + dt as u64, tag);
                     tag += 1;
                 }
                 2 => {
-                    if let Some(ev) = q.pop() {
-                        now = ev.time.0;
-                        out.push((ev.time.0, ev.seq, tag_of(&ev.kind)));
+                    if let Some(ev) = pop_tag(&mut q) {
+                        now = ev.0;
+                        out.push(ev);
                     }
                 }
                 // Pop, then a same-time storm push (drain re-entry).
                 _ => {
-                    if let Some(ev) = q.pop() {
-                        now = ev.time.0;
-                        out.push((ev.time.0, ev.seq, tag_of(&ev.kind)));
-                        q.push(SimTime(now), timer_ev(tag));
+                    if let Some(ev) = pop_tag(&mut q) {
+                        now = ev.0;
+                        out.push(ev);
+                        push_tag(&mut q, now, tag);
                         tag += 1;
                     }
                 }
             }
         }
-        while let Some(ev) = q.pop() {
-            out.push((ev.time.0, ev.seq, tag_of(&ev.kind)));
+        while let Some(ev) = pop_tag(&mut q) {
+            out.push(ev);
         }
         out
     }
 
     proptest! {
-        /// Calendar and heap kernels produce byte-identical event streams
-        /// on random schedules, including same-tick storms.
+        /// The calendar and the reference heap produce byte-identical
+        /// event streams on random schedules, including same-tick storms.
         #[test]
         fn calendar_matches_heap_kernel(
             ops in prop::collection::vec((0u32..50_000, 0u8..4), 1..300),
         ) {
-            prop_assert_eq!(
-                drive(QueueKernel::Calendar, &ops),
-                drive(QueueKernel::Heap, &ops)
-            );
+            prop_assert_eq!(calendar_stream(&ops), reference_stream(&ops));
         }
 
         /// Same property when every event lands within a handful of ticks
@@ -531,10 +516,7 @@ mod tests {
         fn calendar_matches_heap_in_tick_storms(
             ops in prop::collection::vec((0u32..2_500, 0u8..4), 1..300),
         ) {
-            prop_assert_eq!(
-                drive(QueueKernel::Calendar, &ops),
-                drive(QueueKernel::Heap, &ops)
-            );
+            prop_assert_eq!(calendar_stream(&ops), reference_stream(&ops));
         }
     }
 }

@@ -19,6 +19,10 @@
 //!   the concrete protocol enum. The only kernel-imposed requirement is
 //!   [`KernelMsg`], which lets the flow subsystem construct completion
 //!   messages.
+//! * The crate is the kernel and nothing else: one event queue (a
+//!   calendar queue; see [`event`]), and no statistics of its own. The
+//!   world's [`Metrics`] sink and [`Tracer`] are `fuxi-obs` types,
+//!   re-exported here for the actors' convenience.
 //! * Scheduler code under test runs *natively* inside actor handlers, so
 //!   wall-clock measurements of scheduling decisions (paper Figure 9) time
 //!   the real implementation, not a model of it.
@@ -27,18 +31,17 @@ pub mod actor;
 pub mod event;
 pub mod failure;
 pub mod flow;
-pub mod metrics;
 pub mod net;
 pub mod time;
 pub mod world;
 
 pub use actor::{Actor, ActorId, Ctx, LiveCtxOps};
-pub use event::{KernelMsg, QueueKernel};
+pub use event::KernelMsg;
 pub use fuxi_obs as obs;
+pub use fuxi_obs::{Histogram, Metrics, WindowedHistogram};
 pub use fuxi_obs::{SpanKind, TraceEvent, TraceId, Tracer, TracerConfig};
 pub use failure::{Fault, FaultPlan};
 pub use flow::{FlowDone, FlowKind, FlowNet, FlowSpec};
-pub use metrics::{Histogram, Metrics, WindowedHistogram};
 pub use net::NetConfig;
 pub use time::{SimDuration, SimTime};
 pub use world::{MachineConfig, World, WorldConfig};

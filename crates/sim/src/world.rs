@@ -1,12 +1,11 @@
 //! The world: machines, actors, the event loop, and fault operations.
 
 use crate::actor::{Actor, ActorId, Ctx, CtxBackend};
-use crate::event::{EventKind, EventQueue, KernelMsg, QueueKernel};
+use crate::event::{EventKind, EventQueue, KernelMsg};
 use crate::flow::{FlowDone, FlowNet, FlowSpec};
-use crate::metrics::Metrics;
 use crate::net::NetConfig;
 use crate::time::{SimDuration, SimTime};
-use fuxi_obs::{TraceEvent, TraceId, Tracer, TracerConfig};
+use fuxi_obs::{Metrics, TraceEvent, TraceId, Tracer, TracerConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -33,10 +32,6 @@ pub struct WorldConfig {
     pub seed: u64,
     /// Observability configuration (tracer, flight recorder).
     pub obs: TracerConfig,
-    /// Which event-queue kernel to run on. `Calendar` is the default; the
-    /// heap kernel is kept for differential testing — both produce the
-    /// identical `(time, seq)` event stream.
-    pub kernel: QueueKernel,
 }
 
 impl WorldConfig {
@@ -54,7 +49,6 @@ impl WorldConfig {
             net: NetConfig::default(),
             seed,
             obs: TracerConfig::default(),
-            kernel: QueueKernel::default(),
         }
     }
 }
@@ -319,7 +313,7 @@ impl<M: KernelMsg> World<M> {
         Self {
             core: WorldCore {
                 time: SimTime::ZERO,
-                queue: EventQueue::with_kernel(cfg.kernel),
+                queue: EventQueue::new(),
                 meta: Vec::new(),
                 machines,
                 rng: SmallRng::seed_from_u64(cfg.seed),

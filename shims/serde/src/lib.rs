@@ -281,6 +281,12 @@ impl Deserialize for () {
 // Composite impls
 // ---------------------------------------------------------------------
 
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()

@@ -87,6 +87,103 @@ fn sim_rollup_matches_shutdown_merged_metrics() {
     assert_eq!(view.alerts_total, 0, "an idle healthy cluster raises no alerts");
 }
 
+/// `plane_config` with a hot standby and a failover quick enough to test.
+fn failover_config() -> ClusterConfig {
+    let mut cfg = plane_config();
+    cfg.standby_master = true;
+    cfg.master.lease_ttl = SimDuration::from_secs_f64(1.5);
+    cfg.master.keepalive_interval = SimDuration::from_secs_f64(0.5);
+    cfg.master.rebuild_window = SimDuration::from_secs(2);
+    cfg
+}
+
+/// The invariants the rollup's job totals must hold over successive
+/// snapshots, whichever master epoch wrote them: both monotone, and never
+/// more jobs finished than submitted.
+#[derive(Default)]
+struct TotalsWatch {
+    submitted: u64,
+    finished: u64,
+}
+
+impl TotalsWatch {
+    fn check(&mut self, view: &ClusterView) {
+        let r = &view.rollup;
+        let (s, f, e) = (r.jobs_submitted_total, r.jobs_finished_total, r.master_epoch);
+        assert!(s >= self.submitted, "submitted fell {} -> {s} (epoch {e})", self.submitted);
+        assert!(f >= self.finished, "finished fell {} -> {f} (epoch {e})", self.finished);
+        assert!(f <= s, "finished {f} > submitted {s} (epoch {e})");
+        (self.submitted, self.finished) = (s, f);
+    }
+
+    /// At quiescence both totals are the number of jobs the client
+    /// submitted, and the rollup was written by the second master.
+    fn check_final(&mut self, view: &ClusterView) {
+        self.check(view);
+        assert_eq!(view.rollup.master_epoch, 2, "the standby must have taken over");
+        assert_eq!((self.submitted, self.finished), (N_JOBS as u64, N_JOBS as u64));
+    }
+}
+
+/// Half the jobs go to the first master, which is killed with work in
+/// flight; the rest are submitted into the gap and reach the standby by
+/// client retry. The second master's rollup must continue the first's
+/// totals, not restart them.
+#[test]
+fn sim_job_totals_are_monotone_across_master_failover() {
+    let mut c = Cluster::new(failover_config());
+    let mut watch = TotalsWatch::default();
+    for i in 0..N_JOBS / 2 {
+        c.submit(&plane_job(i), &SubmitOpts::default());
+    }
+    c.run_until_n_done(N_JOBS / 4, SimTime::from_secs(600));
+    c.run_for(SimDuration::from_secs(1));
+    watch.check(&c.hub.snapshot());
+    assert!(watch.finished > 0, "the first master must have reported finished jobs");
+    c.kill_primary_master();
+    for i in N_JOBS / 2..N_JOBS {
+        c.submit(&plane_job(i), &SubmitOpts::default());
+    }
+    while c.finished_count() < N_JOBS {
+        assert!(c.world.now() < SimTime::from_secs(3600), "sim run left jobs unfinished");
+        c.run_for(SimDuration::from_secs(1));
+        watch.check(&c.hub.snapshot());
+    }
+    c.run_for(SimDuration::from_secs(5));
+    watch.check_final(&c.hub.snapshot());
+    assert_eq!(c.duplicate_finishes(), 0);
+}
+
+/// The same drill on the live runtime, snapshotting the hub while the
+/// lease expires and the standby rebuilds.
+#[test]
+fn live_job_totals_are_monotone_across_master_failover() {
+    let mut c = LiveCluster::new(failover_config());
+    let mut watch = TotalsWatch::default();
+    for i in 0..N_JOBS / 2 {
+        c.submit(&plane_job(i), &SubmitOpts::default());
+    }
+    assert!(c.wait_n_done(N_JOBS / 4, Duration::from_secs(60)) >= N_JOBS / 4);
+    std::thread::sleep(Duration::from_millis(1500));
+    watch.check(&c.hub.snapshot());
+    assert!(watch.finished > 0, "the first master must have reported finished jobs");
+    c.kill_primary_master();
+    for i in N_JOBS / 2..N_JOBS {
+        c.submit(&plane_job(i), &SubmitOpts::default());
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while c.finished_count() < N_JOBS {
+        assert!(std::time::Instant::now() < deadline, "live run left jobs unfinished");
+        std::thread::sleep(Duration::from_millis(50));
+        watch.check(&c.hub.snapshot());
+    }
+    // Let a rollup tick observe the final state.
+    std::thread::sleep(Duration::from_secs(3));
+    watch.check_final(&c.hub.snapshot());
+    assert_eq!(c.duplicate_finishes(), 0);
+    c.shutdown();
+}
+
 /// A job whose instances can never fit (1 TB per instance) stays pending
 /// forever; with a 2 s pending-age SLO the watchdog must raise exactly
 /// that alert, trace it, and dump the flight recorder once.
