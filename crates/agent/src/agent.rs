@@ -2,6 +2,7 @@
 
 use crate::enforce::{pick_overload_victim, Envelope, ProcUsage, Sandbox};
 use crate::ProcMeta;
+use fuxi_apsara::naming::MasterWatch;
 use fuxi_apsara::NameRegistry;
 use fuxi_proto::msg::{AppDescription, WorkerSpec};
 use fuxi_proto::{
@@ -76,6 +77,8 @@ impl Default for AgentConfig {
 const TIMER_HB: u64 = 1;
 const TIMER_SWEEP: u64 = 2;
 const TIMER_PARKED: u64 = 3;
+/// Cold start only: another look for a master while none is registered.
+const TIMER_RESOLVE: u64 = 4;
 const GRACE_BASE: u64 = 1 << 32;
 /// Heartbeats between periodic envelope refreshes from the master (repairs
 /// any drift from lost CapacityNotify messages).
@@ -104,6 +107,7 @@ pub struct FuxiAgent {
     master_factory: MasterFactory,
     worker_factory: WorkerFactory,
     fm: Option<ActorId>,
+    master_watch: MasterWatch,
     envelope: Envelope,
     workers: BTreeMap<WorkerId, WorkerRt>,
     jms: BTreeMap<AppId, (ActorId, JobId, ResourceVec)>,
@@ -147,6 +151,7 @@ impl FuxiAgent {
             master_factory,
             worker_factory,
             fm: None,
+            master_watch: MasterWatch::default(),
             envelope: Envelope::new(),
             workers: BTreeMap::new(),
             jms: BTreeMap::new(),
@@ -723,7 +728,9 @@ impl Actor<Msg> for FuxiAgent {
         self.naming
             .register(&format!("agent/{}", self.machine), ctx.id());
         self.adopt(ctx);
-        self.fm = self.naming.master();
+        // Booted before the election: look again shortly (TIMER_RESOLVE)
+        // rather than a heartbeat interval from now.
+        self.fm = self.master_watch.master_or_watch(&self.naming, ctx, TIMER_RESOLVE);
         if let Some(fm) = self.fm {
             ctx.send(
                 fm,
@@ -866,6 +873,13 @@ impl Actor<Msg> for FuxiAgent {
                     self.send_allocation_report(ctx);
                 }
                 ctx.timer(self.cfg.heartbeat_interval, TIMER_HB);
+            }
+            TIMER_RESOLVE => {
+                let cap = self.cfg.heartbeat_interval;
+                if self.master_watch.look_again(&self.naming, ctx, TIMER_RESOLVE, cap).is_some() {
+                    // What the next heartbeat would have done.
+                    self.resolve_master(ctx);
+                }
             }
             TIMER_SWEEP => {
                 self.sweep(ctx);

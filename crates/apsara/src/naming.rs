@@ -5,8 +5,11 @@
 //! heartbeat. Lookups are modelled as instantaneous shared state — in real
 //! Apsara clients cache name resolutions, and the failover-visible latency
 //! comes from lock leases and heartbeat intervals, which *are* simulated.
+//!
+//! At cold start nothing is registered yet. Whoever needs the master then
+//! looks again promptly ([`MasterWatch`]) instead of on its next period.
 
-use fuxi_sim::ActorId;
+use fuxi_sim::{ActorId, Ctx, KernelMsg, SimDuration};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -111,6 +114,59 @@ impl NameRegistry {
     /// Resolves the FuxiMaster address.
     pub fn master(&self) -> Option<ActorId> {
         self.lookup(FUXI_MASTER)
+    }
+}
+
+/// Prompt re-resolution of [`FUXI_MASTER`] for an actor that found nobody
+/// registered under it: looks again after 10 ms, then at doubling intervals
+/// up to the actor's own period (`cap` — its heartbeat or retry timer,
+/// which stays the fallback), and stops once a master is there. Nothing is
+/// scheduled while a master is known.
+#[derive(Debug, Default)]
+pub struct MasterWatch {
+    /// Delay of the look now scheduled; `None` when none is.
+    scheduled: Option<SimDuration>,
+}
+
+impl MasterWatch {
+    const FIRST_LOOK: SimDuration = SimDuration(10_000);
+
+    /// Resolves the master; when there is none, makes sure timer `tag` is
+    /// scheduled on `ctx` for another look ([`MasterWatch::look_again`]).
+    pub fn master_or_watch<M: KernelMsg>(
+        &mut self,
+        naming: &NameRegistry,
+        ctx: &mut Ctx<'_, M>,
+        tag: u64,
+    ) -> Option<ActorId> {
+        let master = naming.master();
+        if master.is_none() && self.scheduled.is_none() {
+            self.scheduled = Some(Self::FIRST_LOOK);
+            ctx.timer(Self::FIRST_LOOK, tag);
+        }
+        master
+    }
+
+    /// Timer `tag` fired: resolves again, and re-arms `tag` at twice the
+    /// last delay (at most `cap`) while there is still no master.
+    pub fn look_again<M: KernelMsg>(
+        &mut self,
+        naming: &NameRegistry,
+        ctx: &mut Ctx<'_, M>,
+        tag: u64,
+        cap: SimDuration,
+    ) -> Option<ActorId> {
+        let master = naming.master();
+        self.scheduled = match master {
+            Some(_) => None,
+            None => {
+                let last = self.scheduled.unwrap_or(Self::FIRST_LOOK);
+                let next = SimDuration((last.0 * 2).min(cap.0));
+                ctx.timer(next, tag);
+                Some(next)
+            }
+        };
+        master
     }
 }
 

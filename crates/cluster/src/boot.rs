@@ -12,6 +12,7 @@
 use crate::deploy::ActorGroup;
 use crate::harness::{ClusterConfig, JobState, SubmitOpts};
 use fuxi_agent::{FuxiAgent, MasterFactory, MasterLaunch, WorkerFactory, WorkerLaunch};
+use fuxi_apsara::naming::MasterWatch;
 use fuxi_apsara::{LockService, NameRegistry, PanguHandle, StoreHandle};
 use fuxi_core::master::FuxiMaster;
 use fuxi_job::job_master::JobMaster;
@@ -202,6 +203,7 @@ pub fn boot_groups<'a>(
                     naming: shared.naming.clone(),
                     jobs: shared.jobs.clone(),
                     pending: BTreeMap::new(),
+                    master_watch: MasterWatch::default(),
                 };
                 b.client = Some(put(0, None, Box::new(client)));
             }
@@ -292,14 +294,31 @@ struct Client {
     naming: NameRegistry,
     jobs: JobLog,
     pending: BTreeMap<JobId, AppDescription>,
+    master_watch: MasterWatch,
 }
 
 /// Resubmission period for jobs no master has acknowledged yet.
 const RETRY: SimDuration = SimDuration(2_000_000);
+const TIMER_RETRY: u64 = 1;
+/// Another look for a master, armed by a submission that found none.
+const TIMER_RESOLVE: u64 = 2;
+
+impl Client {
+    /// (Re)submits every unacknowledged job to `fm`. Each one re-opens the
+    /// job's causal trace, so a post-failover resubmit joins the same chain
+    /// as the original.
+    fn submit_pending(&self, ctx: &mut Ctx<'_, Msg>, fm: ActorId) {
+        let client = ctx.id();
+        for (&job, desc) in &self.pending {
+            let submit = Msg::SubmitJob { job, desc: desc.clone(), client };
+            ctx.send_traced(fm, submit, TraceId::from_job(job.0));
+        }
+    }
+}
 
 impl Actor<Msg> for Client {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.timer(RETRY, 1);
+        ctx.timer(RETRY, TIMER_RETRY);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
@@ -309,7 +328,9 @@ impl Actor<Msg> for Client {
                 let submitted = JobState { submitted_s: now_s, ..Default::default() };
                 self.jobs.map().entry(job).or_insert(submitted);
                 self.pending.insert(job, desc.clone());
-                if let Some(fm) = self.naming.master() {
+                // No master yet (cold start): the job waits in `pending`
+                // for TIMER_RESOLVE, not for a whole RETRY period.
+                if let Some(fm) = self.master_watch.master_or_watch(&self.naming, ctx, TIMER_RESOLVE) {
                     let client = ctx.id();
                     ctx.send(fm, Msg::SubmitJob { job, desc, client });
                 }
@@ -335,17 +356,17 @@ impl Actor<Msg> for Client {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
-        // Retry unaccepted submissions (master may have failed over). Each
-        // retry re-opens the job's causal trace so a post-failover resubmit
-        // joins the same chain as the original.
-        if let Some(fm) = self.naming.master() {
-            let client = ctx.id();
-            for (&job, desc) in &self.pending {
-                let retry = Msg::SubmitJob { job, desc: desc.clone(), client };
-                ctx.send_traced(fm, retry, TraceId::from_job(job.0));
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+        if tag == TIMER_RESOLVE {
+            if let Some(fm) = self.master_watch.look_again(&self.naming, ctx, TIMER_RESOLVE, RETRY) {
+                self.submit_pending(ctx, fm);
             }
+            return;
         }
-        ctx.timer(RETRY, 1);
+        // Retry unaccepted submissions (master may have failed over).
+        if let Some(fm) = self.naming.master() {
+            self.submit_pending(ctx, fm);
+        }
+        ctx.timer(RETRY, TIMER_RETRY);
     }
 }

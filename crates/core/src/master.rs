@@ -405,7 +405,7 @@ impl FuxiMaster {
         self.flush_engine(ctx);
         let Some(m) = placed else {
             ctx.metrics().count("fm.jm_launch_no_capacity", 1);
-            return; // retried on the roll-up timer
+            return; // retried when an agent brings capacity, or on the roll-up
         };
         let Some(agent) = self.agents[m.0 as usize] else {
             // Agent address unknown (not yet hello'd): release and retry.
@@ -425,6 +425,23 @@ impl FuxiMaster {
             machine: m.0,
         });
         ctx.send(agent, Msg::StartAppMaster { app, job, desc });
+    }
+
+    /// Retries the JobMaster launch of every job that has neither a
+    /// JobMaster nor a launch in flight (the earlier attempt found no
+    /// capacity or no agent). Driven by the event that can change the
+    /// answer — an agent bringing capacity — and by the roll-up timer as
+    /// the fallback.
+    fn launch_waiting_jms(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let waiting: Vec<JobId> = self
+            .jobs
+            .iter()
+            .filter(|(_, j)| j.jm_actor.is_none() && !j.launching)
+            .map(|(&id, _)| id)
+            .collect();
+        for job in waiting {
+            self.launch_jm(ctx, job);
+        }
     }
 
     fn job_finished(
@@ -673,16 +690,7 @@ impl FuxiMaster {
             self.apply_transitions(ctx, transitions);
         }
         if self.is_active() {
-            // Retry JobMaster launches that found no capacity/agent.
-            let waiting: Vec<JobId> = self
-                .jobs
-                .iter()
-                .filter(|(_, j)| j.jm_actor.is_none() && !j.launching)
-                .map(|(&id, _)| id)
-                .collect();
-            for job in waiting {
-                self.launch_jm(ctx, job);
-            }
+            self.launch_waiting_jms(ctx);
             // Utilization gauges (Figure 10's FM_total / FM_planned).
             let engine = self.engine.as_ref().unwrap();
             let total = engine.total_capacity();
@@ -791,22 +799,28 @@ impl FuxiMaster {
             }
         }
         let engine = self.engine.as_mut().unwrap();
-        if engine.capacity_of(machine).is_zero()
+        let brings_capacity = engine.capacity_of(machine).is_zero()
             && !self
                 .blacklist
                 .as_ref()
                 .map(|b| b.is_excluded(machine))
-                .unwrap_or(false)
-        {
+                .unwrap_or(false);
+        if brings_capacity {
             let t = std::time::Instant::now();
             engine.node_up(machine, total);
             self.record_sched(ctx, t);
+            ctx.metrics().count("fm.agents_joined", 1);
         }
         // Tell a restarted agent what is on the books for its machine.
         let allocations = self.engine.as_ref().unwrap().allocations_on(machine);
         ctx.send(from, Msg::AgentCapacitySnapshot { allocations });
         if self.is_active() {
             self.flush_engine(ctx);
+            if brings_capacity {
+                // Jobs submitted before any agent was known (cold start)
+                // start now, not on the next roll-up.
+                self.launch_waiting_jms(ctx);
+            }
         }
     }
 

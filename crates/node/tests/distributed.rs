@@ -5,7 +5,7 @@
 use fuxi_cluster::{ClusterConfig, DeployTopology, SubmitOpts};
 use fuxi_node::LiveNode;
 use fuxi_sim::SimDuration;
-use fuxi_workloads::mapreduce::{wordcount_job, MapReduceParams};
+use fuxi_workloads::mapreduce::{null_job, wordcount_job, MapReduceParams};
 use std::time::{Duration, Instant};
 
 fn test_config(seed: u64) -> ClusterConfig {
@@ -155,5 +155,31 @@ fn master_kill_fails_over_to_standby_in_other_process_window() {
     );
     let done = hub.wait_n_done(JOBS, Duration::from_secs(90));
     assert_eq!(done, JOBS, "jobs lost across master failover");
+    assert_eq!(hub.duplicate_finishes(), 0);
+}
+
+/// Cold start across process windows: the agents' node comes up before a
+/// master is elected, and the jobs are submitted before the hub's naming
+/// replica has heard of one. Nobody waits out a period for that — the
+/// agents' 2 s heartbeat, the client's 2 s retry and the master's 5 s
+/// roll-up used to add up to 5.8 s here.
+#[test]
+fn jobs_submitted_as_the_last_node_comes_up_are_accepted_within_a_second() {
+    let (mut hub, _leaves) = boot_cluster(14);
+    let up = Instant::now();
+    const JOBS: usize = 16;
+    let opts = SubmitOpts { master_package_mb: 0.0, ..SubmitOpts::default() };
+    let jobs: Vec<_> = (0..JOBS).map(|i| hub.submit(&null_job(1 + i as u32 % 3), &opts)).collect();
+    let accepted = |hub: &LiveNode| jobs.iter().any(|&j| hub.job_state(j).is_some_and(|s| s.accepted));
+    while !accepted(&hub) && up.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let first_accept = up.elapsed();
+    assert!(first_accept < Duration::from_secs(1), "first job accepted after {first_accept:?}");
+    // ... and started, not parked until the roll-up finds the capacity the
+    // agents brought.
+    assert_eq!(hub.wait_n_done(JOBS, Duration::from_secs(60)), JOBS);
+    let all_done = up.elapsed();
+    assert!(all_done < Duration::from_millis(1500), "{JOBS} null jobs took {all_done:?} from a cold start");
     assert_eq!(hub.duplicate_finishes(), 0);
 }

@@ -219,15 +219,27 @@ impl Tracer {
     }
 
     /// Folds another tracer's output into this one. The live runtime gives
-    /// every actor thread its own tracer and merges them at shutdown:
+    /// every actor thread its own tracer and merges them into one:
     /// events, spans, and dumps concatenate and re-sort by timestamp so
     /// the combined export reads as one time-ordered stream. Flight rings
     /// are not merged — a thread's ring history is only meaningful inside
     /// the dumps it already froze.
     pub fn absorb(&mut self, other: Tracer) {
+        self.extend(other);
+        self.sort_by_time();
+    }
+
+    /// [`Tracer::absorb`] without the sort, for a sink that takes in many
+    /// tracers (one per exiting actor thread) and calls
+    /// [`Tracer::sort_by_time`] once, when it is read.
+    pub fn extend(&mut self, other: Tracer) {
         self.records.extend(other.records);
         self.spans.extend(other.spans);
         self.dumps.extend(other.dumps);
+    }
+
+    /// Stable-sorts events, spans and dumps by timestamp.
+    pub fn sort_by_time(&mut self) {
         let by_t = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
         self.records.sort_by(|a, b| by_t(a.t_s, b.t_s));
         self.spans.sort_by(|a, b| by_t(a.t_s, b.t_s));

@@ -7,14 +7,17 @@
 //! `fuxi-sim` answers "is the protocol correct"; this crate answers "does
 //! the same code hold up under real concurrency and wall-clock time".
 //!
-//! * [`runtime`] — [`runtime::LiveRuntime`]: thread-per-actor execution,
-//!   bounded mailboxes, a hashed timer wheel and wall-clock flow engine
-//!   on a dedicated clock thread;
+//! * [`runtime`] — [`runtime::LiveRuntime`]: thread-per-actor execution
+//!   (a thread is reaped the moment its actor exits, so a runtime can
+//!   spawn without limit), bounded mailboxes, a hashed timer wheel and
+//!   wall-clock flow engine on a dedicated clock thread;
 //! * [`cluster`] — [`cluster::LiveCluster`]: the full Fuxi stack wired
 //!   booted by `fuxi_cluster::boot`, the path the simulated harness takes;
 //! * [`scrape`] — an HTTP endpoint (`/metrics` Prometheus text, `/json`)
 //!   serving the live cluster view;
-//! * [`mailbox`], [`timer`] — the underlying building blocks;
+//! * [`mailbox`] — the per-actor queue: grows as it fills, bounded by its
+//!   depth gauge, senders park (and are counted) when it is full;
+//! * [`timer`] — the hashed timer wheel;
 //! * [`transport`] — the versioned, framed deployment transport (HELLO
 //!   handshake, typed version rejection, TCP | in-proc channel).
 

@@ -1,21 +1,40 @@
-//! Bounded per-actor mailboxes with backpressure accounting.
+//! Per-actor mailboxes: a queue that grows as it fills, bounded by its own
+//! depth gauge, with backpressure accounting.
 //!
-//! Each live actor owns one mailbox: a `sync_channel` whose bound is the
-//! runtime's backpressure limit. Senders first `try_send`; when the box is
-//! full they park on the blocking path and the stall is counted
-//! (`rt.mailbox_parked`), so overload shows up in metrics instead of as
-//! silent unbounded queues. Depth and high-water mark are tracked with
-//! atomics shared between the sender side and the draining actor thread.
+//! The queue is std's unbounded `mpsc::channel()` — a linked list of
+//! 31-slot blocks that allocates on first use and keeps each sender's
+//! messages in send order — so an idle mailbox costs a few hundred bytes
+//! whatever its bound. The bound is enforced in front of it: a sender first
+//! reserves a slot by compare-and-increment on [`MailboxGauges`]' `depth`
+//! and sends only once it holds one. When the box is full the sender parks
+//! on a condvar until the draining thread's [`MailboxGauges::on_pop`] frees
+//! a slot, and the stall is counted (`rt.mailbox_parked`), so overload shows
+//! up in metrics instead of as silent unbounded queues.
+//!
+//! `depth` counts reservations, so it is never below the number of queued
+//! values and data pushes never take it past the bound. Control values
+//! ([`MailboxSender::push_control`]: an actor's start and kill) skip the
+//! reservation — the queue can always take them — and may overshoot the
+//! bound by their own number.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvError, Sender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-/// Shared depth counters of one mailbox.
-#[derive(Debug, Default)]
+/// Shared depth counters of one mailbox, and the parking spot of senders
+/// that found it full.
+#[derive(Debug)]
 pub struct MailboxGauges {
+    capacity: usize,
     depth: AtomicUsize,
     hwm: AtomicUsize,
+    /// Senders parked in [`MailboxGauges::reserve_parking`]; `on_pop` takes
+    /// the lock and signals only when this is non-zero.
+    waiters: AtomicUsize,
+    /// Set when the receiver is dropped, so parked senders give up.
+    closed: AtomicBool,
+    lock: Mutex<()>,
+    room: Condvar,
 }
 
 impl MailboxGauges {
@@ -29,21 +48,77 @@ impl MailboxGauges {
         self.hwm.load(Ordering::Relaxed)
     }
 
-    // Depth is incremented BEFORE the channel send: the receiver can only
-    // observe (and decrement for) an element whose increment already
-    // happened, so depth never underflows.
-    fn on_push(&self) {
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Takes a slot if the box is below its bound. The slot is taken BEFORE
+    /// the channel send: the receiver can only observe (and release) a value
+    /// whose reservation already happened, so depth never underflows.
+    fn try_reserve(&self) -> bool {
+        let mut d = self.depth.load(Ordering::SeqCst);
+        while d < self.capacity {
+            match self
+                .depth
+                .compare_exchange_weak(d, d + 1, Ordering::SeqCst, Ordering::SeqCst)
+            {
+                Ok(_) => {
+                    self.hwm.fetch_max(d + 1, Ordering::Relaxed);
+                    return true;
+                }
+                Err(now) => d = now,
+            }
+        }
+        false
+    }
+
+    /// Takes a slot whatever the depth (control values).
+    fn reserve_unbounded(&self) {
+        let d = self.depth.fetch_add(1, Ordering::SeqCst) + 1;
         self.hwm.fetch_max(d, Ordering::Relaxed);
     }
 
-    fn undo_push(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
+    /// Waits for a slot; `false` when the receiver went away instead.
+    ///
+    /// No wake-up is lost: the waiter announces itself (`waiters`, under the
+    /// lock) before it re-checks `depth`, and `on_pop` lowers `depth` before
+    /// it reads `waiters`, both `SeqCst`. Either the popper sees the waiter
+    /// and signals it under the lock, or the waiter sees the freed slot.
+    fn reserve_parking(&self) -> bool {
+        let mut guard = self.parking_lock();
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let reserved = loop {
+            if self.closed.load(Ordering::SeqCst) {
+                break false;
+            }
+            if self.try_reserve() {
+                break true;
+            }
+            guard = self
+                .room
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        reserved
     }
 
-    /// Called by the draining thread after each receive.
+    /// Called by the draining thread after each receive: frees the value's
+    /// slot and wakes one parked sender, if any.
     pub fn on_pop(&self) {
-        self.depth.fetch_sub(1, Ordering::Relaxed);
+        self.depth.fetch_sub(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            let _guard = self.parking_lock();
+            self.room.notify_one();
+        }
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+        let _guard = self.parking_lock();
+        self.room.notify_all();
+    }
+
+    /// The lock guards no data (`()`), so a poisoned one is still valid —
+    /// and `close` runs in a `Drop`, which must not panic.
+    fn parking_lock(&self) -> MutexGuard<'_, ()> {
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -61,7 +136,7 @@ pub enum PushOutcome {
 /// Sending half of a mailbox.
 #[derive(Debug)]
 pub struct MailboxSender<T> {
-    tx: SyncSender<T>,
+    tx: Sender<T>,
     gauges: Arc<MailboxGauges>,
 }
 
@@ -76,23 +151,25 @@ impl<T> Clone for MailboxSender<T> {
 }
 
 impl<T> MailboxSender<T> {
+    /// Sends under a slot already reserved; gives the slot back if the
+    /// receiver is gone.
+    fn send_reserved(&self, v: T, sent: PushOutcome) -> PushOutcome {
+        if self.tx.send(v).is_ok() {
+            sent
+        } else {
+            self.gauges.on_pop(); // nobody will pop it: give the slot back
+            PushOutcome::Dead
+        }
+    }
+
     /// Enqueues `v`, blocking only when the mailbox is full.
     pub fn push(&self, v: T) -> PushOutcome {
-        self.gauges.on_push();
-        match self.tx.try_send(v) {
-            Ok(()) => PushOutcome::Sent,
-            Err(TrySendError::Disconnected(_)) => {
-                self.gauges.undo_push();
-                PushOutcome::Dead
-            }
-            Err(TrySendError::Full(v)) => {
-                if self.tx.send(v).is_ok() {
-                    PushOutcome::SentParked
-                } else {
-                    self.gauges.undo_push();
-                    PushOutcome::Dead
-                }
-            }
+        if self.gauges.try_reserve() {
+            self.send_reserved(v, PushOutcome::Sent)
+        } else if self.gauges.reserve_parking() {
+            self.send_reserved(v, PushOutcome::SentParked)
+        } else {
+            PushOutcome::Dead
         }
     }
 
@@ -100,18 +177,20 @@ impl<T> MailboxSender<T> {
     /// stuck actor cannot stall every timer in the runtime). `Err` returns
     /// the value on a full mailbox for the caller to retry later.
     pub fn push_nonblocking(&self, v: T) -> Result<PushOutcome, T> {
-        self.gauges.on_push();
-        match self.tx.try_send(v) {
-            Ok(()) => Ok(PushOutcome::Sent),
-            Err(TrySendError::Disconnected(_)) => {
-                self.gauges.undo_push();
-                Ok(PushOutcome::Dead)
-            }
-            Err(TrySendError::Full(v)) => {
-                self.gauges.undo_push();
-                Err(v)
-            }
+        if self.gauges.try_reserve() {
+            Ok(self.send_reserved(v, PushOutcome::Sent))
+        } else if self.gauges.closed.load(Ordering::SeqCst) {
+            Ok(PushOutcome::Dead)
+        } else {
+            Err(v)
         }
+    }
+
+    /// Enqueues a control value past the bound: it is never refused and
+    /// never waits, and it is delivered behind everything pushed before it.
+    pub fn push_control(&self, v: T) -> PushOutcome {
+        self.gauges.reserve_unbounded();
+        self.send_reserved(v, PushOutcome::Sent)
     }
 
     /// The mailbox's depth gauges.
@@ -120,17 +199,75 @@ impl<T> MailboxSender<T> {
     }
 }
 
-/// Creates a bounded mailbox; returns the sender, the receiver for the
-/// actor thread, and the shared gauges.
-pub fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, Receiver<T>, Arc<MailboxGauges>) {
-    let (tx, rx) = std::sync::mpsc::sync_channel(capacity);
-    let gauges = Arc::new(MailboxGauges::default());
+/// Receiving half of a mailbox. Dropping it closes the box: queued values
+/// are dropped and parked senders return [`PushOutcome::Dead`].
+#[derive(Debug)]
+pub struct MailboxReceiver<T> {
+    rx: Receiver<T>,
+    gauges: Arc<MailboxGauges>,
+}
+
+impl<T> MailboxReceiver<T> {
+    /// Blocks for the next value; `Err` once every sender is gone and the
+    /// queue is empty. The caller reports the pop with
+    /// [`MailboxGauges::on_pop`].
+    pub fn recv(&self) -> Result<T, RecvError> {
+        self.rx.recv()
+    }
+
+    /// The mailbox's depth gauges.
+    pub fn gauges(&self) -> &MailboxGauges {
+        &self.gauges
+    }
+}
+
+impl<T> Drop for MailboxReceiver<T> {
+    fn drop(&mut self) {
+        self.gauges.close();
+    }
+}
+
+/// Drains the mailbox until every sender is gone.
+pub struct IntoIter<T>(MailboxReceiver<T>);
+
+impl<T> Iterator for IntoIter<T> {
+    type Item = T;
+    fn next(&mut self) -> Option<T> {
+        self.0.recv().ok()
+    }
+}
+
+impl<T> IntoIterator for MailboxReceiver<T> {
+    type Item = T;
+    type IntoIter = IntoIter<T>;
+    fn into_iter(self) -> IntoIter<T> {
+        IntoIter(self)
+    }
+}
+
+/// Creates a mailbox bounded at `capacity` values; returns the sender, the
+/// receiver for the actor thread, and the shared gauges. Nothing is
+/// allocated for the queue until the first push.
+pub fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, MailboxReceiver<T>, Arc<MailboxGauges>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let gauges = Arc::new(MailboxGauges {
+        capacity,
+        depth: AtomicUsize::new(0),
+        hwm: AtomicUsize::new(0),
+        waiters: AtomicUsize::new(0),
+        closed: AtomicBool::new(false),
+        lock: Mutex::new(()),
+        room: Condvar::new(),
+    });
     (
         MailboxSender {
             tx,
             gauges: gauges.clone(),
         },
-        rx,
+        MailboxReceiver {
+            rx,
+            gauges: gauges.clone(),
+        },
         gauges,
     )
 }
@@ -176,5 +313,75 @@ mod tests {
         g.on_pop();
         assert_eq!(t.join().unwrap(), PushOutcome::SentParked);
         assert_eq!(rx.recv().unwrap(), 2);
+    }
+
+    #[test]
+    fn dead_pushes_leave_depth_at_zero() {
+        let (tx, rx, g) = mailbox::<u32>(1);
+        drop(rx);
+        assert_eq!(tx.push(1), PushOutcome::Dead);
+        assert_eq!(tx.push_nonblocking(2), Ok(PushOutcome::Dead));
+        assert_eq!(tx.push_control(3), PushOutcome::Dead);
+        assert_eq!(g.depth(), 0);
+    }
+
+    #[test]
+    fn control_push_passes_a_full_box_and_keeps_its_place() {
+        let (tx, rx, g) = mailbox::<u32>(1);
+        assert_eq!(tx.push(1), PushOutcome::Sent);
+        assert_eq!(tx.push_nonblocking(2), Err(2));
+        assert_eq!(tx.push_control(3), PushOutcome::Sent);
+        assert_eq!(g.depth(), 2);
+        assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(rx.recv().unwrap(), 3);
+    }
+
+    #[test]
+    fn sender_parked_on_a_full_box_is_released_when_the_receiver_drops() {
+        let (tx, rx, g) = mailbox::<u32>(1);
+        assert_eq!(tx.push(1), PushOutcome::Sent);
+        let t = std::thread::spawn(move || tx.push(2));
+        // The push can only end through `close`: nobody pops.
+        while g.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        drop(rx);
+        assert_eq!(t.join().unwrap(), PushOutcome::Dead);
+    }
+
+    /// Four producers race into a box far smaller than what they send, so
+    /// most pushes park; each producer's values must still arrive in the
+    /// order it sent them, none lost, and depth must never pass the bound.
+    #[test]
+    fn many_producers_keep_per_source_fifo_through_a_small_box() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 5_000;
+        const CAP: usize = 8;
+        let (tx, rx, g) = mailbox::<(u64, u64)>(CAP);
+        let start = Arc::new(std::sync::Barrier::new(PRODUCERS as usize));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (tx, start) = (tx.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    (0..PER_PRODUCER)
+                        .filter(|&i| tx.push((p, i)) == PushOutcome::SentParked)
+                        .count()
+                })
+            })
+            .collect();
+        drop(tx);
+        let mut next = [0u64; PRODUCERS as usize];
+        for (p, i) in rx {
+            assert!(g.depth() <= CAP, "depth {} past the bound", g.depth());
+            g.on_pop();
+            assert_eq!(i, next[p as usize], "producer {p} out of order");
+            next[p as usize] += 1;
+        }
+        assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
+        let parked: usize = producers.into_iter().map(|t| t.join().unwrap()).sum();
+        assert!(parked > 0, "a box of {CAP} never filled");
+        assert_eq!(g.depth(), 0);
+        assert!(g.hwm() <= CAP);
     }
 }

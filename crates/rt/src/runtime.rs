@@ -1,37 +1,44 @@
 //! The live runtime: every actor on its own OS thread, timers on a real
-//! clock, mailboxes as bounded MPSC channels.
+//! clock, mailboxes as bounded queues that grow as they fill.
 //!
 //! The same actor code that runs under the deterministic kernel runs here
 //! unchanged — handlers see a [`Ctx`] whose live backend is implemented by
 //! [`ThreadCtx`] below. What changes is the execution substrate:
 //!
-//! * **Delivery** is a bounded `sync_channel` per actor. A given sender's
+//! * **Delivery** is one [`crate::mailbox`] per actor. A given sender's
 //!   messages to a given destination arrive in send order (the kernel's
 //!   per-source FIFO guarantee, restricted to each destination pair); there
 //!   is no global order across destinations.
 //! * **Timers** live in a hashed [`TimerWheel`] owned by one clock thread,
 //!   which also drives the shared [`FlowNet`] I/O model on wall time.
 //! * **Observability** is per-thread: each actor thread owns a `Metrics`
-//!   and a `Tracer` (so the hot path takes no locks) which the runtime
-//!   merges into one stream at shutdown.
+//!   and a `Tracer` (so the hot path takes no locks), folded into the
+//!   runtime's sinks periodically and, in full, when the actor exits.
+//! * **Lifetime**: an actor's thread is detached and reaps itself when its
+//!   loop ends — observability folded, registry entry gone, stack
+//!   unmapped — so the registry holds live actors only and a runtime can
+//!   spawn for as long as it likes. Ids are never reused.
 //!
 //! Determinism is deliberately traded away: two runs of the same workload
 //! interleave differently. The sim↔live parity test pins down what must
 //! still agree — terminal job outcomes, not schedules.
 
-use crate::mailbox::{mailbox, MailboxGauges, MailboxSender, PushOutcome};
+use crate::mailbox::{mailbox, MailboxReceiver, MailboxSender, PushOutcome};
 use crate::timer::TimerWheel;
 use fuxi_sim::{
-    Actor, ActorId, FlowNet, FlowSpec, KernelMsg, LiveCtxOps, MachineConfig, Metrics, SimDuration,
+    Actor, ActorId, FlowDone, FlowNet, FlowSpec, KernelMsg, LiveCtxOps, MachineConfig, Metrics, SimDuration,
     SimTime,
 };
 use fuxi_sim::{Ctx, TracerConfig};
 use fuxi_obs::{SpanKind, TraceEvent, TraceId, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -153,15 +160,20 @@ enum Due<M> {
     },
 }
 
-/// What an actor thread returns at exit: its accumulated observability.
-type ActorJoin = JoinHandle<(Metrics, Tracer)>;
-
 struct ActorSlot<M> {
-    sender: Option<MailboxSender<Envelope<M>>>,
+    sender: MailboxSender<Envelope<M>>,
     machine: Option<u32>,
-    alive: bool,
-    gauges: Arc<MailboxGauges>,
-    handle: Option<ActorJoin>,
+}
+
+/// The live actors, by id. An entry leaves when its actor is killed or its
+/// thread ends, whichever is first; `next` only grows, so a dead id stays
+/// dead.
+struct Registry<M> {
+    next: u32,
+    live: BTreeMap<u32, ActorSlot<M>>,
+    /// Set by `shutdown`: actors spawned from then on are born dead, so
+    /// that what `shutdown` waits for cannot grow behind its back.
+    closed: bool,
 }
 
 struct MachineState {
@@ -175,10 +187,19 @@ struct MachineState {
 struct Shared<M: KernelMsg + Send> {
     epoch: Instant,
     cfg: RuntimeConfig,
-    slots: RwLock<Vec<ActorSlot<M>>>,
+    registry: RwLock<Registry<M>>,
+    /// Actor threads that have not finished reaping themselves; `shutdown`
+    /// waits on `all_reaped` for it to reach zero.
+    running: Mutex<usize>,
+    all_reaped: Condvar,
+    /// First panic of an actor thread, for `shutdown` to re-raise.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Deepest mailbox of any exited actor (live ones carry their own).
+    hwm_exited: AtomicUsize,
     machines: RwLock<Vec<MachineState>>,
     clock_tx: Sender<ClockCmd<M>>,
-    /// Runtime-global sinks: fault events, external sends, shutdown merge.
+    /// Runtime-global sinks: fault events, external sends, and what every
+    /// actor thread folds in (periodically, and in full when it is reaped).
     metrics: Mutex<Metrics>,
     tracer: Mutex<Tracer>,
     /// Cluster metrics view, if a harness attached one: the clock thread
@@ -200,9 +221,12 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         same_window(id.0, self.cfg.actor_base)
     }
 
-    /// Slot index for a local id.
-    fn slot_index(&self, id: ActorId) -> usize {
-        (id.0 - self.cfg.actor_base) as usize
+    /// The mailbox of a live local actor. The sender is cloned under the
+    /// read lock and used outside it (a parked push must never hold the
+    /// registry lock).
+    fn sender_of(&self, id: ActorId) -> Option<MailboxSender<Envelope<M>>> {
+        let registry = self.registry.read().unwrap();
+        registry.live.get(&id.0).map(|s| s.sender.clone())
     }
 
     /// Hands a message for a non-local destination to the remote router.
@@ -222,20 +246,12 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         PushOutcome::Dead
     }
 
-    /// Clones the destination's sender under the read lock, pushes outside
-    /// it (a parked push must never hold the registry lock).
+    /// Delivers `env`, parking the caller while a local mailbox is full.
     fn push_envelope(&self, to: ActorId, env: Envelope<M>) -> PushOutcome {
         if !self.is_local(to) {
             return self.route_remote(to, env);
         }
-        let sender = {
-            let slots = self.slots.read().unwrap();
-            slots
-                .get(self.slot_index(to))
-                .filter(|s| s.alive)
-                .and_then(|s| s.sender.clone())
-        };
-        match sender {
+        match self.sender_of(to) {
             Some(tx) => tx.push(env),
             None => PushOutcome::Dead,
         }
@@ -245,76 +261,78 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
     /// routed (never parked), local ones try the mailbox and hand the
     /// envelope back on a full box so the caller can retry next tick.
     fn try_deliver(&self, to: ActorId, env: Envelope<M>) -> Result<(), Envelope<M>> {
-        // (remote routing never parks; local full mailboxes hand back the envelope)
         if !self.is_local(to) {
             self.route_remote(to, env);
             return Ok(());
         }
-        let sender = {
-            let slots = self.slots.read().unwrap();
-            slots
-                .get(self.slot_index(to))
-                .filter(|s| s.alive)
-                .and_then(|s| s.sender.clone())
-        };
-        match sender {
+        match self.sender_of(to) {
             Some(tx) => tx.push_nonblocking(env).map(|_| ()),
             None => Ok(()),
         }
     }
 
+    /// Everything the clock thread owes an actor goes through here: a full
+    /// mailbox puts the envelope on the backlog for the next tick (counted
+    /// as `rt.clock_parked`) instead of parking every timer in the runtime.
+    fn clock_deliver(&self, backlog: &mut Vec<(ActorId, Envelope<M>)>, to: ActorId, env: Envelope<M>) {
+        if let Err(env) = self.try_deliver(to, env) {
+            self.metrics.lock().unwrap().count("rt.clock_parked", 1);
+            backlog.push((to, env));
+        }
+    }
+
+    /// A flow completion, told to the flow's owner.
+    fn clock_flow_done(&self, backlog: &mut Vec<(ActorId, Envelope<M>)>, done: FlowDone) {
+        let msg = M::flow_done(done.tag, done.failed);
+        let env = Envelope::Msg { from: done.owner, msg, trace: TraceId::NONE };
+        self.clock_deliver(backlog, done.owner, env);
+    }
+
     fn spawn(self: &Arc<Self>, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>, trace: TraceId) -> ActorId {
-        let (tx, rx, gauges) = mailbox(self.cfg.mailbox_capacity);
+        let (tx, rx, _) = mailbox(self.cfg.mailbox_capacity);
+        // First in the box, before anyone can learn the id.
+        tx.push_control(Envelope::Start { trace });
         let id = {
-            let mut slots = self.slots.write().unwrap();
-            assert!(
-                (slots.len() as u32) < (1 << ACTOR_WINDOW_SHIFT),
-                "actor-id window exhausted"
-            );
-            let id = ActorId(self.cfg.actor_base + slots.len() as u32);
-            let shared = Arc::clone(self);
-            let g = Arc::clone(&gauges);
-            let handle = std::thread::Builder::new()
-                .name(format!("fuxi-{id}"))
-                .spawn(move || actor_thread(shared, id, actor, rx, g))
-                .expect("spawn actor thread");
-            slots.push(ActorSlot {
-                sender: Some(tx.clone()),
-                machine,
-                alive: true,
-                gauges,
-                handle: Some(handle),
-            });
+            let mut registry = self.registry.write().unwrap();
+            assert!(registry.next < (1 << ACTOR_WINDOW_SHIFT), "actor-id window exhausted");
+            let id = ActorId(self.cfg.actor_base + registry.next);
+            registry.next += 1;
+            if registry.closed {
+                return id;
+            }
+            registry.live.insert(id.0, ActorSlot { sender: tx, machine });
             id
         };
         self.metrics.lock().unwrap().count("rt.actors_spawned", 1);
-        tx.push(Envelope::Start { trace });
+        *self.running.lock().unwrap() += 1;
+        let shared = Arc::clone(self);
+        // Detached: the thread reaps itself (`actor_thread`), so its stack
+        // is unmapped when the actor ends, not when the runtime does.
+        std::thread::Builder::new()
+            .name(format!("fuxi-{id}"))
+            .spawn(move || actor_thread(shared, id, machine, actor, rx))
+            .expect("spawn actor thread");
         id
     }
 
-    fn kill(&self, id: ActorId) {
-        if !self.is_local(id) {
-            return; // remote actors are killed by their own node
-        }
-        let (sender, machine) = {
-            let mut slots = self.slots.write().unwrap();
-            match slots.get_mut(self.slot_index(id)) {
-                Some(s) if s.alive => {
-                    s.alive = false;
-                    (s.sender.take(), s.machine)
-                }
-                _ => return,
-            }
-        };
-        if let Some(tx) = sender {
-            // Best effort: if the box is full, dropping the last sender
-            // still terminates the thread once it drains.
-            let _ = tx.push_nonblocking(Envelope::Kill);
-        }
-        if let Some(m) = machine {
+    /// Takes `id` out of the registry, the process table and the flow model.
+    /// `None` when it was not (or no longer) registered.
+    fn unregister(&self, id: ActorId) -> Option<ActorSlot<M>> {
+        let slot = self.registry.write().unwrap().live.remove(&id.0)?;
+        if let Some(m) = slot.machine {
             self.machines.write().unwrap()[m as usize].procs.remove(&id);
         }
         let _ = self.clock_tx.send(ClockCmd::CancelFlows { owner: id });
+        Some(slot)
+    }
+
+    fn kill(&self, id: ActorId) {
+        // (Remote actors are killed by their own node: never registered here.)
+        if let Some(slot) = self.unregister(id) {
+            // A control envelope: never refused, and behind whatever was
+            // sent before the kill.
+            slot.sender.push_control(Envelope::Kill);
+        }
     }
 
     fn alive(&self, id: ActorId) -> bool {
@@ -329,43 +347,37 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
                 .as_ref()
                 .is_some_and(|f| f(id));
         }
-        self.slots
-            .read()
-            .unwrap()
-            .get(self.slot_index(id))
-            .is_some_and(|s| s.alive)
+        self.registry.read().unwrap().live.contains_key(&id.0)
     }
 
     fn machine_of(&self, id: ActorId) -> Option<u32> {
-        if !self.is_local(id) {
-            return None;
-        }
-        self.slots
-            .read()
-            .unwrap()
-            .get(self.slot_index(id))
-            .and_then(|s| s.machine)
+        self.registry.read().unwrap().live.get(&id.0)?.machine
     }
 
-    /// Samples mailbox pressure: per-actor depth gauges for non-empty
-    /// queues, the global depth/high-water gauges, and — when a hub is
-    /// attached — the cluster view's mailbox fields.
+    /// Samples mailbox pressure over the live actors: total and deepest
+    /// backlog, the sticky high-water mark (exited actors included), the
+    /// live-actor count, and — when a hub is attached — the cluster view's
+    /// mailbox fields.
     fn sample_mailboxes(&self) {
         let mut total = 0usize;
-        let mut hwm = 0usize;
-        {
-            let slots = self.slots.read().unwrap();
-            let mut metrics = self.metrics.lock().unwrap();
-            for (i, s) in slots.iter().enumerate() {
-                hwm = hwm.max(s.gauges.hwm());
-                let depth = s.gauges.depth();
-                if s.alive && depth > 0 {
-                    metrics.gauge_set(&format!("rt.mailbox_depth.a{i}"), depth as f64);
-                    total += depth;
-                }
+        let mut deepest = 0usize;
+        let mut hwm = self.hwm_exited.load(Ordering::Relaxed);
+        let live = {
+            let registry = self.registry.read().unwrap();
+            for s in registry.live.values() {
+                let g = s.sender.gauges();
+                hwm = hwm.max(g.hwm());
+                total += g.depth();
+                deepest = deepest.max(g.depth());
             }
+            registry.live.len()
+        };
+        {
+            let mut metrics = self.metrics.lock().unwrap();
             metrics.gauge_set("rt.mailbox_depth", total as f64);
+            metrics.gauge_set("rt.mailbox_depth_max", deepest as f64);
             metrics.gauge_max("rt.mailbox_hwm", hwm as f64);
+            metrics.gauge_set("rt.actors_live", live as f64);
         }
         let hub = self.hub.lock().unwrap().clone();
         if let Some(hub) = hub {
@@ -377,30 +389,66 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
     }
 }
 
-/// One actor's event loop. Runs on a dedicated thread until killed; returns
-/// the thread's metrics and tracer for the shutdown merge.
+/// Body of an actor's dedicated, detached thread: runs the event loop
+/// until the actor is killed (or panics), then reaps the actor — folds
+/// everything its thread recorded into the runtime's sinks, takes it out
+/// of the registry, closes its mailbox — and reports the thread gone.
 fn actor_thread<M: KernelMsg + Send + 'static>(
     shared: Arc<Shared<M>>,
     id: ActorId,
+    machine: Option<u32>,
     mut actor: Box<dyn Actor<M> + Send>,
-    rx: Receiver<Envelope<M>>,
-    gauges: Arc<MailboxGauges>,
-) -> (Metrics, Tracer) {
-    let clock_tx = shared.clock_tx.clone();
-    let seed = shared
-        .cfg
-        .seed
-        .wrapping_add(u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    rx: MailboxReceiver<Envelope<M>>,
+) {
     let obs = shared.cfg.obs.clone();
-    let flush_every = shared.cfg.metrics_flush;
     let mut tc = ThreadCtx {
+        id,
+        machine,
+        clock_tx: shared.clock_tx.clone(),
+        rng: SmallRng::seed_from_u64(
+            shared.cfg.seed.wrapping_add(u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        ),
         shared,
-        clock_tx,
-        rng: SmallRng::seed_from_u64(seed),
         metrics: Metrics::new(),
         tracer: Tracer::new(obs),
         current_trace: TraceId::NONE,
     };
+    // The actor is dropped inside the guard too: a panicking `Drop` must
+    // not skip the reaping below.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        actor_loop(&mut tc, actor.as_mut(), &rx);
+        drop(actor);
+    }));
+    let ThreadCtx { shared, metrics, tracer, .. } = tc;
+    if let Err(payload) = outcome {
+        shared.panic.lock().unwrap().get_or_insert(payload);
+    }
+    shared.unregister(id); // already gone unless the loop ended by panic
+    shared.hwm_exited.fetch_max(rx.gauges().hwm(), Ordering::Relaxed);
+    drop(rx); // closes the box: late and parked senders see a dead actor
+    shared.tracer.lock().unwrap().extend(tracer);
+    {
+        // One critical section, so whoever reads `rt.actors_reaped` also
+        // reads everything the reaped actors recorded.
+        let mut sink = shared.metrics.lock().unwrap();
+        sink.merge(&metrics);
+        sink.count("rt.actors_reaped", 1);
+    }
+    let mut running = shared.running.lock().unwrap();
+    *running -= 1;
+    if *running == 0 {
+        shared.all_reaped.notify_all();
+    }
+}
+
+/// One actor's event loop: until `Kill`.
+fn actor_loop<M: KernelMsg + Send + 'static>(
+    tc: &mut ThreadCtx<M>,
+    actor: &mut (dyn Actor<M> + Send),
+    rx: &MailboxReceiver<Envelope<M>>,
+) {
+    let id = tc.id;
+    let flush_every = tc.shared.cfg.metrics_flush;
     // Stagger each thread's flush phase across the interval: hundreds of
     // actors started in the same instant would otherwise all hit the
     // shared sink's mutex in the same tick, which on a small host can
@@ -408,27 +456,27 @@ fn actor_thread<M: KernelMsg + Send + 'static>(
     let phase = flush_every.mul_f64(f64::from(id.0 % 64) / 64.0);
     let mut last_flush = Instant::now().checked_sub(phase).unwrap_or_else(Instant::now);
     while let Ok(env) = rx.recv() {
-        gauges.on_pop();
+        rx.gauges().on_pop();
         match env {
             Envelope::Start { trace } => {
                 tc.current_trace = trace;
-                actor.on_start(&mut Ctx::for_live(&mut tc, id));
+                actor.on_start(&mut Ctx::for_live(tc, id));
             }
             Envelope::Msg { from, msg, trace } => {
                 tc.current_trace = trace;
-                actor.on_message(&mut Ctx::for_live(&mut tc, id), from, msg);
+                actor.on_message(&mut Ctx::for_live(tc, id), from, msg);
             }
             Envelope::Timer { tag } => {
                 // Like the kernel: timer-driven activity has no inherited
                 // causal context unless the actor re-establishes it.
                 tc.current_trace = TraceId::NONE;
-                actor.on_timer(&mut Ctx::for_live(&mut tc, id), tag);
+                actor.on_timer(&mut Ctx::for_live(tc, id), tag);
             }
             Envelope::Kill => break,
         }
         // Periodic flush: fold this thread's private metrics into the
         // runtime-global sink so live scrapes see near-current data
-        // instead of waiting for the shutdown merge. Safe because actor
+        // instead of waiting for the actor to exit. Safe because actor
         // code only uses additive instruments (counters, gauge deltas,
         // histograms) whose merge is take-and-sum.
         if flush_every > Duration::ZERO && last_flush.elapsed() >= flush_every {
@@ -437,12 +485,16 @@ fn actor_thread<M: KernelMsg + Send + 'static>(
             last_flush = Instant::now();
         }
     }
-    (tc.metrics, tc.tracer)
 }
 
 /// The live backend of a [`Ctx`]: one per actor thread, owning that
 /// thread's RNG, metrics, and tracer.
 struct ThreadCtx<M: KernelMsg + Send + 'static> {
+    /// This thread's actor and its placement. Kept here because a killed
+    /// actor leaves the registry at once but still drains what was queued
+    /// before the kill, and must go on knowing where it runs.
+    id: ActorId,
+    machine: Option<u32>,
     shared: Arc<Shared<M>>,
     clock_tx: Sender<ClockCmd<M>>,
     rng: SmallRng,
@@ -492,6 +544,9 @@ impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
     }
 
     fn machine_of(&self, id: ActorId) -> Option<u32> {
+        if id == self.id {
+            return self.machine;
+        }
         self.shared.machine_of(id)
     }
 
@@ -531,6 +586,8 @@ impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
     }
 
     fn register_proc(&mut self, id: ActorId, meta: Vec<u8>) {
+        // Through the registry, not `self.machine`: a killed actor still
+        // draining its mailbox must not re-enter the process table.
         if let Some(m) = self.shared.machine_of(id) {
             self.shared.machines.write().unwrap()[m as usize]
                 .procs
@@ -608,17 +665,6 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
     let sample_every = shared.cfg.metrics_flush;
     let mut last_sample = Instant::now();
 
-    let deliver = |shared: &Arc<Shared<M>>,
-                       backlog: &mut Vec<(ActorId, Envelope<M>)>,
-                       to: ActorId,
-                       env: Envelope<M>| {
-        match shared.push_envelope(to, env) {
-            PushOutcome::Sent | PushOutcome::SentParked => {}
-            PushOutcome::Dead => {}
-        }
-        let _ = backlog; // retried entries are re-pushed by the caller
-    };
-
     loop {
         let now = shared.now();
         let mut next = now + SimDuration(tick_us);
@@ -651,25 +697,15 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                     trace,
                 } => wheel.arm(now, delay, Due::Send { from, to, msg, trace }),
                 ClockCmd::StartFlow { owner, spec } => {
+                    // A degenerate (zero-size) flow completes immediately.
                     if let Some(done) = flows.start(now, owner, spec) {
-                        // Degenerate (zero-size) flow: completes immediately.
-                        let env = Envelope::Msg {
-                            from: done.owner,
-                            msg: M::flow_done(done.tag, done.failed),
-                            trace: TraceId::NONE,
-                        };
-                        deliver(&shared, &mut backlog, done.owner, env);
+                        shared.clock_flow_done(&mut backlog, done);
                     }
                 }
                 ClockCmd::CancelFlows { owner } => flows.cancel_owned_by(now, owner),
                 ClockCmd::FailMachine { m } => {
                     for done in flows.fail_machine(now, m) {
-                        let env = Envelope::Msg {
-                            from: done.owner,
-                            msg: M::flow_done(done.tag, done.failed),
-                            trace: TraceId::NONE,
-                        };
-                        deliver(&shared, &mut backlog, done.owner, env);
+                        shared.clock_flow_done(&mut backlog, done);
                     }
                 }
                 ClockCmd::SetIoSpeed { m, factor } => flows.set_speed(now, m, factor),
@@ -697,18 +733,10 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                     from, to, msg, trace,
                 } => (to, Envelope::Msg { from, msg, trace }),
             };
-            if let Err(env) = shared.try_deliver(to, env) {
-                shared.metrics.lock().unwrap().count("rt.clock_parked", 1);
-                backlog.push((to, env));
-            }
+            shared.clock_deliver(&mut backlog, to, env);
         }
         for done in flows.advance(now) {
-            let env = Envelope::Msg {
-                from: done.owner,
-                msg: M::flow_done(done.tag, done.failed),
-                trace: TraceId::NONE,
-            };
-            deliver(&shared, &mut backlog, done.owner, env);
+            shared.clock_flow_done(&mut backlog, done);
         }
         // Queue pressure is live state, not a shutdown summary: sample
         // depths on the flush cadence so a mid-run spike is visible in the
@@ -721,8 +749,8 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
 }
 
 /// A running live world. Dropping it without [`LiveRuntime::shutdown`]
-/// detaches the threads; call `shutdown` to join them and collect the
-/// merged observability streams.
+/// leaves the threads running; call `shutdown` to stop them and collect
+/// the merged observability streams.
 pub struct LiveRuntime<M: KernelMsg + Send + 'static> {
     shared: Arc<Shared<M>>,
     clock: Option<JoinHandle<()>>,
@@ -745,7 +773,11 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         let shared = Arc::new(Shared {
             epoch: Instant::now(),
             cfg,
-            slots: RwLock::new(Vec::new()),
+            registry: RwLock::new(Registry { next: 0, live: BTreeMap::new(), closed: false }),
+            running: Mutex::new(0),
+            all_reaped: Condvar::new(),
+            panic: Mutex::new(None),
+            hwm_exited: AtomicUsize::new(0),
             machines: RwLock::new(machines),
             clock_tx,
             metrics: Mutex::new(Metrics::new()),
@@ -859,13 +891,9 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             machines[m as usize].procs.clear();
         }
         let victims: Vec<ActorId> = {
-            let slots = self.shared.slots.read().unwrap();
-            slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.alive && s.machine == Some(m))
-                .map(|(i, _)| ActorId(self.shared.cfg.actor_base + i as u32))
-                .collect()
+            let registry = self.shared.registry.read().unwrap();
+            let on_m = registry.live.iter().filter(|(_, s)| s.machine == Some(m));
+            on_m.map(|(&id, _)| ActorId(id)).collect()
         };
         for id in victims {
             self.shared.kill(id);
@@ -889,10 +917,9 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         let _ = self.shared.clock_tx.send(ClockCmd::SetIoSpeed { m, factor });
     }
 
-    /// Records mailbox pressure into the runtime metrics: current depths
-    /// as gauges (the clock thread does this periodically on
-    /// `metrics_flush` cadence; this forces one sample now), plus the
-    /// global high-water mark.
+    /// Records mailbox pressure and the live-actor count into the runtime
+    /// metrics (the clock thread does this periodically on `metrics_flush`
+    /// cadence; this forces one sample now).
     pub fn record_mailbox_gauges(&self) {
         self.shared.sample_mailboxes();
     }
@@ -921,47 +948,45 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         *self.shared.remote_alive.write().unwrap() = Some(alive);
     }
 
-    /// A clone of the runtime-global metrics as of now. With periodic
-    /// per-thread flushes (`metrics_flush`) this is a near-live picture;
-    /// only the last sub-interval of each actor thread is missing.
+    /// A clone of the runtime-global metrics as of now. Exited actors are
+    /// in it in full; with periodic per-thread flushes (`metrics_flush`)
+    /// only the last sub-interval of each live actor thread is missing.
     pub fn metrics_snapshot(&self) -> Metrics {
         self.shared.metrics.lock().unwrap().clone()
     }
 
-    /// Stops everything: kills the actors, joins every thread, and merges
-    /// the per-thread metrics and tracers into the runtime-global pair.
+    /// Stops everything: kills the live actors, waits until every actor
+    /// thread has reaped itself, and returns the runtime-global metrics and
+    /// tracer — by then holding every record of every actor that ever ran,
+    /// the trace time-ordered. Re-raises the first actor panic, however
+    /// long ago that actor was reaped.
     pub fn shutdown(mut self) -> (Metrics, Tracer) {
         self.record_mailbox_gauges();
-        let handles: Vec<Option<ActorJoin>> = {
-            let mut slots = self.shared.slots.write().unwrap();
-            slots
-                .iter_mut()
-                .map(|s| {
-                    s.alive = false;
-                    if let Some(tx) = s.sender.take() {
-                        let _ = tx.push_nonblocking(Envelope::Kill);
-                    }
-                    s.handle.take()
-                })
-                .collect()
+        let live = {
+            let mut registry = self.shared.registry.write().unwrap();
+            registry.closed = true;
+            std::mem::take(&mut registry.live)
         };
+        for slot in live.into_values() {
+            slot.sender.push_control(Envelope::Kill);
+        }
         let _ = self.shared.clock_tx.send(ClockCmd::Shutdown);
         if let Some(clock) = self.clock.take() {
             let _ = clock.join();
         }
-        let mut metrics = std::mem::take(&mut *self.shared.metrics.lock().unwrap());
-        let mut tracer = std::mem::take(&mut *self.shared.tracer.lock().unwrap());
-        for h in handles.into_iter().flatten() {
-            // A panicked actor thread must not vanish into a clean
-            // shutdown — re-raise so callers (tests, bench_live) fail.
-            match h.join() {
-                Ok((m, t)) => {
-                    metrics.merge(&m);
-                    tracer.absorb(t);
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+        let mut running = self.shared.running.lock().unwrap();
+        while *running > 0 {
+            running = self.shared.all_reaped.wait(running).unwrap();
         }
+        drop(running);
+        // A panicked actor thread must not vanish into a clean shutdown —
+        // re-raise so callers (tests, bench_live) fail.
+        if let Some(payload) = self.shared.panic.lock().unwrap().take() {
+            resume_unwind(payload);
+        }
+        let metrics = std::mem::take(&mut *self.shared.metrics.lock().unwrap());
+        let mut tracer = std::mem::take(&mut *self.shared.tracer.lock().unwrap());
+        tracer.sort_by_time();
         (metrics, tracer)
     }
 }
@@ -1160,6 +1185,132 @@ mod tests {
             .records
             .iter()
             .any(|r| matches!(r.event, TraceEvent::NodeDown { machine: 0 })));
+    }
+
+    /// Records one counter and one trace event, then exits.
+    struct OneShot;
+    impl Actor<TMsg> for OneShot {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            ctx.metrics().count("test.one_shot", 1);
+            ctx.trace(TraceEvent::NodeDown { machine: 77 });
+            ctx.kill_self();
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, _: TMsg) {}
+    }
+
+    fn reaped(rt: &LiveRuntime<TMsg>) -> u64 {
+        rt.metrics_snapshot().counter("rt.actors_reaped")
+    }
+
+    #[test]
+    fn exited_actor_is_reaped_at_once_and_counted_exactly_once() {
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(two_machine_cfg());
+        let seen = Arc::new(AtomicU64::new(0));
+        let stays = rt.spawn(None, Box::new(Echo { seen }));
+        let gone = rt.spawn(Some(1), Box::new(OneShot));
+        assert!(wait_for(|| reaped(&rt) == 1, Duration::from_secs(5)));
+        // Mid-run, long before shutdown: its records are in the sinks, it is
+        // out of the registry, and its id is dead for good.
+        assert_eq!(rt.metrics_snapshot().counter("test.one_shot"), 1);
+        assert!(!rt.alive(gone) && rt.alive(stays));
+        rt.send_external(gone, TMsg::Ping(0));
+        rt.record_mailbox_gauges();
+        assert_eq!(rt.metrics_snapshot().gauge("rt.actors_live"), 1.0);
+        assert!(rt.spawn(None, Box::new(OneShot)).0 > gone.0, "ids are never reused");
+        let (metrics, tracer) = rt.shutdown();
+        assert_eq!(metrics.counter("test.one_shot"), 2);
+        assert_eq!(metrics.counter("rt.actors_spawned"), 3);
+        assert_eq!(metrics.counter("rt.actors_reaped"), 3);
+        let is_mark = |r: &&fuxi_obs::TraceRecord| {
+            r.actor == gone.0 && matches!(r.event, TraceEvent::NodeDown { machine: 77 })
+        };
+        assert_eq!(tracer.records.iter().filter(is_mark).count(), 1);
+        assert!(tracer.records.windows(2).all(|w| w[0].t_s <= w[1].t_s), "trace is time-ordered");
+    }
+
+    struct Panicker;
+    impl Actor<TMsg> for Panicker {
+        fn on_start(&mut self, _: &mut Ctx<'_, TMsg>) {
+            panic!("actor blew up");
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, _: TMsg) {}
+    }
+
+    #[test]
+    fn panic_of_a_long_reaped_actor_is_re_raised_by_shutdown() {
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(two_machine_cfg());
+        let bad = rt.spawn(None, Box::new(Panicker));
+        assert!(wait_for(|| reaped(&rt) == 1, Duration::from_secs(5)));
+        assert!(!rt.alive(bad), "a panicked actor leaves the registry");
+        // The runtime carries on; the payload waits in `Shared`.
+        let fired = Arc::new(AtomicU64::new(0));
+        rt.spawn(None, Box::new(Ticker { fired: fired.clone() }));
+        assert!(wait_for(|| fired.load(Ordering::SeqCst) >= 5, Duration::from_secs(10)));
+        let payload = catch_unwind(AssertUnwindSafe(|| rt.shutdown())).expect_err("shutdown must re-raise");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"actor blew up"));
+    }
+
+    /// Blocks inside `on_start` until the test opens the gate, so that its
+    /// mailbox fills behind it; counts what it is delivered afterwards.
+    struct Gated {
+        gate: std::sync::mpsc::Receiver<()>,
+        flows: u64,
+        seen: Arc<AtomicU64>,
+    }
+    impl Actor<TMsg> for Gated {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            for tag in 0..self.flows {
+                // Zero-size: the clock thread owes the completion at once.
+                let kind = fuxi_sim::FlowKind::DiskWrite { machine: 0 };
+                ctx.start_flow(FlowSpec { kind, size_mb: 0.0, tag });
+            }
+            self.gate.recv().unwrap();
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, _: TMsg) {
+            self.seen.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn tiny_mailboxes(capacity: usize) -> RuntimeConfig {
+        RuntimeConfig { mailbox_capacity: capacity, ..two_machine_cfg() }
+    }
+
+    #[test]
+    fn kill_reaches_an_actor_whose_mailbox_is_full() {
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(tiny_mailboxes(2));
+        let (open, gate) = std::sync::mpsc::channel();
+        let seen = Arc::new(AtomicU64::new(0));
+        let id = rt.spawn(None, Box::new(Gated { gate, flows: 0, seen: seen.clone() }));
+        rt.send_external(id, TMsg::Ping(1));
+        rt.send_external(id, TMsg::Ping(2)); // the box is at its bound
+        rt.kill_actor(id);
+        assert!(!rt.alive(id));
+        open.send(()).unwrap();
+        // The kill sat behind both pings, and was not dropped.
+        assert!(wait_for(|| reaped(&rt) == 1, Duration::from_secs(5)), "kill was lost");
+        assert_eq!(seen.load(Ordering::SeqCst), 2);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn clock_keeps_ticking_while_it_owes_flow_completions_to_a_full_mailbox() {
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(tiny_mailboxes(1));
+        let (open, gate) = std::sync::mpsc::channel();
+        let seen = Arc::new(AtomicU64::new(0));
+        rt.spawn(Some(0), Box::new(Gated { gate, flows: 4, seen: seen.clone() }));
+        // One completion fits; the other three must wait on the backlog, not
+        // hold up this actor's timers.
+        let fired = Arc::new(AtomicU64::new(0));
+        rt.spawn(None, Box::new(Ticker { fired: fired.clone() }));
+        assert!(
+            wait_for(|| fired.load(Ordering::SeqCst) >= 5, Duration::from_secs(5)),
+            "the clock thread parked on a full mailbox"
+        );
+        assert_eq!(seen.load(Ordering::SeqCst), 0);
+        open.send(()).unwrap();
+        assert!(wait_for(|| seen.load(Ordering::SeqCst) == 4, Duration::from_secs(5)));
+        let (metrics, _) = rt.shutdown();
+        assert!(metrics.counter("rt.clock_parked") >= 3);
     }
 
     #[test]

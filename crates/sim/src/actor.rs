@@ -361,7 +361,8 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
         }
     }
 
-    /// The world's metrics sink (per-thread live, merged at shutdown).
+    /// The world's metrics sink (per-thread live, folded into the runtime's
+    /// sink when the actor exits).
     pub fn metrics(&mut self) -> &mut Metrics {
         match &mut self.backend {
             CtxBackend::Sim(core) => &mut core.metrics,

@@ -131,6 +131,23 @@ pub fn wordcount_job(p: &MapReduceParams) -> JobDesc {
     two_stage(p, "wc_map", "wc_reduce")
 }
 
+/// A null job: `maps` maps and one reduce that do no work, move no bytes and
+/// need no package, on at most two workers. All the time it spends in the
+/// system is the control plane's (what the benchmark's `live_null` streams).
+pub fn null_job(maps: u32) -> JobDesc {
+    wordcount_job(&MapReduceParams {
+        maps,
+        reduces: 1,
+        map_duration_s: 0.0,
+        reduce_duration_s: 0.0,
+        jitter: 0.0,
+        max_workers: 2,
+        binary_mb: 0.0,
+        map_output_mb: 0.0,
+        ..Default::default()
+    })
+}
+
 /// A Terasort job: map (sample+partition) → reduce (merge-sort+write).
 pub fn terasort_job(p: &MapReduceParams) -> JobDesc {
     two_stage(p, "ts_map", "ts_reduce")

@@ -140,3 +140,40 @@ fn priority_job_queues_ahead_under_contention() {
     let done = c.run_until_job_done(hi, SimTime::from_secs(900));
     assert_eq!(done.map(|(ok, _)| ok), Some(true), "high priority job completes");
 }
+
+/// Cold start is driven by events, not by whichever period fires next: the
+/// jobs are submitted at t = 0, before the master is elected and before any
+/// agent has said hello. (With the periodic paths alone the agents were
+/// known after their first 2 s heartbeat, and the JobMaster launches that
+/// had found no capacity went out on the 5 s roll-up.)
+#[test]
+fn jobs_submitted_before_the_cluster_formed_start_within_a_second() {
+    use fuxi::sim::TraceEvent;
+    let mut c = Cluster::new(ClusterConfig {
+        n_machines: 20,
+        rack_size: 5,
+        seed: 16,
+        ..ClusterConfig::default()
+    });
+    let jobs: Vec<_> = (0..12).map(|_| c.submit(&small_job(4, 1, 2.0), &SubmitOpts::default())).collect();
+    assert_eq!(c.world.events_processed(), 0, "nothing has run yet");
+
+    let joined = c.run_until_counter("fm.agents_joined", 20, SimTime::from_secs(1));
+    assert_eq!(joined, 20, "agents known to the master one second in");
+    let all_joined_s = c.world.now().as_secs_f64();
+    c.run_until(SimTime::from_secs(1));
+
+    let records = &c.world.tracer().records;
+    let elected_s = records
+        .iter()
+        .find(|r| matches!(r.event, TraceEvent::MasterElected { .. }))
+        .expect("a master was elected")
+        .t_s;
+    assert!(
+        all_joined_s - elected_s <= 0.1,
+        "last agent joined {all_joined_s} s, master elected {elected_s} s"
+    );
+    let launches = records.iter().filter(|r| matches!(r.event, TraceEvent::JmLaunchRequested { .. }));
+    assert_eq!(launches.count(), jobs.len(), "a JobMaster launch per job before t = 1 s");
+    assert_eq!(c.run_until_n_done(jobs.len(), SimTime::from_secs(600)), jobs.len());
+}
