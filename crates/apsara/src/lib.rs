@@ -27,4 +27,4 @@ pub mod store;
 pub use lock::LockService;
 pub use naming::NameRegistry;
 pub use pangu::{Chunk, PanguFile, PanguFs, PanguHandle};
-pub use store::{CheckpointStore, StoreHandle};
+pub use store::StoreHandle;

@@ -11,7 +11,7 @@
 
 use fuxi_sim::{ActorId, Ctx, KernelMsg, SimDuration};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Well-known name of the FuxiMaster service.
 pub const FUXI_MASTER: &str = "fuxi-master";
@@ -24,19 +24,43 @@ pub type NameWatcher = Box<dyn Fn(&str, Option<ActorId>) + Send>;
 /// A cloneable handle to the shared name table. `Arc<Mutex>`-backed so the
 /// same handle serves both the single-threaded kernel and the live
 /// multi-threaded runtime. In a multi-process deployment each process has
-/// its own replica; a [`NameWatcher`] broadcasts local mutations and
+/// its own replica; a [`NameWatcher`] broadcasts local mutations (under
+/// the table's lock, so peers see them in the order they were made),
 /// [`NameRegistry::apply_remote`] applies peer updates without re-firing
-/// the watcher (no echo loops).
+/// the watcher (no echo loops), and [`NameRegistry::resync`] re-seeds a
+/// replica that was away.
 #[derive(Clone, Default)]
 pub struct NameRegistry {
-    inner: Arc<Mutex<BTreeMap<String, ActorId>>>,
-    watcher: Arc<Mutex<Option<NameWatcher>>>,
+    inner: Arc<Mutex<Inner>>,
+}
+
+#[derive(Default)]
+struct Inner {
+    names: BTreeMap<String, ActorId>,
+    watcher: Option<NameWatcher>,
+}
+
+impl Inner {
+    fn apply(&mut self, name: &str, id: Option<ActorId>) {
+        match id {
+            Some(id) => self.names.insert(name.to_owned(), id),
+            None => self.names.remove(name),
+        };
+    }
+
+    /// A local mutation: applied, then shown to the watcher.
+    fn mutate(&mut self, name: &str, id: Option<ActorId>) {
+        self.apply(name, id);
+        if let Some(w) = self.watcher.as_ref() {
+            w(name, id);
+        }
+    }
 }
 
 impl std::fmt::Debug for NameRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NameRegistry")
-            .field("inner", &*self.inner.lock().unwrap())
+            .field("names", &self.lock().names)
             .finish_non_exhaustive()
     }
 }
@@ -47,68 +71,61 @@ impl NameRegistry {
         Self::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("a thread panicked while holding the name table")
+    }
+
     /// Registers (or replaces) the address for `name`.
     pub fn register(&self, name: &str, id: ActorId) {
-        self.inner.lock().unwrap().insert(name.to_owned(), id);
-        self.notify(name, Some(id));
+        self.lock().mutate(name, Some(id));
     }
 
     /// Removes a registration if `id` still owns it.
     pub fn deregister(&self, name: &str, id: ActorId) {
-        let removed = {
-            let mut map = self.inner.lock().unwrap();
-            if map.get(name) == Some(&id) {
-                map.remove(name);
-                true
-            } else {
-                false
-            }
-        };
-        if removed {
-            self.notify(name, None);
+        let mut inner = self.lock();
+        if inner.names.get(name) == Some(&id) {
+            inner.mutate(name, None);
         }
     }
 
     /// Installs the replication watcher fired on local mutations.
     pub fn set_watcher(&self, watcher: NameWatcher) {
-        *self.watcher.lock().unwrap() = Some(watcher);
+        self.lock().watcher = Some(watcher);
     }
 
     /// Applies an update received from a peer process: same effect as
     /// `register`/`deregister` but never fires the watcher, so replicated
     /// updates don't echo back onto the wire.
     pub fn apply_remote(&self, name: &str, id: Option<ActorId>) {
-        let mut map = self.inner.lock().unwrap();
-        match id {
-            Some(id) => {
-                map.insert(name.to_owned(), id);
-            }
-            None => {
-                map.remove(name);
-            }
-        }
+        self.lock().apply(name, id);
     }
 
     /// Full snapshot of the table (seeds a peer's replica at handshake).
     pub fn dump(&self) -> Vec<(String, ActorId)> {
-        self.inner
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+        self.lock().names.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
 
-    fn notify(&self, name: &str, id: Option<ActorId>) {
-        let watcher = self.watcher.lock().unwrap();
-        if let Some(w) = watcher.as_ref() {
-            w(name, id);
+    /// Makes this replica equal to a peer's snapshot — a name the snapshot
+    /// lacks was removed while this process was away — plus `unsent()`,
+    /// this process's own updates the peer has not seen yet. `unsent` runs
+    /// under the table's lock, where the watcher also runs, so no local
+    /// mutation can fall between the snapshot and the overlay. Fires no
+    /// watcher.
+    pub fn resync(
+        &self,
+        snapshot: Vec<(String, ActorId)>,
+        unsent: impl FnOnce() -> Vec<(String, Option<ActorId>)>,
+    ) {
+        let mut inner = self.lock();
+        inner.names = snapshot.into_iter().collect();
+        for (name, id) in unsent() {
+            inner.apply(&name, id);
         }
     }
 
     /// Resolves a name.
     pub fn lookup(&self, name: &str) -> Option<ActorId> {
-        self.inner.lock().unwrap().get(name).copied()
+        self.lock().names.get(name).copied()
     }
 
     /// Resolves the FuxiMaster address.
@@ -192,6 +209,20 @@ mod tests {
         assert_eq!(reg.lookup("svc"), Some(ActorId(1)));
         reg.deregister("svc", ActorId(1));
         assert_eq!(reg.lookup("svc"), None);
+    }
+
+    #[test]
+    fn resync_replaces_the_replica_and_keeps_unsent_local_updates() {
+        let reg = NameRegistry::new();
+        reg.register("gone-at-peer", ActorId(1));
+        reg.register("unsent", ActorId(2));
+        reg.set_watcher(Box::new(|_, _| panic!("a resync is not a local mutation")));
+        reg.resync(
+            vec![("new-at-peer".into(), ActorId(3)), ("unsent-removal".into(), ActorId(4))],
+            || vec![("unsent".into(), Some(ActorId(2))), ("unsent-removal".into(), None)],
+        );
+        let want = vec![("new-at-peer".to_owned(), ActorId(3)), ("unsent".to_owned(), ActorId(2))];
+        assert_eq!(reg.dump(), want);
     }
 
     #[test]

@@ -342,6 +342,9 @@ impl Actor<Msg> for Client {
                 self.pending.remove(&job);
             }
             Msg::JobFinished { job, success, message, .. } => {
+                // Terminal, whether or not the ack ever arrived: a
+                // resubmission now would run the job a second time.
+                self.pending.remove(&job);
                 if let Some(st) = self.jobs.map().get_mut(&job) {
                     let first = st.done.is_none();
                     st.done = Some((success, now_s, message));

@@ -25,7 +25,7 @@
 use crate::blacklist::{BlacklistConfig, ClusterBlacklist, ExclusionReason, Transition};
 use crate::quota::{QuotaGroup, QuotaManager};
 use crate::scheduler::{Engine, EngineConfig, EngineEvent, MASTER_UNIT};
-use crate::state::{AppDescRecord, HardState, JobRecord};
+use crate::state::{HardState, JobRecord};
 use fuxi_apsara::naming::FUXI_MASTER;
 use fuxi_apsara::{NameRegistry, StoreHandle};
 use fuxi_proto::msg::{AppDescription, SeqCheck, SeqReceiver, SeqSender};
@@ -105,6 +105,21 @@ struct JobRuntime {
     launch_avoid: BTreeSet<MachineId>,
     /// Launch request outstanding (StartAppMaster sent, no reply yet).
     launching: bool,
+}
+
+impl JobRuntime {
+    fn new(rec: JobRecord, now: SimTime) -> Self {
+        Self {
+            app: rec.app,
+            client: rec.client,
+            desc: rec.desc,
+            jm_machine: None,
+            jm_actor: None,
+            submitted_at: now,
+            launch_avoid: BTreeSet::new(),
+            launching: false,
+        }
+    }
 }
 
 /// The FuxiMaster actor. Spawn two (a pair) for hot-standby operation.
@@ -217,26 +232,14 @@ impl FuxiMaster {
         let mut blacklist =
             ClusterBlacklist::new(self.cfg.blacklist.clone(), self.topo.n_machines());
 
-        // Hard state from the checkpoint; everything else is soft.
+        // Hard state from the checkpoint records; everything else is soft.
         let hard = HardState::load(&self.store);
         self.next_app = hard.next_app;
         blacklist.restore(ctx.now(), &hard.blacklist);
         let had_jobs = !hard.jobs.is_empty();
-        for rec in &hard.jobs {
-            self.jobs.insert(
-                rec.job_id(),
-                JobRuntime {
-                    app: rec.app_id(),
-                    client: rec.client_actor(),
-                    desc: rec.desc.to_description(),
-                    jm_machine: None,
-                    jm_actor: None,
-                    submitted_at: ctx.now(),
-                    launch_avoid: BTreeSet::new(),
-                    launching: false,
-                },
-            );
-            self.app_to_job.insert(rec.app_id(), rec.job_id());
+        for rec in hard.jobs {
+            self.app_to_job.insert(rec.app, rec.job);
+            self.jobs.insert(rec.job, JobRuntime::new(rec, ctx.now()));
         }
         self.engine = Some(engine);
         self.blacklist = Some(blacklist);
@@ -321,56 +324,33 @@ impl FuxiMaster {
     // Job lifecycle
     // ------------------------------------------------------------------
 
-    fn checkpoint(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    /// One hard-state write (paper §4.3.1: a record changes only when its
+    /// job is submitted or stopped, or the blacklist moves), timed as a
+    /// checkpoint span.
+    fn write_hard(ctx: &mut Ctx<'_, Msg>, write: impl FnOnce()) {
         let t = std::time::Instant::now();
-        let hard = HardState {
-            jobs: self
-                .jobs
-                .iter()
-                .map(|(&job, j)| JobRecord {
-                    job: job.0,
-                    app: j.app.0,
-                    client: j.client.0,
-                    desc: AppDescRecord::from(&j.desc),
-                })
-                .collect(),
-            blacklist: self
-                .blacklist
-                .as_ref()
-                .map(|b| b.snapshot())
-                .unwrap_or_default(),
-            next_app: self.next_app,
-        };
-        hard.save(&self.store);
+        write();
         ctx.span(SpanKind::Checkpoint, t.elapsed().as_secs_f64());
     }
 
     fn submit_job(&mut self, ctx: &mut Ctx<'_, Msg>, job: JobId, desc: AppDescription, client: ActorId) {
-        if self.jobs.contains_key(&job) {
-            return; // duplicate submission
+        if let Some(j) = self.jobs.get(&job) {
+            // A resubmission means the client never saw our ack; without
+            // another it would retry until the job is gone and then be
+            // taken for a new job.
+            ctx.send(client, Msg::JobAccepted { job, app: j.app });
+            return;
         }
         let app = AppId(self.next_app);
         self.next_app += 1;
-        self.jobs.insert(
-            job,
-            JobRuntime {
-                app,
-                client,
-                desc,
-                jm_machine: None,
-                jm_actor: None,
-                submitted_at: ctx.now(),
-                launch_avoid: BTreeSet::new(),
-                launching: false,
-            },
-        );
         self.app_to_job.insert(app, job);
         // The job's causal chain is keyed by its id, so even a resubmission
         // to a post-failover primary continues the same trace.
         ctx.set_trace(TraceId::from_job(job.0));
         ctx.trace(TraceEvent::JobSubmitted { job: job.0, app: app.0 });
-        // Hard-state checkpoint happens exactly here and at job stop.
-        self.checkpoint(ctx);
+        let rec = JobRecord { job, app, client, desc };
+        Self::write_hard(ctx, || HardState::job_submitted(&self.store, &rec));
+        self.jobs.insert(job, JobRuntime::new(rec, ctx.now()));
         ctx.send(client, Msg::JobAccepted { job, app });
         if self.is_active() {
             self.launch_jm(ctx, job);
@@ -470,7 +450,7 @@ impl FuxiMaster {
         self.engine.as_mut().unwrap().detach_app(app);
         self.record_sched(ctx, t);
         self.flush_engine(ctx);
-        self.checkpoint(ctx);
+        Self::write_hard(ctx, || HardState::job_stopped(&self.store, job));
         ctx.send(
             j.client,
             Msg::JobFinished {
@@ -637,6 +617,11 @@ impl FuxiMaster {
     // ------------------------------------------------------------------
 
     fn apply_transitions(&mut self, ctx: &mut Ctx<'_, Msg>, transitions: Vec<Transition>) {
+        if !transitions.is_empty() {
+            // The blacklist is hard state: its record follows every change.
+            let list = self.blacklist.as_ref().map(|b| b.snapshot()).unwrap_or_default();
+            Self::write_hard(ctx, || HardState::blacklist_changed(&self.store, &list));
+        }
         for tr in transitions {
             match tr {
                 Transition::Excluded(m, reason) => {

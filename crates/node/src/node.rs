@@ -63,24 +63,19 @@ impl LiveNode {
         let seed = cfg.seed ^ (node_index as u64) << 56;
         let mut rt = live_runtime(&shared, seed, deploy.actor_base(node_index));
 
-        // Ids must land exactly where the topology computed them, or
-        // cross-process addressing would silently break.
-        let lock_id = deploy.lock_id().id;
-        let b = boot_groups(&mut rt, &shared, &spec.actors, lock_id, |gi, k, id| {
-            assert_eq!(id, deploy.actor_id(node_index, gi, k), "actor placement");
-        });
-        let Shared { naming, store, hub: hub_metrics, topo, jobs, .. } = shared;
-
-        // Wire the supervisor: router out, injector in, liveness oracle.
+        // The supervisor goes up before any actor: router out, injector
+        // in, liveness oracle, replication watchers. An actor's very first
+        // send (a master's `LockAcquire`) and write then wait in the
+        // outbound queue for the link, not for the sender's next timer.
         let inject = rt.remote_injector();
-        let supervisor = match spec.role {
+        let (naming, store) = (shared.naming.clone(), shared.store.clone());
+        let mut supervisor = match spec.role {
             NodeRole::Hub => {
                 let listen = hub_addr
                     .map(str::to_owned)
                     .or_else(|| spec.addr.clone())
                     .unwrap_or_else(|| "127.0.0.1:0".to_owned());
-                let (naming, store) = (naming.clone(), store.clone());
-                let hub = HubSupervisor::start(&listen, &spec.name, naming, store, inject)?;
+                let hub = HubSupervisor::bind(&listen, &spec.name, naming, store, inject)?;
                 rt.set_remote_router(hub.router());
                 rt.set_remote_alive(hub.remote_alive());
                 Supervisor::Hub(hub)
@@ -90,18 +85,25 @@ impl LiveNode {
                     .map(str::to_owned)
                     .or_else(|| deploy.nodes[deploy.hub_index()].addr.clone())
                     .expect("leaf needs the hub address");
-                let leaf = LeafSupervisor::start(
-                    &addr,
-                    LeafConfig::new(&spec.name, node_index as u32),
-                    naming.clone(),
-                    store.clone(),
-                    inject,
-                );
+                let cfg = LeafConfig::new(&spec.name, node_index as u32);
+                let leaf = LeafSupervisor::start(&addr, cfg, naming, store, inject);
                 rt.set_remote_router(leaf.router());
                 rt.set_remote_alive(leaf.remote_alive());
                 Supervisor::Leaf(leaf)
             }
         };
+
+        // Ids must land exactly where the topology computed them, or
+        // cross-process addressing would silently break.
+        let lock_id = deploy.lock_id().id;
+        let b = boot_groups(&mut rt, &shared, &spec.actors, lock_id, |gi, k, id| {
+            assert_eq!(id, deploy.actor_id(node_index, gi, k), "actor placement");
+        });
+        // The hub's own actors (the lock service) exist: peers may talk.
+        if let Supervisor::Hub(hub) = &mut supervisor {
+            hub.admit_peers();
+        }
+        let Shared { naming, store, hub: hub_metrics, topo, jobs, .. } = shared;
 
         Ok(LiveNode {
             rt,

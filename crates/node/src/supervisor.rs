@@ -19,17 +19,24 @@
 //!   updates cannot echo.
 //! * **Supervision** — a leaf reconnects with jittered exponential
 //!   backoff and a bumped `session_epoch`; the HELLO-ACK carries full
-//!   name/store snapshots so a reconnecting node re-syncs state it
-//!   missed. Peer liveness (`connection up`) feeds `ctx.alive`, which is
-//!   what lets the lease lock expire a SIGKILLed master's lease and pass
-//!   the lock to the standby.
+//!   name/store snapshots, which *replace* the leaf's replicas — a key
+//!   the hub no longer has was deleted while the leaf was away — with the
+//!   leaf's own queued-but-unsent updates on top. Peer liveness
+//!   (`connection up`) feeds `ctx.alive`, which is what lets the lease
+//!   lock expire a SIGKILLed master's lease and pass the lock to the
+//!   standby.
+//!
+//! A supervisor is started *before* its node's actors, so every local
+//! send and write is in an outbound queue from the first actor on; the
+//! hub admits peers ([`HubSupervisor::admit_peers`]) only once its own
+//! actors exist to answer them.
 
 use fuxi_apsara::{NameRegistry, StoreHandle};
 use fuxi_proto::wire::{self, Hello, HelloAck, NameUpdate, RoutedMsg, StoreUpdate};
 use fuxi_proto::{FrameType, Msg, PROTO_VERSION};
 use fuxi_rt::{Frame, TcpTransport, Transport, TransportListener};
 use fuxi_sim::ActorId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -42,6 +49,38 @@ type OutFrame = (FrameType, Vec<u8>);
 
 fn encode<T: serde::Serialize>(payload: &T) -> Vec<u8> {
     wire::encode_payload(PROTO_VERSION, payload).expect("wire encode")
+}
+
+/// Replicates every local mutation of the two tables: `emit` is handed
+/// the encoded update frame (under the table's lock — it must only queue).
+fn watch_replicas(
+    naming: &NameRegistry,
+    store: &StoreHandle,
+    emit: impl Fn(FrameType, Vec<u8>) + Clone + Send + 'static,
+) {
+    let out = emit.clone();
+    naming.set_watcher(Box::new(move |name, id| {
+        out(FrameType::NameUpdate, encode(&NameUpdate { name: name.to_owned(), id }));
+    }));
+    store.set_watcher(Box::new(move |key, value| {
+        let value = value.map(<[u8]>::to_vec);
+        emit(FrameType::StorePut, encode(&StoreUpdate { key: key.to_owned(), value }));
+    }));
+}
+
+/// Applies a peer's replication frame to the local replicas (no watcher
+/// fires, so it cannot echo). `false` for anything else.
+fn apply_update(naming: &NameRegistry, store: &StoreHandle, frame: &Frame) -> bool {
+    let (v, payload) = (PROTO_VERSION, &frame.payload);
+    match frame.frame_type {
+        FrameType::NameUpdate => wire::decode_payload::<NameUpdate>(v, payload)
+            .map(|u| naming.apply_remote(&u.name, u.id))
+            .is_ok(),
+        FrameType::StorePut => wire::decode_payload::<StoreUpdate>(v, payload)
+            .map(|u| store.apply_remote(&u.key, u.value))
+            .is_ok(),
+        _ => false,
+    }
 }
 
 /// Jittered exponential backoff: `base * 2^attempt`, capped at `max`,
@@ -82,6 +121,11 @@ struct HubInner {
 }
 
 impl HubInner {
+    fn peer_up(&self, node_index: u32) -> bool {
+        let peers = self.peers.lock().unwrap();
+        peers.get(&node_index).is_some_and(|p| p.up.load(Ordering::Acquire))
+    }
+
     fn send_to(&self, node_index: u32, ft: FrameType, payload: Vec<u8>) {
         let peers = self.peers.lock().unwrap();
         match peers.get(&node_index) {
@@ -122,45 +166,40 @@ impl HubInner {
                     self.send_to(routed.to.node_index(), FrameType::Msg, frame.payload);
                 }
             }
-            FrameType::NameUpdate => {
-                if let Ok(u) = wire::decode_payload::<NameUpdate>(PROTO_VERSION, &frame.payload)
-                {
-                    self.naming.apply_remote(&u.name, u.id);
-                    self.broadcast_except(Some(src), FrameType::NameUpdate, &frame.payload);
+            // Applied here first, then passed on: what a peer is told, a
+            // later snapshot of ours also holds.
+            _ => {
+                if apply_update(&self.naming, &self.store, &frame) {
+                    self.broadcast_except(Some(src), frame.frame_type, &frame.payload);
                 }
             }
-            FrameType::StorePut => {
-                if let Ok(u) = wire::decode_payload::<StoreUpdate>(PROTO_VERSION, &frame.payload)
-                {
-                    self.store.apply_remote(&u.key, u.value);
-                    self.broadcast_except(Some(src), FrameType::StorePut, &frame.payload);
-                }
-            }
-            _ => {}
         }
     }
 
-    fn register_peer(self: &Arc<Self>, hello: Hello, transport: TcpTransport) {
+    /// Opens peer `hello.node_index`'s outbound queue (`None` for a stale
+    /// duplicate dial). From here on every relay and broadcast reaches it.
+    fn enrol(&self, hello: &Hello) -> Option<(Arc<AtomicBool>, mpsc::Receiver<OutFrame>)> {
         let up = Arc::new(AtomicBool::new(true));
         let (tx, rx) = mpsc::channel::<OutFrame>();
-        {
-            let mut peers = self.peers.lock().unwrap();
-            if let Some(old) = peers.get(&hello.node_index) {
-                if old.epoch >= hello.session_epoch {
-                    // Stale duplicate dial; drop it (its threads never start).
-                    return;
-                }
-                old.up.store(false, Ordering::Release);
+        let mut peers = self.peers.lock().unwrap();
+        if let Some(old) = peers.get(&hello.node_index) {
+            if old.epoch >= hello.session_epoch {
+                return None;
             }
-            peers.insert(
-                hello.node_index,
-                PeerLink {
-                    epoch: hello.session_epoch,
-                    up: Arc::clone(&up),
-                    tx,
-                },
-            );
+            old.up.store(false, Ordering::Release);
         }
+        let link = PeerLink { epoch: hello.session_epoch, up: Arc::clone(&up), tx };
+        peers.insert(hello.node_index, link);
+        Some((up, rx))
+    }
+
+    fn serve(
+        self: &Arc<Self>,
+        hello: Hello,
+        transport: TcpTransport,
+        up: Arc<AtomicBool>,
+        rx: mpsc::Receiver<OutFrame>,
+    ) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
 
         // Writer: drains the peer's outbound queue onto the socket.
@@ -192,18 +231,62 @@ impl HubInner {
             })
             .expect("spawn hub reader");
     }
+
+    /// Accepts peers forever. A peer is enrolled *before* the snapshot for
+    /// its HELLO-ACK is taken, so an update is in the snapshot, in the
+    /// peer's queue, or (harmlessly, in order) both — never in neither.
+    fn accept_loop(self: Arc<Self>, listener: TransportListener) {
+        loop {
+            let mut enrolled = None;
+            let accepted = listener.accept_handshake(|hello| {
+                enrolled = Some(self.enrol(hello).ok_or("stale session epoch")?);
+                Ok(HelloAck {
+                    node: self.node.clone(),
+                    names: self.naming.dump(),
+                    store: self.store.dump(),
+                })
+            });
+            match (accepted, enrolled) {
+                (Ok((transport, hello)), Some((up, rx))) => self.serve(hello, transport, up, rx),
+                // The ack never left: nobody will drain that queue.
+                (Err(_), Some((up, _))) => up.store(false, Ordering::Release),
+                // Version mismatches and handshake garbage are already
+                // answered with HELLO-REJECT inside accept_handshake;
+                // just keep accepting.
+                _ => {}
+            }
+        }
+    }
 }
 
 /// The hub half of the overlay: accepts peers, relays, rebroadcasts.
 pub struct HubSupervisor {
     inner: Arc<HubInner>,
     addr: SocketAddr,
+    /// Held until [`HubSupervisor::admit_peers`] hands it to the accept loop.
+    listener: Option<TransportListener>,
 }
 
 impl HubSupervisor {
-    /// Binds `addr` and starts the accept loop. `inject` delivers frames
-    /// addressed to this (window-0) process into its runtime.
+    /// [`HubSupervisor::bind`], admitting peers at once: for a hub with no
+    /// actors of its own to start first.
     pub fn start(
+        addr: &str,
+        node: &str,
+        naming: NameRegistry,
+        store: StoreHandle,
+        inject: Inject,
+    ) -> Result<HubSupervisor, fuxi_proto::WireError> {
+        let mut hub = Self::bind(addr, node, naming, store, inject)?;
+        hub.admit_peers();
+        Ok(hub)
+    }
+
+    /// Binds `addr` and starts replicating local mutations; peers queue in
+    /// the listen backlog until [`HubSupervisor::admit_peers`]. `inject`
+    /// delivers frames addressed to this (window-0) process into its
+    /// runtime.
+    pub fn bind(
         addr: &str,
         node: &str,
         naming: NameRegistry,
@@ -224,49 +307,21 @@ impl HubSupervisor {
         });
 
         // Local mutations replicate to every peer.
-        {
-            let hub = Arc::clone(&inner);
-            naming.set_watcher(Box::new(move |name, id| {
-                let payload = encode(&NameUpdate {
-                    name: name.to_owned(),
-                    id,
-                });
-                hub.broadcast_except(None, FrameType::NameUpdate, &payload);
-            }));
-            let hub = Arc::clone(&inner);
-            store.set_watcher(Box::new(move |key, value| {
-                let payload = encode(&StoreUpdate {
-                    key: key.to_owned(),
-                    value: value.map(<[u8]>::to_vec),
-                });
-                hub.broadcast_except(None, FrameType::StorePut, &payload);
-            }));
+        let hub = Arc::clone(&inner);
+        watch_replicas(&naming, &store, move |ft, payload| hub.broadcast_except(None, ft, &payload));
+
+        Ok(HubSupervisor { inner, addr: bound, listener: Some(listener) })
+    }
+
+    /// Starts the accept loop (once; later calls do nothing).
+    pub fn admit_peers(&mut self) {
+        if let Some(listener) = self.listener.take() {
+            let inner = Arc::clone(&self.inner);
+            std::thread::Builder::new()
+                .name("hub-accept".to_owned())
+                .spawn(move || inner.accept_loop(listener))
+                .expect("spawn hub accept loop");
         }
-
-        let accept_inner = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("hub-accept".to_owned())
-            .spawn(move || loop {
-                let naming = accept_inner.naming.clone();
-                let store = accept_inner.store.clone();
-                let node = accept_inner.node.clone();
-                match listener.accept_handshake(|_hello| {
-                    Ok(HelloAck {
-                        node,
-                        names: naming.dump(),
-                        store: store.dump(),
-                    })
-                }) {
-                    Ok((transport, hello)) => accept_inner.register_peer(hello, transport),
-                    // Version mismatches and handshake garbage are already
-                    // answered with HELLO-REJECT inside accept_handshake;
-                    // just keep accepting.
-                    Err(_) => continue,
-                }
-            })
-            .expect("spawn hub accept loop");
-
-        Ok(HubSupervisor { inner, addr: bound })
     }
 
     /// The bound listen address (resolves `:0` to the real port).
@@ -289,27 +344,14 @@ impl HubSupervisor {
     /// leans on after a SIGKILL.
     pub fn remote_alive(&self) -> Box<dyn Fn(ActorId) -> bool + Send + Sync> {
         let inner = Arc::clone(&self.inner);
-        Box::new(move |id| {
-            let peers = inner.peers.lock().unwrap();
-            peers
-                .get(&id.node_index())
-                .is_some_and(|p| p.up.load(Ordering::Acquire))
-        })
-    }
-
-    /// `true` while node `i`'s connection is up.
-    pub fn peer_up(&self, node_index: u32) -> bool {
-        let peers = self.inner.peers.lock().unwrap();
-        peers
-            .get(&node_index)
-            .is_some_and(|p| p.up.load(Ordering::Acquire))
+        Box::new(move |id| inner.peer_up(id.node_index()))
     }
 
     /// Blocks until peers `1..=n` are all connected or `timeout` passes.
     pub fn wait_peers(&self, n: u32, timeout: Duration) -> bool {
         let start = Instant::now();
         while start.elapsed() < timeout {
-            if (1..=n).all(|i| self.peer_up(i)) {
+            if (1..=n).all(|i| self.inner.peer_up(i)) {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -336,7 +378,6 @@ struct LeafInner {
     store: StoreHandle,
     inject: Inject,
     up: AtomicBool,
-    epoch: AtomicU64,
     reconnects: AtomicU64,
     /// The live socket, for fault injection (`sever`).
     current: Mutex<Option<std::net::TcpStream>>,
@@ -350,19 +391,20 @@ impl LeafInner {
                     (self.inject)(r.from, r.to, r.msg);
                 }
             }
-            FrameType::NameUpdate => {
-                if let Ok(u) = wire::decode_payload::<NameUpdate>(PROTO_VERSION, &frame.payload) {
-                    self.naming.apply_remote(&u.name, u.id);
-                }
+            _ => {
+                apply_update(&self.naming, &self.store, &frame);
             }
-            FrameType::StorePut => {
-                if let Ok(u) = wire::decode_payload::<StoreUpdate>(PROTO_VERSION, &frame.payload) {
-                    self.store.apply_remote(&u.key, u.value);
-                }
-            }
-            _ => {}
         }
     }
+}
+
+/// The replication updates of one frame type among queued frames, decoded.
+fn queued<T: serde::de::DeserializeOwned>(
+    frames: &VecDeque<OutFrame>,
+    ft: FrameType,
+) -> impl Iterator<Item = T> + '_ {
+    let of_type = frames.iter().filter(move |(t, _)| *t == ft);
+    of_type.filter_map(|(_, payload)| wire::decode_payload(PROTO_VERSION, payload).ok())
 }
 
 /// Configuration for a leaf's dial/redial loop.
@@ -418,30 +460,15 @@ impl LeafSupervisor {
             store: store.clone(),
             inject,
             up: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             current: Mutex::new(None),
         });
 
         // Local mutations replicate up to the hub (which rebroadcasts).
-        {
-            let tx = out_tx.clone();
-            naming.set_watcher(Box::new(move |name, id| {
-                let payload = encode(&NameUpdate {
-                    name: name.to_owned(),
-                    id,
-                });
-                let _ = tx.send((FrameType::NameUpdate, payload));
-            }));
-            let tx = out_tx.clone();
-            store.set_watcher(Box::new(move |key, value| {
-                let payload = encode(&StoreUpdate {
-                    key: key.to_owned(),
-                    value: value.map(<[u8]>::to_vec),
-                });
-                let _ = tx.send((FrameType::StorePut, payload));
-            }));
-        }
+        let tx = out_tx.clone();
+        watch_replicas(&naming, &store, move |ft, payload| {
+            let _ = tx.send((ft, payload));
+        });
 
         let loop_inner = Arc::clone(&inner);
         let hub_addr = hub_addr.to_owned();
@@ -449,10 +476,12 @@ impl LeafSupervisor {
         std::thread::Builder::new()
             .name(format!("leaf-{}", cfg.node))
             .spawn(move || {
-                let mut attempt = 0u32;
+                let (mut attempt, mut epoch) = (0u32, 0u64);
                 let mut down_since = Instant::now();
+                // Frames taken off the queue by a re-sync, not yet sent.
+                let mut unsent: VecDeque<OutFrame> = VecDeque::new();
                 loop {
-                    let epoch = loop_inner.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+                    epoch += 1;
                     let hello = Hello {
                         node: cfg.node.clone(),
                         node_index: cfg.node_index,
@@ -483,43 +512,28 @@ impl LeafSupervisor {
                     }
                     *loop_inner.current.lock().unwrap() = transport.stream().try_clone().ok();
 
-                    // Re-sync: adopt the hub's snapshot, then re-announce
-                    // our replica (idempotent; covers anything we wrote
-                    // while the link was down and the queue had not yet
-                    // captured, e.g. state from before the first connect).
-                    for (name, id) in ack.names {
-                        loop_inner.naming.apply_remote(&name, Some(id));
-                    }
-                    for (key, value) in ack.store {
-                        loop_inner.store.apply_remote(&key, Some(value));
-                    }
-                    for (name, id) in loop_inner.naming.dump() {
-                        let payload = encode(&NameUpdate {
-                            name,
-                            id: Some(id),
-                        });
-                        if transport.send(FrameType::NameUpdate, &payload).is_err() {
-                            continue;
-                        }
-                    }
-                    for (key, value) in loop_inner.store.dump() {
-                        let payload = encode(&StoreUpdate {
-                            key,
-                            value: Some(value),
-                        });
-                        let _ = transport.send(FrameType::StorePut, &payload);
-                    }
-                    loop_inner.up.store(true, Ordering::Release);
+                    // Re-sync: the hub's snapshot replaces both replicas
+                    // and our own unsent updates go back on top. Each
+                    // replica collects them under its own lock, where its
+                    // watcher also queues, so no local write falls between
+                    // its snapshot and its overlay.
+                    loop_inner.naming.resync(ack.names, || {
+                        unsent.extend(out_rx.try_iter());
+                        let updates = queued::<NameUpdate>(&unsent, FrameType::NameUpdate);
+                        updates.map(|u| (u.name, u.id)).collect()
+                    });
+                    loop_inner.store.resync(ack.store, || {
+                        unsent.extend(out_rx.try_iter());
+                        let updates = queued::<StoreUpdate>(&unsent, FrameType::StorePut);
+                        updates.map(|u| (u.key, u.value)).collect()
+                    });
 
                     // Reader on a clone; writer (this thread) drains the
                     // outbound queue until either side loses the socket.
-                    let mut reader = match transport.try_clone_box() {
-                        Ok(r) => r,
-                        Err(_) => {
-                            loop_inner.up.store(false, Ordering::Release);
-                            continue;
-                        }
+                    let Ok(mut reader) = transport.try_clone_box() else {
+                        continue;
                     };
+                    loop_inner.up.store(true, Ordering::Release);
                     let rd_inner = Arc::clone(&loop_inner);
                     let reader_thread = std::thread::Builder::new()
                         .name(format!("leaf-rx-{}", cfg.node))
@@ -531,19 +545,17 @@ impl LeafSupervisor {
                         })
                         .expect("spawn leaf reader");
 
-                    loop {
-                        if !loop_inner.up.load(Ordering::Acquire) {
-                            break;
-                        }
-                        match out_rx.recv_timeout(Duration::from_millis(50)) {
-                            Ok((ft, payload)) => {
-                                if transport.send(ft, &payload).is_err() {
-                                    loop_inner.up.store(false, Ordering::Release);
-                                    break;
-                                }
-                            }
-                            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                    while loop_inner.up.load(Ordering::Acquire) {
+                        let (ft, payload) = match unsent.pop_front() {
+                            Some(frame) => frame,
+                            None => match out_rx.recv_timeout(Duration::from_millis(50)) {
+                                Ok(frame) => frame,
+                                Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                                Err(mpsc::RecvTimeoutError::Disconnected) => return,
+                            },
+                        };
+                        if transport.send(ft, &payload).is_err() {
+                            loop_inner.up.store(false, Ordering::Release);
                         }
                     }
                     drop(transport); // closes our half; unblocks the reader
@@ -573,11 +585,6 @@ impl LeafSupervisor {
         Box::new(move |_id| inner.up.load(Ordering::Acquire))
     }
 
-    /// `true` while the hub link is up.
-    pub fn connected(&self) -> bool {
-        self.inner.up.load(Ordering::Acquire)
-    }
-
     /// Successful re-handshakes after the first (supervision metric).
     pub fn reconnects(&self) -> u64 {
         self.inner.reconnects.load(Ordering::Relaxed)
@@ -596,7 +603,7 @@ impl LeafSupervisor {
     pub fn wait_connected(&self, timeout: Duration) -> bool {
         let start = Instant::now();
         while start.elapsed() < timeout {
-            if self.connected() {
+            if self.inner.up.load(Ordering::Acquire) {
                 return true;
             }
             std::thread::sleep(Duration::from_millis(5));

@@ -40,7 +40,11 @@ fn small_job(i: usize) -> fuxi_job::JobDesc {
 /// Boots the standard 4-node topology in-process: hub (lock + client),
 /// master A, master B, agent fleet. Returns (hub, leaves).
 fn boot_cluster(seed: u64) -> (LiveNode, Vec<LiveNode>) {
-    let deploy = DeployTopology::distributed(test_config(seed), "127.0.0.1:0");
+    boot_with(test_config(seed))
+}
+
+fn boot_with(cfg: ClusterConfig) -> (LiveNode, Vec<LiveNode>) {
+    let deploy = DeployTopology::distributed(cfg, "127.0.0.1:0");
     let hub = LiveNode::boot(deploy.clone(), 0, None).expect("hub boots");
     let addr = hub.hub_addr().expect("hub bound").to_string();
     let leaves: Vec<LiveNode> = (1..deploy.nodes.len())
@@ -181,5 +185,66 @@ fn jobs_submitted_as_the_last_node_comes_up_are_accepted_within_a_second() {
     assert_eq!(hub.wait_n_done(JOBS, Duration::from_secs(60)), JOBS);
     let all_done = up.elapsed();
     assert!(all_done < Duration::from_millis(1500), "{JOBS} null jobs took {all_done:?} from a cold start");
+    assert_eq!(hub.duplicate_finishes(), 0);
+}
+
+/// Every node's supervisor is up before its first actor, so a master's
+/// first `LockAcquire` waits in the leaf's queue for the link instead of
+/// being counted dead and retried on the keepalive (2 s by default, which
+/// is what roughly one boot in five used to take).
+#[test]
+fn first_lock_acquire_is_never_dropped_at_boot() {
+    for boot in 0..20 {
+        let start = Instant::now();
+        // The default clocks, not `test_config`'s: a dropped acquire costs 2 s.
+        let cfg = ClusterConfig { n_machines: 6, rack_size: 3, seed: boot, ..ClusterConfig::default() };
+        let (hub, leaves) = boot_with(cfg);
+        wait_master(&hub, Duration::from_secs(10));
+        let elected = start.elapsed();
+        for node in leaves.into_iter().chain([hub]) {
+            node.rt.shutdown();
+        }
+        assert!(elected < Duration::from_millis(500), "boot {boot}: election took {elected:?}");
+    }
+}
+
+/// A reconnecting leaf takes the hub's snapshot *as* its replica: what
+/// the hub no longer has was deleted while the leaf was away. (Merging
+/// the snapshot in and re-announcing the result, as the leaf used to,
+/// hands every record deleted during an outage back to the whole cluster
+/// — and a resurrected job record is a finished job run again by the
+/// next master.)
+#[test]
+fn records_deleted_while_a_leaf_was_away_stay_deleted() {
+    let (mut hub, leaves) = boot_cluster(15);
+    let master = wait_master(&hub, Duration::from_secs(10));
+    let standby = &leaves[if master.node_index() == 1 { 1 } else { 0 }];
+    const JOBS: usize = 10;
+    for i in 0..JOBS {
+        hub.submit(&small_job(i), &SubmitOpts::default());
+    }
+    let start = Instant::now();
+    while hub.finished_count() < JOBS && start.elapsed() < Duration::from_secs(60) {
+        standby.sever_link();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(hub.finished_count(), JOBS, "jobs stalled");
+    assert!(standby.reconnects() >= 10, "only {} reconnects: not the storm this test is about", standby.reconnects());
+    assert!(standby.wait_connected(0, Duration::from_secs(10)), "standby never came back");
+
+    // Replication is asynchronous: give the last deletes a moment.
+    let leftovers = || -> Vec<String> {
+        let replica = |n: &LiveNode| {
+            let mut keys = fuxi_core::HardState::job_keys(&n.store);
+            keys.extend(n.store.keys_with_prefix("jobsnap/"));
+            keys.into_iter().map(|k| format!("{}:{k}", n.deploy.nodes[n.node_index].name)).collect::<Vec<_>>()
+        };
+        leaves.iter().chain([&hub]).flat_map(replica).collect()
+    };
+    let settle = Instant::now();
+    while !leftovers().is_empty() && settle.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(leftovers(), Vec::<String>::new(), "deleted records came back");
     assert_eq!(hub.duplicate_finishes(), 0);
 }

@@ -5,7 +5,9 @@
 //! wall clock), so the comparison is the order-insensitive set of
 //! `(JobId, success)` pairs, not timestamps.
 
+use fuxi::apsara::StoreHandle;
 use fuxi::cluster::{Cluster, ClusterConfig, DeployTopology, SubmitOpts};
+use fuxi::core::HardState;
 use fuxi::job::JobDesc;
 use fuxi::proto::{JobId, MachineId};
 use fuxi::rt::LiveCluster;
@@ -55,6 +57,14 @@ fn outcomes(jobs: &[(JobId, fuxi::cluster::JobState)]) -> Outcomes {
         .collect()
 }
 
+/// Quiescence: a job's hard-state record goes when the job stops and its
+/// JobMaster's snapshot when the JobMaster does, so a cluster whose jobs
+/// have all finished holds neither — on either engine.
+fn assert_quiescent(store: &StoreHandle, engine: &str) {
+    assert_eq!(HardState::job_keys(store), Vec::<String>::new(), "{engine}: job records left");
+    assert_eq!(store.keys_with_prefix("jobsnap/"), Vec::<String>::new(), "{engine}: snapshots left");
+}
+
 fn run_sim() -> Outcomes {
     let mut c = Cluster::new(scenario_config());
     for i in 0..N_JOBS {
@@ -67,6 +77,7 @@ fn run_sim() -> Outcomes {
     let done = c.run_until_n_done(N_JOBS, SimTime::from_secs(7200));
     assert_eq!(done, N_JOBS, "sim run left jobs unfinished");
     assert_eq!(c.duplicate_finishes(), 0, "sim: a job completed twice");
+    assert_quiescent(&c.store, "sim");
     outcomes(&c.all_jobs())
 }
 
@@ -79,10 +90,11 @@ fn run_live() -> Outcomes {
     assert!(done >= DEATHS_AFTER_DONE, "live warm-up stalled at {done}");
     c.kill_machine(VICTIM);
     let done = c.wait_n_done(N_JOBS, Duration::from_secs(120));
-    let (jobs, duplicates) = (c.all_jobs(), c.duplicate_finishes());
+    let (jobs, duplicates, store) = (c.all_jobs(), c.duplicate_finishes(), c.store.clone());
     c.shutdown();
     assert_eq!(done, N_JOBS, "live run left jobs unfinished");
     assert_eq!(duplicates, 0, "live: a job completed twice");
+    assert_quiescent(&store, "live");
     outcomes(&jobs)
 }
 
