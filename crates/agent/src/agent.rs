@@ -40,39 +40,16 @@ pub type MasterFactory = Arc<dyn Fn(&MasterLaunch) -> Box<dyn Actor<Msg> + Send>
 /// Builds a worker actor — the counterpart of exec'ing the worker binary.
 pub type WorkerFactory = Arc<dyn Fn(&WorkerLaunch) -> Box<dyn Actor<Msg> + Send> + Send + Sync>;
 
-/// Agent tuning.
-#[derive(Debug, Clone)]
-pub struct AgentConfig {
-    /// The heartbeat interval.
-    pub heartbeat_interval: SimDuration,
-    /// Process-liveness and overload sweep cadence.
-    pub sweep_interval: SimDuration,
-    /// Grace the application master gets to act on a `CapacityWarning`
-    /// before the agent kills a process itself.
-    pub capacity_grace: SimDuration,
-    /// Machine load (usage / capacity on the hottest dimension) above which
-    /// the overload kill rule engages.
-    pub overload_threshold: f64,
-    /// Restart crashed workers ("FuxiAgent watches the worker's status and
-    /// restarts it if it crashes").
-    pub restart_crashed_workers: bool,
-    /// Push an [`fuxi_sim::obs::AgentReport`] to the master on each
-    /// heartbeat (the in-band metrics channel).
-    pub report_metrics: bool,
-}
-
-impl Default for AgentConfig {
-    fn default() -> Self {
-        Self {
-            heartbeat_interval: SimDuration::from_secs(2),
-            sweep_interval: SimDuration::from_secs(1),
-            capacity_grace: SimDuration::from_secs(3),
-            overload_threshold: 1.05,
-            restart_crashed_workers: true,
-            report_metrics: true,
-        }
-    }
-}
+/// The heartbeat interval.
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Process-liveness and overload sweep cadence.
+const SWEEP_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Grace the application master gets to act on a `CapacityWarning`
+/// before the agent kills a process itself.
+const CAPACITY_GRACE: SimDuration = SimDuration::from_secs(3);
+/// Machine load (usage / capacity on the hottest dimension) above which
+/// the overload kill rule engages.
+const OVERLOAD_THRESHOLD: f64 = 1.05;
 
 const TIMER_HB: u64 = 1;
 const TIMER_SWEEP: u64 = 2;
@@ -102,7 +79,10 @@ enum PendingLaunch {
 pub struct FuxiAgent {
     machine: MachineId,
     total: ResourceVec,
-    cfg: AgentConfig,
+    /// Push an [`fuxi_sim::obs::AgentReport`] to the master on each
+    /// heartbeat (the in-band metrics channel; follows the master's
+    /// metrics-plane switch).
+    report_metrics: bool,
     naming: NameRegistry,
     master_factory: MasterFactory,
     worker_factory: WorkerFactory,
@@ -138,7 +118,7 @@ impl FuxiAgent {
     pub fn new(
         machine: MachineId,
         total: ResourceVec,
-        cfg: AgentConfig,
+        report_metrics: bool,
         naming: NameRegistry,
         master_factory: MasterFactory,
         worker_factory: WorkerFactory,
@@ -146,7 +126,7 @@ impl FuxiAgent {
         Self {
             machine,
             total,
-            cfg,
+            report_metrics,
             naming,
             master_factory,
             worker_factory,
@@ -201,7 +181,9 @@ impl FuxiAgent {
         }
     }
 
-    fn health(&mut self, ctx: &mut Ctx<'_, Msg>) -> NodeHealthReport {
+    /// What the machine's processes consume right now: each worker's real
+    /// usage plus the JobMasters' reservations.
+    fn usage(&self) -> ResourceVec {
         let mut usage = ResourceVec::ZERO;
         for w in self.workers.values() {
             usage.add(&proc_usage(&w.spec).usage());
@@ -209,9 +191,13 @@ impl FuxiAgent {
         for (_, _, res) in self.jms.values() {
             usage.add(res);
         }
+        usage
+    }
+
+    fn health(&mut self, ctx: &mut Ctx<'_, Msg>, usage: &ResourceVec) -> NodeHealthReport {
         let report = NodeHealthReport {
             disk_ok_ratio: if ctx.launch_ok(self.m()) { 1.0 } else { 0.4 },
-            load: self.total.max_physical_load(&usage),
+            load: self.total.max_physical_load(usage),
             net_utilization: 0.0,
             recent_launch_failures: self.launch_failures_since_hb,
             speed_factor: ctx.machine_speed(self.m()),
@@ -224,15 +210,8 @@ impl FuxiAgent {
     }
 
     /// Builds and pushes the in-band metrics report (one per heartbeat).
-    fn send_metrics_report(&mut self, ctx: &mut Ctx<'_, Msg>, load: f64) {
+    fn send_metrics_report(&mut self, ctx: &mut Ctx<'_, Msg>, usage: &ResourceVec, load: f64) {
         let Some(fm) = self.fm else { return };
-        let mut usage = ResourceVec::ZERO;
-        for w in self.workers.values() {
-            usage.add(&proc_usage(&w.spec).usage());
-        }
-        for (_, _, res) in self.jms.values() {
-            usage.add(res);
-        }
         let report = fuxi_sim::obs::AgentReport {
             machine: self.m(),
             t_s: ctx.now().as_secs_f64(),
@@ -308,12 +287,7 @@ impl FuxiAgent {
                     return;
                 }
                 let actor = ctx.spawn(Some(self.m()), (self.master_factory)(&launch));
-                self.jms
-                    .insert(app, (actor, launch.job, launch.desc.master_resource.clone()));
-                ctx.metrics()
-                    .gauge_add("fa.planned_mem_mb", launch.desc.master_resource.memory_mb() as f64);
-                ctx.metrics()
-                    .gauge_add("fa.planned_cpu_milli", launch.desc.master_resource.cpu_milli() as f64);
+                self.track_master(ctx, app, actor, launch.job, launch.desc.master_resource);
                 if let Some(fm) = self.fm {
                     ctx.send(
                         fm,
@@ -384,11 +358,6 @@ impl FuxiAgent {
             machine: self.machine,
         };
         let actor = ctx.spawn(Some(self.m()), (self.worker_factory)(&launch));
-        self.sandbox.create(spec.app, spec.worker);
-        ctx.metrics()
-            .gauge_add("fa.planned_mem_mb", spec.limit.memory_mb() as f64);
-        ctx.metrics()
-            .gauge_add("fa.planned_cpu_milli", spec.limit.cpu_milli() as f64);
         ctx.trace(TraceEvent::WorkerStarted {
             app: spec.app.0,
             worker: spec.worker.0,
@@ -402,15 +371,35 @@ impl FuxiAgent {
                 machine: self.machine,
             },
         );
-        self.workers.insert(
-            spec.worker,
-            WorkerRt {
-                spec,
-                actor: Some(actor),
-                trace,
-            },
-        );
+        self.track_worker(ctx, spec, actor, trace);
         self.worker_starts += 1;
+    }
+
+    /// Takes a running worker onto the books: the one bookkeeping path for
+    /// a process this agent launched and for one it adopted.
+    fn track_worker(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        spec: WorkerSpec,
+        actor: ActorId,
+        trace: TraceId,
+    ) {
+        self.sandbox.create(spec.app, spec.worker);
+        plan(ctx, &spec.limit, 1.0);
+        self.workers.insert(spec.worker, WorkerRt { spec, actor: Some(actor), trace });
+    }
+
+    /// [`Self::track_worker`]'s counterpart for an application master.
+    fn track_master(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        app: AppId,
+        actor: ActorId,
+        job: JobId,
+        res: ResourceVec,
+    ) {
+        plan(ctx, &res, 1.0);
+        self.jms.insert(app, (actor, job, res));
     }
 
     fn running_count(&self, app: AppId, unit: UnitId) -> u64 {
@@ -451,10 +440,7 @@ impl FuxiAgent {
                 ctx.kill(actor);
             }
             self.sandbox.destroy(worker);
-            ctx.metrics()
-                .gauge_add("fa.planned_mem_mb", -(rt.spec.limit.memory_mb() as f64));
-            ctx.metrics()
-                .gauge_add("fa.planned_cpu_milli", -(rt.spec.limit.cpu_milli() as f64));
+            plan(ctx, &rt.spec.limit, -1.0);
             ctx.trace_as(
                 rt.trace,
                 TraceEvent::WorkerExited {
@@ -508,7 +494,7 @@ impl FuxiAgent {
                     },
                 );
             }
-            ctx.timer(self.cfg.capacity_grace, GRACE_BASE + app.0 as u64);
+            ctx.timer(CAPACITY_GRACE, GRACE_BASE + app.0 as u64);
         }
     }
 
@@ -564,9 +550,10 @@ impl FuxiAgent {
             let spec = self.workers[&worker].spec.clone();
             let trace = self.drop_worker(ctx, worker, false, "crashed");
             ctx.metrics().count("fa.worker_crashes", 1);
-            if self.cfg.restart_crashed_workers && ctx.launch_ok(self.m()) {
-                // Restart in place; the master learns the new address from
-                // the WorkerStarted it is about to receive.
+            if ctx.launch_ok(self.m()) {
+                // "FuxiAgent watches the worker's status and restarts it if
+                // it crashes": in place; the master learns the new address
+                // from the WorkerStarted it is about to receive.
                 self.spawn_worker(ctx, spec, trace);
             } else {
                 ctx.send_traced(
@@ -592,10 +579,7 @@ impl FuxiAgent {
             .collect();
         for app in dead_jms {
             let (_, job, res) = self.jms.remove(&app).unwrap();
-            ctx.metrics()
-                .gauge_add("fa.planned_mem_mb", -(res.memory_mb() as f64));
-            ctx.metrics()
-                .gauge_add("fa.planned_cpu_milli", -(res.cpu_milli() as f64));
+            plan(ctx, &res, -1.0);
             if let Some(fm) = self.fm {
                 ctx.send_traced(
                     fm,
@@ -618,7 +602,7 @@ impl FuxiAgent {
             for p in &procs {
                 usage.add(&p.usage());
             }
-            if self.total.max_physical_load(&usage) <= self.cfg.overload_threshold {
+            if self.total.max_physical_load(&usage) <= OVERLOAD_THRESHOLD {
                 break;
             }
             let Some(victim) = pick_overload_victim(&procs) else {
@@ -653,46 +637,14 @@ impl FuxiAgent {
                 continue;
             };
             match meta {
-                ProcMeta::Worker {
-                    app,
-                    worker,
-                    unit,
-                    limit,
-                    master,
-                    usage_factor,
-                } => {
-                    let master = ActorId(master);
-                    self.workers.insert(
-                        worker,
-                        WorkerRt {
-                            spec: WorkerSpec {
-                                app,
-                                worker,
-                                unit,
-                                limit: limit.clone(),
-                                binary_mb: 0.0,
-                                master,
-                                usage_factor,
-                            },
-                            actor: Some(actor),
-                            // Adopted from a pre-restart agent: the launch
-                            // trace did not survive the process boundary.
-                            trace: TraceId::NONE,
-                        },
-                    );
-                    self.sandbox.create(app, worker);
-                    ctx.metrics()
-                        .gauge_add("fa.planned_mem_mb", limit.memory_mb() as f64);
-                    ctx.metrics()
-                        .gauge_add("fa.planned_cpu_milli", limit.cpu_milli() as f64);
-                    adopted_apps.push((app, master));
+                ProcMeta::Worker(spec) => {
+                    adopted_apps.push((spec.app, spec.master));
+                    // Adopted from a pre-restart agent: the launch trace
+                    // did not survive the process boundary.
+                    self.track_worker(ctx, spec, actor, TraceId::NONE);
                 }
                 ProcMeta::JobMaster { app, job, resource } => {
-                    ctx.metrics()
-                        .gauge_add("fa.planned_mem_mb", resource.memory_mb() as f64);
-                    ctx.metrics()
-                        .gauge_add("fa.planned_cpu_milli", resource.cpu_milli() as f64);
-                    self.jms.insert(app, (actor, job, resource));
+                    self.track_master(ctx, app, actor, job, resource);
                 }
             }
         }
@@ -715,6 +667,14 @@ impl FuxiAgent {
     }
 }
 
+/// Moves the machine's planned-resource gauges (Figure 10's FA_planned)
+/// by `sign` × `res`.
+fn plan(ctx: &mut Ctx<'_, Msg>, res: &ResourceVec, sign: f64) {
+    let m = ctx.metrics();
+    m.gauge_add("fa.planned_mem_mb", sign * res.memory_mb() as f64);
+    m.gauge_add("fa.planned_cpu_milli", sign * res.cpu_milli() as f64);
+}
+
 fn proc_usage(spec: &WorkerSpec) -> ProcUsage {
     ProcUsage {
         worker: spec.worker,
@@ -729,19 +689,13 @@ impl Actor<Msg> for FuxiAgent {
             .register(&format!("agent/{}", self.machine), ctx.id());
         self.adopt(ctx);
         // Booted before the election: look again shortly (TIMER_RESOLVE)
-        // rather than a heartbeat interval from now.
-        self.fm = self.master_watch.master_or_watch(&self.naming, ctx, TIMER_RESOLVE);
-        if let Some(fm) = self.fm {
-            ctx.send(
-                fm,
-                Msg::AgentHello {
-                    machine: self.machine,
-                    total: self.total.clone(),
-                },
-            );
+        // rather than a heartbeat interval from now. Either way the first
+        // contact is what every later one is: the allocation report.
+        if self.master_watch.master_or_watch(&self.naming, ctx, TIMER_RESOLVE).is_some() {
+            self.resolve_master(ctx);
         }
-        ctx.timer(self.cfg.heartbeat_interval, TIMER_HB);
-        ctx.timer(self.cfg.sweep_interval, TIMER_SWEEP);
+        ctx.timer(HEARTBEAT_INTERVAL, TIMER_HB);
+        ctx.timer(SWEEP_INTERVAL, TIMER_SWEEP);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
@@ -852,7 +806,8 @@ impl Actor<Msg> for FuxiAgent {
         match tag {
             TIMER_HB => {
                 self.resolve_master(ctx);
-                let health = self.health(ctx);
+                let usage = self.usage();
+                let health = self.health(ctx, &usage);
                 let load = health.load;
                 if let Some(fm) = self.fm {
                     ctx.send(
@@ -863,8 +818,8 @@ impl Actor<Msg> for FuxiAgent {
                         },
                     );
                 }
-                if self.cfg.report_metrics {
-                    self.send_metrics_report(ctx, load);
+                if self.report_metrics {
+                    self.send_metrics_report(ctx, &usage, load);
                 }
                 self.beats += 1;
                 if self.beats.is_multiple_of(ENVELOPE_REFRESH_BEATS) {
@@ -872,10 +827,10 @@ impl Actor<Msg> for FuxiAgent {
                     // authoritative AgentCapacitySnapshot.
                     self.send_allocation_report(ctx);
                 }
-                ctx.timer(self.cfg.heartbeat_interval, TIMER_HB);
+                ctx.timer(HEARTBEAT_INTERVAL, TIMER_HB);
             }
             TIMER_RESOLVE => {
-                let cap = self.cfg.heartbeat_interval;
+                let cap = HEARTBEAT_INTERVAL;
                 if self.master_watch.look_again(&self.naming, ctx, TIMER_RESOLVE, cap).is_some() {
                     // What the next heartbeat would have done.
                     self.resolve_master(ctx);
@@ -883,7 +838,7 @@ impl Actor<Msg> for FuxiAgent {
             }
             TIMER_SWEEP => {
                 self.sweep(ctx);
-                ctx.timer(self.cfg.sweep_interval, TIMER_SWEEP);
+                ctx.timer(SWEEP_INTERVAL, TIMER_SWEEP);
             }
             TIMER_PARKED => {
                 let parked = std::mem::take(&mut self.parked);
@@ -984,7 +939,7 @@ mod tests {
             Box::new(FuxiAgent::new(
                 MachineId(1),
                 ResourceVec::cores_mb(12, 96 * 1024),
-                AgentConfig::default(),
+                true,
                 naming,
                 mf,
                 wf,
@@ -1032,7 +987,12 @@ mod tests {
         let mut h = setup();
         h.world.run_until(SimTime::from_secs(10));
         let log = h.master_log.borrow();
-        assert!(log.iter().any(|m| matches!(m, Msg::AgentHello { machine: MachineId(1), .. })));
+        // The join message is the allocation report (there is no hello).
+        assert!(matches!(
+            log.first(),
+            Some(Msg::AgentAllocationReport { machine: MachineId(1), allocations, .. })
+                if allocations.is_empty()
+        ));
         let beats = log
             .iter()
             .filter(|m| matches!(m, Msg::AgentHeartbeat { .. }))

@@ -21,33 +21,23 @@
 pub mod agent;
 pub mod enforce;
 
-pub use agent::{AgentConfig, FuxiAgent, MasterFactory, MasterLaunch, WorkerFactory, WorkerLaunch};
+pub use agent::{FuxiAgent, MasterFactory, MasterLaunch, WorkerFactory, WorkerLaunch};
 pub use enforce::{pick_overload_victim, Envelope, Sandbox};
 
-use fuxi_proto::{AppId, JobId, ResourceVec, UnitId, WorkerId};
+use fuxi_proto::msg::WorkerSpec;
+use fuxi_proto::{AppId, JobId, ResourceVec};
 use serde::{Deserialize, Serialize};
 
 /// Metadata a process registers in its machine's process table (the
 /// simulation's `/proc`). A restarted agent reads these to adopt running
 /// processes ("during its failover, FuxiAgent firstly collects running
-/// processes started previously").
+/// processes started previously"). The rows are the protocol's own types:
+/// a worker's row is the [`WorkerSpec`] it was launched with, so adoption
+/// puts back exactly what a launch would have recorded.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub enum ProcMeta {
-    /// Worker.
-    Worker {
-        /// Application id.
-        app: AppId,
-        /// Worker id.
-        worker: WorkerId,
-        /// ScheduleUnit id.
-        unit: UnitId,
-        /// Resource limit enforced by the agent.
-        limit: ResourceVec,
-        /// Actor id of the worker's master (raw).
-        master: u32,
-        /// Fraction of the limit the process actually consumes.
-        usage_factor: f64,
-    },
+    /// A worker, by its launch specification.
+    Worker(WorkerSpec),
     /// Job master.
     JobMaster {
         /// Application id.
@@ -74,17 +64,20 @@ impl ProcMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fuxi_proto::{UnitId, WorkerId};
+    use fuxi_sim::ActorId;
 
     #[test]
     fn procmeta_roundtrip() {
-        let m = ProcMeta::Worker {
+        let m = ProcMeta::Worker(WorkerSpec {
             app: AppId(1),
             worker: WorkerId(2),
             unit: UnitId(3),
             limit: ResourceVec::new(500, 2048),
-            master: 77,
+            binary_mb: 400.0,
+            master: ActorId(77),
             usage_factor: 0.4,
-        };
+        });
         assert_eq!(ProcMeta::decode(&m.encode()), Some(m));
         let j = ProcMeta::JobMaster {
             app: AppId(1),

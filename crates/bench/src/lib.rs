@@ -142,8 +142,6 @@ pub fn run_synthetic_experiment_with_plane(
         obs,
         ..ClusterConfig::default()
     };
-    cfg.agent.report_metrics = plane.enabled;
-    cfg.jm.report_metrics = plane.enabled;
     cfg.master.metrics = plane;
     let mut cluster = Cluster::new(cfg);
     // Large jobs saturate the scaled cluster exactly as in the paper; cap

@@ -94,12 +94,14 @@ impl Shared {
             Box::new(TaskWorker::from_spec(&launch.spec, worker_cfg.clone()))
         });
         let jm = (cfg.jm.clone(), naming.clone(), store.clone(), pangu.clone(), topo.clone());
+        // The metrics plane has one switch: reporters follow the master's.
+        let report_metrics = cfg.master.metrics.enabled;
         let master_factory: MasterFactory = Arc::new(move |launch: &MasterLaunch| {
             let (jm_cfg, naming, store, pangu, topo) = jm.clone();
             let desc = &launch.desc;
             Box::new(JobMaster::new(
                 launch.app, launch.job, jm_cfg, naming, store, pangu, topo,
-                desc.payload.clone(), desc.master_resource.clone(),
+                desc.payload.clone(), desc.master_resource.clone(), report_metrics,
             ))
         });
         Self {
@@ -144,7 +146,7 @@ impl Shared {
         Box::new(FuxiAgent::new(
             m,
             self.topo.spec(m).resources.clone(),
-            self.cfg.agent.clone(),
+            self.cfg.master.metrics.enabled,
             self.naming.clone(),
             self.master_factory.clone(),
             self.worker_factory.clone(),

@@ -2,7 +2,6 @@
 
 use crate::boot::{boot_groups, Shared};
 use crate::deploy::DeployTopology;
-use fuxi_agent::AgentConfig;
 use fuxi_apsara::{NameRegistry, PanguHandle, StoreHandle};
 use fuxi_core::master::MasterConfig;
 use fuxi_job::job_master::JobMasterConfig;
@@ -30,8 +29,6 @@ pub struct ClusterConfig {
     pub net: NetConfig,
     /// FuxiMaster configuration.
     pub master: MasterConfig,
-    /// FuxiAgent configuration.
-    pub agent: AgentConfig,
     /// JobMaster configuration applied to every job.
     pub jm: JobMasterConfig,
     /// Spawn a hot-standby FuxiMaster alongside the primary.
@@ -51,7 +48,6 @@ impl Default for ClusterConfig {
             seed: 1,
             net: NetConfig::default(),
             master: MasterConfig::default(),
-            agent: AgentConfig::default(),
             jm: JobMasterConfig::default(),
             standby_master: false,
             sample_interval: SimDuration::from_secs(1),
@@ -312,7 +308,7 @@ impl Cluster {
             .filter(|(_, meta)| {
                 matches!(
                     fuxi_agent::ProcMeta::decode(meta),
-                    Some(fuxi_agent::ProcMeta::Worker { .. })
+                    Some(fuxi_agent::ProcMeta::Worker(_))
                 )
             })
             .map(|(a, _)| a)

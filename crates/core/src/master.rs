@@ -312,9 +312,7 @@ impl FuxiMaster {
         let ams: Vec<(AppId, fuxi_sim::ActorId)> =
             self.am_addr.iter().map(|(&a, &x)| (a, x)).collect();
         for (app, am) in ams {
-            let snapshot = self.grant_snapshot(app);
-            self.grant_tx.entry(app).or_default().reset();
-            ctx.send(am, Msg::FullGrantSync { snapshot });
+            self.send_full_grant_sync(ctx, app, am);
         }
         ctx.metrics().count("fm.rebuild_done", 1);
         ctx.span(SpanKind::Rebuild, t_rebuild.elapsed().as_secs_f64());
@@ -870,23 +868,24 @@ impl FuxiMaster {
         // book: during rebuild the snapshot would be empty and the AM would
         // wrongly tear down every worker. Deferred to finish_rebuild.
         if self.role != Role::Rebuilding {
-            let snapshot = self.grant_snapshot(app);
-            self.grant_tx.entry(app).or_default().reset();
-            ctx.send(from, Msg::FullGrantSync { snapshot });
+            self.send_full_grant_sync(ctx, app, from);
         }
         if self.is_active() {
             self.flush_engine(ctx);
         }
     }
 
-    fn grant_snapshot(&self, app: AppId) -> Vec<(UnitId, Vec<(MachineId, u64)>)> {
+    /// Sends `am` the authoritative grants of `app` and restarts grant
+    /// numbering from that baseline.
+    fn send_full_grant_sync(&mut self, ctx: &mut Ctx<'_, Msg>, app: AppId, am: ActorId) {
         let mut per_unit: BTreeMap<UnitId, Vec<(MachineId, u64)>> = BTreeMap::new();
         for (unit, m, _, count) in self.engine.as_ref().unwrap().app_grants(app) {
             if unit != MASTER_UNIT {
                 per_unit.entry(unit).or_default().push((m, count));
             }
         }
-        per_unit.into_iter().collect()
+        self.grant_tx.entry(app).or_default().reset();
+        ctx.send(am, Msg::FullGrantSync { snapshot: per_unit.into_iter().collect() });
     }
 }
 
@@ -949,7 +948,6 @@ impl Actor<Msg> for FuxiMaster {
                 success,
                 message,
             } => self.job_finished(ctx, job, app, success, message),
-            Msg::AgentHello { machine, total } => self.on_agent_hello(ctx, from, machine, total),
             Msg::AgentHeartbeat { machine, health } => {
                 self.agents[machine.0 as usize] = Some(from);
                 let now = ctx.now();
@@ -996,8 +994,10 @@ impl Actor<Msg> for FuxiMaster {
                         );
                     }
                 } else {
-                    // Outside a rebuild the master's books are authoritative:
-                    // treat the report as a hello and correct the agent.
+                    // Outside a rebuild the master's books are authoritative.
+                    // This is how an agent joins (boot, its own restart) and
+                    // how its envelope is repaired: admit the machine and
+                    // answer with what is on the books for it.
                     self.on_agent_hello(ctx, from, machine, total);
                 }
             }
@@ -1102,11 +1102,7 @@ impl Actor<Msg> for FuxiMaster {
                 states,
                 held: _,
             } => self.on_full_request_sync(ctx, from, app, units, states),
-            Msg::GrantSyncNeeded { app } => {
-                let snapshot = self.grant_snapshot(app);
-                self.grant_tx.entry(app).or_default().reset();
-                ctx.send(from, Msg::FullGrantSync { snapshot });
-            }
+            Msg::GrantSyncNeeded { app } => self.send_full_grant_sync(ctx, app, from),
             Msg::AmDetach { app } => {
                 let t = std::time::Instant::now();
                 self.engine.as_mut().unwrap().detach_app(app);

@@ -10,7 +10,7 @@ use crate::backup::BackupConfig;
 use crate::blacklist::{Escalation, JobBlacklist, JobBlacklistConfig};
 use crate::dag::TaskGraph;
 use crate::desc::JobDesc;
-use crate::snapshot::{JobSnapshot, TaskSnapshot, INST_DONE, INST_PENDING, INST_RUNNING};
+use crate::snapshot::JobSnapshot;
 use crate::task_master::{AssignmentOut, Attempt, InstState, InstanceRt, TaskMaster};
 use crate::worker::WorkerConfig;
 use fuxi_agent::ProcMeta;
@@ -30,36 +30,12 @@ use std::sync::Arc;
 /// JobMaster tuning.
 #[derive(Debug, Clone)]
 pub struct JobMasterConfig {
-    /// Worker id.
+    /// Worker tuning.
     pub worker: WorkerConfig,
     /// Backup-instance (straggler) policy.
     pub backup: BackupConfig,
     /// Blacklist configuration.
     pub blacklist: JobBlacklistConfig,
-    /// Periodic full-state safety sync with FuxiMaster (also how a new
-    /// primary is discovered after master failover).
-    pub full_sync_interval: SimDuration,
-    /// Housekeeping cadence: backup scans, worker reconciliation, snapshot
-    /// flushes.
-    pub housekeeping_interval: SimDuration,
-    /// How long a restarted JobMaster collects worker status before
-    /// resuming scheduling.
-    pub recovery_window: SimDuration,
-    /// Cap on distinct shuffle source machines per downstream instance
-    /// (larger fan-ins are sampled and rescaled; bounds memory at
-    /// GraySort scale).
-    pub shuffle_fanout_cap: usize,
-    /// Fraction of its limit each worker actually consumes (the paper
-    /// observed ~40% real memory usage against scheduled amounts).
-    pub usage_factor: f64,
-    /// Idle workers kept as backup-instance capacity while a task drains.
-    pub idle_spares: usize,
-    /// Worker launch failures on one machine before the job avoids it.
-    pub launch_failures_to_avoid: u32,
-    /// How long to wait for a requested worker to register before assuming
-    /// its start was lost and retrying. Must exceed worst-case binary
-    /// download times under load.
-    pub worker_start_timeout_s: f64,
     /// Fuxi's task/container separation (Section 3.2.3). When false, the
     /// JobMaster behaves like YARN: every finished instance returns its
     /// container and a fresh request/grant/download cycle precedes the next
@@ -67,9 +43,6 @@ pub struct JobMasterConfig {
     /// resource manager has to conduct additional rounds of rescheduling").
     /// The ablation benchmarks flip this.
     pub container_reuse: bool,
-    /// Push a [`fuxi_sim::obs::JobReport`] to FuxiMaster on the
-    /// housekeeping cadence (the in-band metrics channel).
-    pub report_metrics: bool,
 }
 
 impl Default for JobMasterConfig {
@@ -78,19 +51,20 @@ impl Default for JobMasterConfig {
             worker: WorkerConfig::default(),
             backup: BackupConfig::default(),
             blacklist: JobBlacklistConfig::default(),
-            full_sync_interval: SimDuration::from_secs(5),
-            housekeeping_interval: SimDuration::from_secs(2),
-            recovery_window: SimDuration::from_secs(2),
-            shuffle_fanout_cap: 64,
-            usage_factor: 0.4,
-            idle_spares: 1,
-            launch_failures_to_avoid: 2,
-            worker_start_timeout_s: 300.0,
             container_reuse: true,
-            report_metrics: true,
         }
     }
 }
+
+/// Periodic full-state safety sync with FuxiMaster (also how a new
+/// primary is discovered after master failover).
+const FULL_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Housekeeping cadence: backup scans, worker reconciliation, snapshot
+/// flushes.
+const HOUSEKEEPING_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// How long a restarted JobMaster collects worker status before
+/// resuming scheduling.
+const RECOVERY_WINDOW: SimDuration = SimDuration::from_secs(2);
 
 const TIMER_HOUSEKEEPING: u64 = 1;
 const TIMER_FULL_SYNC: u64 = 2;
@@ -139,6 +113,10 @@ pub struct JobMaster {
     undelivered: BTreeMap<WorkerId, (fuxi_proto::InstanceId, u32, fuxi_proto::InstanceWork)>,
     snapshot_dirty: bool,
     attached: bool,
+    /// Push a [`fuxi_sim::obs::JobReport`] to FuxiMaster on the
+    /// housekeeping cadence (the in-band metrics channel; follows the
+    /// master's metrics-plane switch).
+    report_metrics: bool,
 }
 
 impl JobMaster {
@@ -154,6 +132,7 @@ impl JobMaster {
         topo: Arc<Topology>,
         payload: String,
         master_resource: ResourceVec,
+        report_metrics: bool,
     ) -> Self {
         let blacklist = JobBlacklist::new(cfg.blacklist.clone());
         Self {
@@ -188,6 +167,7 @@ impl JobMaster {
             undelivered: BTreeMap::new(),
             snapshot_dirty: false,
             attached: false,
+            report_metrics,
         }
     }
 
@@ -204,18 +184,6 @@ impl JobMaster {
         TaskId(unit.0)
     }
 
-    fn unit_def(&self, task: TaskId) -> ScheduleUnitDef {
-        let (cpu, mem, prio) = match self.tms[task.0 as usize].as_ref().map(|t| &t.desc) {
-            Some(d) => ((d.cpu * 1000.0) as u64, d.memory_mb, d.priority),
-            None => (500, 2048, 1000),
-        };
-        ScheduleUnitDef::new(
-            Self::unit_of(task),
-            Priority(prio),
-            ResourceVec::new(cpu, mem),
-        )
-    }
-
     // ------------------------------------------------------------------
     // FM liaison
     // ------------------------------------------------------------------
@@ -223,11 +191,7 @@ impl JobMaster {
     fn attach(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.fm = self.naming.master();
         let Some(fm) = self.fm else { return };
-        let units: Vec<ScheduleUnitDef> = self
-            .started_tasks
-            .iter()
-            .map(|&t| self.unit_def(t))
-            .collect();
+        let units: Vec<ScheduleUnitDef> = self.req_states.values().map(|s| s.def.clone()).collect();
         ctx.send(fm, Msg::AmAttach { app: self.app, units });
         self.attached = true;
         self.send_full_sync(ctx);
@@ -277,14 +241,13 @@ impl JobMaster {
     // Task lifecycle
     // ------------------------------------------------------------------
 
-    fn parse_and_build(&mut self, ctx: &mut Ctx<'_, Msg>) -> Result<(), String> {
+    fn parse_and_build(&mut self) -> Result<(), String> {
         let desc = JobDesc::parse(&self.payload)?;
         let graph = TaskGraph::build(&desc)?;
         self.tms = Vec::new();
         self.tms.resize_with(graph.len(), || None);
         self.graph = Some(graph);
         self.job_desc = Some(desc);
-        let _ = ctx;
         Ok(())
     }
 
@@ -294,12 +257,12 @@ impl JobMaster {
         self.job_desc.as_ref().expect("parsed at start").tasks[name].clone()
     }
 
-    /// Builds the per-instance inputs for a task and creates its
-    /// TaskMaster.
-    fn start_task(&mut self, ctx: &mut Ctx<'_, Msg>, task: TaskId) {
-        if self.started_tasks.contains(&task) {
-            return;
-        }
+    /// Builds a started task: its TaskMaster — per-instance DFS chunks,
+    /// shuffle reads from finished upstream tasks, jittered and size-driven
+    /// compute time — and its ScheduleUnit. The only construction path: a
+    /// fresh JobMaster uses the result as is ([`Self::start_task`]), a
+    /// restarted one overlays its snapshot on it ([`Self::recover`]).
+    fn build_task(&mut self, ctx: &mut Ctx<'_, Msg>, task: TaskId) -> &mut TaskMaster {
         self.started_tasks.insert(task);
         let desc = self.task_desc(task);
         let node = self.graph.as_ref().unwrap().task(task).clone();
@@ -345,12 +308,28 @@ impl JobMaster {
                 runtime_s: None,
             });
         }
-        let tm = TaskMaster::new(task, desc.clone(), instances);
+        let unit = Self::unit_of(task);
+        let def = ScheduleUnitDef::new(
+            unit,
+            Priority(desc.priority),
+            ResourceVec::new((desc.cpu * 1000.0) as u64, desc.memory_mb),
+        );
+        self.req_states.insert(unit, RequestState::new(def));
+        self.tms[task.0 as usize].insert(TaskMaster::new(task, desc, instances))
+    }
+
+    /// Starts a task whose upstream tasks have all finished: builds it and
+    /// asks FuxiMaster for its containers.
+    fn start_task(&mut self, ctx: &mut Ctx<'_, Msg>, task: TaskId) {
+        if self.started_tasks.contains(&task) {
+            return;
+        }
+        let tm = self.build_task(ctx, task);
         // Request containers: cluster want = worker cap, with locality
         // hints spread across the machines holding the most input chunks
         // (an even spread keeps workers near data on *all* of them instead
         // of packing the first few hinted machines).
-        let cap = desc.worker_cap() as i64;
+        let cap = tm.desc.worker_cap() as i64;
         let raw_hints = tm.locality_hints(16);
         let per_machine = (cap / raw_hints.len().max(1) as i64).max(1);
         let hints: Vec<(MachineId, i64)> = raw_hints
@@ -358,21 +337,9 @@ impl JobMaster {
             .map(|(m, c)| (m, (c as i64).min(per_machine)))
             .collect();
         let unit = Self::unit_of(task);
-        let def = ScheduleUnitDef::new(
-            unit,
-            Priority(desc.priority),
-            ResourceVec::new((desc.cpu * 1000.0) as u64, desc.memory_mb),
-        );
-        self.req_states.insert(unit, RequestState::new(def.clone()));
-        self.tms[task.0 as usize] = Some(tm);
         if let Some(fm) = self.fm {
-            ctx.send(
-                fm,
-                Msg::AmAttach {
-                    app: self.app,
-                    units: vec![def],
-                },
-            );
+            let units = vec![self.req_states[&unit].def.clone()];
+            ctx.send(fm, Msg::AmAttach { app: self.app, units });
         }
         let delta = RequestDelta {
             unit,
@@ -388,8 +355,12 @@ impl JobMaster {
     }
 
     /// Aggregated per-source-machine shuffle reads for one downstream
-    /// instance, capped at `shuffle_fanout_cap` distinct sources.
+    /// instance, capped at `SHUFFLE_FANOUT_CAP` distinct sources.
     fn shuffle_reads_for(&self, upstream: &[TaskId], n_instances: u32) -> Vec<(MachineId, f64)> {
+        /// Cap on distinct shuffle source machines per downstream instance
+        /// (larger fan-ins are sampled and rescaled; bounds memory at
+        /// GraySort scale).
+        const SHUFFLE_FANOUT_CAP: usize = 64;
         let mut per_machine: BTreeMap<MachineId, f64> = BTreeMap::new();
         for &u in upstream {
             if let Some(tm) = self.tms[u.0 as usize].as_ref() {
@@ -405,7 +376,7 @@ impl JobMaster {
         }
         let total: f64 = per_machine.values().sum();
         let share = total / n_instances as f64;
-        let cap = self.cfg.shuffle_fanout_cap.max(1);
+        let cap = SHUFFLE_FANOUT_CAP;
         let entries: Vec<(MachineId, f64)> = per_machine.into_iter().collect();
         if entries.len() <= cap {
             entries
@@ -498,7 +469,7 @@ impl JobMaster {
                 },
             );
         }
-        JobSnapshot::delete(&self.store, self.job.0);
+        JobSnapshot::delete(&self.store, self.job);
         // Account our gauge contributions away before dying.
         self.set_obtained_gauge(ctx, 0.0, 0.0);
         ctx.kill_self();
@@ -618,20 +589,24 @@ impl JobMaster {
     }
 
     fn start_worker(&mut self, ctx: &mut Ctx<'_, Msg>, task: TaskId, m: MachineId) {
+        /// Fraction of its limit each worker actually consumes (the paper
+        /// observed ~40% real memory usage against scheduled amounts).
+        const USAGE_FACTOR: f64 = 0.4;
         let Some(agent) = self.naming.lookup(&format!("agent/{m}")) else {
             return; // retried at next reconciliation
         };
         let tm = self.tms[task.0 as usize].as_mut().unwrap();
         let worker = WorkerId(self.next_worker);
         self.next_worker += 1;
+        let unit = Self::unit_of(task);
         let spec = WorkerSpec {
             app: self.app,
             worker,
-            unit: Self::unit_of(task),
-            limit: ResourceVec::new((tm.desc.cpu * 1000.0) as u64, tm.desc.memory_mb),
+            unit,
+            limit: self.req_states[&unit].def.resource.clone(),
             binary_mb: tm.desc.binary_mb,
             master: ctx.id(),
-            usage_factor: self.cfg.usage_factor,
+            usage_factor: USAGE_FACTOR,
         };
         tm.add_worker(worker, m);
         self.worker_task.insert(worker, task);
@@ -749,6 +724,8 @@ impl JobMaster {
 
     /// Retires idle workers a draining task no longer needs.
     fn maybe_shrink(&mut self, ctx: &mut Ctx<'_, Msg>, task: TaskId) {
+        /// Idle workers kept as backup-instance capacity while a task drains.
+        const IDLE_SPARES: usize = 1;
         let Some(tm) = self.tms[task.0 as usize].as_ref() else {
             return;
         };
@@ -756,8 +733,8 @@ impl JobMaster {
             return;
         }
         let idle = tm.idle_workers();
-        if idle.len() > self.cfg.idle_spares {
-            let surplus = idle.len() - self.cfg.idle_spares;
+        if idle.len() > IDLE_SPARES {
+            let surplus = idle.len() - IDLE_SPARES;
             for w in idle.into_iter().take(surplus) {
                 self.release_worker(ctx, w);
             }
@@ -900,60 +877,19 @@ impl JobMaster {
     // ------------------------------------------------------------------
 
     fn build_snapshot(&self) -> JobSnapshot {
-        let mut tasks = Vec::new();
-        for (i, tm) in self.tms.iter().enumerate() {
-            let task = TaskId(i as u32);
-            let Some(tm) = tm else {
-                tasks.push(TaskSnapshot {
-                    task: task.0,
-                    ..Default::default()
-                });
-                continue;
-            };
-            let mut snap = TaskSnapshot {
-                task: task.0,
-                started: true,
-                finished: self.finished_tasks.contains(&task),
-                instance_status: Vec::with_capacity(tm.instances.len()),
-                outputs: Vec::new(),
-                running: Vec::new(),
-            };
-            for (idx, inst) in tm.instances.iter().enumerate() {
-                let status = match inst.state {
-                    InstState::Pending => INST_PENDING,
-                    InstState::Running => INST_RUNNING,
-                    InstState::Done => INST_DONE,
-                };
-                snap.instance_status.push(status);
-                if let (InstState::Done, Some(m)) = (inst.state, inst.output_machine) {
-                    snap.outputs.push((
-                        idx as u32,
-                        m.0,
-                        tm.desc.output_mb_per_instance,
-                        inst.runtime_s.unwrap_or(0.0),
-                    ));
-                }
-                for a in &inst.attempts {
-                    snap.running.push((idx as u32, a.attempt, a.worker.0));
-                }
-            }
-            tasks.push(snap);
-        }
-        let mut workers = Vec::new();
-        for (&w, &task) in &self.worker_task {
-            let machine = self.tms[task.0 as usize]
-                .as_ref()
-                .and_then(|tm| tm.workers.get(&w))
-                .map(|x| x.machine.0)
-                .unwrap_or(0);
-            let actor = self.worker_actor.get(&w).map(|a| a.0).unwrap_or(u32::MAX);
-            workers.push((w.0, task.0, machine, actor));
-        }
+        let started = || self.tms.iter().flatten();
         JobSnapshot {
-            job: self.job.0,
-            app: self.app.0,
-            tasks,
-            workers,
+            job: self.job,
+            tasks: started()
+                .map(|tm| tm.snapshot(self.finished_tasks.contains(&tm.task)))
+                .collect(),
+            workers: started()
+                .flat_map(|tm| {
+                    tm.workers.iter().map(|(&w, tw)| {
+                        (w, tm.task, tw.machine, self.worker_actor.get(&w).copied())
+                    })
+                })
+                .collect(),
             next_worker: self.next_worker,
         }
     }
@@ -965,107 +901,38 @@ impl JobMaster {
         }
     }
 
-    /// Rebuilds state from a snapshot after a JobMaster restart.
+    /// Rebuilds state after a JobMaster restart: every task the snapshot
+    /// saw started is built the way a fresh JobMaster builds it — in
+    /// topological order, so shuffle inputs resolve against the restored
+    /// upstream outputs — and overlaid with what the snapshot knows.
     fn recover(&mut self, ctx: &mut Ctx<'_, Msg>, snap: JobSnapshot) {
         self.state = JmState::Recovering;
         ctx.metrics().count("jm.recoveries", 1);
         self.next_worker = snap.next_worker;
-        // Rebuild finished/started sets and TaskMasters task by task, in
-        // topological order so shuffle inputs resolve.
         let order = self.graph.as_ref().unwrap().topo_order().expect("validated");
-        let by_id: BTreeMap<u32, &TaskSnapshot> = snap.tasks.iter().map(|t| (t.task, t)).collect();
         for task in order {
-            let Some(ts) = by_id.get(&task.0) else { continue };
-            if !ts.started {
-                continue;
-            }
-            self.started_tasks.insert(task);
-            let desc = self.task_desc(task);
-            let node = self.graph.as_ref().unwrap().task(task).clone();
-            let n = desc.instances.max(1);
-            let mut chunk_lists: Vec<Vec<fuxi_apsara::pangu::Chunk>> =
-                (0..n).map(|_| Vec::new()).collect();
-            for pattern in &node.input_files {
-                for file in self.pangu.matching(pattern) {
-                    if let Some(f) = self.pangu.file(&file) {
-                        for (i, chunk) in f.chunks.into_iter().enumerate() {
-                            chunk_lists[i % n as usize].push(chunk);
-                        }
-                    }
-                }
-            }
-            let shuffle = self.shuffle_reads_for(&node.upstream, n);
-            let outputs: BTreeMap<u32, (u32, f64)> = ts
-                .outputs
-                .iter()
-                .map(|&(i, m, _mb, rt)| (i, (m, rt)))
-                .collect();
-            let mut instances = Vec::with_capacity(n as usize);
-            for i in 0..n {
-                let status = ts.instance_status.get(i as usize).copied().unwrap_or(INST_PENDING);
-                let (state, output_machine, runtime_s) = match status {
-                    INST_DONE => {
-                        let (m, rt) = outputs.get(&i).copied().unwrap_or((0, 0.0));
-                        (InstState::Done, Some(MachineId(m)), Some(rt))
-                    }
-                    // Running instances become pending unless a live worker
-                    // confirms them during the recovery window.
-                    _ => (InstState::Pending, None, None),
-                };
-                instances.push(InstanceRt {
-                    input_chunks: std::mem::take(&mut chunk_lists[i as usize]),
-                    shuffle_reads: shuffle.clone(),
-                    compute_s: desc.duration_s.max(0.001),
-                    state,
-                    attempts: vec![],
-                    next_attempt: ts
-                        .running
-                        .iter()
-                        .filter(|&&(idx, _, _)| idx == i)
-                        .map(|&(_, a, _)| a + 1)
-                        .max()
-                        .unwrap_or(0),
-                    backups_launched: 0,
-                    output_machine,
-                    runtime_s,
-                });
-            }
-            let mut tm = TaskMaster::new(task, desc, instances);
-            tm.finished = ts
-                .instance_status
-                .iter()
-                .filter(|&&s| s == INST_DONE)
-                .count() as u64;
-            for &(_, _, _, rt) in &ts.outputs {
-                tm.stats.record(rt);
-            }
-            self.tms[task.0 as usize] = Some(tm);
+            let Some(ts) = snap.tasks.iter().find(|ts| ts.task == task) else { continue };
+            self.build_task(ctx, task).restore(ts);
             if ts.finished {
                 self.finished_tasks.insert(task);
             }
-            let unit = Self::unit_of(task);
-            let def = self.unit_def(task);
-            self.req_states.insert(unit, RequestState::new(def));
         }
         // Contact the workers the snapshot remembers ("collect the status
         // from TaskWorker"); confirmations arrive as WorkerStatusReply.
-        for &(w, task, machine, actor) in &snap.workers {
-            let worker = WorkerId(w);
-            let task = TaskId(task);
+        for &(worker, task, machine, actor) in &snap.workers {
             if self.finished_tasks.contains(&task) {
                 continue;
             }
             if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                tm.add_worker(worker, MachineId(machine));
+                tm.add_worker(worker, machine);
             }
             self.worker_task.insert(worker, task);
-            if actor != u32::MAX {
-                let a = ActorId(actor);
+            if let Some(a) = actor {
                 self.worker_actor.insert(worker, a);
                 ctx.send(a, Msg::WorkerStatusQuery);
             }
         }
-        ctx.timer(self.cfg.recovery_window, TIMER_RECOVERY_DONE);
+        ctx.timer(RECOVERY_WINDOW, TIMER_RECOVERY_DONE);
     }
 
     fn finish_recovery(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -1172,6 +1039,13 @@ impl JobMaster {
     }
 }
 
+/// Worker launch failures on one machine before the job avoids it.
+const LAUNCH_FAILURES_TO_AVOID: u32 = 2;
+/// How long to wait for a requested worker to register before assuming
+/// its start was lost and retrying. Must exceed worst-case binary
+/// download times under load.
+const WORKER_START_TIMEOUT_S: f64 = 300.0;
+
 impl Actor<Msg> for JobMaster {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // Everything this actor does belongs to its job's causal chain —
@@ -1185,14 +1059,14 @@ impl Actor<Msg> for JobMaster {
         };
         ctx.register_proc(meta.encode());
         self.fm = self.naming.master();
-        if let Err(e) = self.parse_and_build(ctx) {
+        if let Err(e) = self.parse_and_build() {
             ctx.metrics().count("jm.desc_rejected", 1);
             self.complete(ctx, false, e);
             return;
         }
-        ctx.timer(self.cfg.housekeeping_interval, TIMER_HOUSEKEEPING);
-        ctx.timer(self.cfg.full_sync_interval, TIMER_FULL_SYNC);
-        if let Some(snap) = JobSnapshot::load(&self.store, self.job.0) {
+        ctx.timer(HOUSEKEEPING_INTERVAL, TIMER_HOUSEKEEPING);
+        ctx.timer(FULL_SYNC_INTERVAL, TIMER_FULL_SYNC);
+        if let Some(snap) = JobSnapshot::load(&self.store, self.job) {
             self.recover(ctx, snap);
             return;
         }
@@ -1328,7 +1202,7 @@ impl Actor<Msg> for JobMaster {
                 let avoid = if machine_fault {
                     let fails = self.launch_failures.entry(machine).or_insert(0);
                     *fails += 1;
-                    *fails >= self.cfg.launch_failures_to_avoid
+                    *fails >= LAUNCH_FAILURES_TO_AVOID
                 } else {
                     false
                 };
@@ -1512,7 +1386,7 @@ impl Actor<Msg> for JobMaster {
                         .worker_requested_at
                         .iter()
                         .filter(|(_, &t0)| {
-                            now.since(t0).as_secs_f64() > self.cfg.worker_start_timeout_s
+                            now.since(t0).as_secs_f64() > WORKER_START_TIMEOUT_S
                         })
                         .map(|(&w, _)| w)
                         .collect();
@@ -1539,10 +1413,10 @@ impl Actor<Msg> for JobMaster {
                     }
                     self.flush_snapshot();
                 }
-                if self.cfg.report_metrics && self.state != JmState::Done {
+                if self.report_metrics && self.state != JmState::Done {
                     self.send_metrics_report(ctx);
                 }
-                ctx.timer(self.cfg.housekeeping_interval, TIMER_HOUSEKEEPING);
+                ctx.timer(HOUSEKEEPING_INTERVAL, TIMER_HOUSEKEEPING);
             }
             TIMER_FULL_SYNC => {
                 if self.state == JmState::Running {
@@ -1555,10 +1429,145 @@ impl Actor<Msg> for JobMaster {
                         self.send_full_sync(ctx);
                     }
                 }
-                ctx.timer(self.cfg.full_sync_interval, TIMER_FULL_SYNC);
+                ctx.timer(FULL_SYNC_INTERVAL, TIMER_FULL_SYNC);
             }
             TIMER_RECOVERY_DONE => self.finish_recovery(ctx),
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::desc::{Endpoint, PipeDesc, TaskDesc};
+    use fuxi_proto::topology::{MachineSpec, TopologyBuilder};
+    use fuxi_sim::{World, WorldConfig};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// Runs a closure under a live `Ctx`: the builder draws from its RNG.
+    struct WithCtx<F>(Option<F>);
+    impl<F: FnOnce(&mut Ctx<'_, Msg>)> Actor<Msg> for WithCtx<F> {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            (self.0.take().expect("started once"))(ctx);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, Msg>, _: ActorId, _: Msg) {}
+    }
+
+    fn pipe(source: Endpoint, destination: Endpoint) -> PipeDesc {
+        PipeDesc { source, destination }
+    }
+    fn file(pattern: &str) -> Endpoint {
+        Endpoint { file_pattern: Some(pattern.into()), access_point: None }
+    }
+    fn port(ap: &str) -> Endpoint {
+        Endpoint { file_pattern: None, access_point: Some(ap.into()) }
+    }
+
+    fn tm(jm: &JobMaster, task: TaskId) -> &TaskMaster {
+        jm.tms[task.0 as usize].as_ref().expect("task was built")
+    }
+
+    /// A recovered JobMaster's tasks are the cold-built ones plus what the
+    /// snapshot knows: same chunks, shuffle reads and size-driven compute
+    /// time, for a task fed from the DFS and for one fed by a shuffle.
+    #[test]
+    fn recovered_tasks_equal_the_cold_built_ones() {
+        let topo = Arc::new(TopologyBuilder::new().uniform(2, 2, MachineSpec::default()).build());
+        let pangu = PanguHandle::new(7);
+        // Six chunks over four maps: the round-robin is uneven.
+        pangu.create("in/part-0", 6.0 * 256.0, 256.0, 3, &topo);
+        let map = TaskDesc {
+            data_driven: true,
+            output_mb_per_instance: 32.0,
+            ..TaskDesc::synthetic(4, 1.0)
+        };
+        let reduce = TaskDesc { data_driven: true, ..TaskDesc::synthetic(2, 2.0) };
+        let desc = JobDesc {
+            tasks: [("map".to_owned(), map), ("reduce".to_owned(), reduce)].into(),
+            pipes: vec![
+                pipe(file("pangu://in/*"), port("map:input")),
+                pipe(port("map:shuffle"), port("reduce:shuffle")),
+            ],
+        };
+        let store = StoreHandle::new();
+        let new_jm = move || {
+            let mut jm = JobMaster::new(
+                AppId(1),
+                JobId(1),
+                JobMasterConfig::default(),
+                NameRegistry::new(),
+                store.clone(),
+                pangu.clone(),
+                topo.clone(),
+                desc.to_json(),
+                ResourceVec::cores_mb(1, 2048),
+                false,
+            );
+            jm.parse_and_build().expect("valid description");
+            jm
+        };
+        let ran = Rc::new(Cell::new(false));
+        let ran_in = ran.clone();
+        let scenario = move |ctx: &mut Ctx<'_, Msg>| {
+            // What a restarted JobMaster makes of `cold`'s state, through
+            // the store as in production.
+            let recovered = |ctx: &mut Ctx<'_, Msg>, cold: &JobMaster| {
+                cold.build_snapshot().save(&cold.store);
+                let mut jm = new_jm();
+                let snap = JobSnapshot::load(&jm.store, jm.job).expect("just saved");
+                jm.recover(ctx, snap);
+                jm
+            };
+            let mut cold = new_jm();
+            let graph = cold.graph.as_ref().unwrap();
+            let (map, reduce) = (graph.by_name("map").unwrap(), graph.by_name("reduce").unwrap());
+
+            // Started, nothing has run: equal field for field.
+            cold.start_task(ctx, map);
+            let rec = recovered(ctx, &cold);
+            assert_eq!(tm(&rec, map).instances, tm(&cold, map).instances);
+            assert_eq!(tm(&rec, map).instances[0].compute_s, 1.0 + 512.0 / 100.0);
+            assert_eq!(tm(&rec, map).instances[3].compute_s, 1.0 + 256.0 / 100.0);
+            assert_eq!(tm(&rec, map).pending_count(), 4);
+            assert_eq!(tm(&rec, map).locality_hints(16), tm(&cold, map).locality_hints(16));
+            assert_eq!(rec.req_states[&UnitId(map.0)].def, cold.req_states[&UnitId(map.0)].def);
+            assert!(rec.tms[reduce.0 as usize].is_none(), "not started, not built");
+
+            // Every map instance runs on a machine of its own; the reduce
+            // starts on their outputs.
+            let t = cold.tms[map.0 as usize].as_mut().unwrap();
+            for w in 0..4 {
+                t.worker_registered(WorkerId(w), MachineId(w as u32));
+            }
+            for a in t.try_assign(ctx.now(), &cold.blacklist) {
+                t.attempt_succeeded(a.worker, a.instance.index, a.attempt, 3.5);
+                t.remove_worker(a.worker);
+            }
+            cold.finish_task(ctx, map);
+            let rec = recovered(ctx, &cold);
+            assert!(rec.finished_tasks.contains(&map));
+            assert_eq!(tm(&rec, reduce).instances, tm(&cold, reduce).instances);
+            assert_eq!(tm(&rec, reduce).instances[0].shuffle_reads.len(), 4);
+            assert_eq!(tm(&rec, reduce).instances[0].compute_s, 2.0 + 64.0 / 100.0);
+            assert_eq!(tm(&rec, reduce).pending_count(), 2);
+            // The finished task: done where it ran, nothing left to assign
+            // (attempt numbering of a done instance is not carried).
+            for (r, c) in tm(&rec, map).instances.iter().zip(&tm(&cold, map).instances) {
+                assert_eq!(
+                    (r.compute_s, &r.input_chunks, r.state, r.output_machine, r.runtime_s),
+                    (c.compute_s, &c.input_chunks, c.state, c.output_machine, c.runtime_s)
+                );
+                assert_eq!(r.state, InstState::Done);
+            }
+            assert_eq!(tm(&rec, map).pending_count(), 0);
+            assert!(tm(&rec, map).is_complete());
+            ran_in.set(true);
+        };
+        let mut world: World<Msg> = World::new(WorldConfig::uniform(4, 2, 5));
+        world.spawn(Some(0), Box::new(WithCtx(Some(scenario))));
+        world.run_until(SimTime::from_secs(1));
+        assert!(ran.get(), "the scenario ran");
     }
 }

@@ -9,54 +9,58 @@
 //! Status changes mark the snapshot dirty; a short coalescing timer writes
 //! it, bounding overhead for tasks with tens of thousands of instances
 //! while preserving the event-driven semantics.
+//!
+//! A snapshot holds only what a restarted JobMaster cannot work out again
+//! from the job description and the DFS: which instances are done and
+//! where their output lives, the attempt numbers handed out, and the
+//! workers to ask. Everything else is rebuilt by the one task builder a
+//! fresh JobMaster uses, and [`TaskMaster::restore`] overlays these rows
+//! on the result. Rows are in the protocol's own id types (transparent on
+//! the wire) and stay tuples, so a row costs its numbers and nothing else.
+//!
+//! [`TaskMaster::restore`]: crate::task_master::TaskMaster::restore
 
+use crate::task_master::InstState;
 use fuxi_apsara::StoreHandle;
+use fuxi_proto::{JobId, MachineId, TaskId, WorkerId};
+use fuxi_sim::ActorId;
 use serde::{Deserialize, Serialize};
 
-/// Instance status byte.
-pub const INST_PENDING: u8 = 0;
-/// Inst running.
-pub const INST_RUNNING: u8 = 1;
-/// Inst done.
-pub const INST_DONE: u8 = 2;
-
-/// One task's snapshotted state.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Default)]
+/// One started task's snapshotted state.
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct TaskSnapshot {
     /// Task id.
-    pub task: u32,
-    /// When the attempt started.
-    pub started: bool,
-    /// Instances completed so far.
+    pub task: TaskId,
+    /// Every instance is done and the task's containers were released.
     pub finished: bool,
     /// One status byte per instance.
-    pub instance_status: Vec<u8>,
-    /// `(instance, machine, output_mb, runtime_s)` for done instances —
-    /// needed to rebuild downstream shuffle inputs after recovery.
-    pub outputs: Vec<(u32, u32, f64, f64)>,
+    pub instance_status: Vec<InstState>,
+    /// `(instance, machine, runtime_s)` for done instances — where the
+    /// output lives (downstream shuffle inputs are rebuilt from it) and
+    /// how long the winning attempt ran.
+    pub outputs: Vec<(u32, MachineId, f64)>,
     /// `(instance, attempt, worker)` for running attempts.
-    pub running: Vec<(u32, u32, u64)>,
+    pub running: Vec<(u32, u32, WorkerId)>,
 }
 
 /// The whole job snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Default)]
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct JobSnapshot {
     /// Job id.
-    pub job: u32,
-    /// Application id.
-    pub app: u32,
-    /// Tasks of the job.
+    pub job: JobId,
+    /// The tasks started so far.
     pub tasks: Vec<TaskSnapshot>,
     /// `(worker, task, machine, actor)` — live containers and how to reach
-    /// them for status collection after a restart.
-    pub workers: Vec<(u64, u32, u32, u32)>,
+    /// them for status collection after a restart (no actor: the worker's
+    /// address was not yet known).
+    pub workers: Vec<(WorkerId, TaskId, MachineId, Option<ActorId>)>,
     /// Worker-id allocator state, so restarts never reuse an id.
     pub next_worker: u64,
 }
 
 impl JobSnapshot {
-    fn key(job: u32) -> String {
-        format!("jobsnap/{job}")
+    fn key(job: JobId) -> String {
+        format!("jobsnap/{}", job.0)
     }
 
     /// Save.
@@ -65,12 +69,12 @@ impl JobSnapshot {
     }
 
     /// Load.
-    pub fn load(store: &StoreHandle, job: u32) -> Option<JobSnapshot> {
+    pub fn load(store: &StoreHandle, job: JobId) -> Option<JobSnapshot> {
         store.get_json(&Self::key(job))
     }
 
     /// Delete.
-    pub fn delete(store: &StoreHandle, job: u32) {
+    pub fn delete(store: &StoreHandle, job: JobId) {
         store.delete(&Self::key(job));
     }
 }
@@ -81,18 +85,19 @@ mod tests {
 
     fn sample() -> JobSnapshot {
         JobSnapshot {
-            job: 7,
-            app: 3,
+            job: JobId(7),
             tasks: vec![TaskSnapshot {
-                task: 0,
-                started: true,
+                task: TaskId(0),
                 finished: false,
-                instance_status: vec![INST_DONE, INST_RUNNING, INST_PENDING],
-                outputs: vec![(0, 12, 64.0, 30.5)],
-                running: vec![(1, 0, 42)],
+                instance_status: vec![InstState::Done, InstState::Running, InstState::Pending],
+                outputs: vec![(0, MachineId(12), 30.5)],
+                running: vec![(1, 0, WorkerId(42))],
             }],
-            workers: vec![(42, 0, 12, 901)],
-            next_worker: 43,
+            workers: vec![
+                (WorkerId(42), TaskId(0), MachineId(12), Some(ActorId(901))),
+                (WorkerId(43), TaskId(0), MachineId(3), None),
+            ],
+            next_worker: 44,
         }
     }
 
@@ -101,10 +106,10 @@ mod tests {
         let store = StoreHandle::new();
         let snap = sample();
         snap.save(&store);
-        assert_eq!(JobSnapshot::load(&store, 7), Some(snap));
-        assert_eq!(JobSnapshot::load(&store, 8), None);
-        JobSnapshot::delete(&store, 7);
-        assert_eq!(JobSnapshot::load(&store, 7), None);
+        assert_eq!(JobSnapshot::load(&store, JobId(7)), Some(snap));
+        assert_eq!(JobSnapshot::load(&store, JobId(8)), None);
+        JobSnapshot::delete(&store, JobId(7));
+        assert_eq!(JobSnapshot::load(&store, JobId(7)), None);
     }
 
     #[test]
@@ -113,13 +118,11 @@ mod tests {
         // rows, not full instance descriptions.
         let store = StoreHandle::new();
         let snap = JobSnapshot {
-            job: 1,
-            app: 1,
+            job: JobId(1),
             tasks: vec![TaskSnapshot {
-                task: 0,
-                started: true,
+                task: TaskId(0),
                 finished: false,
-                instance_status: vec![INST_DONE; 10_000],
+                instance_status: vec![InstState::Done; 10_000],
                 outputs: Vec::new(), // trimmed for the size check
                 running: vec![],
             }],

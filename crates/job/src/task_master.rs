@@ -15,6 +15,7 @@
 use crate::backup::{should_backup, BackupConfig, RuntimeStats};
 use crate::blacklist::JobBlacklist;
 use crate::desc::TaskDesc;
+use crate::snapshot::TaskSnapshot;
 use fuxi_apsara::pangu::Chunk;
 use fuxi_proto::{InstanceId, InstanceWork, MachineId, TaskId, WorkerId};
 use fuxi_sim::SimTime;
@@ -22,17 +23,37 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Instance lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum InstState {
     /// Pending.
-    Pending,
+    Pending = 0,
     /// Running.
-    Running,
+    Running = 1,
     /// Done.
-    Done,
+    Done = 2,
+}
+
+// Manual (not derived) so the serialised form is the discriminant, not the
+// variant's name: a job snapshot holds one of these per instance.
+impl serde::Serialize for InstState {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::UInt(*self as u64)
+    }
+}
+
+impl serde::Deserialize for InstState {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        match u8::from_value(v)? {
+            0 => Ok(InstState::Pending),
+            1 => Ok(InstState::Running),
+            2 => Ok(InstState::Done),
+            n => Err(serde::DeError::custom(format_args!("no instance state {n}"))),
+        }
+    }
 }
 
 /// One live attempt of an instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Attempt {
     /// Attempt number.
     pub attempt: u32,
@@ -47,7 +68,7 @@ pub struct Attempt {
 }
 
 /// Runtime state of one instance.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct InstanceRt {
     /// Input chunks (for DFS-fed tasks); the preferred replica is chosen
     /// per-worker at assignment time.
@@ -177,6 +198,60 @@ impl TaskMaster {
         counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         counts.truncate(cap);
         counts
+    }
+
+    // ------------------------------------------------------------------
+    // Snapshot & restore
+    // ------------------------------------------------------------------
+
+    /// What a restarted JobMaster cannot work out again: which instances
+    /// are done, where their output lives and how long they ran, and the
+    /// attempts now running.
+    pub fn snapshot(&self, finished: bool) -> TaskSnapshot {
+        let mut snap = TaskSnapshot {
+            task: self.task,
+            finished,
+            instance_status: self.instances.iter().map(|i| i.state).collect(),
+            outputs: Vec::new(),
+            running: Vec::new(),
+        };
+        for (idx, inst) in self.instances.iter().enumerate() {
+            if let (InstState::Done, Some(m)) = (inst.state, inst.output_machine) {
+                snap.outputs.push((idx as u32, m, inst.runtime_s.unwrap_or(0.0)));
+            }
+            for a in &inst.attempts {
+                snap.running.push((idx as u32, a.attempt, a.worker));
+            }
+        }
+        snap
+    }
+
+    /// Overlays a snapshot on a freshly built task, before anything is
+    /// assigned: done instances are done again, attempt numbering resumes
+    /// past every attempt the snapshot saw. Instances that were running
+    /// stay pending unless a live worker confirms them during the
+    /// JobMaster's recovery window.
+    pub fn restore(&mut self, snap: &TaskSnapshot) {
+        for (inst, &state) in self.instances.iter_mut().zip(&snap.instance_status) {
+            if state == InstState::Done {
+                inst.state = InstState::Done;
+                self.finished += 1;
+            }
+        }
+        for &(idx, machine, runtime_s) in &snap.outputs {
+            if let Some(inst) = self.instances.get_mut(idx as usize) {
+                inst.output_machine = Some(machine);
+                inst.runtime_s = Some(runtime_s);
+                self.stats.record(runtime_s);
+            }
+        }
+        for &(idx, attempt, _) in &snap.running {
+            if let Some(inst) = self.instances.get_mut(idx as usize) {
+                inst.next_attempt = inst.next_attempt.max(attempt + 1);
+            }
+        }
+        let instances = &self.instances;
+        self.pending.retain(|&i| instances[i as usize].state == InstState::Pending);
     }
 
     // ------------------------------------------------------------------

@@ -6,9 +6,7 @@
 
 use fuxi_agent::ProcMeta;
 use fuxi_proto::msg::WorkerSpec;
-use fuxi_proto::{
-    AppId, FailReason, InstanceId, InstanceOutcome, InstanceWork, MachineId, Msg, UnitId, WorkerId,
-};
+use fuxi_proto::{FailReason, InstanceId, InstanceOutcome, InstanceWork, MachineId, Msg};
 use fuxi_sim::{Actor, ActorId, Ctx, FlowKind, FlowSpec, SimDuration, SimTime, TraceId};
 
 /// Worker tuning.
@@ -60,12 +58,9 @@ struct Exec {
 
 /// Worker actor address.
 pub struct TaskWorker {
-    app: AppId,
-    worker: WorkerId,
-    unit: UnitId,
-    limit: fuxi_proto::ResourceVec,
-    usage_factor: f64,
-    master: ActorId,
+    /// What the worker was launched with. `spec.master` is where it reports
+    /// *now*: a restarted JobMaster's status query moves it.
+    spec: WorkerSpec,
     cfg: WorkerConfig,
     current: Option<Exec>,
     /// Bumped on every assignment/abort; embedded in timers and flow tags.
@@ -84,12 +79,7 @@ impl TaskWorker {
     /// From spec.
     pub fn from_spec(spec: &WorkerSpec, cfg: WorkerConfig) -> Self {
         Self {
-            app: spec.app,
-            worker: spec.worker,
-            unit: spec.unit,
-            limit: spec.limit.clone(),
-            usage_factor: spec.usage_factor,
-            master: spec.master,
+            spec: spec.clone(),
             cfg,
             current: None,
             generation: 0,
@@ -186,14 +176,14 @@ impl TaskWorker {
         ctx.cancel_own_flows();
         let runtime = ctx.now().since(exec.started).as_secs_f64();
         let msg = Msg::InstanceFinished {
-            worker: self.worker,
+            worker: self.spec.worker,
             instance: exec.instance,
             attempt: exec.attempt,
             outcome,
             runtime_s: runtime,
         };
         self.unacked = Some(msg.clone());
-        ctx.send(self.master, msg);
+        ctx.send(self.spec.master, msg);
     }
 
     fn progress(&self, now: SimTime) -> f64 {
@@ -211,21 +201,13 @@ impl TaskWorker {
     /// restarted agent can adopt this worker, Section 4.3.1) and register
     /// with the master.
     fn come_online(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let meta = ProcMeta::Worker {
-            app: self.app,
-            worker: self.worker,
-            unit: self.unit,
-            limit: self.limit.clone(),
-            master: self.master.0,
-            usage_factor: self.usage_factor,
-        };
-        ctx.register_proc(meta.encode());
+        ctx.register_proc(ProcMeta::Worker(self.spec.clone()).encode());
         let machine = MachineId(self.machine(ctx));
         ctx.send(
-            self.master,
+            self.spec.master,
             Msg::WorkerRegister {
-                app: self.app,
-                worker: self.worker,
+                app: self.spec.app,
+                worker: self.spec.worker,
                 machine,
             },
         );
@@ -263,9 +245,9 @@ impl Actor<Msg> for TaskWorker {
                 if self.current.is_some() {
                     // Already busy (stale assignment after a race): refuse.
                     ctx.send(
-                        self.master,
+                        self.spec.master,
                         Msg::InstanceFinished {
-                            worker: self.worker,
+                            worker: self.spec.worker,
                             instance,
                             attempt,
                             outcome: InstanceOutcome::Failed(FailReason::Killed),
@@ -298,15 +280,15 @@ impl Actor<Msg> for TaskWorker {
                 ctx.send(
                     from,
                     Msg::WorkerStatusReply {
-                        app: self.app,
-                        worker: self.worker,
+                        app: self.spec.app,
+                        worker: self.spec.worker,
                         machine,
                         running,
                     },
                 );
                 // A status query comes from a restarted JobMaster: report
                 // there from now on.
-                self.master = from;
+                self.spec.master = from;
             }
             Msg::FlowDone { tag, failed } => {
                 if tag != self.generation {
@@ -354,9 +336,9 @@ impl Actor<Msg> for TaskWorker {
                 if let Some(exec) = &self.current {
                     let p = self.progress(ctx.now());
                     ctx.send(
-                        self.master,
+                        self.spec.master,
                         Msg::InstanceReport {
-                            worker: self.worker,
+                            worker: self.spec.worker,
                             instance: exec.instance,
                             attempt: exec.attempt,
                             progress: p,
@@ -365,15 +347,15 @@ impl Actor<Msg> for TaskWorker {
                 } else if let Some(msg) = self.unacked.clone() {
                     // The result may have been lost in transit; repeat it
                     // (the master handles duplicates idempotently).
-                    ctx.send(self.master, msg);
+                    ctx.send(self.spec.master, msg);
                 } else if !self.ever_assigned {
                     // Registration may have been lost; repeat it.
                     let machine = MachineId(self.machine(ctx));
                     ctx.send(
-                        self.master,
+                        self.spec.master,
                         Msg::WorkerRegister {
-                            app: self.app,
-                            worker: self.worker,
+                            app: self.spec.app,
+                            worker: self.spec.worker,
                             machine,
                         },
                     );
@@ -411,7 +393,7 @@ impl Actor<Msg> for TaskWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fuxi_proto::ResourceVec;
+    use fuxi_proto::{AppId, ResourceVec, UnitId, WorkerId};
     use fuxi_sim::{World, WorldConfig};
     use std::cell::RefCell;
     use std::rc::Rc;

@@ -407,35 +407,26 @@ fn queued<T: serde::de::DeserializeOwned>(
     of_type.filter_map(|(_, payload)| wire::decode_payload(PROTO_VERSION, payload).ok())
 }
 
-/// Configuration for a leaf's dial/redial loop.
+/// Who a leaf says it is when it dials the hub.
 #[derive(Debug, Clone)]
 pub struct LeafConfig {
     /// Node name for HELLO (diagnostics).
     pub node: String,
     /// This node's topology index (owns id window `index << 24`).
     pub node_index: u32,
-    /// Initial redial delay.
-    pub backoff_base: Duration,
-    /// Redial delay cap.
-    pub backoff_max: Duration,
-    /// Exit the process when the hub stays unreachable this long
-    /// (orphaned-child protection for the test driver); `None` retries
-    /// forever.
-    pub give_up_after: Option<Duration>,
 }
 
 impl LeafConfig {
-    /// Defaults: 50 ms base, 2 s cap, never give up.
+    /// A leaf named `node` at topology index `node_index`.
     pub fn new(node: &str, node_index: u32) -> Self {
-        Self {
-            node: node.to_owned(),
-            node_index,
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_secs(2),
-            give_up_after: None,
-        }
+        Self { node: node.to_owned(), node_index }
     }
 }
+
+/// Initial redial delay.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Redial delay cap.
+const BACKOFF_MAX: Duration = Duration::from_secs(2);
 
 /// The leaf half: one supervised connection to the hub.
 pub struct LeafSupervisor {
@@ -477,7 +468,6 @@ impl LeafSupervisor {
             .name(format!("leaf-{}", cfg.node))
             .spawn(move || {
                 let (mut attempt, mut epoch) = (0u32, 0u64);
-                let mut down_since = Instant::now();
                 // Frames taken off the queue by a re-sync, not yet sent.
                 let mut unsent: VecDeque<OutFrame> = VecDeque::new();
                 loop {
@@ -492,14 +482,9 @@ impl LeafSupervisor {
                         Ok(ok) => ok,
                         Err(_) => {
                             attempt += 1;
-                            if let Some(limit) = cfg.give_up_after {
-                                if down_since.elapsed() > limit {
-                                    std::process::exit(3);
-                                }
-                            }
                             std::thread::sleep(backoff_delay(
-                                cfg.backoff_base,
-                                cfg.backoff_max,
+                                BACKOFF_BASE,
+                                BACKOFF_MAX,
                                 attempt,
                                 u64::from(cfg.node_index) << 32 | u64::from(attempt),
                             ));
@@ -560,7 +545,6 @@ impl LeafSupervisor {
                     }
                     drop(transport); // closes our half; unblocks the reader
                     let _ = reader_thread.join();
-                    down_since = Instant::now();
                 }
             })
             .expect("spawn leaf dial loop");

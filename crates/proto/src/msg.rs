@@ -175,13 +175,6 @@ pub enum Msg {
     // ------------------------------------------------------------------
     // FuxiAgent ↔ FuxiMaster
     // ------------------------------------------------------------------
-    /// Agent announces itself (on boot and after agent failover).
-    AgentHello {
-        /// Machine index.
-        machine: MachineId,
-        /// Total schedulable resources of the machine.
-        total: ResourceVec,
-    },
     /// Periodic liveness + health telemetry.
     AgentHeartbeat {
         /// Machine index.
@@ -231,9 +224,12 @@ pub enum Msg {
         /// The agent- or job-level payload.
         report: fuxi_obs::MetricsReport,
     },
-    /// FA → FM during master failover: full per-app allocation on this
-    /// machine (Figure 7: "each FuxiAgent re-sends the resource allocation
-    /// on this machine for each application master").
+    /// FA → FM whenever the agent meets a master it has not reported to —
+    /// on boot, after its own restart, after master failover: full per-app
+    /// allocation on this machine (Figure 7: "each FuxiAgent re-sends the
+    /// resource allocation on this machine for each application master").
+    /// This is also how an agent joins: a master outside a rebuild answers
+    /// with the envelope on its books ([`Msg::AgentCapacitySnapshot`]).
     AgentAllocationReport {
         /// Machine index.
         machine: MachineId,

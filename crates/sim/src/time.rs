@@ -58,7 +58,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// From secs.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
     }
 
@@ -68,7 +68,7 @@ impl SimDuration {
     }
 
     /// From millis.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000)
     }
 

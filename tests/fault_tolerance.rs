@@ -82,6 +82,50 @@ fn jobmaster_failover_recovers_from_snapshot() {
     assert!(m.counter("jm.recovery_done") >= 1);
 }
 
+/// A recovered JobMaster builds its instances the way a fresh one does:
+/// 40 maps over one 1,600 MB chunk each compute for 16 s (size-driven,
+/// `duration_s` 0) whether or not the JobMaster died in between. Recovery
+/// can only add its window and a relaunch, never remove compute.
+#[test]
+fn jobmaster_failover_keeps_data_driven_compute_time() {
+    let run = |kill: bool| {
+        let mut c = cluster(23, 10, false);
+        c.pangu.create("sort/in", 40.0 * 1600.0, 1600.0, 3, &c.topo);
+        let desc = wordcount_job(&MapReduceParams {
+            maps: 40,
+            reduces: 2,
+            map_duration_s: 0.0,
+            reduce_duration_s: 0.0,
+            jitter: 0.0,
+            input_pattern: Some("pangu://sort/*".into()),
+            data_driven: true,
+            max_workers: 8,
+            binary_mb: 50.0,
+            ..Default::default()
+        });
+        let j = c.submit(&desc, &SubmitOpts::default());
+        c.run_for(SimDuration::from_secs(25));
+        assert!(c.job_done(j).is_none(), "job still running at 25 s");
+        if kill {
+            let (_m, jm_actor) = c.find_jobmaster(j).expect("JobMaster is running somewhere");
+            c.world.kill_actor(jm_actor);
+        }
+        let (ok, at) = c
+            .run_until_job_done(j, SimTime::from_secs(2000))
+            .expect("job finishes");
+        assert!(ok);
+        (at, c.world.metrics().counter("jm.recoveries"))
+    };
+    let (untouched, recoveries) = run(false);
+    assert_eq!(recoveries, 0);
+    let (killed, recoveries) = run(true);
+    assert_eq!(recoveries, 1, "snapshot recovery ran once");
+    assert!(
+        killed >= 0.9 * untouched,
+        "recovery dropped compute: finished at {killed:.1} s against {untouched:.1} s left alone"
+    );
+}
+
 #[test]
 fn agent_failover_adopts_running_workers() {
     let mut c = cluster(24, 6, false);
