@@ -6,7 +6,8 @@ use fuxi_apsara::naming::MasterWatch;
 use fuxi_apsara::NameRegistry;
 use fuxi_proto::msg::{AppDescription, WorkerSpec};
 use fuxi_proto::{
-    AppId, FailReason, JobId, MachineId, Msg, NodeHealthReport, ResourceVec, UnitId, WorkerId,
+    AppId, FailReason, JobId, MachineId, Msg, NodeHealthReport, ResourceVec, StartFailure, UnitId,
+    WorkerId,
 };
 use fuxi_sim::{Actor, ActorId, Ctx, FlowKind, FlowSpec, SimDuration, TraceEvent, TraceId};
 use rand::Rng;
@@ -61,18 +62,40 @@ const GRACE_BASE: u64 = 1 << 32;
 /// any drift from lost CapacityNotify messages).
 const ENVELOPE_REFRESH_BEATS: u32 = 15;
 
+/// How often a parked start is retried before it fails for capacity.
+const PARK_RETRIES: u32 = 3;
+const PARK_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
+/// One worker this agent was asked to start, from `StartWorker` (or
+/// adoption) until it stops, fails or exits: the row is inserted once and
+/// removed once, whatever stage it has reached.
 #[derive(Debug)]
 struct WorkerRt {
     spec: WorkerSpec,
-    actor: Option<ActorId>,
     /// Causal trace captured when the launch request arrived. Downloads and
     /// retry timers reset the ambient trace, so it is stored, not inherited.
     trace: TraceId,
+    stage: Stage,
 }
 
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// The request arrived before the matching `CapacityNotify` (the
+    /// FM→AM→FA path can beat the FM→FA path): retried `attempts` times so
+    /// far, failed for capacity after [`PARK_RETRIES`].
+    Parked { attempts: u32 },
+    /// Within the envelope; waiting for its app's binary download.
+    Fetching,
+    /// The process runs.
+    Running(ActorId),
+}
+
+/// A download in flight, by flow tag.
 enum PendingLaunch {
     Master { launch: MasterLaunch, trace: TraceId },
-    Worker { spec: WorkerSpec, trace: TraceId },
+    /// The worker binary of an app; every `Fetching` row of the app waits
+    /// for it.
+    WorkerBinary(AppId),
 }
 
 /// The per-machine agent actor.
@@ -95,16 +118,10 @@ pub struct FuxiAgent {
     pending: BTreeMap<u64, PendingLaunch>,
     next_tag: u64,
     launch_failures_since_hb: u32,
-    /// StartWorker requests that arrived before the matching
-    /// CapacityNotify (the FM→AM→FA path can beat the FM→FA path);
-    /// retried a few times before failing.
-    parked: Vec<(WorkerSpec, u32, TraceId)>,
     beats: u32,
     /// Apps whose worker binary is already on local disk: container reuse
     /// means one download per (machine, app), not one per worker.
     binary_cache: BTreeSet<AppId>,
-    /// Workers waiting for an in-flight download of their app's binary.
-    download_waiters: BTreeMap<AppId, Vec<(WorkerSpec, TraceId)>>,
     /// Cumulative counters mirrored into each metrics report. Cumulative —
     /// not per-interval — so a dropped report never loses events: the
     /// master diffs successive values.
@@ -139,10 +156,8 @@ impl FuxiAgent {
             pending: BTreeMap::new(),
             next_tag: 1,
             launch_failures_since_hb: 0,
-            parked: Vec::new(),
             beats: 0,
             binary_cache: BTreeSet::new(),
-            download_waiters: BTreeMap::new(),
             worker_starts: 0,
             worker_exits: 0,
             launch_failures_total: 0,
@@ -181,11 +196,20 @@ impl FuxiAgent {
         }
     }
 
+    fn any_parked(&self) -> bool {
+        self.workers.values().any(|w| matches!(w.stage, Stage::Parked { .. }))
+    }
+
+    /// The rows whose process runs.
+    fn running(&self) -> impl Iterator<Item = &WorkerRt> {
+        self.workers.values().filter(|w| matches!(w.stage, Stage::Running(_)))
+    }
+
     /// What the machine's processes consume right now: each worker's real
     /// usage plus the JobMasters' reservations.
     fn usage(&self) -> ResourceVec {
         let mut usage = ResourceVec::ZERO;
-        for w in self.workers.values() {
+        for w in self.running() {
             usage.add(&proc_usage(&w.spec).usage());
         }
         for (_, _, res) in self.jms.values() {
@@ -219,7 +243,7 @@ impl FuxiAgent {
             total_mem_mb: self.total.memory_mb(),
             used_cpu_milli: usage.cpu_milli(),
             used_mem_mb: usage.memory_mb(),
-            workers: self.workers.len() as u32,
+            workers: self.running().count() as u32,
             worker_starts: self.worker_starts,
             worker_exits: self.worker_exits,
             launch_failures: self.launch_failures_total,
@@ -299,59 +323,82 @@ impl FuxiAgent {
                     );
                 }
             }
-            PendingLaunch::Worker { spec, trace } => {
-                let app = spec.app;
-                let waiters = self.download_waiters.remove(&app).unwrap_or_default();
-                if failed || !ctx.launch_ok(self.m()) {
-                    self.launch_failures_since_hb += 1;
-                    for (s, t) in
-                        std::iter::once((&spec, trace)).chain(waiters.iter().map(|(s, t)| (s, *t)))
-                    {
-                        ctx.metrics().count("fa.worker_launch_failed", 1);
-                        ctx.send_traced(
-                            s.master,
-                            Msg::WorkerStartFailed {
-                                worker: s.worker,
-                                machine: self.machine,
-                                reason: "launch failed".into(),
-                            },
-                            t,
-                        );
+            PendingLaunch::WorkerBinary(app) => {
+                let ok = !failed && ctx.launch_ok(self.m());
+                if ok {
+                    self.binary_cache.insert(app);
+                }
+                // Only the rows still here: a worker stopped while its
+                // binary was in flight starts nothing (the binary stays).
+                let waiting: Vec<WorkerId> = (self.workers.iter())
+                    .filter(|(_, w)| w.spec.app == app && matches!(w.stage, Stage::Fetching))
+                    .map(|(&id, _)| id)
+                    .collect();
+                for worker in waiting {
+                    if ok {
+                        self.spawn_worker(ctx, worker);
+                    } else {
+                        self.fail_launch(ctx, worker, StartFailure::Machine);
                     }
-                    return;
-                }
-                self.binary_cache.insert(app);
-                self.spawn_worker(ctx, spec, trace);
-                for (s, t) in waiters {
-                    self.spawn_worker(ctx, s, t);
                 }
             }
         }
     }
 
-    /// Starts a worker, downloading its app's binary only if this machine
-    /// has not fetched it yet (one download per app per machine — the
-    /// local package cache every production agent keeps).
-    fn start_or_download(&mut self, ctx: &mut Ctx<'_, Msg>, spec: WorkerSpec, trace: TraceId) {
-        if self.binary_cache.contains(&spec.app) {
-            self.spawn_worker(ctx, spec, trace);
-            return;
+    /// Moves a parked row forward if the envelope now has room for it:
+    /// to a running process when its app's binary is on local disk, else
+    /// behind the one download of it (one per app per machine — the local
+    /// package cache every production agent keeps). Returns `false` while
+    /// the row stays parked.
+    fn try_start(&mut self, ctx: &mut Ctx<'_, Msg>, worker: WorkerId) -> bool {
+        let spec = &self.workers[&worker].spec;
+        let (app, unit, size) = (spec.app, spec.unit, spec.binary_mb);
+        // Resource capacity ensurance: only start within the envelope.
+        if self.running_count(app, unit) >= self.envelope.allowed(app, unit) {
+            return false;
         }
-        match self.download_waiters.get_mut(&spec.app) {
-            Some(waiters) => waiters.push((spec, trace)),
-            None => {
-                // First worker of this app here: fetch the binary; others
-                // queue behind the same download.
-                self.download_waiters.insert(spec.app, Vec::new());
-                let size = spec.binary_mb;
-                self.begin_download(ctx, size, PendingLaunch::Worker { spec, trace });
+        if !ctx.launch_ok(self.m()) {
+            self.fail_launch(ctx, worker, StartFailure::Machine);
+        } else if self.binary_cache.contains(&app) {
+            self.spawn_worker(ctx, worker);
+        } else {
+            self.workers.get_mut(&worker).expect("looked up above").stage = Stage::Fetching;
+            let fetching = |p: &PendingLaunch| matches!(p, PendingLaunch::WorkerBinary(a) if *a == app);
+            if !self.pending.values().any(fetching) {
+                self.begin_download(ctx, size, PendingLaunch::WorkerBinary(app));
             }
         }
+        true
     }
 
-    fn spawn_worker(&mut self, ctx: &mut Ctx<'_, Msg>, spec: WorkerSpec, trace: TraceId) {
-        // The worker actor's `on_start` and the WorkerStarted reply both
-        // belong to the job's causal chain.
+    /// The one way a launch fails: the row goes and the worker's master
+    /// hears why.
+    fn fail_launch(&mut self, ctx: &mut Ctx<'_, Msg>, worker: WorkerId, reason: StartFailure) {
+        let rt = self.workers.remove(&worker).expect("only rows on the books fail");
+        match reason {
+            StartFailure::Machine => {
+                self.launch_failures_since_hb += 1;
+                ctx.metrics().count("fa.worker_launch_failed", 1);
+            }
+            StartFailure::Capacity => ctx.metrics().count("fa.start_rejected_capacity", 1),
+        }
+        ctx.send_traced(
+            rt.spec.master,
+            Msg::WorkerStartFailed { worker, machine: self.machine, reason },
+            rt.trace,
+        );
+    }
+
+    /// Starts the process of a row that waited (parked, or for its binary).
+    fn spawn_worker(&mut self, ctx: &mut Ctx<'_, Msg>, worker: WorkerId) {
+        let rt = self.workers.remove(&worker).expect("only rows on the books are started");
+        self.launch_worker(ctx, rt.spec, rt.trace);
+    }
+
+    /// Starts a worker process. Its master hears of it from the worker
+    /// itself (`WorkerRegister`), as in the paper's workflow.
+    fn launch_worker(&mut self, ctx: &mut Ctx<'_, Msg>, spec: WorkerSpec, trace: TraceId) {
+        // The worker actor's `on_start` belongs to the job's causal chain.
         ctx.set_trace(trace);
         let launch = WorkerLaunch {
             spec: spec.clone(),
@@ -363,14 +410,6 @@ impl FuxiAgent {
             worker: spec.worker.0,
             machine: self.m(),
         });
-        ctx.send(
-            spec.master,
-            Msg::WorkerStarted {
-                worker: spec.worker,
-                actor,
-                machine: self.machine,
-            },
-        );
         self.track_worker(ctx, spec, actor, trace);
         self.worker_starts += 1;
     }
@@ -386,7 +425,7 @@ impl FuxiAgent {
     ) {
         self.sandbox.create(spec.app, spec.worker);
         plan(ctx, &spec.limit, 1.0);
-        self.workers.insert(spec.worker, WorkerRt { spec, actor: Some(actor), trace });
+        self.workers.insert(spec.worker, WorkerRt { spec, trace, stage: Stage::Running(actor) });
     }
 
     /// [`Self::track_worker`]'s counterpart for an application master.
@@ -402,41 +441,30 @@ impl FuxiAgent {
         self.jms.insert(app, (actor, job, res));
     }
 
+    /// Workers of `(app, unit)` that count against its envelope: running
+    /// or fetching, not parked.
     fn running_count(&self, app: AppId, unit: UnitId) -> u64 {
-        let live = self
-            .workers
-            .values()
+        (self.workers.values())
             .filter(|w| w.spec.app == app && w.spec.unit == unit)
-            .count() as u64;
-        let pending = self
-            .pending
-            .values()
-            .filter(|p| match p {
-                PendingLaunch::Worker { spec, .. } => spec.app == app && spec.unit == unit,
-                _ => false,
-            })
-            .count() as u64;
-        let waiting = self
-            .download_waiters
-            .get(&app)
-            .map(|v| v.iter().filter(|(s, _)| s.unit == unit).count() as u64)
-            .unwrap_or(0);
-        live + pending + waiting
+            .filter(|w| !matches!(w.stage, Stage::Parked { .. }))
+            .count() as u64
     }
 
-    /// Removes a worker and records its `worker_exited` event. Returns the
-    /// trace the worker was launched under so callers can tag follow-up
-    /// messages (every removal path funnels through here).
+    /// The one way off the books for a row that did not fail to launch:
+    /// removes it at whatever stage it is and, if its process ran, takes
+    /// that away too and records the `worker_exited` event. Returns the row
+    /// so callers can tell its master under the trace it was launched with.
     fn drop_worker(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         worker: WorkerId,
         kill_actor: bool,
         reason: &'static str,
-    ) -> TraceId {
-        if let Some(rt) = self.workers.remove(&worker) {
+    ) -> Option<WorkerRt> {
+        let rt = self.workers.remove(&worker)?;
+        if let Stage::Running(actor) = rt.stage {
             self.worker_exits += 1;
-            if let (true, Some(actor)) = (kill_actor, rt.actor) {
+            if kill_actor {
                 ctx.kill(actor);
             }
             self.sandbox.destroy(worker);
@@ -450,10 +478,20 @@ impl FuxiAgent {
                     reason,
                 },
             );
-            rt.trace
-        } else {
-            TraceId::NONE
         }
+        Some(rt)
+    }
+
+    /// Drops a worker the agent itself killed and tells its master.
+    fn kill_worker(&mut self, ctx: &mut Ctx<'_, Msg>, worker: WorkerId) {
+        let rt = self.drop_worker(ctx, worker, true, "killed").expect("victims are rows");
+        let exited = Msg::WorkerExited {
+            app: rt.spec.app,
+            worker,
+            machine: self.machine,
+            reason: FailReason::Killed,
+        };
+        ctx.send_traced(rt.spec.master, exited, rt.trace);
     }
 
     // ------------------------------------------------------------------
@@ -503,58 +541,32 @@ impl FuxiAgent {
         // application master does not choose one process to stop, FuxiAgent
         // will kill one process of this application compulsorily."
         loop {
-            let victim = {
-                let mut per_unit: BTreeMap<UnitId, Vec<WorkerId>> = BTreeMap::new();
-                for (id, w) in &self.workers {
-                    if w.spec.app == app {
-                        per_unit.entry(w.spec.unit).or_default().push(*id);
-                    }
-                }
-                let mut v = None;
-                for (unit, mut ids) in per_unit {
-                    let allowed = self.envelope.allowed(app, unit);
-                    if (ids.len() as u64) > allowed {
-                        ids.sort();
-                        v = ids.pop(); // newest (highest id) goes first
-                        break;
-                    }
-                }
-                v
-            };
+            // The newest (highest id) worker of a unit over its envelope.
+            let victim = (self.workers.iter().rev())
+                .filter(|(_, w)| w.spec.app == app && !matches!(w.stage, Stage::Parked { .. }))
+                .find(|(_, w)| self.running_count(app, w.spec.unit) > self.envelope.allowed(app, w.spec.unit))
+                .map(|(&id, _)| id);
             let Some(worker) = victim else { break };
             ctx.metrics().count("fa.capacity_kills", 1);
-            let master = self.workers[&worker].spec.master;
-            let trace = self.drop_worker(ctx, worker, true, "killed");
-            ctx.send_traced(
-                master,
-                Msg::WorkerExited {
-                    app,
-                    worker,
-                    machine: self.machine,
-                    reason: FailReason::Killed,
-                },
-                trace,
-            );
+            self.kill_worker(ctx, worker);
         }
     }
 
     fn sweep(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // 1) Process liveness: restart crashed workers, report dead JMs.
-        let crashed: Vec<WorkerId> = self
-            .workers
-            .iter()
-            .filter(|(_, w)| w.actor.map(|a| !ctx.alive(a)).unwrap_or(true))
+        let crashed: Vec<WorkerId> = (self.workers.iter())
+            .filter(|(_, w)| matches!(w.stage, Stage::Running(a) if !ctx.alive(a)))
             .map(|(&id, _)| id)
             .collect();
         for worker in crashed {
-            let spec = self.workers[&worker].spec.clone();
-            let trace = self.drop_worker(ctx, worker, false, "crashed");
+            let WorkerRt { spec, trace, .. } =
+                self.drop_worker(ctx, worker, false, "crashed").expect("just listed");
             ctx.metrics().count("fa.worker_crashes", 1);
             if ctx.launch_ok(self.m()) {
                 // "FuxiAgent watches the worker's status and restarts it if
                 // it crashes": in place; the master learns the new address
-                // from the WorkerStarted it is about to receive.
-                self.spawn_worker(ctx, spec, trace);
+                // from the fresh process's registration.
+                self.launch_worker(ctx, spec, trace);
             } else {
                 ctx.send_traced(
                     spec.master,
@@ -568,7 +580,7 @@ impl FuxiAgent {
                 );
             }
         }
-        // spawn_worker leaves the last restarted worker's trace ambient;
+        // launch_worker leaves the last restarted worker's trace ambient;
         // the sweeps below tag their sends explicitly.
         ctx.set_trace(TraceId::NONE);
         let dead_jms: Vec<AppId> = self
@@ -593,11 +605,7 @@ impl FuxiAgent {
         }
         // 2) Overload: kill the worst offender until load is acceptable.
         loop {
-            let procs: Vec<ProcUsage> = self
-                .workers
-                .values()
-                .map(|w| proc_usage(&w.spec))
-                .collect();
+            let procs: Vec<ProcUsage> = self.running().map(|w| proc_usage(&w.spec)).collect();
             let mut usage = ResourceVec::ZERO;
             for p in &procs {
                 usage.add(&p.usage());
@@ -609,18 +617,7 @@ impl FuxiAgent {
                 break;
             };
             ctx.metrics().count("fa.overload_kills", 1);
-            let spec = self.workers[&victim].spec.clone();
-            let trace = self.drop_worker(ctx, victim, true, "killed");
-            ctx.send_traced(
-                spec.master,
-                Msg::WorkerExited {
-                    app: spec.app,
-                    worker: victim,
-                    machine: self.machine,
-                    reason: FailReason::Killed,
-                },
-                trace,
-            );
+            self.kill_worker(ctx, victim);
         }
     }
 
@@ -701,6 +698,19 @@ impl Actor<Msg> for FuxiAgent {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
         match msg {
             Msg::StartAppMaster { app, job, desc } => {
+                // The master repeats a launch it has heard nothing of. One
+                // this agent completed is answered again; one still
+                // downloading answers when it is done. Never a second start.
+                if let Some(&(actor, _, _)) = self.jms.get(&app) {
+                    if let Some(fm) = self.fm {
+                        ctx.send(fm, Msg::AppMasterStarted { app, actor, machine: self.machine });
+                    }
+                    return;
+                }
+                let fetching = |p: &PendingLaunch| matches!(p, PendingLaunch::Master { launch, .. } if launch.app == app);
+                if self.pending.values().any(fetching) {
+                    return;
+                }
                 if !ctx.launch_ok(self.m()) {
                     self.launch_failures_since_hb += 1;
                     if let Some(fm) = self.fm {
@@ -733,39 +743,19 @@ impl Actor<Msg> for FuxiAgent {
                 // The request carries the job's trace on its envelope; pin
                 // it now — the launch may detour through a download flow.
                 let trace = ctx.trace_id();
-                // Resource capacity ensurance: only start within the envelope.
-                let allowed = self.envelope.allowed(spec.app, spec.unit);
-                let running = self.running_count(spec.app, spec.unit);
-                if running >= allowed {
-                    // The grant notification may still be in flight; park
-                    // and retry before declaring failure.
+                let worker = spec.worker;
+                let timer_armed = self.any_parked();
+                self.workers.insert(worker, WorkerRt { spec, trace, stage: Stage::Parked { attempts: 0 } });
+                if !self.try_start(ctx, worker) {
+                    // The grant notification may still be in flight; stay
+                    // parked and retry before declaring failure.
                     ctx.metrics().count("fa.start_parked_capacity", 1);
-                    if self.parked.is_empty() {
-                        ctx.timer(SimDuration::from_millis(500), TIMER_PARKED);
+                    if !timer_armed {
+                        ctx.timer(PARK_INTERVAL, TIMER_PARKED);
                     }
-                    self.parked.push((spec, 0, trace));
-                    return;
                 }
-                if !ctx.launch_ok(self.m()) {
-                    self.launch_failures_since_hb += 1;
-                    ctx.metrics().count("fa.worker_launch_failed", 1);
-                    ctx.send(
-                        spec.master,
-                        Msg::WorkerStartFailed {
-                            worker: spec.worker,
-                            machine: self.machine,
-                            reason: "machine cannot launch processes".into(),
-                        },
-                    );
-                    return;
-                }
-                self.start_or_download(ctx, spec, trace);
             }
-            Msg::StopWorker { app, worker } => {
-                if let Some(waiters) = self.download_waiters.get_mut(&app) {
-                    waiters.retain(|(s, _)| s.worker != worker);
-                }
-                self.parked.retain(|(s, _, _)| s.worker != worker);
+            Msg::StopWorker { app: _, worker } => {
                 self.drop_worker(ctx, worker, true, "stopped");
             }
             Msg::CapacityNotify { changes } => {
@@ -785,11 +775,10 @@ impl Actor<Msg> for FuxiAgent {
                 workers,
             } => {
                 // Kill adopted workers the master no longer expects.
-                let expected: Vec<WorkerId> = workers.iter().map(|&(w, _)| w).collect();
                 let stale: Vec<WorkerId> = self
                     .workers
                     .iter()
-                    .filter(|(id, w)| w.spec.app == app && !expected.contains(id))
+                    .filter(|(id, w)| w.spec.app == app && !workers.contains(id))
                     .map(|(&id, _)| id)
                     .collect();
                 for w in stale {
@@ -841,42 +830,25 @@ impl Actor<Msg> for FuxiAgent {
                 ctx.timer(SWEEP_INTERVAL, TIMER_SWEEP);
             }
             TIMER_PARKED => {
-                let parked = std::mem::take(&mut self.parked);
-                for (spec, attempts, trace) in parked {
-                    let allowed = self.envelope.allowed(spec.app, spec.unit);
-                    let running = self.running_count(spec.app, spec.unit);
-                    if running < allowed {
-                        if ctx.launch_ok(self.m()) {
-                            self.start_or_download(ctx, spec, trace);
-                        } else {
-                            self.launch_failures_since_hb += 1;
-                            ctx.send_traced(
-                                spec.master,
-                                Msg::WorkerStartFailed {
-                                    worker: spec.worker,
-                                    machine: self.machine,
-                                    reason: "machine cannot launch processes".into(),
-                                },
-                                trace,
-                            );
-                        }
-                    } else if attempts >= 3 {
-                        ctx.metrics().count("fa.start_rejected_capacity", 1);
-                        ctx.send_traced(
-                            spec.master,
-                            Msg::WorkerStartFailed {
-                                worker: spec.worker,
-                                machine: self.machine,
-                                reason: "insufficient granted capacity".into(),
-                            },
-                            trace,
-                        );
+                let parked: Vec<(WorkerId, u32)> = (self.workers.iter())
+                    .filter_map(|(&id, w)| match w.stage {
+                        Stage::Parked { attempts } => Some((id, attempts)),
+                        _ => None,
+                    })
+                    .collect();
+                for (worker, attempts) in parked {
+                    if self.try_start(ctx, worker) {
+                        continue;
+                    }
+                    if attempts >= PARK_RETRIES {
+                        self.fail_launch(ctx, worker, StartFailure::Capacity);
                     } else {
-                        self.parked.push((spec, attempts + 1, trace));
+                        let w = self.workers.get_mut(&worker).expect("still parked");
+                        w.stage = Stage::Parked { attempts: attempts + 1 };
                     }
                 }
-                if !self.parked.is_empty() {
-                    ctx.timer(SimDuration::from_millis(500), TIMER_PARKED);
+                if self.any_parked() {
+                    ctx.timer(PARK_INTERVAL, TIMER_PARKED);
                 }
             }
             t if t >= GRACE_BASE => {
@@ -982,6 +954,17 @@ mod tests {
         );
     }
 
+    /// Worker processes the agent started, by worker id (the agent tells
+    /// nobody: a real worker registers with its master itself).
+    fn started(h: &Harness) -> Vec<u64> {
+        (h.world.tracer().records.iter())
+            .filter_map(|r| match r.event {
+                TraceEvent::WorkerStarted { worker, .. } => Some(worker),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn agent_reports_in_and_heartbeats() {
         let mut h = setup();
@@ -1008,16 +991,15 @@ mod tests {
         h.world.send_external(h.agent, Msg::StartWorker { spec: spec(&h, 2, 0.4) });
         h.world.run_until(SimTime::from_secs(10));
         let log = h.am_log.borrow();
-        let started = log
+        let failed: Vec<_> = log
             .iter()
-            .filter(|m| matches!(m, Msg::WorkerStarted { .. }))
-            .count();
-        let failed = log
-            .iter()
-            .filter(|m| matches!(m, Msg::WorkerStartFailed { .. }))
-            .count();
-        assert_eq!(started, 1, "only one container granted");
-        assert_eq!(failed, 1, "the second is rejected after park retries");
+            .filter_map(|m| match m {
+                Msg::WorkerStartFailed { reason, .. } => Some(*reason),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(started(&h).len(), 1, "only one container granted");
+        assert_eq!(failed, [StartFailure::Capacity], "the second is rejected after park retries");
     }
 
     #[test]
@@ -1034,11 +1016,7 @@ mod tests {
             );
         });
         h.world.run_until(SimTime::from_secs(10));
-        let log = h.am_log.borrow();
-        assert!(
-            log.iter().any(|m| matches!(m, Msg::WorkerStarted { worker: WorkerId(1), .. })),
-            "parked request retried and succeeded: {log:?}"
-        );
+        assert_eq!(started(&h), [1], "parked request retried and succeeded: {:?}", h.am_log.borrow());
     }
 
     #[test]
@@ -1118,14 +1096,37 @@ mod tests {
                 .send_external(h.agent, Msg::StartWorker { spec: spec(&h, i, 0.4) });
         }
         h.world.run_until(SimTime::from_secs(10));
-        let started = h
-            .am_log
-            .borrow()
-            .iter()
-            .filter(|m| matches!(m, Msg::WorkerStarted { .. }))
-            .count();
-        assert_eq!(started, 4);
+        assert_eq!(started(&h).len(), 4);
         // One flow for the shared binary (plus none for the cached starts).
         assert_eq!(h.world.metrics().counter("flow.started"), 1);
+    }
+
+    /// A worker stopped while its own binary download is in flight starts
+    /// nothing and holds nothing; the download still completes, so the next
+    /// start of the app needs no second one.
+    #[test]
+    fn stop_while_fetching_starts_nothing() {
+        let mut h = setup();
+        grant_capacity(&mut h, 1);
+        h.world.send_external(h.agent, Msg::StartWorker { spec: spec(&h, 1, 0.4) });
+        let agent = h.agent;
+        h.world.at(SimTime::from_millis(5), move |w| {
+            w.send_external(agent, Msg::StopWorker { app: AppId(1), worker: WorkerId(1) });
+        });
+        h.world.run_until(SimTime::from_secs(10));
+        assert!(started(&h).is_empty(), "no worker process");
+        let last_report = (h.master_log.borrow().iter().rev())
+            .find_map(|m| match m {
+                Msg::MetricsReport { report: fuxi_sim::obs::MetricsReport::Agent(a) } => Some(*a),
+                _ => None,
+            })
+            .expect("the agent reports on every heartbeat");
+        assert_eq!((last_report.workers, last_report.used_cpu_milli), (0, 0));
+        assert_eq!(h.world.metrics().counter("flow.started"), 1);
+        // The binary is on disk: the next start is immediate.
+        h.world.send_external(h.agent, Msg::StartWorker { spec: spec(&h, 2, 0.4) });
+        h.world.run_until(SimTime::from_secs(11));
+        assert_eq!(started(&h), [2]);
+        assert_eq!(h.world.metrics().counter("flow.started"), 1, "no second download");
     }
 }

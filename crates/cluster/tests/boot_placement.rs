@@ -40,7 +40,7 @@ fn sim_cluster_lands_where_the_topology_says() {
 /// *meant* to move simulated time, once, after it is final, with the reason
 /// here and in CHANGES.md.
 ///
-/// Recorded twice so far:
+/// Recorded three times so far:
 /// * PR 8, from the commit before the three boot paths became one: 7,538
 ///   events, last finish 30.644833 s.
 /// * Issue 16 (event-driven cold start). This run submits its 30 jobs at
@@ -56,12 +56,18 @@ fn sim_cluster_lands_where_the_topology_says() {
 ///   lease and the 8 s rebuild window, which did not move: second election
 ///   at 16.25 s, rebuild done at 24.25 s, as before), still exactly two
 ///   elections.
-const PINNED_EVENTS: u64 = 7517;
+/// * Issue 19 (one row per launched process). `Msg::WorkerStarted` is gone:
+///   a started worker's own `WorkerRegister` is its one announcement, so
+///   every worker start sends one message and draws one latency fewer, and
+///   every later draw — hence every timestamp — shifts. 7,192 events
+///   (4,104 messages sent against 4,428; the run starts 300 workers), last
+///   finish 30.352253 s (30.377138 s before), still exactly two elections.
+const PINNED_EVENTS: u64 = 7192;
 const PINNED_FINISH_S: [f64; 30] = [
-    29.674657, 30.102789, 30.172082, 29.720896, 29.903321, 30.005032, 29.547951, 29.402361,
-    30.220736, 29.902164, 30.063488, 30.087747, 29.675772, 29.513854, 29.528789, 30.364804,
-    29.75917, 30.377138, 28.71182, 30.165072, 30.255523, 28.296549, 29.681107, 29.984022,
-    29.33342, 29.315263, 29.584991, 29.087718, 29.979329, 30.121231,
+    29.636562, 29.950113, 29.266227, 29.900464, 30.224458, 29.761746, 29.932826, 28.691686,
+    29.881753, 28.601237, 29.4705, 30.352253, 29.123615, 30.114865, 30.090713, 28.720187,
+    29.351363, 30.31197, 29.325777, 29.707325, 29.848827, 29.72835, 28.93118, 29.558584,
+    28.516178, 29.608108, 28.533794, 28.6156, 29.372515, 29.719184,
 ];
 
 #[test]

@@ -93,18 +93,43 @@ const TIMER_ROLLUP: u64 = 3;
 const TIMER_REBUILD_DONE: u64 = 4;
 const TIMER_METRICS: u64 = 5;
 
+/// How long a `StartAppMaster` may go unanswered before the roll-up sends
+/// it again. Two roll-ups: well past a package download, so a healthy
+/// launch costs no extra message; no longer, because a repeat is harmless
+/// (the agent ignores one it is still fetching and answers one it runs
+/// with `AppMasterStarted`, so it never starts two JobMasters).
+const JM_LAUNCH_RETRY: SimDuration = SimDuration::from_secs(10);
+
+/// Where a job's JobMaster is, as this master knows it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JmState {
+    /// None placed: no capacity or no agent yet, or the last one failed,
+    /// exited or lost its machine. Every launch trigger picks it up.
+    Waiting,
+    /// `StartAppMaster` sent to `machine`'s agent at `since`, no reply yet.
+    Launching { machine: MachineId, since: SimTime },
+    /// The agent on `machine` reported it running.
+    Running { machine: MachineId, actor: ActorId },
+}
+
+impl JmState {
+    fn machine(self) -> Option<MachineId> {
+        match self {
+            JmState::Waiting => None,
+            JmState::Launching { machine, .. } | JmState::Running { machine, .. } => Some(machine),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct JobRuntime {
     app: AppId,
     client: ActorId,
     desc: AppDescription,
-    jm_machine: Option<MachineId>,
-    jm_actor: Option<ActorId>,
+    jm: JmState,
     submitted_at: SimTime,
     /// Machines where JM launch failed (avoid on retry).
     launch_avoid: BTreeSet<MachineId>,
-    /// Launch request outstanding (StartAppMaster sent, no reply yet).
-    launching: bool,
 }
 
 impl JobRuntime {
@@ -113,13 +138,22 @@ impl JobRuntime {
             app: rec.app,
             client: rec.client,
             desc: rec.desc,
-            jm_machine: None,
-            jm_actor: None,
+            jm: JmState::Waiting,
             submitted_at: now,
             launch_avoid: BTreeSet::new(),
-            launching: false,
         }
     }
+}
+
+/// The live job behind `app`, with its id. (Over the two maps rather than
+/// `&mut FuxiMaster`, so callers keep the engine while they hold the row.)
+fn job_of_app<'a>(
+    app_to_job: &BTreeMap<AppId, JobId>,
+    jobs: &'a mut BTreeMap<JobId, JobRuntime>,
+    app: AppId,
+) -> Option<(JobId, &'a mut JobRuntime)> {
+    let job = *app_to_job.get(&app)?;
+    Some((job, jobs.get_mut(&job)?))
 }
 
 /// The FuxiMaster actor. Spawn two (a pair) for hot-standby operation.
@@ -360,7 +394,7 @@ impl FuxiMaster {
         let Some(j) = self.jobs.get(&job) else {
             return;
         };
-        if j.launching || j.jm_actor.is_some() {
+        if j.jm != JmState::Waiting {
             return;
         }
         // Launches are triggered both causally (submit) and by the roll-up
@@ -395,8 +429,7 @@ impl FuxiMaster {
             return;
         };
         let j = self.jobs.get_mut(&job).unwrap();
-        j.jm_machine = Some(m);
-        j.launching = true;
+        j.jm = JmState::Launching { machine: m, since: ctx.now() };
         let desc = j.desc.clone();
         ctx.trace(TraceEvent::JmLaunchRequested {
             app: app.0,
@@ -414,11 +447,27 @@ impl FuxiMaster {
         let waiting: Vec<JobId> = self
             .jobs
             .iter()
-            .filter(|(_, j)| j.jm_actor.is_none() && !j.launching)
+            .filter(|(_, j)| j.jm == JmState::Waiting)
             .map(|(&id, _)| id)
             .collect();
         for job in waiting {
             self.launch_jm(ctx, job);
+        }
+    }
+
+    /// Repeats every `StartAppMaster` that has gone unanswered for
+    /// [`JM_LAUNCH_RETRY`], to the same agent: the request, the agent's
+    /// `AppMasterStarted` or its `AppMasterStartFailed` was lost.
+    fn retry_silent_launches(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let now = ctx.now();
+        for (&job, j) in &self.jobs {
+            let JmState::Launching { machine, since } = j.jm else { continue };
+            let Some(agent) = self.agents[machine.0 as usize] else { continue };
+            if now.since(since) > JM_LAUNCH_RETRY {
+                ctx.metrics().count("fm.jm_launch_retries", 1);
+                let start = Msg::StartAppMaster { app: j.app, job, desc: j.desc.clone() };
+                ctx.send_traced(agent, start, TraceId::from_job(job.0));
+            }
         }
     }
 
@@ -461,6 +510,7 @@ impl FuxiMaster {
         ctx.metrics().count("fm.jobs_finished", 1);
         if self.cfg.metrics.enabled {
             self.jobs_done_win.observe(ctx.now().as_secs_f64(), 1.0);
+            self.hub.update(|v| v.job_finished(job.0));
         }
     }
 
@@ -635,15 +685,13 @@ impl FuxiMaster {
                     let victims: Vec<JobId> = self
                         .jobs
                         .iter()
-                        .filter(|(_, j)| j.jm_machine == Some(m))
+                        .filter(|(_, j)| j.jm.machine() == Some(m))
                         .map(|(&id, _)| id)
                         .collect();
                     for job in victims {
                         {
                             let j = self.jobs.get_mut(&job).unwrap();
-                            j.jm_machine = None;
-                            j.jm_actor = None;
-                            j.launching = false;
+                            j.jm = JmState::Waiting;
                             j.launch_avoid.insert(m);
                         }
                         if self.is_active() {
@@ -674,6 +722,7 @@ impl FuxiMaster {
         }
         if self.is_active() {
             self.launch_waiting_jms(ctx);
+            self.retry_silent_launches(ctx);
             // Utilization gauges (Figure 10's FM_total / FM_planned).
             let engine = self.engine.as_ref().unwrap();
             let total = engine.total_capacity();
@@ -936,10 +985,8 @@ impl Actor<Msg> for FuxiMaster {
             }
             Msg::SubmitJob { job, desc, client } => self.submit_job(ctx, job, desc, client),
             Msg::StopJob { job } => {
-                if let Some(j) = self.jobs.get(&job) {
-                    if let Some(jm) = j.jm_actor {
-                        ctx.send(jm, Msg::StopJob { job });
-                    }
+                if let Some(JmState::Running { actor, .. }) = self.jobs.get(&job).map(|j| j.jm) {
+                    ctx.send(actor, Msg::StopJob { job });
                 }
             }
             Msg::JobFinished {
@@ -965,17 +1012,14 @@ impl Actor<Msg> for FuxiMaster {
             } => {
                 self.agents[machine.0 as usize] = Some(from);
                 // Re-learn where application masters live (prevents the new
-                // primary from launching duplicates).
-                for (app, actor) in &app_masters {
-                    if let Some(&job) = self.app_to_job.get(app) {
-                        let j = self.jobs.get_mut(&job).unwrap();
-                        if j.jm_actor.is_none() {
-                            j.jm_actor = Some(*actor);
-                            j.jm_machine = Some(machine);
-                            j.launching = false;
+                // primary from starting duplicates).
+                for &(app, actor) in &app_masters {
+                    if let Some((_, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
+                        if !matches!(j.jm, JmState::Running { .. }) {
+                            j.jm = JmState::Running { machine, actor };
                         }
                     }
-                    self.apps_seen.insert(*app);
+                    self.apps_seen.insert(app);
                 }
                 if self.role == Role::Rebuilding {
                     let engine = self.engine.as_mut().unwrap();
@@ -1002,13 +1046,12 @@ impl Actor<Msg> for FuxiMaster {
                 }
             }
             Msg::AppMasterStarted { app, actor, machine } => {
-                if let Some(&job) = self.app_to_job.get(&app) {
-                    let submitted_at = self.jobs[&job].submitted_at;
-                    let j = self.jobs.get_mut(&job).unwrap();
-                    j.jm_actor = Some(actor);
-                    j.jm_machine = Some(machine);
-                    j.launching = false;
-                    let dt = ctx.now().since(submitted_at).as_secs_f64();
+                let running = JmState::Running { machine, actor };
+                let job = job_of_app(&self.app_to_job, &mut self.jobs, app);
+                // (An agent answers a repeated `StartAppMaster` again.)
+                if let Some((job, j)) = job.filter(|(_, j)| j.jm != running) {
+                    j.jm = running;
+                    let dt = ctx.now().since(j.submitted_at).as_secs_f64();
                     ctx.metrics().record("fm.jm_start_overhead_s", dt);
                     ctx.trace_as(
                         TraceId::from_job(job.0),
@@ -1020,17 +1063,10 @@ impl Actor<Msg> for FuxiMaster {
                 }
             }
             Msg::AppMasterStartFailed { app, reason: _ } => {
-                if let Some(&job) = self.app_to_job.get(&app) {
-                    let m = self.jobs[&job].jm_machine;
-                    {
-                        let j = self.jobs.get_mut(&job).unwrap();
-                        j.launching = false;
-                        j.jm_machine = None;
-                        if let Some(m) = m {
-                            j.launch_avoid.insert(m);
-                        }
-                    }
-                    if let Some(m) = m {
+                if let Some((job, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
+                    if let JmState::Launching { machine: m, .. } = j.jm {
+                        j.jm = JmState::Waiting;
+                        j.launch_avoid.insert(m);
                         self.engine
                             .as_mut()
                             .unwrap()
@@ -1043,7 +1079,8 @@ impl Actor<Msg> for FuxiMaster {
                 }
             }
             Msg::AppMasterExited { app, machine } => {
-                if let Some(&job) = self.app_to_job.get(&app) {
+                if let Some((job, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
+                    j.jm = JmState::Waiting;
                     ctx.trace_as(
                         TraceId::from_job(job.0),
                         TraceEvent::JmExited {
@@ -1051,12 +1088,6 @@ impl Actor<Msg> for FuxiMaster {
                             machine: machine.0,
                         },
                     );
-                    {
-                        let j = self.jobs.get_mut(&job).unwrap();
-                        j.jm_actor = None;
-                        j.jm_machine = None;
-                        j.launching = false;
-                    }
                     self.engine
                         .as_mut()
                         .unwrap()

@@ -11,7 +11,7 @@ use crate::blacklist::{Escalation, JobBlacklist, JobBlacklistConfig};
 use crate::dag::TaskGraph;
 use crate::desc::JobDesc;
 use crate::snapshot::JobSnapshot;
-use crate::task_master::{AssignmentOut, Attempt, InstState, InstanceRt, TaskMaster};
+use crate::task_master::{AssignmentOut, Attempt, InstState, InstanceRt, TWorker, TaskMaster};
 use crate::worker::WorkerConfig;
 use fuxi_agent::ProcMeta;
 use fuxi_apsara::{NameRegistry, PanguHandle, StoreHandle};
@@ -19,10 +19,10 @@ use fuxi_proto::msg::{SeqCheck, SeqReceiver, SeqSender, WorkerSpec};
 use fuxi_proto::request::{GrantDelta, RequestDelta, RequestState, ScheduleUnitDef};
 use fuxi_proto::topology::Topology;
 use fuxi_proto::{
-    AppId, InstanceOutcome, JobId, JobSummary, MachineId, Msg, Priority, ResourceVec, TaskId,
-    UnitId, WorkerId,
+    AppId, InstanceOutcome, JobId, JobSummary, MachineId, Msg, Priority, ResourceVec, StartFailure,
+    TaskId, UnitId, WorkerId,
 };
-use fuxi_sim::{Actor, ActorId, Ctx, SimDuration, SimTime, TraceEvent, TraceId};
+use fuxi_sim::{Actor, ActorId, Ctx, SimDuration, TraceEvent, TraceId};
 use rand::Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -101,16 +101,12 @@ pub struct JobMaster {
     ledger: fuxi_proto::request::GrantLedger,
     tx: SeqSender,
     rx: SeqReceiver,
-    // Worker management.
+    // Worker management. A worker's row is its task's `TWorker`; this is
+    // only the index to it. A worker enters both in `start_worker` (or
+    // `recover`) and leaves both in `forget_worker`.
     next_worker: u64,
     worker_task: BTreeMap<WorkerId, TaskId>,
-    worker_actor: BTreeMap<WorkerId, ActorId>,
-    worker_requested_at: BTreeMap<WorkerId, SimTime>,
     launch_failures: BTreeMap<MachineId, u32>,
-    /// Assignments made before the worker's actor address is known
-    /// (`WorkerRegister` can race ahead of `WorkerStarted`); flushed when
-    /// the address arrives.
-    undelivered: BTreeMap<WorkerId, (fuxi_proto::InstanceId, u32, fuxi_proto::InstanceWork)>,
     snapshot_dirty: bool,
     attached: bool,
     /// Push a [`fuxi_sim::obs::JobReport`] to FuxiMaster on the
@@ -161,10 +157,7 @@ impl JobMaster {
             // apps in one table.
             next_worker: ((app.0 as u64) << 32) | 1,
             worker_task: BTreeMap::new(),
-            worker_actor: BTreeMap::new(),
-            worker_requested_at: BTreeMap::new(),
             launch_failures: BTreeMap::new(),
-            undelivered: BTreeMap::new(),
             snapshot_dirty: false,
             attached: false,
             report_metrics,
@@ -512,17 +505,14 @@ impl JobMaster {
     fn apply_grant_deltas(&mut self, ctx: &mut Ctx<'_, Msg>, grants: Vec<GrantDelta>) {
         for g in &grants {
             let unit = g.unit;
-            let task = Self::task_of(unit);
             for &(m, delta) in &g.changes {
                 if delta >= 0 {
                     if let Some(st) = self.req_states.get_mut(&unit) {
                         st.wants.satisfied_on(&self.topo, m, delta as u64);
                     }
                 } else if let Some(st) = self.req_states.get_mut(&unit) {
-                    // Revocation: demand returns at cluster level, and we
-                    // stop trusting that machine a little.
+                    // Revocation: demand returns at cluster level.
                     st.wants.revoked((-delta) as u64);
-                    let _ = task;
                 }
             }
             self.ledger.apply(g);
@@ -582,7 +572,7 @@ impl JobMaster {
                 .collect();
             victims.extend(busy);
             for w in victims.into_iter().take(n as usize) {
-                self.stop_worker_local(ctx, w);
+                self.stop_worker(ctx, w);
             }
         }
         self.assign_work(ctx, task);
@@ -608,9 +598,8 @@ impl JobMaster {
             master: ctx.id(),
             usage_factor: USAGE_FACTOR,
         };
-        tm.add_worker(worker, m);
+        tm.add_worker(worker, m, ctx.now());
         self.worker_task.insert(worker, task);
-        self.worker_requested_at.insert(worker, ctx.now());
         ctx.trace(TraceEvent::WorkerLaunchRequested {
             app: self.app.0,
             worker: worker.0,
@@ -620,65 +609,71 @@ impl JobMaster {
         ctx.metrics().count("jm.workers_requested", 1);
     }
 
-    /// Stops a worker without returning its grant (revocation already
-    /// removed it from the ledger).
-    fn stop_worker_local(&mut self, ctx: &mut Ctx<'_, Msg>, worker: WorkerId) {
-        let Some(task) = self.worker_task.remove(&worker) else {
-            return;
-        };
-        self.worker_requested_at.remove(&worker);
-        let machine = self.tms[task.0 as usize]
-            .as_ref()
-            .and_then(|tm| tm.workers.get(&worker))
-            .map(|w| w.machine);
-        if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-            if tm.remove_worker(worker).is_some() {
-                self.snapshot_dirty = true;
-            }
+    /// The one way out of the books: drops the worker's index entry and its
+    /// row, requeueing an instance it was running. `None` for a worker
+    /// already forgotten, so a late message about one changes nothing.
+    fn forget_worker(&mut self, worker: WorkerId) -> Option<(TaskId, TWorker)> {
+        let tm = self.task_master_of(worker)?;
+        let found = (tm.task, tm.remove_worker(worker).expect("an indexed worker has a row"));
+        self.worker_task.remove(&worker);
+        self.snapshot_dirty = true;
+        Some(found)
+    }
+
+    /// Forgets a worker and has its agent stop it, at whatever stage of the
+    /// launch it is. The grant is not returned (a revocation already took
+    /// it from the ledger; otherwise reconciliation starts a replacement).
+    fn stop_worker(&mut self, ctx: &mut Ctx<'_, Msg>, worker: WorkerId) -> Option<(TaskId, TWorker)> {
+        let (task, row) = self.forget_worker(worker)?;
+        if let Some(agent) = self.naming.lookup(&format!("agent/{}", row.machine)) {
+            ctx.send(agent, Msg::StopWorker { app: self.app, worker });
         }
-        self.worker_actor.remove(&worker);
-        if let Some(m) = machine {
-            if let Some(agent) = self.naming.lookup(&format!("agent/{m}")) {
-                ctx.send(
-                    agent,
-                    Msg::StopWorker {
-                        app: self.app,
-                        worker,
-                    },
-                );
-            }
-        }
+        Some((task, row))
     }
 
     /// Stops a worker *and* returns its container to FuxiMaster (the
     /// voluntary-return path: "when a worker is no longer needed").
     fn release_worker(&mut self, ctx: &mut Ctx<'_, Msg>, worker: WorkerId) {
-        let Some(&task) = self.worker_task.get(&worker) else {
-            return;
-        };
-        let unit = Self::unit_of(task);
-        let machine = self.tms[task.0 as usize]
-            .as_ref()
-            .and_then(|tm| tm.workers.get(&worker))
-            .map(|w| w.machine);
-        self.stop_worker_local(ctx, worker);
-        if let Some(m) = machine {
-            if self.ledger.held(unit, m) > 0 {
-                self.ledger.apply(&GrantDelta::revoke(unit, m, 1));
-                if let Some(fm) = self.fm {
-                    ctx.send(
-                        fm,
-                        Msg::ReturnGrant {
-                            app: self.app,
-                            unit,
-                            machine: m,
-                            count: 1,
-                        },
-                    );
-                }
+        if let Some((task, row)) = self.stop_worker(ctx, worker) {
+            self.return_container(ctx, Self::unit_of(task), row.machine);
+        }
+    }
+
+    /// Gives one container on `machine` back to FuxiMaster, if the ledger
+    /// still holds one there.
+    fn return_container(&mut self, ctx: &mut Ctx<'_, Msg>, unit: UnitId, machine: MachineId) {
+        if self.ledger.held(unit, machine) > 0 {
+            self.ledger.apply(&GrantDelta::revoke(unit, machine, 1));
+            if let Some(fm) = self.fm {
+                ctx.send(fm, Msg::ReturnGrant { app: self.app, unit, machine, count: 1 });
             }
         }
         self.refresh_obtained_gauge(ctx);
+    }
+
+    /// The TaskMaster holding `worker`'s row, if the worker is on the books.
+    fn task_master_of(&mut self, worker: WorkerId) -> Option<&mut TaskMaster> {
+        let task = *self.worker_task.get(&worker)?;
+        self.tms[task.0 as usize].as_mut()
+    }
+
+    /// Workers on the books whose row satisfies `pred`, in id order.
+    fn workers_where(&self, pred: impl Fn(&TWorker) -> bool) -> Vec<WorkerId> {
+        (self.worker_task.iter())
+            .filter(|&(w, task)| self.tms[task.0 as usize].as_ref().is_some_and(|tm| pred(&tm.workers[w])))
+            .map(|(&w, _)| w)
+            .collect()
+    }
+
+    /// The worker books agree: the index and the TaskMasters' rows name the
+    /// same workers, and each TaskMaster's busy rows are the attempts its
+    /// instances list.
+    fn books_agree(&self) -> bool {
+        let rows = || self.tms.iter().flatten();
+        rows().map(|tm| tm.workers.len()).sum::<usize>() == self.worker_task.len()
+            && rows().all(|tm| {
+                tm.books_agree() && tm.workers.keys().all(|w| self.worker_task.get(w) == Some(&tm.task))
+            })
     }
 
     fn assign_work(&mut self, ctx: &mut Ctx<'_, Msg>, task: TaskId) {
@@ -694,30 +689,15 @@ impl JobMaster {
 
     fn dispatch_assignments(&mut self, ctx: &mut Ctx<'_, Msg>, out: Vec<AssignmentOut>) {
         for a in out {
-            // The assignment decision happens here whether or not the
-            // worker's address is known yet — record it once.
             ctx.trace(TraceEvent::InstanceAssigned {
                 instance: Self::inst_id(a.instance),
                 attempt: a.attempt,
                 worker: a.worker.0,
             });
-            match self.worker_actor.get(&a.worker) {
-                Some(&actor) => {
-                    ctx.send(
-                        actor,
-                        Msg::AssignInstance {
-                            instance: a.instance,
-                            attempt: a.attempt,
-                            work: a.work,
-                        },
-                    );
-                }
-                None => {
-                    // Address not yet known; deliver on WorkerStarted.
-                    self.undelivered
-                        .insert(a.worker, (a.instance, a.attempt, a.work));
-                }
-            }
+            ctx.send(
+                a.actor,
+                Msg::AssignInstance { instance: a.instance, attempt: a.attempt, work: a.work },
+            );
             self.snapshot_dirty = true;
         }
     }
@@ -793,7 +773,7 @@ impl JobMaster {
                     ok: true,
                 });
                 for (lw, li, la) in losers {
-                    if let Some(&actor) = self.worker_actor.get(&lw) {
+                    if let Some(actor) = tm.workers.get(&lw).and_then(|w| w.actor) {
                         ctx.send(actor, Msg::KillInstance { instance: li, attempt: la });
                     }
                     ctx.metrics().count("jm.backup_losers_killed", 1);
@@ -885,9 +865,7 @@ impl JobMaster {
                 .collect(),
             workers: started()
                 .flat_map(|tm| {
-                    tm.workers.iter().map(|(&w, tw)| {
-                        (w, tm.task, tw.machine, self.worker_actor.get(&w).copied())
-                    })
+                    tm.workers.iter().map(|(&w, tw)| (w, tm.task, tw.machine, tw.actor))
                 })
                 .collect(),
             next_worker: self.next_worker,
@@ -923,12 +901,11 @@ impl JobMaster {
             if self.finished_tasks.contains(&task) {
                 continue;
             }
-            if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                tm.add_worker(worker, machine);
-            }
+            let Some(tm) = self.tms[task.0 as usize].as_mut() else { continue };
+            // On the books, but silent until it answers this JobMaster.
+            tm.add_worker(worker, machine, ctx.now());
             self.worker_task.insert(worker, task);
             if let Some(a) = actor {
-                self.worker_actor.insert(worker, a);
                 ctx.send(a, Msg::WorkerStatusQuery);
             }
         }
@@ -940,27 +917,11 @@ impl JobMaster {
             return;
         }
         self.state = JmState::Running;
-        // Workers that never replied are gone: drop them locally; the
-        // full sync below re-baselines grants with FuxiMaster.
-        let silent: Vec<WorkerId> = self
-            .worker_task
-            .keys()
-            .filter(|w| {
-                self.worker_actor
-                    .get(w)
-                    .map(|a| !ctx.alive(*a))
-                    .unwrap_or(true)
-            })
-            .copied()
-            .collect();
-        for w in silent {
-            let task = self.worker_task.remove(&w);
-            self.worker_actor.remove(&w);
-            if let Some(task) = task {
-                if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                    tm.remove_worker(w);
-                }
-            }
+        // Workers that never replied are taken for gone — and stopped, in
+        // case one is not; the full sync below re-baselines grants with
+        // FuxiMaster.
+        for w in self.workers_where(|row| row.actor.is_none()) {
+            self.stop_worker(ctx, w);
         }
         // Recompute outstanding demand: cap minus what we actually have.
         for (unit, st) in self.req_states.iter_mut() {
@@ -1046,8 +1007,26 @@ const LAUNCH_FAILURES_TO_AVOID: u32 = 2;
 /// download times under load.
 const WORKER_START_TIMEOUT_S: f64 = 300.0;
 
+// Every handler ends with the worker books in agreement.
 impl Actor<Msg> for JobMaster {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.start(ctx);
+        debug_assert!(self.books_agree(), "after start");
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+        self.handle_message(ctx, from, msg);
+        debug_assert!(self.books_agree(), "after a message");
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+        self.handle_timer(ctx, tag);
+        debug_assert!(self.books_agree(), "after timer {tag}");
+    }
+}
+
+impl JobMaster {
+    fn start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // Everything this actor does belongs to its job's causal chain —
         // re-establish it here and at every entry point below, since timers
         // arrive with no ambient trace.
@@ -1082,7 +1061,7 @@ impl Actor<Msg> for JobMaster {
         self.flush_snapshot();
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+    fn handle_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
         if self.state == JmState::Done {
             return;
         }
@@ -1133,59 +1112,30 @@ impl Actor<Msg> for JobMaster {
                 }
             }
             Msg::RequestSyncNeeded { .. } => self.send_full_sync(ctx),
-            Msg::WorkerStarted {
-                worker,
-                actor,
-                machine,
-            } => {
-                self.worker_actor.insert(worker, actor);
-                if let Some(&task) = self.worker_task.get(&worker) {
-                    if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                        tm.add_worker(worker, machine);
-                    }
-                }
-                if let Some((instance, attempt, work)) = self.undelivered.remove(&worker) {
-                    ctx.send(
-                        actor,
-                        Msg::AssignInstance {
-                            instance,
-                            attempt,
-                            work,
-                        },
-                    );
-                }
-            }
             Msg::WorkerRegister {
                 app: _,
                 worker,
                 machine,
             } => {
-                if let Some(t0) = self.worker_requested_at.remove(&worker) {
-                    let dt = ctx.now().since(t0).as_secs_f64();
-                    ctx.metrics().record("am.worker_start_overhead_s", dt);
-                }
-                // A registration always comes from a *fresh* process. If
-                // the TaskMaster thought this worker was mid-instance, that
-                // attempt died with the old process (agent restarted it):
-                // requeue it.
-                if let Some(&task) = self.worker_task.get(&worker) {
-                    self.worker_actor.insert(worker, from);
-                    if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                        if let Some((idx, attempt)) = tm.workers.get(&worker).and_then(|w| w.busy)
-                        {
-                            if self.undelivered.remove(&worker).is_none() {
-                                tm.abandon_attempt(idx, attempt);
-                                ctx.metrics().count("jm.attempts_lost_on_restart", 1);
-                            } else {
-                                // The assignment never reached the old
-                                // process; undo and let try_assign redo it.
-                                tm.abandon_attempt(idx, attempt);
-                            }
-                            if let Some(w) = tm.workers.get_mut(&worker) {
-                                w.busy = None;
-                            }
-                        }
-                        tm.worker_registered(worker, machine);
+                // The worker's own announcement is the only one. From a
+                // worker already forgotten (stopped while it started) it is
+                // ignored: the agent has been told to stop it.
+                if let Some(tm) = self.task_master_of(worker) {
+                    let task = tm.task;
+                    let row = tm.workers.get_mut(&worker).expect("an indexed worker has a row");
+                    if row.actor.is_none() {
+                        let dt = ctx.now().since(row.requested_at).as_secs_f64();
+                        ctx.metrics().record("am.worker_start_overhead_s", dt);
+                    }
+                    row.actor = Some(from);
+                    row.machine = machine;
+                    // A registration always comes from a *fresh* process. If
+                    // the TaskMaster thought this worker was mid-instance, that
+                    // attempt died with the old process (agent restarted it):
+                    // requeue it.
+                    if let Some((idx, attempt)) = row.busy.take() {
+                        tm.abandon_attempt(idx, attempt);
+                        ctx.metrics().count("jm.attempts_lost_on_restart", 1);
                     }
                     self.assign_work(ctx, task);
                 }
@@ -1198,32 +1148,16 @@ impl Actor<Msg> for JobMaster {
                 ctx.metrics().count("jm.worker_start_failures", 1);
                 // Capacity races are scheduling noise, not machine faults:
                 // only real launch failures feed the blacklist.
-                let machine_fault = !reason.contains("capacity");
-                let avoid = if machine_fault {
+                let avoid = reason == StartFailure::Machine && {
                     let fails = self.launch_failures.entry(machine).or_insert(0);
                     *fails += 1;
                     *fails >= LAUNCH_FAILURES_TO_AVOID
-                } else {
-                    false
                 };
-                if let Some(&task) = self.worker_task.get(&worker) {
+                // The agent keeps no row for a failed launch: nothing to stop.
+                if let Some((task, _)) = self.forget_worker(worker) {
                     let unit = Self::unit_of(task);
-                    self.stop_worker_local(ctx, worker);
                     // Give the container back and re-ask for one elsewhere.
-                    if self.ledger.held(unit, machine) > 0 {
-                        self.ledger.apply(&GrantDelta::revoke(unit, machine, 1));
-                        if let Some(fm) = self.fm {
-                            ctx.send(
-                                fm,
-                                Msg::ReturnGrant {
-                                    app: self.app,
-                                    unit,
-                                    machine,
-                                    count: 1,
-                                },
-                            );
-                        }
-                    }
+                    self.return_container(ctx, unit, machine);
                     let delta = RequestDelta {
                         unit,
                         cluster: 1,
@@ -1242,7 +1176,6 @@ impl Actor<Msg> for JobMaster {
                             );
                         }
                     }
-                    self.refresh_obtained_gauge(ctx);
                 }
             }
             Msg::WorkerExited {
@@ -1254,12 +1187,7 @@ impl Actor<Msg> for JobMaster {
                 // The process died (enforcement kill or unrestartable
                 // crash); its container may still be granted — reconcile
                 // starts a replacement if so.
-                if let Some(&task) = self.worker_task.get(&worker) {
-                    self.worker_actor.remove(&worker);
-                    self.worker_task.remove(&worker);
-                    if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                        tm.remove_worker(worker);
-                    }
+                if let Some((task, _)) = self.forget_worker(worker) {
                     self.reconcile_workers(ctx, task);
                 }
             }
@@ -1280,78 +1208,48 @@ impl Actor<Msg> for JobMaster {
                 running,
             } => {
                 // Recovery confirmation from a surviving worker.
-                if let Some(&task) = self.worker_task.get(&worker) {
-                    if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                        tm.worker_registered(worker, machine);
-                        self.worker_actor.insert(worker, from);
-                        if let Some((inst, attempt, _)) = running {
-                            if inst.task == task
-                                && (inst.index as usize) < tm.instances.len()
-                                && tm.instances[inst.index as usize].state != InstState::Done
-                            {
-                                // Re-adopt the running attempt untouched —
-                                // "during the absence of JobMaster process,
-                                // all the workers are still running the
-                                // instances without interruption".
-                                let i = &mut tm.instances[inst.index as usize];
-                                i.state = InstState::Running;
-                                i.attempts.push(Attempt {
-                                    attempt,
-                                    worker,
-                                    machine,
-                                    started: ctx.now(),
-                                    confirmed: true,
-                                });
-                                i.next_attempt = i.next_attempt.max(attempt + 1);
-                                tm.workers.get_mut(&worker).unwrap().busy =
-                                    Some((inst.index, attempt));
-                            }
+                if let Some(tm) = self.task_master_of(worker) {
+                    let row = tm.workers.get_mut(&worker).expect("an indexed worker has a row");
+                    row.actor = Some(from);
+                    row.machine = machine;
+                    if let Some((inst, attempt, _)) = running {
+                        if inst.task == tm.task
+                            && (inst.index as usize) < tm.instances.len()
+                            && tm.instances[inst.index as usize].state != InstState::Done
+                        {
+                            // Re-adopt the running attempt untouched —
+                            // "during the absence of JobMaster process,
+                            // all the workers are still running the
+                            // instances without interruption".
+                            let i = &mut tm.instances[inst.index as usize];
+                            i.state = InstState::Running;
+                            i.attempts.push(Attempt {
+                                attempt,
+                                worker,
+                                machine,
+                                started: ctx.now(),
+                                confirmed: true,
+                            });
+                            i.next_attempt = i.next_attempt.max(attempt + 1);
+                            row.busy = Some((inst.index, attempt));
                         }
                     }
                 }
             }
             Msg::WorkerListQuery { app: _, machine } => {
                 // A restarted agent reconciling adopted processes.
-                let mut workers = Vec::new();
-                for (&w, &task) in &self.worker_task {
-                    let on_m = self.tms[task.0 as usize]
-                        .as_ref()
-                        .and_then(|tm| tm.workers.get(&w))
-                        .map(|x| x.machine == machine)
-                        .unwrap_or(false);
-                    if on_m {
-                        let actor = self.worker_actor.get(&w).copied().unwrap_or(ActorId::NONE);
-                        workers.push((w, actor));
-                    }
-                }
-                ctx.send(
-                    from,
-                    Msg::WorkerListReply {
-                        app: self.app,
-                        machine,
-                        workers,
-                    },
-                );
+                let workers = self.workers_where(|row| row.machine == machine);
+                ctx.send(from, Msg::WorkerListReply { app: self.app, machine, workers });
             }
             Msg::CapacityWarning { app: _, machine, .. } => {
                 // Act before the agent kills blindly: retire one idle (or
                 // any) worker on that machine.
-                let mut candidates: Vec<WorkerId> = Vec::new();
-                for (&w, &task) in &self.worker_task {
-                    if let Some(tm) = self.tms[task.0 as usize].as_ref() {
-                        if let Some(tw) = tm.workers.get(&w) {
-                            if tw.machine == machine {
-                                if tw.busy.is_none() {
-                                    candidates.insert(0, w);
-                                } else {
-                                    candidates.push(w);
-                                }
-                            }
-                        }
-                    }
-                }
-                if let Some(w) = candidates.first().copied() {
-                    self.stop_worker_local(ctx, w);
+                let here = |busy_too: bool| {
+                    self.workers_where(|row| row.machine == machine && (busy_too || row.busy.is_none()))
+                };
+                let victim = here(false).last().copied().or_else(|| here(true).first().copied());
+                if let Some(w) = victim {
+                    self.stop_worker(ctx, w);
                 }
             }
             Msg::JmStatusQuery => {
@@ -1371,7 +1269,7 @@ impl Actor<Msg> for JobMaster {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+    fn handle_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
         if self.state == JmState::Done {
             return;
         }
@@ -1379,20 +1277,17 @@ impl Actor<Msg> for JobMaster {
         match tag {
             TIMER_HOUSEKEEPING => {
                 if self.state == JmState::Running {
-                    // Workers that never came up (lost StartWorker or
-                    // WorkerStarted): drop and let reconciliation retry.
+                    // Workers that never came up (lost StartWorker, or its
+                    // registration lost for good): stop them and let
+                    // reconciliation retry.
                     let now = ctx.now();
-                    let stuck: Vec<WorkerId> = self
-                        .worker_requested_at
-                        .iter()
-                        .filter(|(_, &t0)| {
-                            now.since(t0).as_secs_f64() > WORKER_START_TIMEOUT_S
-                        })
-                        .map(|(&w, _)| w)
-                        .collect();
+                    let stuck = self.workers_where(|row| {
+                        row.actor.is_none()
+                            && now.since(row.requested_at).as_secs_f64() > WORKER_START_TIMEOUT_S
+                    });
                     for w in stuck {
                         ctx.metrics().count("jm.worker_start_timeouts", 1);
-                        self.stop_worker_local(ctx, w);
+                        self.stop_worker(ctx, w);
                     }
                     let tasks: Vec<TaskId> = self.started_tasks.iter().copied().collect();
                     for task in tasks {
@@ -1442,8 +1337,8 @@ mod tests {
     use super::*;
     use crate::desc::{Endpoint, PipeDesc, TaskDesc};
     use fuxi_proto::topology::{MachineSpec, TopologyBuilder};
-    use fuxi_sim::{World, WorldConfig};
-    use std::cell::Cell;
+    use fuxi_sim::{SimTime, World, WorldConfig};
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     /// Runs a closure under a live `Ctx`: the builder draws from its RNG.
@@ -1539,7 +1434,8 @@ mod tests {
             // starts on their outputs.
             let t = cold.tms[map.0 as usize].as_mut().unwrap();
             for w in 0..4 {
-                t.worker_registered(WorkerId(w), MachineId(w as u32));
+                t.add_worker(WorkerId(w), MachineId(w as u32), ctx.now());
+                t.workers.get_mut(&WorkerId(w)).unwrap().actor = Some(ctx.id());
             }
             for a in t.try_assign(ctx.now(), &cold.blacklist) {
                 t.attempt_succeeded(a.worker, a.instance.index, a.attempt, 3.5);
@@ -1569,5 +1465,135 @@ mod tests {
         world.spawn(Some(0), Box::new(WithCtx(Some(scenario))));
         world.run_until(SimTime::from_secs(1));
         assert!(ran.get(), "the scenario ran");
+    }
+
+    /// Logs what it hears; a late worker's stand-in also says `hello` first.
+    struct Stub {
+        log: Rc<RefCell<Vec<Msg>>>,
+        hello: Option<(ActorId, Msg)>,
+    }
+    impl Actor<Msg> for Stub {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            if let Some((to, msg)) = self.hello.take() {
+                ctx.send(to, msg);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, Msg>, _: ActorId, msg: Msg) {
+            self.log.borrow_mut().push(msg);
+        }
+    }
+
+    /// Runs the JobMaster under test and keeps it reachable afterwards.
+    struct Probe(Rc<RefCell<JobMaster>>);
+    impl Actor<Msg> for Probe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            self.0.borrow_mut().on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+            self.0.borrow_mut().on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            self.0.borrow_mut().on_timer(ctx, tag);
+        }
+    }
+
+    /// A one-task job whose JobMaster holds one container on machine 1 and
+    /// has asked that machine's agent (a stub) for `worker`: requested, not
+    /// yet registered.
+    struct Rig {
+        world: World<Msg>,
+        jm: Rc<RefCell<JobMaster>>,
+        jm_id: ActorId,
+        agent_log: Rc<RefCell<Vec<Msg>>>,
+        worker: WorkerId,
+    }
+
+    const M1: MachineId = MachineId(1);
+
+    fn grant(seq: u64, delta: i64) -> Msg {
+        Msg::GrantUpdate { seq, grants: vec![GrantDelta { unit: UnitId(0), changes: vec![(M1, delta)] }] }
+    }
+
+    fn one_requested_worker() -> Rig {
+        let mut world: World<Msg> = World::new(WorldConfig::uniform(4, 2, 5));
+        let naming = NameRegistry::new();
+        let stub = |log: &Rc<RefCell<Vec<Msg>>>| Box::new(Stub { log: log.clone(), hello: None });
+        let fm = world.spawn(None, stub(&Rc::default()));
+        naming.register(fuxi_apsara::naming::FUXI_MASTER, fm);
+        let agent_log = Rc::new(RefCell::new(Vec::new()));
+        let agent = world.spawn(Some(M1.0), stub(&agent_log));
+        naming.register(&format!("agent/{M1}"), agent);
+        let desc = JobDesc {
+            tasks: [("t".to_owned(), TaskDesc::synthetic(2, 5.0))].into(),
+            pipes: vec![],
+        };
+        let jm = Rc::new(RefCell::new(JobMaster::new(
+            AppId(1),
+            JobId(1),
+            JobMasterConfig::default(),
+            naming,
+            StoreHandle::new(),
+            PanguHandle::new(7),
+            Arc::new(TopologyBuilder::new().uniform(2, 2, MachineSpec::default()).build()),
+            desc.to_json(),
+            ResourceVec::cores_mb(1, 2048),
+            false,
+        )));
+        let jm_id = world.spawn(Some(0), Box::new(Probe(jm.clone())));
+        world.run_until(SimTime::from_millis(100));
+        world.send_external(jm_id, grant(1, 1));
+        world.run_until(SimTime::from_millis(200));
+        let requested: Vec<WorkerId> = (agent_log.borrow().iter())
+            .filter_map(|m| match m {
+                Msg::StartWorker { spec } => Some(spec.worker),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(requested.len(), 1, "one container, one worker requested");
+        Rig { world, jm, jm_id, agent_log, worker: requested[0] }
+    }
+
+    fn rows(jm: &JobMaster) -> usize {
+        jm.tms.iter().flatten().map(|tm| tm.workers.len()).sum()
+    }
+
+    /// A worker that exits before it ever registered takes its start clock
+    /// with it: nothing is left for the housekeeping loop to time out.
+    #[test]
+    fn exit_before_register_leaves_no_clock() {
+        let mut r = one_requested_worker();
+        let (jm_id, worker) = (r.jm_id, r.worker);
+        r.world.at(SimTime::from_secs(1), move |w| {
+            let reason = fuxi_proto::FailReason::Killed;
+            w.send_external(jm_id, Msg::WorkerExited { app: AppId(1), worker, machine: M1, reason });
+        });
+        // The container goes too, so no replacement is waiting to start.
+        r.world.at(SimTime::from_secs(2), move |w| w.send_external(jm_id, grant(2, -1)));
+        r.world.run_until(SimTime::from_secs(400));
+        assert_eq!(r.world.metrics().counter("jm.worker_start_timeouts"), 0);
+        assert_eq!((r.jm.borrow().worker_task.len(), rows(&r.jm.borrow())), (0, 0));
+    }
+
+    /// A worker stopped between `StartWorker` and its registration is gone
+    /// from the books; when it registers after all it is given nothing and
+    /// is not taken back.
+    #[test]
+    fn late_announcement_of_a_stopped_worker_is_ignored() {
+        let mut r = one_requested_worker();
+        let (jm_id, worker) = (r.jm_id, r.worker);
+        r.world.at(SimTime::from_secs(1), move |w| w.send_external(jm_id, grant(2, -1)));
+        let worker_log = Rc::new(RefCell::new(Vec::new()));
+        let log = worker_log.clone();
+        r.world.at(SimTime::from_secs(2), move |w| {
+            let hello = Msg::WorkerRegister { app: AppId(1), worker, machine: M1 };
+            w.spawn(Some(M1.0), Box::new(Stub { log, hello: Some((jm_id, hello)) }));
+        });
+        r.world.run_until(SimTime::from_secs(10));
+        let stopped = |m: &Msg| matches!(m, Msg::StopWorker { worker: w, .. } if *w == worker);
+        assert!(r.agent_log.borrow().iter().any(stopped), "the agent was told to stop it");
+        assert!(worker_log.borrow().is_empty(), "it was sent {:?}", worker_log.borrow());
+        let jm = r.jm.borrow();
+        assert_eq!((jm.worker_task.len(), rows(&jm)), (0, 0), "no index entry, no row");
+        assert_eq!(tm(&jm, TaskId(0)).pending_count(), 2, "both instances still wait for a worker");
     }
 }

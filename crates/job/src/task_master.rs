@@ -18,7 +18,7 @@ use crate::desc::TaskDesc;
 use crate::snapshot::TaskSnapshot;
 use fuxi_apsara::pangu::Chunk;
 use fuxi_proto::{InstanceId, InstanceWork, MachineId, TaskId, WorkerId};
-use fuxi_sim::SimTime;
+use fuxi_sim::{ActorId, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Instance lifecycle state.
@@ -91,22 +91,29 @@ pub struct InstanceRt {
     pub runtime_s: Option<f64>,
 }
 
-/// One worker container as the TaskMaster tracks it.
+/// One worker container from the moment the JobMaster asks an agent for it
+/// to the moment it is forgotten: the whole row the job keeps about it.
 #[derive(Debug)]
 pub struct TWorker {
     /// Machine this applies to.
     pub machine: MachineId,
     /// Currently executing (instance index, attempt).
     pub busy: Option<(u32, u32)>,
-    /// Has sent `WorkerRegister` (ready for assignments).
-    pub registered: bool,
+    /// Where the worker answers, once it has spoken (`WorkerRegister`, or
+    /// `WorkerStatusReply` to a restarted JobMaster). Only a worker that
+    /// has spoken is given instances.
+    pub actor: Option<ActorId>,
+    /// When the container was requested (start overhead, start timeout).
+    pub requested_at: SimTime,
 }
 
-/// An assignment decision: send `AssignInstance(work)` to `worker`.
+/// An assignment decision: send `AssignInstance(work)` to `actor`.
 #[derive(Debug)]
 pub struct AssignmentOut {
     /// Worker id.
     pub worker: WorkerId,
+    /// Where the worker answers.
+    pub actor: ActorId,
     /// Instance id.
     pub instance: InstanceId,
     /// Attempt number.
@@ -258,32 +265,21 @@ impl TaskMaster {
     // Worker lifecycle
     // ------------------------------------------------------------------
 
-    /// Add worker.
-    pub fn add_worker(&mut self, worker: WorkerId, machine: MachineId) {
-        self.workers.entry(worker).or_insert(TWorker {
-            machine,
-            busy: None,
-            registered: false,
-        });
+    /// Takes a container requested at `now` onto the books. It gets no
+    /// instance until it has spoken.
+    pub fn add_worker(&mut self, worker: WorkerId, machine: MachineId, now: SimTime) {
+        let row = TWorker { machine, busy: None, actor: None, requested_at: now };
+        self.workers.insert(worker, row);
     }
 
-    /// Worker registered.
-    pub fn worker_registered(&mut self, worker: WorkerId, machine: MachineId) {
-        let w = self.workers.entry(worker).or_insert(TWorker {
-            machine,
-            busy: None,
-            registered: false,
-        });
-        w.machine = machine;
-        w.registered = true;
-    }
-
-    /// Removes a worker; requeues any instance it was running. Returns the
-    /// requeued instance index, if any.
-    pub fn remove_worker(&mut self, worker: WorkerId) -> Option<u32> {
+    /// Removes a worker's row and returns it; an instance it was running is
+    /// requeued.
+    pub fn remove_worker(&mut self, worker: WorkerId) -> Option<TWorker> {
         let w = self.workers.remove(&worker)?;
-        let (idx, attempt) = w.busy?;
-        self.abandon_attempt(idx, attempt)
+        if let Some((idx, attempt)) = w.busy {
+            self.abandon_attempt(idx, attempt);
+        }
+        Some(w)
     }
 
     /// Marks one attempt dead; requeues the instance when no live attempts
@@ -321,13 +317,25 @@ impl TaskMaster {
         out
     }
 
-    /// Idle registered workers.
+    /// Idle workers that have spoken.
     pub fn idle_workers(&self) -> Vec<WorkerId> {
         self.workers
             .iter()
-            .filter(|(_, w)| w.registered && w.busy.is_none())
+            .filter(|(_, w)| w.actor.is_some() && w.busy.is_none())
             .map(|(&id, _)| id)
             .collect()
+    }
+
+    /// The invariant between `workers` and `instances`: the busy rows are
+    /// exactly the live attempts the instances list.
+    pub fn books_agree(&self) -> bool {
+        let busy: BTreeSet<(WorkerId, u32, u32)> = (self.workers.iter())
+            .filter_map(|(&w, row)| row.busy.map(|(idx, attempt)| (w, idx, attempt)))
+            .collect();
+        let listed: BTreeSet<(WorkerId, u32, u32)> = (self.instances.iter().enumerate())
+            .flat_map(|(idx, inst)| inst.attempts.iter().map(move |a| (a.worker, idx as u32, a.attempt)))
+            .collect();
+        busy == listed
     }
 
     // ------------------------------------------------------------------
@@ -421,7 +429,8 @@ impl TaskMaster {
     }
 
     fn assign(&mut self, now: SimTime, worker: WorkerId, idx: u32) -> AssignmentOut {
-        let machine = self.workers[&worker].machine;
+        let w = self.workers.get_mut(&worker).expect("assignments go to workers on the books");
+        let (machine, actor) = (w.machine, w.actor.expect("and only to one that has spoken"));
         let inst = &mut self.instances[idx as usize];
         let attempt = inst.next_attempt;
         inst.next_attempt += 1;
@@ -434,9 +443,10 @@ impl TaskMaster {
             confirmed: true,
         });
         let work = Self::build_work(&self.desc, inst, machine, idx);
-        self.workers.get_mut(&worker).unwrap().busy = Some((idx, attempt));
+        w.busy = Some((idx, attempt));
         AssignmentOut {
             worker,
+            actor,
             instance: InstanceId::new(self.task, idx),
             attempt,
             work,
@@ -632,11 +642,16 @@ mod tests {
         JobBlacklist::new(JobBlacklistConfig::default())
     }
 
+    /// A worker that was requested and has registered.
+    fn up(t: &mut TaskMaster, worker: u64, machine: u32) {
+        t.add_worker(WorkerId(worker), MachineId(machine), SimTime::ZERO);
+        t.workers.get_mut(&WorkerId(worker)).unwrap().actor = Some(ActorId(worker as u32));
+    }
+
     #[test]
     fn assigns_local_instance_first() {
         let mut t = tm(vec![inst(&[1], 10.0), inst(&[2], 10.0), inst(&[3], 10.0)]);
-        t.add_worker(WorkerId(10), MachineId(2));
-        t.worker_registered(WorkerId(10), MachineId(2));
+        up(&mut t, 10, 2);
         let out = t.try_assign(SimTime::ZERO, &bl());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instance.index, 1, "instance with data on m2 preferred");
@@ -647,7 +662,7 @@ mod tests {
     #[test]
     fn falls_back_to_fifo_when_no_local_data() {
         let mut t = tm(vec![inst(&[7], 10.0), inst(&[8], 10.0)]);
-        t.worker_registered(WorkerId(1), MachineId(0));
+        up(&mut t, 1, 0);
         let out = t.try_assign(SimTime::ZERO, &bl());
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].instance.index, 0, "FIFO order");
@@ -658,7 +673,7 @@ mod tests {
     #[test]
     fn container_reuse_runs_many_instances_through_one_worker() {
         let mut t = tm((0..5).map(|_| inst(&[], 1.0)).collect());
-        t.worker_registered(WorkerId(1), MachineId(0));
+        up(&mut t, 1, 0);
         let mut done = 0;
         let mut now = SimTime::ZERO;
         for round in 0..5 {
@@ -682,7 +697,7 @@ mod tests {
             instance_marks_to_task: 99,
             task_marks_to_job: 99,
         });
-        t.worker_registered(WorkerId(1), MachineId(4));
+        up(&mut t, 1, 4);
         let out = t.try_assign(SimTime::ZERO, &b);
         assert_eq!(out.len(), 1);
         assert!(t.attempt_failed(WorkerId(1), 0, 0));
@@ -692,7 +707,7 @@ mod tests {
         let out = t.try_assign(SimTime::ZERO, &b);
         assert!(out.is_empty(), "instance-level blacklist holds");
         // A worker elsewhere picks it up.
-        t.worker_registered(WorkerId(2), MachineId(5));
+        up(&mut t, 2, 5);
         let out = t.try_assign(SimTime::ZERO, &b);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].attempt, 1, "second attempt");
@@ -701,12 +716,12 @@ mod tests {
     #[test]
     fn remove_worker_requeues_running_instance() {
         let mut t = tm(vec![inst(&[], 1.0)]);
-        t.worker_registered(WorkerId(1), MachineId(0));
+        up(&mut t, 1, 0);
         let out = t.try_assign(SimTime::ZERO, &bl());
         assert_eq!(out.len(), 1);
         assert_eq!(t.running_count(), 1);
-        let requeued = t.remove_worker(WorkerId(1));
-        assert_eq!(requeued, Some(0));
+        let row = t.remove_worker(WorkerId(1)).expect("on the books");
+        assert_eq!(row.busy, Some((0, 0)), "it was running instance 0");
         assert_eq!(t.pending_count(), 1);
         assert_eq!(t.running_count(), 0);
     }
@@ -715,7 +730,7 @@ mod tests {
     fn backup_launches_on_other_machine_and_first_wins() {
         let mut t = tm((0..10).map(|_| inst(&[], 10.0)).collect());
         for i in 0..10u64 {
-            t.worker_registered(WorkerId(i), MachineId(i as u32));
+            up(&mut t, i, i as u32);
         }
         let out = t.try_assign(SimTime::ZERO, &bl());
         assert_eq!(out.len(), 10);
@@ -759,9 +774,9 @@ mod tests {
     #[test]
     fn worker_counts_by_machine() {
         let mut t = tm(vec![inst(&[], 1.0)]);
-        t.add_worker(WorkerId(1), MachineId(3));
-        t.add_worker(WorkerId(2), MachineId(3));
-        t.add_worker(WorkerId(3), MachineId(4));
+        t.add_worker(WorkerId(1), MachineId(3), SimTime::ZERO);
+        t.add_worker(WorkerId(2), MachineId(3), SimTime::ZERO);
+        t.add_worker(WorkerId(3), MachineId(4), SimTime::ZERO);
         let counts = t.worker_counts();
         assert_eq!(counts[&MachineId(3)], 2);
         assert_eq!(counts[&MachineId(4)], 1);

@@ -34,10 +34,10 @@ impl Default for WorkerConfig {
 const TIMER_REPORT: u64 = 1;
 /// Fires once when a configured process-startup overhead elapses.
 const TIMER_STARTUP: u64 = 2;
-/// Compute/write completion timers carry the execution generation in the
-/// low bits so stale timers from an aborted instance are ignored.
+/// Compute completion timers carry the execution generation in the low
+/// bits so stale timers from an aborted instance are ignored. (The write
+/// phase needs none: its `FlowDone` drives it.)
 const TIMER_COMPUTE_BASE: u64 = 1 << 32;
-const TIMER_WRITE_BASE: u64 = 2 << 32;
 
 #[derive(Debug)]
 enum Phase {
@@ -379,8 +379,6 @@ impl Actor<Msg> for TaskWorker {
                         size_mb: write_mb,
                         tag: self.generation,
                     });
-                    // Also arm a no-op guard? Not needed: FlowDone drives it.
-                    let _ = TIMER_WRITE_BASE;
                 } else {
                     self.finish(ctx, InstanceOutcome::Success);
                 }

@@ -230,17 +230,16 @@ impl ClusterView {
                 } else {
                     self.pending_since.remove(&j.job);
                 }
-                // A fully-finished job stops reporting; drop it from the
-                // live table so the view tracks running work.
-                if j.tasks_finished >= j.tasks_total
-                    && j.instances_running == 0
-                    && j.pending_instances == 0
-                {
-                    self.jobs.remove(&j.job);
-                    self.pending_since.remove(&j.job);
-                }
             }
         }
+    }
+
+    /// The master saw `job` finish: it leaves the live table and stops
+    /// ageing. (Its JobMaster reports on a timer and exits without a last
+    /// report, so the reports alone would leave its last reading for ever.)
+    pub fn job_finished(&mut self, job: u32) {
+        self.jobs.remove(&job);
+        self.pending_since.remove(&job);
     }
 
     /// Folds the master's own per-window readings in and refreshes every
@@ -590,22 +589,11 @@ mod tests {
         let mut v = ClusterView::new(1.0);
         v.apply_report(0.5, &job_report(9, 0, 4));
         assert_eq!(v.jobs.len(), 1);
-        v.apply_report(
-            2.0,
-            &MetricsReport::Job(JobReport {
-                app: 1,
-                job: 9,
-                tasks_total: 2,
-                tasks_finished: 2,
-                instances_total: 10,
-                instances_running: 0,
-                instances_finished: 10,
-                workers_active: 0,
-                pending_instances: 0,
-                t_s: 2.0,
-            }),
-        );
+        // Its last report said "4 pending"; the master's word ends that.
+        v.job_finished(9);
+        v.apply_rollup(MasterRollup { t_s: 30.0, ..MasterRollup::default() });
         assert!(v.jobs.is_empty());
+        assert_eq!((v.pending_instances, v.oldest_pending_age_s), (0, 0.0));
     }
 
     #[test]

@@ -104,6 +104,17 @@ pub enum FailReason {
     Crashed,
 }
 
+/// Why a worker launch failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum StartFailure {
+    /// The machine could not fetch or launch the process: a machine fault,
+    /// which feeds the blacklist.
+    Machine,
+    /// The agent holds no granted capacity for the worker: a scheduling
+    /// race, not a machine fault.
+    Capacity,
+}
+
 /// Terminal state of one instance attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum InstanceOutcome {
@@ -361,23 +372,15 @@ pub enum Msg {
         /// Worker launch specification.
         spec: WorkerSpec,
     },
-    /// FA → AM: worker process is up (after binary download).
-    WorkerStarted {
-        /// Worker id.
-        worker: WorkerId,
-        /// Actor address.
-        actor: ActorId,
-        /// Machine index.
-        machine: MachineId,
-    },
-    /// FA → AM: worker launch failed.
+    /// FA → AM: worker launch failed. (There is no "started" message: the
+    /// worker announces itself with [`Msg::WorkerRegister`].)
     WorkerStartFailed {
         /// Worker id.
         worker: WorkerId,
         /// Machine index.
         machine: MachineId,
         /// Why it happened.
-        reason: String,
+        reason: StartFailure,
     },
     /// AM → FA: stop a worker (container returned or job done).
     StopWorker {
@@ -413,7 +416,7 @@ pub enum Msg {
         /// Machine index.
         machine: MachineId,
         /// Workers involved.
-        workers: Vec<(WorkerId, ActorId)>,
+        workers: Vec<WorkerId>,
     },
 
     // ------------------------------------------------------------------

@@ -24,7 +24,7 @@ use std::fmt;
 
 /// Protocol version spoken by this build. Bump on any change to the
 /// encoded shape of [`Msg`] or the control frames.
-pub const PROTO_VERSION: u16 = 2;
+pub const PROTO_VERSION: u16 = 3;
 
 /// Frame magic: every frame starts with these four bytes.
 pub const MAGIC: [u8; 4] = *b"FUXI";
@@ -401,7 +401,9 @@ mod tests {
     use super::*;
     use crate::health::NodeHealthReport;
     use crate::ids::{AppId, InstanceId, JobId, MachineId, Priority, TaskId, UnitId, WorkerId};
-    use crate::msg::{AppDescription, FailReason, InstanceOutcome, InstanceWork, JobSummary, WorkerSpec};
+    use crate::msg::{
+        AppDescription, FailReason, InstanceOutcome, InstanceWork, JobSummary, StartFailure, WorkerSpec,
+    };
     use crate::request::{
         CapacityChange, GrantDelta, RequestDelta, RequestState, ScheduleUnitDef, WantLevels,
     };
@@ -493,28 +495,27 @@ mod tests {
             Msg::AmDetach { .. } => 22,
             Msg::BadMachineReport { .. } => 23,
             Msg::StartWorker { .. } => 24,
-            Msg::WorkerStarted { .. } => 25,
-            Msg::WorkerStartFailed { .. } => 26,
-            Msg::StopWorker { .. } => 27,
-            Msg::CapacityWarning { .. } => 28,
-            Msg::WorkerListQuery { .. } => 29,
-            Msg::WorkerListReply { .. } => 30,
-            Msg::WorkerRegister { .. } => 31,
-            Msg::AssignInstance { .. } => 32,
-            Msg::InstanceReport { .. } => 33,
-            Msg::InstanceFinished { .. } => 34,
-            Msg::KillInstance { .. } => 35,
-            Msg::WorkerExit => 36,
-            Msg::WorkerStatusQuery => 37,
-            Msg::WorkerStatusReply { .. } => 38,
-            Msg::JmStatusQuery => 39,
-            Msg::JmStatusReply { .. } => 40,
-            Msg::LockAcquire { .. } => 41,
-            Msg::LockGranted { .. } => 42,
-            Msg::LockKeepalive { .. } => 43,
-            Msg::LockRelease { .. } => 44,
-            Msg::LockLost { .. } => 45,
-            Msg::FlowDone { .. } => 46,
+            Msg::WorkerStartFailed { .. } => 25,
+            Msg::StopWorker { .. } => 26,
+            Msg::CapacityWarning { .. } => 27,
+            Msg::WorkerListQuery { .. } => 28,
+            Msg::WorkerListReply { .. } => 29,
+            Msg::WorkerRegister { .. } => 30,
+            Msg::AssignInstance { .. } => 31,
+            Msg::InstanceReport { .. } => 32,
+            Msg::InstanceFinished { .. } => 33,
+            Msg::KillInstance { .. } => 34,
+            Msg::WorkerExit => 35,
+            Msg::WorkerStatusQuery => 36,
+            Msg::WorkerStatusReply { .. } => 37,
+            Msg::JmStatusQuery => 38,
+            Msg::JmStatusReply { .. } => 39,
+            Msg::LockAcquire { .. } => 40,
+            Msg::LockGranted { .. } => 41,
+            Msg::LockKeepalive { .. } => 42,
+            Msg::LockRelease { .. } => 43,
+            Msg::LockLost { .. } => 44,
+            Msg::FlowDone { .. } => 45,
         }
     }
 
@@ -620,25 +621,32 @@ mod tests {
                     usage_factor: rng.gen_range(0.1..1.5),
                 },
             },
-            25 => Msg::WorkerStarted { worker, actor: rid(rng), machine },
-            26 => Msg::WorkerStartFailed { worker, machine, reason: "launch".into() },
-            27 => Msg::StopWorker { app, worker },
-            28 => Msg::CapacityWarning { app, machine, over: rres(rng) },
-            29 => Msg::WorkerListQuery { app, machine },
-            30 => Msg::WorkerListReply { app, machine, workers: vec![(worker, rid(rng))] },
-            31 => Msg::WorkerRegister { app, worker, machine },
-            32 => Msg::AssignInstance {
+            25 => Msg::WorkerStartFailed {
+                worker,
+                machine,
+                reason: if rng.gen_range(0..2u32) == 1 {
+                    StartFailure::Machine
+                } else {
+                    StartFailure::Capacity
+                },
+            },
+            26 => Msg::StopWorker { app, worker },
+            27 => Msg::CapacityWarning { app, machine, over: rres(rng) },
+            28 => Msg::WorkerListQuery { app, machine },
+            29 => Msg::WorkerListReply { app, machine, workers: vec![worker] },
+            30 => Msg::WorkerRegister { app, worker, machine },
+            31 => Msg::AssignInstance {
                 instance: rinst(rng),
                 attempt: rng.gen_range(0..4u32),
                 work: rwork(rng),
             },
-            33 => Msg::InstanceReport {
+            32 => Msg::InstanceReport {
                 worker,
                 instance: rinst(rng),
                 attempt: rng.gen_range(0..4u32),
                 progress: rng.gen_range(0.0..1.0),
             },
-            34 => Msg::InstanceFinished {
+            33 => Msg::InstanceFinished {
                 worker,
                 instance: rinst(rng),
                 attempt: rng.gen_range(0..4u32),
@@ -649,30 +657,30 @@ mod tests {
                 },
                 runtime_s: rng.gen_range(0.0..100.0),
             },
-            35 => Msg::KillInstance { instance: rinst(rng), attempt: rng.gen_range(0..4u32) },
-            36 => Msg::WorkerExit,
-            37 => Msg::WorkerStatusQuery,
-            38 => Msg::WorkerStatusReply {
+            34 => Msg::KillInstance { instance: rinst(rng), attempt: rng.gen_range(0..4u32) },
+            35 => Msg::WorkerExit,
+            36 => Msg::WorkerStatusQuery,
+            37 => Msg::WorkerStatusReply {
                 app,
                 worker,
                 machine,
                 running: Some((rinst(rng), rng.gen_range(0..4u32), rng.gen_range(0.0..1.0))),
             },
-            39 => Msg::JmStatusQuery,
-            40 => Msg::JmStatusReply {
+            38 => Msg::JmStatusQuery,
+            39 => Msg::JmStatusReply {
                 job,
                 summary: JobSummary { tasks_total: 4, instances_total: 20, ..Default::default() },
             },
-            41 => Msg::LockAcquire { name: "fuxi-master".into(), ttl_s: rng.gen_range(1.0..10.0) },
-            42 => Msg::LockGranted { name: "fuxi-master".into() },
-            43 => Msg::LockKeepalive { name: "fuxi-master".into() },
-            44 => Msg::LockRelease { name: "fuxi-master".into() },
-            45 => Msg::LockLost { name: "fuxi-master".into() },
+            40 => Msg::LockAcquire { name: "fuxi-master".into(), ttl_s: rng.gen_range(1.0..10.0) },
+            41 => Msg::LockGranted { name: "fuxi-master".into() },
+            42 => Msg::LockKeepalive { name: "fuxi-master".into() },
+            43 => Msg::LockRelease { name: "fuxi-master".into() },
+            44 => Msg::LockLost { name: "fuxi-master".into() },
             _ => Msg::FlowDone { tag: rng.gen_range(0..1u64 << 40), failed: rng.gen_range(0..2u32) == 1 },
         }
     }
 
-    const N_SAMPLES: usize = 47;
+    const N_SAMPLES: usize = 46;
 
     #[test]
     fn every_variant_roundtrips() {

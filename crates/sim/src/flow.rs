@@ -317,9 +317,11 @@ impl FlowNet {
         flow
     }
 
-    /// Fails every flow touching machine `m` (machine death).
+    /// Fails every flow touching machine `m` (machine death), in the order
+    /// the flows were started: the notifications become messages, and a run
+    /// must not depend on the map's hash order.
     pub fn fail_machine(&mut self, now: SimTime, m: u32) -> Vec<FlowDone> {
-        let victims: Vec<u64> = self
+        let mut victims: Vec<u64> = self
             .flows
             .iter()
             .filter(|(_, f)| {
@@ -330,6 +332,7 @@ impl FlowNet {
             })
             .map(|(&id, _)| id)
             .collect();
+        victims.sort_unstable();
         let mut done = Vec::with_capacity(victims.len());
         for id in victims {
             let flow = self.remove_flow(now, id);
@@ -466,6 +469,19 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert!(done.iter().all(|d| d.failed));
         assert_eq!(n.active_flows(), 0);
+    }
+
+    #[test]
+    fn machine_failure_notifies_in_start_order() {
+        for _ in 0..20 {
+            // A fresh net each time: a fresh hash seed.
+            let mut n = net2();
+            for owner in 0..8 {
+                n.start(SimTime::ZERO, ActorId(owner), spec(FlowKind::DiskRead { machine: 1 }, 100.0, 0));
+            }
+            let owners: Vec<u32> = n.fail_machine(SimTime::from_secs(1), 1).iter().map(|d| d.owner.0).collect();
+            assert_eq!(owners, [0, 1, 2, 3, 4, 5, 6, 7]);
+        }
     }
 
     #[test]

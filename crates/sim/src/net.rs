@@ -1,11 +1,11 @@
 //! The message-latency model.
 //!
 //! Latency is sampled by locality class (same machine / same rack / cross
-//! rack), with uniform jitter. Optional drop and duplication probabilities
-//! exercise the incremental protocol's idempotency and full-sync repair
-//! paths ("we must ensure the idempotency of the handling of duplicated
-//! delta messages, which could happen as a result of temporary communication
-//! failure", Section 3.1).
+//! rack), with uniform jitter. An optional drop probability exercises the
+//! incremental protocol's gap detection and full-sync repair paths
+//! (Section 3.1). The kernel does not duplicate messages: that needs
+//! `KernelMsg: Clone`; the protocol's idempotency under duplication is
+//! tested at the protocol layer (`tests/protocol_properties.rs`).
 
 use crate::time::SimDuration;
 use rand::rngs::SmallRng;
@@ -22,8 +22,6 @@ pub struct NetConfig {
     pub cross_rack_us: (u64, u64),
     /// Probability a message is silently dropped (chaos testing only).
     pub drop_prob: f64,
-    /// Probability a message is delivered twice (chaos testing only).
-    pub dup_prob: f64,
 }
 
 impl Default for NetConfig {
@@ -33,17 +31,15 @@ impl Default for NetConfig {
             same_rack_us: (100, 300),
             cross_rack_us: (300, 800),
             drop_prob: 0.0,
-            dup_prob: 0.0,
         }
     }
 }
 
 impl NetConfig {
     /// A lossy network for protocol chaos tests.
-    pub fn chaotic(drop_prob: f64, dup_prob: f64) -> Self {
+    pub fn chaotic(drop_prob: f64) -> Self {
         Self {
             drop_prob,
-            dup_prob,
             ..Self::default()
         }
     }
@@ -69,11 +65,6 @@ impl NetConfig {
     /// Rolls the drop die.
     pub fn dropped(&self, rng: &mut SmallRng) -> bool {
         self.drop_prob > 0.0 && rng.gen_bool(self.drop_prob.clamp(0.0, 1.0))
-    }
-
-    /// Rolls the duplication die.
-    pub fn duplicated(&self, rng: &mut SmallRng) -> bool {
-        self.dup_prob > 0.0 && rng.gen_bool(self.dup_prob.clamp(0.0, 1.0))
     }
 }
 
@@ -101,12 +92,11 @@ mod tests {
         let cfg = NetConfig::default();
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(!(0..1000).any(|_| cfg.dropped(&mut rng)));
-        assert!(!(0..1000).any(|_| cfg.duplicated(&mut rng)));
     }
 
     #[test]
     fn chaotic_network_drops_roughly_at_rate() {
-        let cfg = NetConfig::chaotic(0.5, 0.0);
+        let cfg = NetConfig::chaotic(0.5);
         let mut rng = SmallRng::seed_from_u64(2);
         let drops = (0..10_000).filter(|_| cfg.dropped(&mut rng)).count();
         assert!((4_000..6_000).contains(&drops), "drops = {drops}");

@@ -184,12 +184,6 @@ impl<M: KernelMsg> WorldCore<M> {
             let horizon = SimTime(self.time.0.saturating_sub(10_000));
             self.channel_clock.retain(|_, &mut t| t >= horizon);
         }
-        // Duplication must clone; to avoid a Clone bound on M we duplicate by
-        // re-sampling latency for a second *logical* delivery only when the
-        // message type opts in. Instead we model duplication at the receiver
-        // protocol layer via SeqEnvelope tests; kernel-level dup would need
-        // M: Clone. Drop-only chaos at this layer.
-        let _ = self.net.duplicated(&mut self.rng);
         self.queue
             .push(at, EventKind::Deliver { to, from, msg, trace });
     }

@@ -67,6 +67,8 @@ fn assert_view_matches_counters(view: &ClusterView, m: &fuxi::sim::Metrics) {
     );
     assert_eq!(view.agents.len(), N_MACHINES, "every agent must be reporting");
     assert_eq!(view.rollup.jobs_finished_total, N_JOBS as u64);
+    assert!(view.jobs.is_empty(), "every job finished, yet live rows remain: {:?}", view.jobs.keys());
+    assert_eq!(view.pending_instances, 0, "... and so nothing is pending");
     assert!(view.rollup.sched_count_win > 0 || view.rollup.jobs_finished_total > 0);
 }
 
@@ -85,6 +87,43 @@ fn sim_rollup_matches_shutdown_merged_metrics() {
     assert_view_matches_counters(&view, c.world.metrics());
     assert_eq!(view.rollup.master_epoch, 1, "no failover happened");
     assert_eq!(view.alerts_total, 0, "an idle healthy cluster raises no alerts");
+}
+
+/// Jobs that live long enough to report (a JobMaster reports every 2 s and
+/// exits without a last report) leave the view when the master sees them
+/// finish: no row, no pending instance and no pending-age clock outlives
+/// its job.
+#[test]
+fn finished_jobs_leave_the_cluster_view() {
+    let mut c = Cluster::new(plane_config());
+    let mut watch = TotalsWatch::default();
+    for _ in 0..10 {
+        // Eight 3 s maps through two workers: pending for most of its life.
+        let desc = wordcount_job(&MapReduceParams {
+            maps: 8,
+            reduces: 1,
+            map_duration_s: 3.0,
+            reduce_duration_s: 1.0,
+            max_workers: 2,
+            binary_mb: 2.0,
+            ..Default::default()
+        });
+        c.submit(&desc, &SubmitOpts::default());
+    }
+    let mut seen_live = 0;
+    while c.finished_count() < 10 {
+        assert!(c.world.now() < SimTime::from_secs(600), "sim run left jobs unfinished");
+        c.run_for(SimDuration::from_secs(1));
+        let view = c.hub.snapshot();
+        watch.check(&view);
+        seen_live = seen_live.max(view.jobs.len());
+    }
+    assert_eq!(seen_live, 10, "every job reported while it ran");
+    c.run_for(SimDuration::from_secs(5));
+    let view = c.hub.snapshot();
+    watch.check(&view);
+    assert!(view.jobs.is_empty(), "live rows after the last job: {:?}", view.jobs.keys());
+    assert_eq!((view.pending_instances, view.oldest_pending_age_s), (0, 0.0));
 }
 
 /// `plane_config` with a hot standby and a failover quick enough to test.
@@ -113,6 +152,10 @@ impl TotalsWatch {
         assert!(s >= self.submitted, "submitted fell {} -> {s} (epoch {e})", self.submitted);
         assert!(f >= self.finished, "finished fell {} -> {f} (epoch {e})", self.finished);
         assert!(f <= s, "finished {f} > submitted {s} (epoch {e})");
+        // A row leaves the live table the moment its job finishes, the
+        // totals at the next rollup: never more rows than unfinished jobs.
+        let live = view.jobs.len() as u64;
+        assert!(live <= s - f, "{live} live rows, {s} submitted - {f} finished (epoch {e})");
         (self.submitted, self.finished) = (s, f);
     }
 
