@@ -504,20 +504,16 @@ impl FuxiAgent {
     fn check_capacity(&mut self, ctx: &mut Ctx<'_, Msg>, app: AppId) {
         let mut over = ResourceVec::ZERO;
         let mut any_over = false;
-        let units: Vec<UnitId> = self
-            .workers
-            .values()
-            .filter(|w| w.spec.app == app)
-            .map(|w| w.spec.unit)
-            .collect();
-        for unit in units {
+        let mut units: BTreeMap<UnitId, &ResourceVec> = BTreeMap::new();
+        for w in self.workers.values().filter(|w| w.spec.app == app) {
+            units.insert(w.spec.unit, &w.spec.limit);
+        }
+        for (unit, limit) in units {
             let allowed = self.envelope.allowed(app, unit);
             let running = self.running_count(app, unit);
             if running > allowed {
                 any_over = true;
-                if let Some(size) = self.envelope.unit_size(app, unit) {
-                    over.add_scaled(size, running - allowed);
-                }
+                over.add_scaled(limit, running - allowed);
             }
         }
         if any_over {
@@ -889,9 +885,24 @@ mod tests {
         (mf, wf)
     }
 
+    /// Runs the agent under test and keeps it reachable afterwards.
+    struct Probe(Rc<RefCell<FuxiAgent>>);
+    impl SimActor<Msg> for Probe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            self.0.borrow_mut().on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+            self.0.borrow_mut().on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            self.0.borrow_mut().on_timer(ctx, tag);
+        }
+    }
+
     struct Harness {
         world: World<Msg>,
         agent: ActorId,
+        state: Rc<RefCell<FuxiAgent>>,
         master_log: Rc<RefCell<Vec<Msg>>>,
         am: ActorId,
         am_log: Rc<RefCell<Vec<Msg>>>,
@@ -906,20 +917,19 @@ mod tests {
         let am_log = Rc::new(RefCell::new(Vec::new()));
         let am = world.spawn(None, Box::new(Sink { log: am_log.clone() }));
         let (mf, wf) = factories();
-        let agent = world.spawn(
-            Some(1),
-            Box::new(FuxiAgent::new(
-                MachineId(1),
-                ResourceVec::cores_mb(12, 96 * 1024),
-                true,
-                naming,
-                mf,
-                wf,
-            )),
-        );
+        let state = Rc::new(RefCell::new(FuxiAgent::new(
+            MachineId(1),
+            ResourceVec::cores_mb(12, 96 * 1024),
+            true,
+            naming,
+            mf,
+            wf,
+        )));
+        let agent = world.spawn(Some(1), Box::new(Probe(state.clone())));
         Harness {
             world,
             agent,
+            state,
             master_log,
             am,
             am_log,
@@ -1099,6 +1109,29 @@ mod tests {
         assert_eq!(started(&h).len(), 4);
         // One flow for the shared binary (plus none for the cached starts).
         assert_eq!(h.world.metrics().counter("flow.started"), 1);
+    }
+
+    /// A voluntary return, as the JobMaster and FuxiMaster send it: the
+    /// JobMaster stops the worker, then the master's books shrink and the
+    /// agent hears the change. Nothing of the app is left on the agent —
+    /// no worker, no envelope row — and no warning went out for it.
+    #[test]
+    fn returned_container_leaves_no_envelope_row() {
+        let mut h = setup();
+        grant_capacity(&mut h, 1);
+        h.world.send_external(h.agent, Msg::StartWorker { spec: spec(&h, 1, 0.4) });
+        h.world.run_until(SimTime::from_secs(5));
+        assert_eq!(started(&h), [1]);
+        assert_eq!(h.state.borrow().envelope.rows(), 1);
+        h.world.send_external(h.agent, Msg::StopWorker { app: AppId(1), worker: WorkerId(1) });
+        grant_capacity(&mut h, -1);
+        h.world.run_until(SimTime::from_secs(10));
+        let agent = h.state.borrow();
+        assert!(agent.workers.is_empty());
+        assert_eq!(agent.envelope.rows(), 0, "a row at zero is gone");
+        assert!(agent.envelope.report().is_empty());
+        let warned = h.am_log.borrow().iter().any(|m| matches!(m, Msg::CapacityWarning { .. }));
+        assert!(!warned, "a return is not a revocation");
     }
 
     /// A worker stopped while its own binary download is in flight starts

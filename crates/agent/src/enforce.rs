@@ -15,12 +15,12 @@ use fuxi_proto::{AppId, ResourceVec, UnitId, WorkerId};
 use std::collections::BTreeMap;
 
 /// The per-app granted envelope on one machine: how many containers of each
-/// unit size FuxiMaster says this app may run here. Counts can transiently
-/// go negative when a revocation outruns a grant notification; enforcement
-/// clamps at zero.
+/// unit size FuxiMaster says this app may run here. A row lives while its
+/// count is positive: a revocation that outruns a grant notification, or
+/// the return of the last container, takes it away.
 #[derive(Debug, Default)]
 pub struct Envelope {
-    per_unit: BTreeMap<(AppId, UnitId), (ResourceVec, i64)>,
+    per_unit: BTreeMap<(AppId, UnitId), (ResourceVec, u64)>,
 }
 
 impl Envelope {
@@ -31,46 +31,38 @@ impl Envelope {
 
     /// Applies a `CapacityNotify` delta.
     pub fn apply(&mut self, app: AppId, unit: UnitId, unit_res: ResourceVec, delta: i64) {
-        let e = self
-            .per_unit
-            .entry((app, unit))
-            .or_insert((unit_res.clone(), 0));
-        e.0 = unit_res;
-        e.1 += delta;
-        if e.1 <= 0 && delta < 0 {
-            // Keep zero entries so late grants still find the unit size.
-            e.1 = e.1.max(0);
+        let count = self.allowed(app, unit).saturating_add_signed(delta);
+        if count == 0 {
+            self.per_unit.remove(&(app, unit));
+        } else {
+            self.per_unit.insert((app, unit), (unit_res, count));
         }
     }
 
     /// Replaces the whole envelope (from `AgentCapacitySnapshot`).
     pub fn replace(&mut self, rows: Vec<(AppId, UnitId, ResourceVec, u64)>) {
         self.per_unit.clear();
-        for (app, unit, res, count) in rows {
-            self.per_unit.insert((app, unit), (res, count as i64));
+        for (app, unit, res, count) in rows.into_iter().filter(|r| r.3 > 0) {
+            self.per_unit.insert((app, unit), (res, count));
         }
     }
 
     /// Containers of `(app, unit)` the envelope currently allows.
     pub fn allowed(&self, app: AppId, unit: UnitId) -> u64 {
-        self.per_unit
-            .get(&(app, unit))
-            .map(|&(_, c)| c.max(0) as u64)
-            .unwrap_or(0)
+        self.per_unit.get(&(app, unit)).map_or(0, |&(_, c)| c)
     }
 
     /// Snapshot for `AgentAllocationReport` during master failover.
     pub fn report(&self) -> Vec<(AppId, UnitId, ResourceVec, u64)> {
-        self.per_unit
-            .iter()
-            .filter(|(_, &(_, c))| c > 0)
-            .map(|(&(a, u), (res, c))| (a, u, res.clone(), *c as u64))
+        (self.per_unit.iter())
+            .map(|(&(a, u), (res, c))| (a, u, res.clone(), *c))
             .collect()
     }
 
-    /// Unit resource size, if known.
-    pub fn unit_size(&self, app: AppId, unit: UnitId) -> Option<&ResourceVec> {
-        self.per_unit.get(&(app, unit)).map(|(res, _)| res)
+    /// Number of `(app, unit)` rows held.
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
+        self.per_unit.len()
     }
 }
 
@@ -165,11 +157,15 @@ mod tests {
         assert_eq!(env.allowed(AppId(1), UnitId(0)), 3);
         env.apply(AppId(1), UnitId(0), res.clone(), -1);
         assert_eq!(env.allowed(AppId(1), UnitId(0)), 2);
-        // Revocation outrunning grants clamps at zero, not negative.
+        // Revocation outrunning grants clamps at zero, not negative, and a
+        // row at zero is gone: it holds nothing an agent needs.
         env.apply(AppId(1), UnitId(0), res.clone(), -10);
         assert_eq!(env.allowed(AppId(1), UnitId(0)), 0);
-        assert_eq!(env.unit_size(AppId(1), UnitId(0)), Some(&res));
+        assert_eq!(env.rows(), 0);
         assert_eq!(env.allowed(AppId(9), UnitId(0)), 0);
+        // A late grant brings its own unit size.
+        env.apply(AppId(1), UnitId(0), res.clone(), 1);
+        assert_eq!(env.report(), [(AppId(1), UnitId(0), res, 1)]);
     }
 
     #[test]

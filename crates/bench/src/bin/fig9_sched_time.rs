@@ -6,6 +6,7 @@
 //! Run: `cargo run --release -p fuxi-bench --bin fig9_sched_time -- [--scale 0.04] [--duration 900]`
 
 use fuxi_cluster::report::{downsample, print_table, sparkline};
+use fuxi_sim::SpanKind;
 
 fn main() {
     fuxi_bench::warn_if_debug();
@@ -35,11 +36,15 @@ fn main() {
             fuxi_bench::row("requests timed", "-", &format!("{}", h.count())),
         ],
     );
-    let series = m.series("fm.sched_ms");
+    // The timeline is the decision spans, in simulated-time order.
+    let series: Vec<(f64, f64)> = (out.cluster.world.tracer().spans.iter())
+        .filter(|s| s.kind == SpanKind::SchedDecision)
+        .map(|s| (s.t_s, s.wall_s * 1e3))
+        .collect();
     println!("\nscheduling time over simulated time (ms):");
-    println!("  {}", sparkline(series, 80));
+    println!("  {}", sparkline(&series, 80));
     println!("\nsampled series (t_s, ms):");
-    for (t, v) in downsample(series, 16) {
+    for (t, v) in downsample(&series, 16) {
         println!("  {t:9.1}  {v:.4}");
     }
     println!(

@@ -40,7 +40,7 @@ fn sim_cluster_lands_where_the_topology_says() {
 /// *meant* to move simulated time, once, after it is final, with the reason
 /// here and in CHANGES.md.
 ///
-/// Recorded three times so far:
+/// Recorded four times so far:
 /// * PR 8, from the commit before the three boot paths became one: 7,538
 ///   events, last finish 30.644833 s.
 /// * Issue 16 (event-driven cold start). This run submits its 30 jobs at
@@ -62,12 +62,22 @@ fn sim_cluster_lands_where_the_topology_says() {
 ///   every later draw — hence every timestamp — shifts. 7,192 events
 ///   (4,104 messages sent against 4,428; the run starts 300 workers), last
 ///   finish 30.352253 s (30.377138 s before), still exactly two elections.
-const PINNED_EVENTS: u64 = 7192;
+/// * No batch tick; returns reach the agent. Request deltas no
+///   longer wait for a periodic 100 ms `TIMER_BATCH`: the first one arms a
+///   zero-delay flush, so grants go out in the instant their request
+///   arrives and the ten batch timers a second are gone; and every
+///   container a JobMaster gives back now sends its agent a
+///   `CapacityNotify`. 7,212 events (4,322 messages sent against 4,104),
+///   last finish 30.478743 s (30.352253 s before — the run is bounded by
+///   the master kill at t = 10 s and the 8 s rebuild window, and the new
+///   draws reshuffle which jobs land behind it), still exactly two
+///   elections.
+const PINNED_EVENTS: u64 = 7212;
 const PINNED_FINISH_S: [f64; 30] = [
-    29.636562, 29.950113, 29.266227, 29.900464, 30.224458, 29.761746, 29.932826, 28.691686,
-    29.881753, 28.601237, 29.4705, 30.352253, 29.123615, 30.114865, 30.090713, 28.720187,
-    29.351363, 30.31197, 29.325777, 29.707325, 29.848827, 29.72835, 28.93118, 29.558584,
-    28.516178, 29.608108, 28.533794, 28.6156, 29.372515, 29.719184,
+    29.39789, 29.364916, 30.407393, 28.648973, 29.596192, 30.314057, 29.31745, 29.847264,
+    29.079809, 29.171262, 30.095019, 30.066088, 28.736505, 29.511032, 29.848222, 29.05913,
+    28.634345, 30.17913, 29.999803, 30.478743, 29.633486, 29.442289, 29.33844, 29.497461,
+    28.721696, 30.082766, 29.080356, 29.759524, 29.940271, 30.063279,
 ];
 
 #[test]

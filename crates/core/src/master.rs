@@ -12,9 +12,9 @@
 //!   other heavy but not emergent requests such as quota automatic
 //!   adjusting or bad node detection will be captured at a fixed time
 //!   interval in a roll-up manner." Concretely: `ReturnGrant` is applied
-//!   immediately; `RequestUpdate` deltas are merged per app and flushed on
-//!   a short batch timer; blacklist sweeps and launch retries run on the
-//!   roll-up timer.
+//!   immediately; `RequestUpdate` deltas are merged per app while the
+//!   master is busy and flushed as soon as it has drained its queue;
+//!   blacklist sweeps and launch retries run on the roll-up timer.
 //! * **Hot-standby election** via the Apsara lock service; a standby master
 //!   holds no state until `LockGranted` promotes it.
 //! * **Failover rebuild** — hard state from the checkpoint, soft state
@@ -24,7 +24,7 @@
 
 use crate::blacklist::{BlacklistConfig, ClusterBlacklist, ExclusionReason, Transition};
 use crate::quota::{QuotaGroup, QuotaManager};
-use crate::scheduler::{Engine, EngineConfig, EngineEvent, MASTER_UNIT};
+use crate::scheduler::{Engine, EngineConfig, EngineEvent, RevokeReason, MASTER_UNIT};
 use crate::state::{HardState, JobRecord};
 use fuxi_apsara::naming::FUXI_MASTER;
 use fuxi_apsara::{NameRegistry, StoreHandle};
@@ -45,8 +45,6 @@ pub struct MasterConfig {
     pub lease_ttl: SimDuration,
     /// Keepalive cadence (should be well under `lease_ttl`).
     pub keepalive_interval: SimDuration,
-    /// Request-delta batch flush interval (Section 3.4 batch mode).
-    pub batch_interval: SimDuration,
     /// Roll-up interval for heavy housekeeping (bad-node detection, launch
     /// retries, metric samples).
     pub rollup_interval: SimDuration,
@@ -69,7 +67,6 @@ impl Default for MasterConfig {
         Self {
             lease_ttl: SimDuration::from_secs(6),
             keepalive_interval: SimDuration::from_secs(2),
-            batch_interval: SimDuration::from_millis(100),
             rollup_interval: SimDuration::from_secs(5),
             rebuild_window: SimDuration::from_secs(8),
             engine: EngineConfig::default(),
@@ -283,7 +280,6 @@ impl FuxiMaster {
             actor: ctx.id().0,
             failover: had_jobs,
         });
-        ctx.timer(self.cfg.batch_interval, TIMER_BATCH);
         ctx.timer(self.cfg.rollup_interval, TIMER_ROLLUP);
         if self.cfg.metrics.enabled {
             // The hub survives failover (it is cluster infrastructure, not
@@ -493,6 +489,7 @@ impl FuxiMaster {
         self.req_rx.remove(&app);
         self.grant_tx.remove(&app);
         self.pending_deltas.remove(&app);
+        self.apps_seen.remove(&app);
         let t = std::time::Instant::now();
         self.engine.as_mut().unwrap().detach_app(app);
         self.record_sched(ctx, t);
@@ -524,11 +521,9 @@ impl FuxiMaster {
         if self.cfg.metrics.enabled {
             self.sched_win.record(now, dt);
         }
-        let m = ctx.metrics();
-        m.record("fm.sched_s", dt);
-        m.push_series("fm.sched_ms", now, dt * 1e3);
-        // The Figure 9 histogram and the exported span timeline come from
-        // the same measurement.
+        ctx.metrics().record("fm.sched_s", dt);
+        // The Figure 9 histogram and its timeline (the spans) come from the
+        // same measurement.
         ctx.span(SpanKind::SchedDecision, dt);
     }
 
@@ -549,47 +544,51 @@ impl FuxiMaster {
         let mut per_agent: BTreeMap<MachineId, (TraceId, Vec<fuxi_proto::CapacityChange>)> =
             BTreeMap::new();
         for ev in &events {
-            let (app, unit, machine, delta) = match *ev {
+            let (app, unit, machine, delta, returned) = match *ev {
                 EngineEvent::Grant {
                     app,
                     unit,
                     machine,
                     count,
-                } => (app, unit, machine, count as i64),
+                } => (app, unit, machine, count as i64, false),
                 EngineEvent::Revoke {
                     app,
                     unit,
                     machine,
                     count,
-                    ..
-                } => (app, unit, machine, -(count as i64)),
+                    reason,
+                } => (app, unit, machine, -(count as i64), reason == RevokeReason::Returned),
             };
             if unit != MASTER_UNIT {
                 // One flush covers decisions for many jobs; each event and
                 // its fan-out messages carry their own job's trace.
                 let trace = self.trace_of_app(app);
-                ctx.trace_as(
-                    trace,
-                    if delta >= 0 {
-                        TraceEvent::Grant {
-                            app: app.0,
-                            unit: unit.0,
-                            machine: machine.0,
-                            count: delta as u64,
-                        }
-                    } else {
-                        TraceEvent::Revoke {
-                            app: app.0,
-                            unit: unit.0,
-                            machine: machine.0,
-                            count: (-delta) as u64,
-                        }
-                    },
-                );
-                per_am.entry(app).or_default().push(GrantDelta {
-                    unit,
-                    changes: vec![(machine, delta)],
-                });
+                // A voluntary return is already off the AM's ledger (the AM
+                // sent it); only the agent's envelope still has to follow.
+                if !returned {
+                    ctx.trace_as(
+                        trace,
+                        if delta >= 0 {
+                            TraceEvent::Grant {
+                                app: app.0,
+                                unit: unit.0,
+                                machine: machine.0,
+                                count: delta as u64,
+                            }
+                        } else {
+                            TraceEvent::Revoke {
+                                app: app.0,
+                                unit: unit.0,
+                                machine: machine.0,
+                                count: (-delta) as u64,
+                            }
+                        },
+                    );
+                    per_am.entry(app).or_default().push(GrantDelta {
+                        unit,
+                        changes: vec![(machine, delta)],
+                    });
+                }
                 // Agents enforce the per-app envelope.
                 if self.agents[machine.0 as usize].is_some() {
                     let unit_resource = self
@@ -868,6 +867,16 @@ impl FuxiMaster {
         let rx = self.req_rx.entry(app).or_default();
         match rx.accept(seq) {
             SeqCheck::Apply => {
+                // §3.4 batch mode without a fixed tick: the first delta since
+                // the last flush arms a flush behind whatever is already
+                // queued, and every delta that arrives before it fires merges
+                // into the same batch. At light load a delta waits for no
+                // batch period (live: for the next edge of the runtime's
+                // timer wheel); under load the batch is as large as the
+                // backlog.
+                if self.pending_deltas.is_empty() {
+                    ctx.timer(SimDuration::ZERO, TIMER_BATCH);
+                }
                 let per_unit = self.pending_deltas.entry(app).or_default();
                 for d in deltas {
                     match per_unit.get_mut(&d.unit) {
@@ -1018,12 +1027,16 @@ impl Actor<Msg> for FuxiMaster {
                         if !matches!(j.jm, JmState::Running { .. }) {
                             j.jm = JmState::Running { machine, actor };
                         }
+                        self.apps_seen.insert(app);
                     }
-                    self.apps_seen.insert(app);
                 }
                 if self.role == Role::Rebuilding {
                     let engine = self.engine.as_mut().unwrap();
-                    for (app, unit, res, count) in allocations {
+                    // Hard state decides which apps exist: a row of an app
+                    // with no job record is stale, and adopting it would
+                    // hold capacity that nothing ever frees.
+                    let live = allocations.into_iter().filter(|a| self.app_to_job.contains_key(&a.0));
+                    for (app, unit, res, count) in live {
                         engine.adopt_allocation(app, unit, res, machine, count);
                         self.apps_seen.insert(app);
                     }
@@ -1179,11 +1192,7 @@ impl Actor<Msg> for FuxiMaster {
                 }
                 ctx.timer(self.cfg.keepalive_interval, TIMER_KEEPALIVE);
             }
-            TIMER_BATCH
-                if self.role != Role::Standby => {
-                    self.flush_batches(ctx);
-                    ctx.timer(self.cfg.batch_interval, TIMER_BATCH);
-                }
+            TIMER_BATCH if self.role != Role::Standby => self.flush_batches(ctx),
             TIMER_ROLLUP
                 if self.role != Role::Standby => {
                     self.rollup(ctx);

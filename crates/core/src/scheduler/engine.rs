@@ -66,6 +66,9 @@ pub enum RevokeReason {
     Preempted,
     /// The application detached/was stopped; agents must release.
     AppStopped,
+    /// The application master gave the containers back itself; only the
+    /// agent's envelope still has to follow (the master already knows).
+    Returned,
 }
 
 /// Scheduling decisions produced by the engine, to be turned into
@@ -424,7 +427,9 @@ impl Engine {
 
     /// The application master voluntarily returns `count` containers on `m`
     /// ("when some mappers finish, the application master returns the
-    /// resource via the same protocol"). Demand is *not* re-added.
+    /// resource via the same protocol"). Demand is *not* re-added. Emits a
+    /// `Revoke` with [`RevokeReason::Returned`] so the agent's envelope
+    /// shrinks with the books.
     pub fn return_grant(&mut self, app: AppId, unit: UnitId, m: MachineId, count: u64) {
         let Some(entry) = self.apps.get_mut(&app) else {
             return;
@@ -453,6 +458,13 @@ impl Engine {
         if let Some(c) = self.granted_by_priority.get_mut(&prio) {
             *c = c.saturating_sub(count);
         }
+        self.events.push(EngineEvent::Revoke {
+            app,
+            unit,
+            machine: m,
+            count,
+            reason: RevokeReason::Returned,
+        });
         // The freed resources immediately turn over to waiting applications.
         self.schedule_machine(m);
     }

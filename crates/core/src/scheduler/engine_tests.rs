@@ -513,9 +513,19 @@ fn return_more_than_held_is_clamped() {
     e.return_grant(AppId(1), UnitId(0), MachineId(0), 99);
     assert_eq!(e.unit_granted_total(AppId(1), UnitId(0)), 0);
     assert!(e.planned().is_zero());
+    // What was held is what the agent is told went back.
+    let returned = EngineEvent::Revoke {
+        app: AppId(1),
+        unit: UnitId(0),
+        machine: MachineId(0),
+        count: 2,
+        reason: RevokeReason::Returned,
+    };
+    assert_eq!(e.drain_events(), [returned]);
     // Double return is a no-op.
     e.return_grant(AppId(1), UnitId(0), MachineId(0), 1);
     assert!(e.planned().is_zero());
+    assert!(e.drain_events().is_empty());
 }
 
 #[test]

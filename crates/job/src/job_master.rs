@@ -109,6 +109,9 @@ pub struct JobMaster {
     launch_failures: BTreeMap<MachineId, u32>,
     snapshot_dirty: bool,
     attached: bool,
+    /// `(mem MB, cpu milli)` this job last added to the `am.obtained_*`
+    /// gauges (Figure 10's application-obtained resources).
+    obtained: (f64, f64),
     /// Push a [`fuxi_sim::obs::JobReport`] to FuxiMaster on the
     /// housekeeping cadence (the in-band metrics channel; follows the
     /// master's metrics-plane switch).
@@ -160,6 +163,7 @@ impl JobMaster {
             launch_failures: BTreeMap::new(),
             snapshot_dirty: false,
             attached: false,
+            obtained: (0.0, 0.0),
             report_metrics,
         }
     }
@@ -487,12 +491,12 @@ impl JobMaster {
         (mem, cpu)
     }
 
+    /// Moves this job's share of the cluster-wide `am.obtained_*` gauges to
+    /// `(mem, cpu)`. The share is remembered here, not read back from the
+    /// metrics sink: live, the sink is taken on every periodic flush.
     fn set_obtained_gauge(&mut self, ctx: &mut Ctx<'_, Msg>, mem: f64, cpu: f64) {
+        let (cur_mem, cur_cpu) = std::mem::replace(&mut self.obtained, (mem, cpu));
         let m = ctx.metrics();
-        let cur_mem = m.gauge(&format!("am.obtained_mem_mb/{}", self.app));
-        let cur_cpu = m.gauge(&format!("am.obtained_cpu_milli/{}", self.app));
-        m.gauge_add(&format!("am.obtained_mem_mb/{}", self.app), mem - cur_mem);
-        m.gauge_add(&format!("am.obtained_cpu_milli/{}", self.app), cpu - cur_cpu);
         m.gauge_add("am.obtained_mem_mb", mem - cur_mem);
         m.gauge_add("am.obtained_cpu_milli", cpu - cur_cpu);
     }

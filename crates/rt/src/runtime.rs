@@ -34,7 +34,7 @@ use fuxi_obs::{SpanKind, TraceEvent, TraceId, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -53,7 +53,14 @@ pub struct RuntimeConfig {
     pub obs: TracerConfig,
     /// Mailbox bound: senders park (and are counted) beyond this depth.
     pub mailbox_capacity: usize,
-    /// Timer-wheel granularity.
+    /// Timer-wheel granularity: a timer fires at the first tick edge at or
+    /// after its deadline. The default (10 ms) is wide enough that the
+    /// control-plane work one timer sets off (a batch flush: grant, worker
+    /// start, assignment, up to the next timer) finishes inside the tick,
+    /// even across processes, so a job's path is a count of ticks and does
+    /// not stretch with the host's load. At 2 ms that work spills over tick
+    /// edges by chance, and light-load throughput varies ±8 % from run to
+    /// run.
     pub timer_tick: Duration,
     /// How often each actor thread folds its private metrics into the
     /// runtime-global sink (and the clock thread samples mailbox depths).
@@ -86,7 +93,7 @@ impl Default for RuntimeConfig {
             seed: 1,
             obs: TracerConfig::default(),
             mailbox_capacity: 8192,
-            timer_tick: Duration::from_millis(2),
+            timer_tick: Duration::from_millis(10),
             metrics_flush: Duration::from_secs(1),
             actor_base: 0,
         }
@@ -139,6 +146,10 @@ enum ClockCmd<M> {
     CancelFlows {
         owner: ActorId,
     },
+    /// `owner` left the registry: its flows stop and its unfired timers go.
+    Forget {
+        owner: ActorId,
+    },
     FailMachine {
         m: u32,
     },
@@ -149,13 +160,15 @@ enum ClockCmd<M> {
     Shutdown,
 }
 
-/// What the wheel holds: a due timer or a due delayed delivery.
+/// What the wheel holds: a due timer or a due delayed delivery. The
+/// message is boxed: every wheel entry is as large as the largest variant,
+/// and the wheel's slots keep the capacity of their busiest tick.
 enum Due<M> {
     Timer { actor: ActorId, tag: u64 },
     Send {
         from: ActorId,
         to: ActorId,
-        msg: M,
+        msg: Box<M>,
         trace: TraceId,
     },
 }
@@ -315,14 +328,14 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         id
     }
 
-    /// Takes `id` out of the registry, the process table and the flow model.
-    /// `None` when it was not (or no longer) registered.
+    /// Takes `id` out of the registry, the process table, the flow model and
+    /// the timer wheel. `None` when it was not (or no longer) registered.
     fn unregister(&self, id: ActorId) -> Option<ActorSlot<M>> {
         let slot = self.registry.write().unwrap().live.remove(&id.0)?;
         if let Some(m) = slot.machine {
             self.machines.write().unwrap()[m as usize].procs.remove(&id);
         }
-        let _ = self.clock_tx.send(ClockCmd::CancelFlows { owner: id });
+        let _ = self.clock_tx.send(ClockCmd::Forget { owner: id });
         Some(slot)
     }
 
@@ -658,16 +671,32 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
 ) {
     let tick_us = shared.cfg.timer_tick.as_micros().max(100) as u64;
     let mut wheel: TimerWheel<Due<M>> = TimerWheel::new(512, tick_us);
+    // Each actor's armed ticks (fired ones pruned as it arms more), so that
+    // forgetting an actor touches only its own slots.
+    let mut armed: HashMap<ActorId, Vec<u64>> = HashMap::new();
     let disk_bw: Vec<f64> = shared.cfg.machines.iter().map(|m| m.disk_bw_mbps).collect();
     let net_bw: Vec<f64> = shared.cfg.machines.iter().map(|m| m.net_bw_mbps).collect();
     let mut flows = FlowNet::new(disk_bw, net_bw);
     let mut backlog: Vec<(ActorId, Envelope<M>)> = Vec::new();
     let sample_every = shared.cfg.metrics_flush;
     let mut last_sample = Instant::now();
+    // The wheel ticks on multiples of `tick_us` of the host's real-time
+    // clock: a timer fires at the first edge at or after its deadline,
+    // whenever other traffic happened to wake this thread, and every
+    // runtime on the host (one per process of a deployment) shares the
+    // edges. `grid` is runtime time on that scale.
+    let phase_us = {
+        let now = shared.now().0;
+        let real = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_micros() as u64);
+        (real % tick_us + tick_us - now % tick_us) % tick_us
+    };
+    let grid = |t: SimTime| SimTime(t.0 + phase_us);
 
     loop {
         let now = shared.now();
-        let mut next = now + SimDuration(tick_us);
+        let mut next = SimTime((grid(now).0 / tick_us + 1) * tick_us - phase_us);
         if let Some(fc) = flows.next_completion() {
             if fc < next {
                 next = fc.max(now);
@@ -686,16 +715,30 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
             let now = shared.now();
             match cmd {
                 ClockCmd::Shutdown => shutdown = true,
-                ClockCmd::Timer { actor, delay, tag } => {
-                    wheel.arm(now, delay, Due::Timer { actor, tag })
+                // A timer armed by an actor already gone (killed while it
+                // drained its mailbox) could only ever fire into the void.
+                ClockCmd::Timer { actor, delay, tag } if shared.alive(actor) => {
+                    let tick = wheel.arm(grid(now), delay, Due::Timer { actor, tag });
+                    let ticks = armed.entry(actor).or_default();
+                    ticks.retain(|&t| t > grid(now).0 / tick_us);
+                    ticks.push(tick);
                 }
+                ClockCmd::Timer { .. } => {}
                 ClockCmd::DelayedSend {
                     from,
                     to,
                     msg,
                     delay,
                     trace,
-                } => wheel.arm(now, delay, Due::Send { from, to, msg, trace }),
+                } => {
+                    let due = Due::Send {
+                        from,
+                        to,
+                        msg: Box::new(msg),
+                        trace,
+                    };
+                    wheel.arm(grid(now), delay, due);
+                }
                 ClockCmd::StartFlow { owner, spec } => {
                     // A degenerate (zero-size) flow completes immediately.
                     if let Some(done) = flows.start(now, owner, spec) {
@@ -703,6 +746,13 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                     }
                 }
                 ClockCmd::CancelFlows { owner } => flows.cancel_owned_by(now, owner),
+                ClockCmd::Forget { owner } => {
+                    flows.cancel_owned_by(now, owner);
+                    let mine = |d: &Due<M>| matches!(d, Due::Timer { actor, .. } if *actor == owner);
+                    for tick in armed.remove(&owner).unwrap_or_default() {
+                        wheel.cancel(tick, mine);
+                    }
+                }
                 ClockCmd::FailMachine { m } => {
                     for done in flows.fail_machine(now, m) {
                         shared.clock_flow_done(&mut backlog, done);
@@ -726,12 +776,12 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                 }
             }
         }
-        for due in wheel.expire(now) {
+        for due in wheel.expire(grid(now)) {
             let (to, env) = match due {
                 Due::Timer { actor, tag } => (actor, Envelope::Timer { tag }),
                 Due::Send {
                     from, to, msg, trace,
-                } => (to, Envelope::Msg { from, msg, trace }),
+                } => (to, Envelope::Msg { from, msg: *msg, trace }),
             };
             shared.clock_deliver(&mut backlog, to, env);
         }
@@ -743,6 +793,7 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
         // gauges and the cluster view.
         if sample_every > Duration::ZERO && last_sample.elapsed() >= sample_every {
             shared.sample_mailboxes();
+            shared.metrics.lock().unwrap().gauge_set("rt.timers_armed", wheel.len() as f64);
             last_sample = Instant::now();
         }
     }
@@ -1226,6 +1277,106 @@ mod tests {
         };
         assert_eq!(tracer.records.iter().filter(is_mark).count(), 1);
         assert!(tracer.records.windows(2).all(|w| w[0].t_s <= w[1].t_s), "trace is time-ordered");
+    }
+
+    /// When an [`ArmsLong`] actor exits.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Exit {
+        Never,
+        /// Once the clock has armed its timers (the short one fired).
+        AfterArming,
+        /// Before it arms them, as a killed actor still draining would.
+        BeforeArming,
+    }
+
+    /// Arms a minute-long timer and a short one.
+    struct ArmsLong(Exit);
+    impl Actor<TMsg> for ArmsLong {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            if self.0 == Exit::BeforeArming {
+                ctx.kill_self();
+            }
+            ctx.timer(SimDuration::from_secs(60), 1);
+            ctx.timer(SimDuration::from_millis(5), 2);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, _: TMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TMsg>, tag: u64) {
+            if tag == 2 && self.0 == Exit::AfterArming {
+                ctx.kill_self();
+            }
+        }
+    }
+
+    #[test]
+    fn a_reaped_actor_leaves_no_timers_behind() {
+        let cfg = RuntimeConfig { metrics_flush: Duration::from_millis(10), ..two_machine_cfg() };
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(cfg);
+        rt.spawn(None, Box::new(ArmsLong(Exit::Never)));
+        // 2,000 short-lived actors, in waves so threads stay few.
+        for wave in 1..=20 {
+            let exit = if wave % 2 == 0 { Exit::AfterArming } else { Exit::BeforeArming };
+            for _ in 0..100 {
+                rt.spawn(None, Box::new(ArmsLong(exit)));
+            }
+            assert!(wait_for(|| reaped(&rt) == wave * 100, Duration::from_secs(10)));
+        }
+        let armed = || rt.metrics_snapshot().gauge("rt.timers_armed");
+        assert!(
+            wait_for(|| armed() == 1.0, Duration::from_secs(5)),
+            "{} timers armed with one live actor",
+            armed()
+        );
+        rt.shutdown();
+    }
+
+    fn real_time_us() -> u64 {
+        let since = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+        since.unwrap().as_micros() as u64
+    }
+
+    /// Re-arms a 7 ms timer each time one fires, and reports the real time
+    /// of every firing.
+    struct GridProbe(std::sync::mpsc::Sender<u64>);
+    impl Actor<TMsg> for GridProbe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            ctx.timer(SimDuration::from_millis(7), 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, _: TMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TMsg>, _: u64) {
+            if self.0.send(real_time_us()).is_ok() {
+                ctx.timer(SimDuration::from_millis(7), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fire_on_edges_of_the_real_time_tick_grid() {
+        let tick_us = 50_000;
+        let cfg = RuntimeConfig {
+            timer_tick: Duration::from_micros(tick_us),
+            ..two_machine_cfg()
+        };
+        // Start the runtime half a tick off the real-time grid, where a
+        // wheel ticking from its own epoch would put its edges.
+        let wait_us = (tick_us * 3 / 2 - real_time_us() % tick_us) % tick_us;
+        std::thread::sleep(Duration::from_micros(wait_us));
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(cfg);
+        let (tx, rx) = std::sync::mpsc::channel();
+        rt.spawn(None, Box::new(GridProbe(tx)));
+        let fired = || {
+            let at = rx.recv_timeout(Duration::from_secs(5));
+            at.expect("timer fired")
+        };
+        let mut past_edge: Vec<u64> = (0..8).map(|_| fired() % tick_us).collect();
+        drop(rx);
+        rt.shutdown();
+        // Such a wheel fires half a tick past the real edges; on the grid
+        // only the clock thread's wake-up is late.
+        past_edge.sort_unstable();
+        assert!(
+            past_edge[4] < tick_us / 5,
+            "fired {past_edge:?} µs past a tick edge"
+        );
     }
 
     struct Panicker;

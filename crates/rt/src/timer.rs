@@ -47,13 +47,27 @@ impl<T> TimerWheel<T> {
     }
 
     /// Arms a timer firing at `now + delay` (rounded up to the next tick,
-    /// and never before a tick the wheel already expired).
-    pub fn arm(&mut self, now: SimTime, delay: SimDuration, payload: T) {
+    /// and never before a tick the wheel already expired). Returns that
+    /// tick, which [`TimerWheel::cancel`] takes.
+    pub fn arm(&mut self, now: SimTime, delay: SimDuration, payload: T) -> u64 {
         let at_us = now.0.saturating_add(delay.0);
         let tick = at_us.div_ceil(self.tick_us).max(self.cur_tick + 1);
         let slot = (tick % self.slots.len() as u64) as usize;
         self.slots[slot].push((tick, payload));
         self.len += 1;
+        tick
+    }
+
+    /// Drops the timers armed for `tick` whose payload matches `pred`;
+    /// returns how many. Touches that tick's slot only.
+    pub fn cancel(&mut self, tick: u64, mut pred: impl FnMut(&T) -> bool) -> usize {
+        let n = self.slots.len() as u64;
+        let bucket = &mut self.slots[(tick % n) as usize];
+        let before = bucket.len();
+        bucket.retain(|(t, p)| *t != tick || !pred(p));
+        let dropped = before - bucket.len();
+        self.len -= dropped;
+        dropped
     }
 
     /// Fires every timer with a deadline at or before `now`; returns their
@@ -129,6 +143,21 @@ mod tests {
         w.arm(t(3_000), d(0), 1);
         assert_eq!(w.expire(t(3_999)), vec![]);
         assert_eq!(w.expire(t(4_000)), vec![1]);
+    }
+
+    #[test]
+    fn cancel_drops_only_the_matching_timers_of_one_tick() {
+        // 4 slots: ticks 2 and 6 share a slot.
+        let mut w: TimerWheel<(char, u32)> = TimerWheel::new(4, 1000);
+        let t2 = w.arm(t(0), d(2_000), ('a', 1));
+        w.arm(t(0), d(2_000), ('b', 1));
+        let t6 = w.arm(t(0), d(6_000), ('a', 2));
+        assert_eq!((t2, t6), (2, 6));
+        assert_eq!(w.cancel(t2, |p| p.0 == 'a'), 1);
+        assert_eq!(w.cancel(t2, |p| p.0 == 'a'), 0);
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.expire(t(10_000)), vec![('b', 1), ('a', 2)]);
+        assert!(w.is_empty());
     }
 
     #[test]

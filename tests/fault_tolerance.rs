@@ -328,6 +328,88 @@ fn standby_restores_exactly_the_live_jobs_from_their_records() {
     assert_eq!(HardState::job_keys(&c.store), Vec::<String>::new(), "quiescent: no job record left");
 }
 
+/// The benchmark's paced job: 3–5 maps + 1 reduce, 40–60 ms tasks, 1 MB
+/// packages.
+fn paced_job(rng: &mut rand::rngs::SmallRng) -> fuxi::job::JobDesc {
+    use rand::Rng;
+    let d = rng.gen_range(0.04..0.06);
+    wordcount_job(&MapReduceParams {
+        maps: rng.gen_range(3..6),
+        reduces: 1,
+        map_duration_s: d,
+        reduce_duration_s: d,
+        jitter: 0.2,
+        max_workers: 4,
+        binary_mb: 1.0,
+        map_output_mb: 0.2,
+        ..Default::default()
+    })
+}
+
+/// The post-failover wedge. Under a closed loop of 32 paced jobs on 32
+/// machines the primary dies at 25 s; the standby rebuilds from the
+/// agents' allocation reports. Rows of apps with no job record — jobs
+/// that finished long ago — must not be adopted as live grants: they hold
+/// capacity nothing ever frees, and enough of them wedge the cluster (when
+/// they were adopted: 3,559 jobs finished before the kill and none after,
+/// with 16,697,000 milli-cores planned at quiescence on a 384,000 cluster).
+/// Agents no longer keep such rows, so one is planted: a row of an app
+/// that never had a job, as a lost notification would leave it. Every job
+/// finishes exactly once and a quiescent cluster plans nothing.
+#[test]
+fn failover_under_load_adopts_only_live_apps() {
+    use fuxi::proto::{AppId, CapacityChange, Msg, ResourceVec, UnitId};
+    use rand::SeedableRng;
+    const IN_FLIGHT: usize = 32;
+    let mut cfg = ClusterConfig {
+        n_machines: 32,
+        rack_size: 8,
+        seed: 1,
+        standby_master: true,
+        ..ClusterConfig::default()
+    };
+    cfg.master.lease_ttl = SimDuration::from_secs(2);
+    cfg.master.keepalive_interval = SimDuration::from_millis(500);
+    cfg.master.rebuild_window = SimDuration::from_secs(3);
+    let mut c = Cluster::new(cfg);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+    let opts = SubmitOpts { master_package_mb: 1.0, ..SubmitOpts::default() };
+    let mut submitted = 0;
+    // Closed loop: top up to 32 in flight, run until one finishes.
+    let mut closed_loop = |c: &mut Cluster, until: SimTime| {
+        while c.world.now() < until {
+            while submitted - c.finished_count() < IN_FLIGHT {
+                c.submit(&paced_job(&mut rng), &opts);
+                submitted += 1;
+            }
+            let step = (c.world.now() + SimDuration::from_millis(500)).min(until);
+            c.run_until_n_done(submitted + 1 - IN_FLIGHT, step);
+        }
+        submitted
+    };
+    closed_loop(&mut c, SimTime::from_secs(25));
+    let before_kill = c.finished_count();
+    let stale = CapacityChange {
+        app: AppId(1_000_000),
+        unit: UnitId(0),
+        unit_resource: ResourceVec::cores_mb(1, 2048),
+        delta: 4,
+    };
+    c.world.send_external(c.agents[0], Msg::CapacityNotify { changes: vec![stale] });
+    c.kill_primary_master();
+    let submitted = closed_loop(&mut c, SimTime::from_secs(40));
+    let done = c.run_until_n_done(submitted, SimTime::from_secs(100));
+    assert_eq!(done, submitted, "{before_kill} jobs finished before the kill, {} after", done - before_kill);
+    assert!(c.all_jobs().iter().all(|(_, s)| s.done.as_ref().is_some_and(|d| d.0)));
+    assert_eq!(c.duplicate_finishes(), 0);
+    // Quiescent: one more roll-up samples the books.
+    c.run_for(SimDuration::from_secs(6));
+    let m = c.world.metrics();
+    assert_eq!(m.counter("fm.rebuild_done"), 1);
+    let planned = m.series("fm.planned_cpu_milli").last().map(|&(_, v)| v);
+    assert_eq!(planned, Some(0.0), "capacity planned with no job left");
+}
+
 /// A lost `JobAccepted` must not turn into a second run of the job: the
 /// client resubmits until it hears an ack or the result, and the master
 /// acks a resubmission of a live job instead of ignoring it (ignored, the

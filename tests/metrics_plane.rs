@@ -317,3 +317,54 @@ fn live_rollup_and_scrape_match_sim() {
     let (metrics, _tracer) = c.shutdown();
     assert_view_matches_counters(&view, &metrics);
 }
+
+/// A JobMaster's share of the cluster-wide `am.obtained_*` gauges leaves
+/// with its job, live too — where every actor thread's metrics are taken
+/// into the runtime's sink on each flush, so a gauge read back from the
+/// thread reads 0 after one. A job whose grants change across many 20 ms
+/// flushes (two waves of containers, returned as the maps finish) must
+/// leave the gauges at 0. (Read back from the thread, the job added its
+/// whole holding again after a flush and left 14,336 MB and 4,500
+/// milli-cores behind.)
+#[test]
+fn live_obtained_gauges_return_to_zero() {
+    use fuxi::cluster::boot::{boot_groups, Shared};
+    use fuxi::cluster::DeployTopology;
+    use fuxi::obs::TraceId;
+    use fuxi::rt::{LiveRuntime, RuntimeConfig};
+    let deploy = DeployTopology::single_process(ClusterConfig {
+        n_machines: 4,
+        rack_size: 4,
+        seed: SEED,
+        ..ClusterConfig::default()
+    });
+    let shared = Shared::new(&deploy.cluster);
+    let mut rt = LiveRuntime::new(RuntimeConfig {
+        machines: shared.machine_configs(),
+        metrics_flush: Duration::from_millis(20),
+        ..RuntimeConfig::default()
+    });
+    let b = boot_groups(&mut rt, &shared, &deploy.nodes[0].actors, deploy.lock_id().id, |_, _, _| {});
+    let client = b.client.expect("single_process hosts the client");
+    let desc = wordcount_job(&MapReduceParams {
+        maps: 6,
+        reduces: 2,
+        map_duration_s: 0.1,
+        reduce_duration_s: 0.1,
+        jitter: 0.0,
+        max_workers: 3,
+        binary_mb: 0.0,
+        map_output_mb: 0.0,
+        ..Default::default()
+    });
+    let (job, msg) = shared.jobs.submission(client, &desc, &SubmitOpts::default());
+    rt.send_external_traced(client, msg, TraceId::from_job(job.0));
+    assert_eq!(shared.jobs.wait_n_done(1, Duration::from_secs(60)), 1);
+    assert_eq!(shared.jobs.done(job).map(|d| d.0), Some(true));
+    let (metrics, _) = rt.shutdown();
+    assert_eq!(
+        (metrics.gauge("am.obtained_mem_mb"), metrics.gauge("am.obtained_cpu_milli")),
+        (0.0, 0.0),
+        "a finished job still holds resources in the gauges"
+    );
+}

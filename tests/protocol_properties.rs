@@ -237,15 +237,16 @@ proptest! {
                     EngineEvent::Revoke { count, .. } => net_granted -= count as i64,
                 }
             }
-            // Returns don't produce events; recompute from the books.
+            // Returns are events too, so the event stream alone tracks the
+            // books: an agent that applies every change ends where they are.
             let mut planned_units = 0i64;
             for a in 0..6u32 {
                 planned_units += e.unit_granted_total(AppId(a), UnitId(0)) as i64;
             }
             prop_assert!(e.planned().fits_in(&capacity), "planned exceeds capacity");
             prop_assert_eq!(e.planned().memory_mb(), planned_units as u64 * 2048);
+            prop_assert_eq!(net_granted, planned_units);
         }
-        let _ = net_granted;
     }
 
     /// The free pool plus everything granted always equals total capacity.

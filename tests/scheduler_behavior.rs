@@ -145,22 +145,11 @@ fn container_reuse_beats_per_task_containers() {
             },
             ..JobMasterConfig::default()
         };
-        // The baseline is heartbeat-paced, like YARN's RM: allocations
-        // happen on ~1 s rounds rather than per event.
-        let master = MasterConfig {
-            batch_interval: if reuse {
-                MasterConfig::default().batch_interval
-            } else {
-                fuxi::sim::SimDuration::from_secs(1)
-            },
-            ..MasterConfig::default()
-        };
         let mut c = Cluster::new(ClusterConfig {
             n_machines: 10,
             rack_size: 5,
             seed: 33,
             jm,
-            master,
             ..ClusterConfig::default()
         });
         let j = c.submit(&job(), &SubmitOpts::default());
