@@ -1,5 +1,5 @@
 //! `fuxitop` — a `top(1)`-style live view of a Fuxi cluster, fed by the
-//! scrape endpoint a running `bench_live --serve <addr>` (or any
+//! scrape endpoint a `fuxi-node --metrics <addr>` process (or any
 //! `LiveCluster::serve_metrics`) exposes.
 //!
 //! Usage:
@@ -12,7 +12,7 @@
 //! dashboard: the master rollup line, utilisation, scheduling latency
 //! percentiles, the busiest agents, the jobs with the most pending
 //! instances, and any active SLO alerts. `--once` prints a single frame
-//! without clearing the screen (what CI smoke-tests).
+//! without clearing the screen.
 
 use serde_json::{value_from_str, Value};
 use std::io::{Read, Write};
@@ -221,5 +221,43 @@ fn main() {
         print!("\x1b[2J\x1b[H{frame}");
         let _ = std::io::stdout().flush();
         std::thread::sleep(Duration::from_secs_f64(args.interval_s.max(0.1)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fuxi_sim::obs::{
+        AgentReport, ClusterView, JobReport, MasterRollup, MetricsReport, SloAlert, SloRuleKind,
+    };
+
+    /// A frame rendered from the document the scrape endpoint serves at
+    /// `/json`: two agents, one live job, one active alert, second epoch.
+    #[test]
+    fn frame_shows_epoch_agents_jobs_and_alerts() {
+        let mut v = ClusterView::new(1.0);
+        for machine in [3, 7] {
+            let agent = AgentReport { machine, workers: 2, ..AgentReport::default() };
+            v.apply_report(0.5, &MetricsReport::Agent(agent));
+        }
+        let job = JobReport { app: 1, job: 42, pending_instances: 5, ..JobReport::default() };
+        v.apply_report(0.6, &MetricsReport::Job(job));
+        v.apply_rollup(MasterRollup { t_s: 9.0, master_epoch: 2, ..MasterRollup::default() });
+        v.apply_alerts(&[SloAlert {
+            rule: SloRuleKind::PendingAge,
+            raised: true,
+            value: 8.4,
+            threshold: 4.0,
+            t_s: 9.0,
+        }]);
+
+        let doc = value_from_str(&v.to_json()).expect("/json parses");
+        let frame = render(&doc, "127.0.0.1:9464");
+        let top = frame.lines().next().unwrap();
+        assert!(top.contains("epoch 2   agents 2   jobs live 1"), "{top}");
+        assert!(frame.contains("busiest agents (2 reporting)"), "{frame}");
+        assert!(frame.contains("jobs (1 reporting)"), "{frame}");
+        assert!(frame.contains("ALERTS (1 active, 1 raised total)"), "{frame}");
+        assert!(frame.contains("!! pending_age  value 8.400 over threshold 4.000"), "{frame}");
     }
 }

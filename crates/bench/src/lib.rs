@@ -100,65 +100,55 @@ pub fn synthetic_machine_spec() -> MachineSpec {
 pub struct SyntheticOutcome {
     pub cluster: Cluster,
     pub stats: fuxi_cluster::SyntheticRunStats,
-    pub machines: usize,
-    pub concurrent: usize,
-    pub duration_s: u64,
 }
 
-/// Runs the §5.2 experiment: `5000×scale` machines, `1000×scale`
-/// concurrent jobs from the paper's WordCount/Terasort mix, for
-/// `duration_s` of simulated time. Instance counts are unscaled so the
-/// demand-to-capacity ratio matches the paper.
+/// Runs the §5.2 experiment with tracing and the metrics plane on.
 pub fn run_synthetic_experiment(args: &Args) -> SyntheticOutcome {
-    run_synthetic_experiment_with_obs(args, fuxi_sim::TracerConfig::default())
+    let mut run = SyntheticRun::new(args, fuxi_sim::TracerConfig::default(), Default::default());
+    while run.advance(SimDuration::from_secs(args.duration_s)) {}
+    SyntheticOutcome { cluster: run.cluster, stats: run.closed_loop.stats }
 }
 
-/// [`run_synthetic_experiment`] with an explicit tracer configuration —
-/// `bench_snapshot` runs the experiment twice (tracing on / off) to bound
-/// the observability overhead on the Figure 9 decision path.
-pub fn run_synthetic_experiment_with_obs(
-    args: &Args,
-    obs: fuxi_sim::TracerConfig,
-) -> SyntheticOutcome {
-    run_synthetic_experiment_with_plane(args, obs, fuxi_sim::obs::MetricsPlaneConfig::default())
+/// The §5.2 experiment: `5000×scale` machines, `1000×scale` concurrent
+/// jobs from the paper's WordCount/Terasort mix, for `duration_s` of
+/// simulated time. Instance counts are unscaled so the demand-to-capacity
+/// ratio matches the paper. It runs a slice of simulated time per
+/// [`SyntheticRun::advance`]: `bench_snapshot` takes turns between a run
+/// with tracing or the metrics plane off and one with it on.
+/// (`plane.enabled = false` turns off the master rollup, report ingestion,
+/// and the agent/JobMaster report senders together.)
+pub struct SyntheticRun {
+    pub cluster: Cluster,
+    mix: SyntheticMix,
+    closed_loop: fuxi_cluster::scenario::SyntheticLoop,
 }
 
-/// [`run_synthetic_experiment`] with explicit tracer *and* metrics-plane
-/// configuration. `plane.enabled = false` turns off the master rollup,
-/// report ingestion, and the agent/JobMaster report senders together —
-/// the plane-on vs plane-off overhead comparison flips exactly this.
-pub fn run_synthetic_experiment_with_plane(
-    args: &Args,
-    obs: fuxi_sim::TracerConfig,
-    plane: fuxi_sim::obs::MetricsPlaneConfig,
-) -> SyntheticOutcome {
-    let machines = ((5000.0 * args.scale).round() as usize).max(20);
-    let concurrent = ((1000.0 * args.scale).round() as usize).max(4);
-    let mut cfg = ClusterConfig {
-        n_machines: machines,
-        rack_size: 50,
-        machine_spec: synthetic_machine_spec(),
-        seed: args.seed,
-        obs,
-        ..ClusterConfig::default()
-    };
-    cfg.master.metrics = plane;
-    let mut cluster = Cluster::new(cfg);
-    // Large jobs saturate the scaled cluster exactly as in the paper; cap
-    // the per-job worker count so thousands of jobs share the cluster.
-    let mut mix = SyntheticMix::new(args.seed, 1.0);
-    let stats = fuxi_cluster::scenario::run_synthetic(
-        &mut cluster,
-        &mut mix,
-        concurrent,
-        SimDuration::from_secs(args.duration_s),
-    );
-    SyntheticOutcome {
-        cluster,
-        stats,
-        machines,
-        concurrent,
-        duration_s: args.duration_s,
+impl SyntheticRun {
+    /// Boots the cluster and submits the first jobs.
+    pub fn new(args: &Args, obs: fuxi_sim::TracerConfig, plane: fuxi_sim::obs::MetricsPlaneConfig) -> SyntheticRun {
+        let machines = ((5000.0 * args.scale).round() as usize).max(20);
+        let concurrent = ((1000.0 * args.scale).round() as usize).max(4);
+        let mut cfg = ClusterConfig {
+            n_machines: machines,
+            rack_size: 50,
+            machine_spec: synthetic_machine_spec(),
+            seed: args.seed,
+            obs,
+            ..ClusterConfig::default()
+        };
+        cfg.master.metrics = plane;
+        let mut cluster = Cluster::new(cfg);
+        // Large jobs saturate the scaled cluster exactly as in the paper; cap
+        // the per-job worker count so thousands of jobs share the cluster.
+        let mut mix = SyntheticMix::new(args.seed, 1.0);
+        let duration = SimDuration::from_secs(args.duration_s);
+        let closed_loop = fuxi_cluster::scenario::SyntheticLoop::start(&mut cluster, &mut mix, concurrent, duration);
+        SyntheticRun { cluster, mix, closed_loop }
+    }
+
+    /// Runs up to `slice` more simulated time; false once the run is over.
+    pub fn advance(&mut self, slice: SimDuration) -> bool {
+        self.closed_loop.advance(&mut self.cluster, &mut self.mix, slice)
     }
 }
 
@@ -236,9 +226,9 @@ pub mod scenarios {
     }
 }
 
-/// The one JSON emitter behind `BENCH_sched.json`, `BENCH_live.json` and the
-/// failover flight dump: callers build a [`serde_json::Value`] tree (object
-/// keys keep insertion order) and the shim renders it, escaping included.
+/// The JSON emitter behind `BENCH_sched.json`: callers build a
+/// [`serde_json::Value`] tree (object keys keep insertion order) and the
+/// shim renders it, escaping included.
 pub mod json {
     pub use serde_json::Value;
 

@@ -5,9 +5,9 @@
 //! the [`ActorGroup`]s that node hosts. Every engine hands those groups to
 //! the one [`crate::boot::boot_groups`]: the sim [`crate::Cluster`] and
 //! `fuxi_rt::LiveCluster` boot all of them in one world/runtime; the
-//! multi-process runner (`fuxi-node`, `bench_live --distributed`) boots one
-//! OS process per node, each over its own node's groups, and connects them
-//! over the versioned wire protocol.
+//! multi-process runner (`fuxi-node`) boots one OS process per node, each
+//! over its own node's groups, and connects them over the versioned wire
+//! protocol.
 //!
 //! Actor addressing is deterministic: node `i` numbers its actors from
 //! `ActorId::node_base(i)` in spec order, so every process can compute the
@@ -162,9 +162,9 @@ impl DeployTopology {
         Self::builder(cluster).node(node).build()
     }
 
-    /// The standard 4-process layout proven by `bench_live --distributed`:
-    /// node 0 (hub/driver) hosts the lock service and client; node 1 the
-    /// primary master; node 2 the hot standby; node 3 the agent fleet.
+    /// The standard 4-process layout `fuxi-node` runs: node 0 (hub/driver)
+    /// hosts the lock service and client; node 1 the primary master; node
+    /// 2 the hot standby; node 3 the agent fleet.
     /// Which master is "primary" is decided by lock election, not layout.
     pub fn distributed(mut cluster: ClusterConfig, hub_addr: &str) -> Self {
         cluster.standby_master = true;

@@ -128,51 +128,63 @@ impl SyntheticRunStats {
 
 /// Drives the §5.2 experiment: keeps `concurrent` jobs running until
 /// `duration` of simulated time passes ("we keep 1,000 jobs concurrently
-/// running by starting a new job when one job finishes").
-pub fn run_synthetic(
-    cluster: &mut Cluster,
-    mix: &mut SyntheticMix,
-    concurrent: usize,
-    duration: SimDuration,
-) -> SyntheticRunStats {
-    let deadline = cluster.world.now() + duration;
-    let mut stats = SyntheticRunStats::default();
-    let mut live: Vec<JobId> = Vec::new();
-    let opts = SubmitOpts::default();
-    for _ in 0..concurrent {
-        let spec = mix.next_job();
-        live.push(cluster.submit(&spec.desc, &opts));
-        stats.jobs_submitted += 1;
+/// running by starting a new job when one job finishes"), a slice of
+/// simulated time per [`SyntheticLoop::advance`] — so two runs can take
+/// turns on one thread. Slicing pauses between events and changes none.
+pub struct SyntheticLoop {
+    /// What the run has done so far.
+    pub stats: SyntheticRunStats,
+    live: Vec<JobId>,
+    /// Simulated time the run has been advanced to.
+    until: SimTime,
+    deadline: SimTime,
+}
+
+impl SyntheticLoop {
+    /// Submits the first `concurrent` jobs; the run ends `duration` from now.
+    pub fn start(cluster: &mut Cluster, mix: &mut SyntheticMix, concurrent: usize, duration: SimDuration) -> Self {
+        let now = cluster.world.now();
+        let mut run = SyntheticLoop { stats: SyntheticRunStats::default(), live: Vec::new(), until: now, deadline: now + duration };
+        for _ in 0..concurrent {
+            run.submit(cluster, mix);
+        }
+        run
     }
-    loop {
-        let target = stats.jobs_finished + 1;
-        let reached = cluster.run_until_n_done(target, deadline);
-        // Replace every newly finished job.
-        let mut still_live = Vec::with_capacity(live.len());
-        for job in live.drain(..) {
-            match cluster.job_done(job) {
-                Some((_ok, at)) => {
-                    let submitted = cluster
-                        .job_state(job)
-                        .map(|s| s.submitted_s)
-                        .unwrap_or(0.0);
-                    stats.job_runtimes_s.push(at - submitted);
-                    stats.jobs_finished += 1;
-                    if cluster.world.now() < deadline {
-                        let spec = mix.next_job();
-                        still_live.push(cluster.submit(&spec.desc, &opts));
-                        stats.jobs_submitted += 1;
+
+    fn submit(&mut self, cluster: &mut Cluster, mix: &mut SyntheticMix) {
+        self.live.push(cluster.submit(&mix.next_job().desc, &SubmitOpts::default()));
+        self.stats.jobs_submitted += 1;
+    }
+
+    /// Runs up to `slice` more simulated time, starting a new job for
+    /// every one that finishes. False once the run is over.
+    pub fn advance(&mut self, cluster: &mut Cluster, mix: &mut SyntheticMix, slice: SimDuration) -> bool {
+        self.until = (self.until + slice).min(self.deadline);
+        loop {
+            let target = self.stats.jobs_finished + 1;
+            let reached = cluster.run_until_n_done(target, self.until);
+            // Replace every newly finished job, in place.
+            for job in std::mem::take(&mut self.live) {
+                match cluster.job_done(job) {
+                    Some((_ok, at)) => {
+                        let submitted = cluster.job_state(job).map_or(0.0, |s| s.submitted_s);
+                        self.stats.job_runtimes_s.push(at - submitted);
+                        self.stats.jobs_finished += 1;
+                        if cluster.world.now() < self.deadline {
+                            self.submit(cluster, mix);
+                        }
                     }
+                    None => self.live.push(job),
                 }
-                None => still_live.push(job),
+            }
+            if cluster.world.now() >= self.deadline {
+                return false;
+            }
+            if reached < target {
+                return self.until < self.deadline;
             }
         }
-        live = still_live;
-        if cluster.world.now() >= deadline || reached < target {
-            break;
-        }
     }
-    stats
 }
 
 #[cfg(test)]

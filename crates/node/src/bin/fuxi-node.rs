@@ -1,6 +1,6 @@
 //! `fuxi-node` — run one node of a multi-process Fuxi cluster.
 //!
-//! The standard 4-node layout (see `DeployTopology::distributed`):
+//! The standard 4-node layout (see `fuxi_node::standard_topology`):
 //!
 //! ```text
 //! fuxi-node --index 0 --listen 127.0.0.1:7700 --machines 20   # hub: lock + client
@@ -13,8 +13,7 @@
 //! they compute identical topologies (actor addressing is derived from
 //! the topology, not negotiated).
 
-use fuxi_cluster::{ClusterConfig, DeployTopology};
-use fuxi_node::LiveNode;
+use fuxi_node::{standard_topology, LiveNode};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -48,13 +47,8 @@ fn main() {
     }
     let Some(index) = index else { usage() };
 
-    let cfg = ClusterConfig {
-        n_machines: machines,
-        seed,
-        ..ClusterConfig::default()
-    };
     let hub_spec = listen.clone().unwrap_or_else(|| "127.0.0.1:7700".to_owned());
-    let deploy = DeployTopology::distributed(cfg, &hub_spec);
+    let deploy = standard_topology(machines, seed, &hub_spec);
     if index >= deploy.nodes.len() {
         eprintln!(
             "fuxi-node: index {index} out of range (topology has {} nodes)",

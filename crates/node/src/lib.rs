@@ -13,12 +13,25 @@
 //! * [`node`] — [`node::LiveNode`]: boots one topology node inside this
 //!   process and wires its runtime to the supervisor.
 //!
-//! `bench_live --distributed` drives a 4-process cluster through SIGKILL
-//! failover with this crate; the `fuxi-node` binary runs the same nodes
-//! by hand (see the README quickstart).
+//! The `fuxi-node` binary runs one node per OS process (see the README
+//! quickstart); `tests/distributed.rs` SIGKILLs the one hosting the
+//! elected master and watches the standby in another process take over.
 
 pub mod node;
 pub mod supervisor;
 
 pub use node::LiveNode;
 pub use supervisor::{backoff_delay, HubSupervisor, LeafConfig, LeafSupervisor};
+
+use fuxi_cluster::{ClusterConfig, DeployTopology};
+
+/// The standard 4-node topology `fuxi-node` runs (hub, master A, master B,
+/// agent fleet) over `machines` machines with the default component
+/// configs. Every process of a deployment must compute it from the same
+/// `machines` and `seed`: actor addressing derives from the topology,
+/// never from negotiation. `hub` is the hub's listen address; leaves
+/// dial the address they are given instead.
+pub fn standard_topology(machines: usize, seed: u64, hub: &str) -> DeployTopology {
+    let cfg = ClusterConfig { n_machines: machines, seed, ..ClusterConfig::default() };
+    DeployTopology::distributed(cfg, hub)
+}

@@ -279,13 +279,13 @@ impl ClusterView {
         (cpu, mem)
     }
 
-    /// Compact single-object JSON summary (no per-agent / per-job detail)
-    /// — what `bench_live` embeds in BENCH_live.json.
-    pub fn summary_json(&self) -> String {
+    /// Full JSON document: a summary object, per-agent rows, per-job rows,
+    /// and active alerts. Served by the scrape endpoint at `/json`.
+    pub fn to_json(&self) -> String {
         let r = &self.rollup;
         let (used_cpu, used_mem) = self.used();
-        let mut s = String::with_capacity(512);
-        s.push('{');
+        let mut s = String::with_capacity(4096);
+        s.push_str("{\"summary\":{");
         push_kv(&mut s, "t_s", &fmt_f(r.t_s));
         push_kv(&mut s, "jobs_per_sec", &fmt_f(r.jobs_per_sec));
         push_kv(&mut s, "jobs_submitted_total", &r.jobs_submitted_total.to_string());
@@ -313,18 +313,7 @@ impl ClusterView {
         push_kv(&mut s, "alerts_total", &self.alerts_total.to_string());
         push_kv(&mut s, "reports_received", &self.reports_received.to_string());
         s.pop(); // trailing comma
-        s.push('}');
-        s
-    }
-
-    /// Full JSON document: the summary plus per-agent rows, per-job rows,
-    /// and active alerts. Served by the scrape endpoint at `/json`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push('{');
-        s.push_str("\"summary\":");
-        s.push_str(&self.summary_json());
-        s.push_str(",\"agents\":[");
+        s.push_str("},\"agents\":[");
         for (i, a) in self.agents.values().enumerate() {
             if i > 0 {
                 s.push(',');

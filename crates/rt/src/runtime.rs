@@ -1031,7 +1031,7 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         }
         drop(running);
         // A panicked actor thread must not vanish into a clean shutdown —
-        // re-raise so callers (tests, bench_live) fail.
+        // re-raise so callers (tests, the benchmark) fail.
         if let Some(payload) = self.shared.panic.lock().unwrap().take() {
             resume_unwind(payload);
         }

@@ -198,20 +198,38 @@ fn sim_job_totals_are_monotone_across_master_failover() {
 }
 
 /// The same drill on the live runtime, snapshotting the hub while the
-/// lease expires and the standby rebuilds.
+/// lease expires and the standby rebuilds. Live, the first half has
+/// drained by the time a rollup shows it, so the kill lands just after the
+/// first master accepts a quarter more: those run through a rebuild, the
+/// last quarter is submitted into the gap.
+///
+/// The grant stall (lease plus rebuild) must raise a pending-age alert
+/// that the healthy run before the kill never did. A JobMaster re-attaches
+/// on its 5 s full-sync tick and reports every 2 s, so only a rebuild
+/// longer than ~7 s ever sees a report of its pending instances: this test
+/// keeps the default 8 s and a 0.5 s SLO.
 #[test]
 fn live_job_totals_are_monotone_across_master_failover() {
-    let mut c = LiveCluster::new(failover_config());
+    let mut cfg = failover_config();
+    cfg.master.rebuild_window = SimDuration::from_secs(8);
+    cfg.master.metrics.rules.pending_age_s = 0.5;
+    let mut c = LiveCluster::new(cfg);
     let mut watch = TotalsWatch::default();
     for i in 0..N_JOBS / 2 {
         c.submit(&plane_job(i), &SubmitOpts::default());
     }
     assert!(c.wait_n_done(N_JOBS / 4, Duration::from_secs(60)) >= N_JOBS / 4);
     std::thread::sleep(Duration::from_millis(1500));
-    watch.check(&c.hub.snapshot());
+    let before = c.hub.snapshot();
+    watch.check(&before);
     assert!(watch.finished > 0, "the first master must have reported finished jobs");
+    assert_eq!(before.alerts_total, 0, "an alert before the kill: {:?}", before.alerts);
+    let in_flight: Vec<_> = (N_JOBS / 2..N_JOBS * 3 / 4).map(|i| c.submit(&plane_job(i), &SubmitOpts::default())).collect();
+    while !in_flight.iter().any(|&j| c.job_state(j).is_some_and(|s| s.accepted)) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     c.kill_primary_master();
-    for i in N_JOBS / 2..N_JOBS {
+    for i in N_JOBS * 3 / 4..N_JOBS {
         c.submit(&plane_job(i), &SubmitOpts::default());
     }
     let deadline = std::time::Instant::now() + Duration::from_secs(120);
@@ -222,9 +240,13 @@ fn live_job_totals_are_monotone_across_master_failover() {
     }
     // Let a rollup tick observe the final state.
     std::thread::sleep(Duration::from_secs(3));
-    watch.check_final(&c.hub.snapshot());
+    let after = c.hub.snapshot();
+    watch.check_final(&after);
+    assert!(after.alerts_total >= 1, "the master kill raised no alert");
     assert_eq!(c.duplicate_finishes(), 0);
-    c.shutdown();
+    let (_, tracer) = c.shutdown();
+    let pending_age = |e: &TraceEvent| matches!(e, TraceEvent::SloAlert { rule: "pending_age", raised: true, .. });
+    assert!(tracer.records.iter().any(|r| pending_age(&r.event)), "the kill raised no pending-age alert");
 }
 
 /// A job whose instances can never fit (1 TB per instance) stays pending
@@ -368,3 +390,4 @@ fn live_obtained_gauges_return_to_zero() {
         "a finished job still holds resources in the gauges"
     );
 }
+
