@@ -3,9 +3,10 @@
 //! machine A, we only need to make a decision on which application in
 //! machine A's waiting queue should get this resource."
 //!
-//! The `*_indexed` / `*_naive` pairs run the same workload with the
-//! hierarchical fit index on vs. `reference_mode` (flat scans, the
-//! pre-index behaviour) to measure the index's speedup directly.
+//! The fit index's speedup — the fragmented free-up and request-delta
+//! decisions with the index on vs. `reference_mode` — is timed once, by
+//! `bench_snapshot` (`sched_*_5k_machines_{indexed,naive}`), which records
+//! and gates it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fuxi_bench::scenarios;
@@ -46,50 +47,6 @@ fn bench(c: &mut Criterion) {
             e.drain_events();
         });
     });
-
-    // Fragmented saturation: every machine keeps 8 stranded CPU cores free
-    // (memory exhausted), so all 5,000 machines are nonempty but the unit
-    // fits nowhere. A demand bump forces a full cluster-level placement
-    // attempt: the naive scan walks its whole `max_cluster_scan` budget;
-    // the fit index rejects at the cluster root.
-    for (name, reference) in [
-        ("fig9_fragmented_delta_5000_machines_indexed", false),
-        ("fig9_fragmented_delta_5000_machines_naive", true),
-    ] {
-        c.bench_function(name, |b| {
-            let mut e = scenarios::fragmented_engine(100, 50, reference);
-            let mut i = 0u32;
-            b.iter(|| {
-                let app = AppId(1 + i % 999);
-                i += 1;
-                e.apply_deltas(app, &[RequestDelta::cluster(UnitId(0), 1)]);
-                e.apply_deltas(app, &[RequestDelta::cluster(UnitId(0), -1)]);
-                e.drain_events();
-            });
-        });
-    }
-
-    // Free-up on the fragmented cluster: one container returns, making that
-    // machine schedulable among 5,000 nonempty ones. The 2503 stride is
-    // coprime with 5000, so frees land all over the cluster relative to the
-    // rotating cursor (as in production) rather than right at it. The index
-    // prunes whole racks of stranded-CPU machines; the naive scan pays a
-    // per-machine fit check for each.
-    for (name, reference) in [
-        ("fig9_fragmented_free_up_indexed", false),
-        ("fig9_fragmented_free_up_naive", true),
-    ] {
-        c.bench_function(name, |b| {
-            let mut e = scenarios::fragmented_engine(100, 50, reference);
-            let mut i = 0u64;
-            b.iter(|| {
-                let m = MachineId(((i * 2503) % 5000) as u32);
-                i += 1;
-                e.return_grant(AppId(0), UnitId(0), m, 1);
-                std::hint::black_box(e.drain_events());
-            });
-        });
-    }
 
     c.bench_function("grant_fixed_master_placement", |b| {
         // Master placement on a busy-but-not-full cluster (the realistic

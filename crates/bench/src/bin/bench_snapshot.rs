@@ -70,8 +70,7 @@ fn run_scale(c: &mut Criterion, label: &str, n_racks: usize, per_rack: usize) {
     }
 }
 
-/// The locality-tree waiting-queue consult (same shape as the
-/// `locality_tree` criterion bench's 10k-waiting case).
+/// The locality-tree waiting-queue consult with 10k waiting.
 fn run_tree(c: &mut Criterion) {
     let fp = ResourceVec::new(500, 2048);
     let mut t = LocalityTree::new();
@@ -169,7 +168,7 @@ fn synthetic_args(quick: bool) -> Args {
 /// artifacts and smoke tests.
 fn measure_tracing_overhead(quick: bool, pairs: usize) -> (Overhead, String) {
     let args = synthetic_args(quick);
-    let run = |enabled| SyntheticRun::new(&args, TracerConfig { enabled, ..TracerConfig::default() }, Default::default());
+    let run = |enabled| SyntheticRun::new(&args, TracerConfig { enabled }, Default::default());
     let (ovh, traced) = overhead(pairs, || run(false), || run(true));
     (ovh, export_jsonl(traced.cluster.world.tracer()))
 }
@@ -180,7 +179,7 @@ fn measure_tracing_overhead(quick: bool, pairs: usize) -> (Overhead, String) {
 /// "on" run exercised the aggregation path.
 fn measure_plane_overhead(quick: bool, pairs: usize) -> (Overhead, u64) {
     let args = synthetic_args(quick);
-    let untraced = || TracerConfig { enabled: false, ..TracerConfig::default() };
+    let untraced = || TracerConfig { enabled: false };
     let run = |enabled| SyntheticRun::new(&args, untraced(), MetricsPlaneConfig { enabled, ..Default::default() });
     let (ovh, on) = overhead(pairs, || run(false), || run(true));
     (ovh, on.cluster.hub.snapshot().reports_received)

@@ -4,7 +4,7 @@
 //!
 //! Run: `cargo run --release -p fuxi-bench --bin fig10_utilization -- [--scale 0.04] [--duration 900]`
 
-use fuxi_cluster::report::{print_table, series_mean_window, sparkline};
+use fuxi_cluster::report::{print_table, sparkline};
 
 fn main() {
     let args = fuxi_bench::Args::parse(0.04, 600);
@@ -20,14 +20,14 @@ fn main() {
     // Steady state: skip the ramp-up third.
     let t_end = args.duration_s as f64;
     let (w0, w1) = (t_end / 3.0, t_end);
-    let total_mem = series_mean_window(m, "fm.total_mem_mb", w0, w1);
-    let planned_mem = series_mean_window(m, "fm.planned_mem_mb", w0, w1);
-    let obtained_mem = series_mean_window(m, "am.obtained_mem_mb", w0, w1);
-    let fa_mem = series_mean_window(m, "fa.planned_mem_mb", w0, w1);
-    let total_cpu = series_mean_window(m, "fm.total_cpu_milli", w0, w1);
-    let planned_cpu = series_mean_window(m, "fm.planned_cpu_milli", w0, w1);
-    let obtained_cpu = series_mean_window(m, "am.obtained_cpu_milli", w0, w1);
-    let fa_cpu = series_mean_window(m, "fa.planned_cpu_milli", w0, w1);
+    let total_mem = m.series_mean_window("fm.total_mem_mb", w0, w1);
+    let planned_mem = m.series_mean_window("fm.planned_mem_mb", w0, w1);
+    let obtained_mem = m.series_mean_window("am.obtained_mem_mb", w0, w1);
+    let fa_mem = m.series_mean_window("fa.planned_mem_mb", w0, w1);
+    let total_cpu = m.series_mean_window("fm.total_cpu_milli", w0, w1);
+    let planned_cpu = m.series_mean_window("fm.planned_cpu_milli", w0, w1);
+    let obtained_cpu = m.series_mean_window("am.obtained_cpu_milli", w0, w1);
+    let fa_cpu = m.series_mean_window("fa.planned_cpu_milli", w0, w1);
     let pct = |x: f64, t: f64| if t > 0.0 { 100.0 * x / t } else { 0.0 };
     print_table(
         "Figure 10(a): memory utilization (steady-state means)",

@@ -235,7 +235,7 @@ mod tests {
     /// `/json`: two agents, one live job, one active alert, second epoch.
     #[test]
     fn frame_shows_epoch_agents_jobs_and_alerts() {
-        let mut v = ClusterView::new(1.0);
+        let mut v = ClusterView::default();
         for machine in [3, 7] {
             let agent = AgentReport { machine, workers: 2, ..AgentReport::default() };
             v.apply_report(0.5, &MetricsReport::Agent(agent));

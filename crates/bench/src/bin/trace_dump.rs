@@ -3,7 +3,10 @@
 //! with `ClusterConfig.obs` enabled).
 //!
 //! Usage:
-//!   trace_dump <trace.jsonl> [--job <id>] [--failover] [--max-events <n>]
+//!
+//! ```text
+//! trace_dump <trace.jsonl> [--job <id>] [--failover] [--max-events <n>]
+//! ```
 //!
 //! With no mode flag it prints the run summary, the failover timeline,
 //! and every per-job lifecycle (events elided past `--max-events`,

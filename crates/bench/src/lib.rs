@@ -357,10 +357,7 @@ pub mod sim_storm {
     /// wall-clock event throughput. Panics if any job is lost.
     pub fn run_event_storm(machines: usize, jobs: u64, seed: u64) -> StormStats {
         let mut cfg = WorldConfig::uniform(machines, 50, seed);
-        cfg.obs = TracerConfig {
-            enabled: false,
-            ..TracerConfig::default()
-        };
+        cfg.obs = TracerConfig { enabled: false };
         let mut world: World<StormMsg> = World::new(cfg);
         let workers: Vec<ActorId> = (0..machines)
             .map(|m| {

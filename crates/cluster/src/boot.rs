@@ -89,9 +89,9 @@ impl Shared {
         let naming = NameRegistry::new();
         let store = StoreHandle::new();
         let pangu = PanguHandle::new(cfg.seed.wrapping_mul(31).wrapping_add(7));
-        let worker_cfg = cfg.jm.worker.clone();
+        let startup_overhead_s = cfg.jm.startup_overhead_s;
         let worker_factory: WorkerFactory = Arc::new(move |launch: &WorkerLaunch| {
-            Box::new(TaskWorker::from_spec(&launch.spec, worker_cfg.clone()))
+            Box::new(TaskWorker::from_spec(&launch.spec, startup_overhead_s))
         });
         let jm = (cfg.jm.clone(), naming.clone(), store.clone(), pangu.clone(), topo.clone());
         // The metrics plane has one switch: reporters follow the master's.
@@ -105,7 +105,7 @@ impl Shared {
             ))
         });
         Self {
-            hub: MetricsHub::new(cfg.master.metrics.window_s),
+            hub: MetricsHub::default(),
             cfg: cfg.clone(),
             naming,
             store,

@@ -9,8 +9,7 @@ use fuxi_job::JobDesc;
 use fuxi_proto::topology::{MachineSpec, Topology};
 use fuxi_proto::{JobId, MachineId, Msg, Priority, QuotaGroupId};
 use fuxi_sim::{
-    Actor, ActorId, Ctx, NetConfig, SimDuration, SimTime, TraceId, TracerConfig, World,
-    WorldConfig,
+    Actor, ActorId, Ctx, SimDuration, SimTime, TraceId, TracerConfig, World, WorldConfig,
 };
 use std::sync::Arc;
 
@@ -25,16 +24,14 @@ pub struct ClusterConfig {
     pub machine_spec: MachineSpec,
     /// Deterministic RNG seed.
     pub seed: u64,
-    /// Network latency/loss model.
-    pub net: NetConfig,
+    /// Probability a message is silently dropped (chaos testing only).
+    pub drop_prob: f64,
     /// FuxiMaster configuration.
     pub master: MasterConfig,
     /// JobMaster configuration applied to every job.
     pub jm: JobMasterConfig,
     /// Spawn a hot-standby FuxiMaster alongside the primary.
     pub standby_master: bool,
-    /// Sampling interval for the utilization series (Figure 10).
-    pub sample_interval: SimDuration,
     /// Observability configuration (tracer, flight recorder).
     pub obs: TracerConfig,
 }
@@ -46,11 +43,10 @@ impl Default for ClusterConfig {
             rack_size: 5,
             machine_spec: MachineSpec::default(),
             seed: 1,
-            net: NetConfig::default(),
+            drop_prob: 0.0,
             master: MasterConfig::default(),
             jm: JobMasterConfig::default(),
             standby_master: false,
-            sample_interval: SimDuration::from_secs(1),
             obs: TracerConfig::default(),
         }
     }
@@ -88,14 +84,15 @@ pub struct JobState {
     pub done: Option<(bool, f64, String)>,
 }
 
+/// Sampling interval for the utilization series (Figure 10).
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Samples shared gauges into the Figure 10 time series.
-struct Sampler {
-    interval: SimDuration,
-}
+struct Sampler;
 
 impl Actor<Msg> for Sampler {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        ctx.timer(self.interval, 1);
+        ctx.timer(SAMPLE_INTERVAL, 1);
     }
     fn on_message(&mut self, _: &mut Ctx<'_, Msg>, _: ActorId, _: Msg) {}
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _tag: u64) {
@@ -110,7 +107,7 @@ impl Actor<Msg> for Sampler {
             let v = m.gauge(g);
             m.push_series(g, t, v);
         }
-        ctx.timer(self.interval, 1);
+        ctx.timer(SAMPLE_INTERVAL, 1);
     }
 }
 
@@ -151,14 +148,13 @@ impl Cluster {
         let shared = Shared::new(cfg);
         let mut world: World<Msg> = World::new(WorldConfig {
             machines: shared.machine_configs(),
-            net: cfg.net.clone(),
+            drop_prob: cfg.drop_prob,
             seed: cfg.seed,
             obs: cfg.obs.clone(),
         });
         let groups = &deploy.nodes[0].actors;
         let b = boot_groups(&mut world, &shared, groups, deploy.lock_id().id, |_, _, _| {});
-        let interval = cfg.sample_interval;
-        world.spawn(None, Box::new(Sampler { interval }));
+        world.spawn(None, Box::new(Sampler));
         Self {
             world,
             naming: shared.naming.clone(),

@@ -1,7 +1,5 @@
 //! Table and series printers shared by the experiment binaries.
 
-use fuxi_sim::Metrics;
-
 /// Prints an aligned ASCII table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -32,36 +30,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     );
     for row in rows {
         line(row);
-    }
-}
-
-/// Time-weighted mean of a series over `[from_s, to_s]` (steady-state
-/// windows). Each pair of adjacent samples contributes its trapezoid
-/// area, so unevenly spaced samples — bursts of scheduler activity
-/// between quiet stretches — do not skew the figure the way a plain
-/// per-point average would.
-pub fn series_mean_window(metrics: &Metrics, name: &str, from_s: f64, to_s: f64) -> f64 {
-    let pts: Vec<(f64, f64)> = metrics
-        .series(name)
-        .iter()
-        .filter(|&&(t, _)| t >= from_s && t <= to_s)
-        .copied()
-        .collect();
-    match pts.len() {
-        0 => 0.0,
-        1 => pts[0].1,
-        _ => {
-            let span = pts[pts.len() - 1].0 - pts[0].0;
-            if span <= 0.0 {
-                // All samples at one instant: fall back to the plain mean.
-                return pts.iter().map(|&(_, v)| v).sum::<f64>() / pts.len() as f64;
-            }
-            let area: f64 = pts
-                .windows(2)
-                .map(|w| (w[1].0 - w[0].0) * (w[0].1 + w[1].1) / 2.0)
-                .sum();
-            area / span
-        }
     }
 }
 
@@ -116,33 +84,5 @@ mod tests {
         assert_eq!(s.chars().count(), 8);
         let levels: Vec<u32> = s.chars().map(|c| c as u32).collect();
         assert!(levels.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn series_mean_window_filters() {
-        let mut m = Metrics::new();
-        for t in 0..10 {
-            m.push_series("x", t as f64, t as f64);
-        }
-        let mean = series_mean_window(&m, "x", 5.0, 9.0);
-        assert!((mean - 7.0).abs() < 1e-9);
-        assert_eq!(series_mean_window(&m, "missing", 0.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn series_mean_window_is_time_weighted() {
-        // 10 at t=0..10, then a burst of 50-valued samples in the last
-        // second. A per-point mean would say 30; the signal spent 10x as
-        // long at 10 as at 50.
-        let mut m = Metrics::new();
-        m.push_series("u", 0.0, 10.0);
-        m.push_series("u", 10.0, 10.0);
-        m.push_series("u", 10.0, 50.0);
-        m.push_series("u", 11.0, 50.0);
-        let mean = series_mean_window(&m, "u", 0.0, 11.0);
-        let expected = (10.0 * 10.0 + 1.0 * 50.0) / 11.0;
-        assert!((mean - expected).abs() < 1e-9, "mean = {mean}");
-        // Degenerate: single point in window.
-        assert_eq!(series_mean_window(&m, "u", 10.5, 11.5), 50.0);
     }
 }

@@ -99,37 +99,20 @@ impl HealthPlugin for SpeedPlugin {
     }
 }
 
-/// Blacklist tuning.
-#[derive(Debug, Clone)]
-pub struct BlacklistConfig {
-    /// Heartbeats older than this mark a machine dead.
-    pub heartbeat_timeout: SimDuration,
-    /// Combined plugin score below this is "low".
-    pub score_threshold: f64,
-    /// Low score must persist this long before blacklisting ("too low for a
-    /// long time").
-    pub low_score_duration: SimDuration,
-    /// Distinct JobMasters that must mark a machine before it is disabled.
-    pub marks_to_disable: usize,
-    /// Upper bound on the blacklisted fraction of the cluster.
-    pub max_fraction: f64,
-    /// Blacklisted machines are re-admitted after this probation (a healthy
-    /// machine should not be lost forever to one bad period).
-    pub probation: SimDuration,
-}
-
-impl Default for BlacklistConfig {
-    fn default() -> Self {
-        Self {
-            heartbeat_timeout: SimDuration::from_secs(15),
-            score_threshold: 0.6,
-            low_score_duration: SimDuration::from_secs(30),
-            marks_to_disable: 2,
-            max_fraction: 0.1,
-            probation: SimDuration::from_secs(600),
-        }
-    }
-}
+/// Heartbeats older than this mark a machine dead.
+const HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_secs(15);
+/// Combined plugin score below this is "low".
+const SCORE_THRESHOLD: f64 = 0.6;
+/// Low score must persist this long before blacklisting ("too low for a
+/// long time").
+const LOW_SCORE_DURATION: SimDuration = SimDuration::from_secs(30);
+/// Distinct JobMasters that must mark a machine before it is disabled.
+const MARKS_TO_DISABLE: usize = 2;
+/// Upper bound on the blacklisted fraction of the cluster.
+const MAX_FRACTION: f64 = 0.1;
+/// Blacklisted machines are re-admitted after this probation (a healthy
+/// machine should not be lost forever to one bad period).
+const PROBATION: SimDuration = SimDuration::from_secs(600);
 
 /// Why a machine is currently excluded from scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,7 +136,6 @@ pub enum Transition {
 
 /// The cluster-level blacklist kept by FuxiMaster.
 pub struct ClusterBlacklist {
-    cfg: BlacklistConfig,
     n_machines: usize,
     plugins: Vec<Box<dyn HealthPlugin>>,
     last_heartbeat: Vec<SimTime>,
@@ -168,10 +150,9 @@ pub struct ClusterBlacklist {
 }
 
 impl ClusterBlacklist {
-    /// Creates a new instance with the given configuration.
-    pub fn new(cfg: BlacklistConfig, n_machines: usize) -> Self {
+    /// An empty blacklist over `n_machines` machines.
+    pub fn new(n_machines: usize) -> Self {
         Self {
-            cfg,
             n_machines,
             plugins: Self::default_plugins(),
             last_heartbeat: vec![SimTime::ZERO; n_machines],
@@ -221,8 +202,7 @@ impl ClusterBlacklist {
     }
 
     fn at_capacity(&self) -> bool {
-        self.blacklisted.len() + 1
-            > (self.cfg.max_fraction * self.n_machines as f64).ceil() as usize
+        self.blacklisted.len() + 1 > (MAX_FRACTION * self.n_machines as f64).ceil() as usize
     }
 
     /// Processes one heartbeat. Returns a transition when the machine's
@@ -244,10 +224,10 @@ impl ClusterBlacklist {
             .map(|p| p.score(health))
             .fold(1.0f64, f64::min);
         self.last_score[idx] = score;
-        if score < self.cfg.score_threshold {
+        if score < SCORE_THRESHOLD {
             let since = *self.low_since[idx].get_or_insert(now);
             let low_for = now.since(since);
-            if low_for >= self.cfg.low_score_duration
+            if low_for >= LOW_SCORE_DURATION
                 && !self.blacklisted.contains_key(&m)
                 && !self.at_capacity()
             {
@@ -269,7 +249,7 @@ impl ClusterBlacklist {
     pub fn report_mark(&mut self, now: SimTime, app: AppId, m: MachineId) -> Option<Transition> {
         let marks = self.marks.entry(m).or_default();
         marks.insert(app);
-        if marks.len() >= self.cfg.marks_to_disable
+        if marks.len() >= MARKS_TO_DISABLE
             && !self.blacklisted.contains_key(&m)
             && !self.at_capacity()
         {
@@ -286,9 +266,7 @@ impl ClusterBlacklist {
         let mut out = Vec::new();
         for i in 0..self.n_machines {
             let m = MachineId(i as u32);
-            if !self.dead.contains(&m)
-                && now.since(self.last_heartbeat[i]) > self.cfg.heartbeat_timeout
-            {
+            if !self.dead.contains(&m) && now.since(self.last_heartbeat[i]) > HEARTBEAT_TIMEOUT {
                 self.dead.insert(m);
                 out.push(Transition::Excluded(m, ExclusionReason::HeartbeatTimeout));
             }
@@ -296,13 +274,13 @@ impl ClusterBlacklist {
         let expired: Vec<MachineId> = self
             .blacklisted
             .iter()
-            .filter(|(_, &(_, since))| now.since(since) >= self.cfg.probation)
+            .filter(|(_, &(_, since))| now.since(since) >= PROBATION)
             .map(|(&m, _)| m)
             .collect();
         for m in expired {
             // Probation ends only for machines that look healthy again; a
             // still-sick machine stays excluded (its probation restarts).
-            if self.last_score[m.0 as usize] < self.cfg.score_threshold {
+            if self.last_score[m.0 as usize] < SCORE_THRESHOLD {
                 if let Some(entry) = self.blacklisted.get_mut(&m) {
                     entry.1 = now;
                 }
@@ -351,17 +329,6 @@ impl ClusterBlacklist {
 mod tests {
     use super::*;
 
-    fn cfg() -> BlacklistConfig {
-        BlacklistConfig {
-            heartbeat_timeout: SimDuration::from_secs(10),
-            score_threshold: 0.6,
-            low_score_duration: SimDuration::from_secs(20),
-            marks_to_disable: 2,
-            max_fraction: 0.2,
-            probation: SimDuration::from_secs(100),
-        }
-    }
-
     fn healthy() -> NodeHealthReport {
         NodeHealthReport::healthy()
     }
@@ -375,7 +342,7 @@ mod tests {
 
     #[test]
     fn heartbeat_timeout_marks_dead_and_readmits() {
-        let mut b = ClusterBlacklist::new(cfg(), 10);
+        let mut b = ClusterBlacklist::new(10);
         let t0 = SimTime::from_secs(1);
         for i in 0..10 {
             b.on_heartbeat(t0, MachineId(i), &healthy());
@@ -403,12 +370,12 @@ mod tests {
 
     #[test]
     fn low_score_must_persist_before_blacklisting() {
-        let mut b = ClusterBlacklist::new(cfg(), 10);
+        let mut b = ClusterBlacklist::new(10);
         let m = MachineId(0);
         assert!(b.on_heartbeat(SimTime::from_secs(0), m, &sick()).is_none());
-        assert!(b.on_heartbeat(SimTime::from_secs(10), m, &sick()).is_none());
-        // 20 s of continuous low score: blacklisted.
-        let tr = b.on_heartbeat(SimTime::from_secs(20), m, &sick());
+        assert!(b.on_heartbeat(SimTime::from_secs(15), m, &sick()).is_none());
+        // 30 s of continuous low score: blacklisted.
+        let tr = b.on_heartbeat(SimTime::from_secs(30), m, &sick());
         assert_eq!(
             tr,
             Some(Transition::Excluded(m, ExclusionReason::LowHealthScore))
@@ -418,22 +385,22 @@ mod tests {
 
     #[test]
     fn recovery_resets_the_low_score_clock() {
-        let mut b = ClusterBlacklist::new(cfg(), 10);
+        let mut b = ClusterBlacklist::new(10);
         let m = MachineId(0);
         b.on_heartbeat(SimTime::from_secs(0), m, &sick());
         b.on_heartbeat(SimTime::from_secs(15), m, &healthy()); // clock resets
         assert!(b.on_heartbeat(SimTime::from_secs(25), m, &sick()).is_none());
         assert!(
-            b.on_heartbeat(SimTime::from_secs(40), m, &sick()).is_none(),
-            "only 15s low since reset"
+            b.on_heartbeat(SimTime::from_secs(50), m, &sick()).is_none(),
+            "only 25s low since reset"
         );
-        let tr = b.on_heartbeat(SimTime::from_secs(46), m, &sick());
+        let tr = b.on_heartbeat(SimTime::from_secs(56), m, &sick());
         assert!(tr.is_some());
     }
 
     #[test]
     fn cross_job_marks_disable_at_threshold() {
-        let mut b = ClusterBlacklist::new(cfg(), 10);
+        let mut b = ClusterBlacklist::new(10);
         let m = MachineId(4);
         assert!(b.report_mark(SimTime::from_secs(1), AppId(1), m).is_none());
         // Same job marking again does not count twice.
@@ -447,7 +414,7 @@ mod tests {
 
     #[test]
     fn upper_bound_caps_blacklist_size() {
-        let mut b = ClusterBlacklist::new(cfg(), 10); // cap = 20% of 10 = 2
+        let mut b = ClusterBlacklist::new(20); // cap = 10% of 20 = 2
         for i in 0..5u32 {
             b.report_mark(SimTime::from_secs(1), AppId(1), MachineId(i));
             b.report_mark(SimTime::from_secs(1), AppId(2), MachineId(i));
@@ -457,20 +424,20 @@ mod tests {
 
     #[test]
     fn probation_readmits_blacklisted_machines() {
-        let mut b = ClusterBlacklist::new(cfg(), 10);
+        let mut b = ClusterBlacklist::new(10);
         let m = MachineId(0);
         b.report_mark(SimTime::from_secs(1), AppId(1), m);
         b.report_mark(SimTime::from_secs(1), AppId(2), m);
         assert!(b.is_excluded(m));
-        b.on_heartbeat(SimTime::from_secs(101), m, &healthy());
-        let tr = b.sweep(SimTime::from_secs(102));
+        b.on_heartbeat(SimTime::from_secs(601), m, &healthy());
+        let tr = b.sweep(SimTime::from_secs(602));
         assert!(tr.contains(&Transition::Readmitted(m)));
         assert!(!b.is_excluded(m));
     }
 
     #[test]
     fn combined_score_is_minimum_of_plugins() {
-        let mut b = ClusterBlacklist::new(cfg(), 1);
+        let mut b = ClusterBlacklist::new(1);
         let r = NodeHealthReport {
             disk_ok_ratio: 1.0,
             load: 0.2,
@@ -484,11 +451,11 @@ mod tests {
 
     #[test]
     fn snapshot_restore_roundtrip() {
-        let mut b = ClusterBlacklist::new(cfg(), 10);
+        let mut b = ClusterBlacklist::new(10);
         b.report_mark(SimTime::from_secs(1), AppId(1), MachineId(7));
         b.report_mark(SimTime::from_secs(1), AppId(2), MachineId(7));
         let snap = b.snapshot();
-        let mut b2 = ClusterBlacklist::new(cfg(), 10);
+        let mut b2 = ClusterBlacklist::new(10);
         b2.restore(SimTime::from_secs(30), &snap);
         assert!(b2.is_excluded(MachineId(7)));
     }
@@ -504,7 +471,7 @@ mod tests {
                 0.1
             }
         }
-        let mut b = ClusterBlacklist::new(cfg(), 4);
+        let mut b = ClusterBlacklist::new(4);
         b.add_plugin(Box::new(AlwaysBad));
         b.on_heartbeat(SimTime::from_secs(0), MachineId(0), &healthy());
         assert!((b.score(MachineId(0)) - 0.1).abs() < 1e-9);

@@ -27,7 +27,7 @@ pub mod quota;
 pub mod scheduler;
 pub mod state;
 
-pub use blacklist::{ClusterBlacklist, BlacklistConfig, HealthPlugin};
+pub use blacklist::{ClusterBlacklist, HealthPlugin};
 pub use master::{FuxiMaster, MasterConfig};
 pub use quota::{QuotaGroup, QuotaManager};
 pub use scheduler::{Engine, EngineConfig, EngineEvent, RevokeReason};

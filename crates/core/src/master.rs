@@ -22,7 +22,7 @@
 //!   masters (`FullRequestSync`) during a bounded rebuild window (Figure 7),
 //!   after which scheduling resumes with all prior grants intact.
 
-use crate::blacklist::{BlacklistConfig, ClusterBlacklist, ExclusionReason, Transition};
+use crate::blacklist::{ClusterBlacklist, ExclusionReason, Transition};
 use crate::quota::{QuotaGroup, QuotaManager};
 use crate::scheduler::{Engine, EngineConfig, EngineEvent, RevokeReason, MASTER_UNIT};
 use crate::state::{HardState, JobRecord};
@@ -31,6 +31,7 @@ use fuxi_apsara::{NameRegistry, StoreHandle};
 use fuxi_proto::msg::{AppDescription, SeqCheck, SeqReceiver, SeqSender};
 use fuxi_proto::request::{GrantDelta, RequestDelta};
 use fuxi_proto::topology::Topology;
+use fuxi_obs::window::{DEFAULT_RETAIN, DEFAULT_WINDOW_S};
 use fuxi_obs::{MasterRollup, MetricsHub, MetricsPlaneConfig, SloAlert, SloWatchdog, WindowRing};
 use fuxi_proto::{AppId, JobId, MachineId, Msg, QuotaGroupId, UnitId};
 use fuxi_sim::{
@@ -45,18 +46,13 @@ pub struct MasterConfig {
     pub lease_ttl: SimDuration,
     /// Keepalive cadence (should be well under `lease_ttl`).
     pub keepalive_interval: SimDuration,
-    /// Roll-up interval for heavy housekeeping (bad-node detection, launch
-    /// retries, metric samples).
-    pub rollup_interval: SimDuration,
     /// How long a new primary collects soft state before scheduling resumes.
     pub rebuild_window: SimDuration,
     /// Scheduling-engine tuning.
     pub engine: EngineConfig,
-    /// Blacklist configuration.
-    pub blacklist: BlacklistConfig,
     /// Quota groups to install (group 0 always exists, unlimited).
     pub quota_groups: Vec<(QuotaGroupId, QuotaGroup)>,
-    /// Metrics-plane tuning: windowed rollup cadence and SLO thresholds.
+    /// Metrics-plane switch and pending-age SLO threshold.
     /// `metrics.enabled = false` turns the whole plane off (the overhead
     /// benchmark compares exactly this toggle).
     pub metrics: MetricsPlaneConfig,
@@ -67,10 +63,8 @@ impl Default for MasterConfig {
         Self {
             lease_ttl: SimDuration::from_secs(6),
             keepalive_interval: SimDuration::from_secs(2),
-            rollup_interval: SimDuration::from_secs(5),
             rebuild_window: SimDuration::from_secs(8),
             engine: EngineConfig::default(),
-            blacklist: BlacklistConfig::default(),
             quota_groups: Vec::new(),
             metrics: MetricsPlaneConfig::default(),
         }
@@ -89,6 +83,14 @@ const TIMER_BATCH: u64 = 2;
 const TIMER_ROLLUP: u64 = 3;
 const TIMER_REBUILD_DONE: u64 = 4;
 const TIMER_METRICS: u64 = 5;
+
+/// Roll-up interval for heavy housekeeping (bad-node detection, launch
+/// retries, metric samples).
+const ROLLUP_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// Probe unit for the fragmentation reading: free memory on machines with
+/// less than this free is considered stranded.
+const FRAG_PROBE_MEM_MB: u64 = 2048;
 
 /// How long a `StartAppMaster` may go unanswered before the roll-up sends
 /// it again. Two roll-ups: well past a package download, so a healthy
@@ -205,12 +207,11 @@ impl FuxiMaster {
         hub: MetricsHub,
     ) -> Self {
         let n = topo.n_machines();
-        let (w, r) = (cfg.metrics.window_s, cfg.metrics.retain);
         Self {
             hub,
             watchdog: SloWatchdog::default(),
-            sched_win: WindowedHistogram::new(w, r),
-            jobs_done_win: WindowRing::new(w, r),
+            sched_win: WindowedHistogram::new(DEFAULT_WINDOW_S, DEFAULT_RETAIN),
+            jobs_done_win: WindowRing::default(),
             epoch: 0,
             cfg,
             topo,
@@ -260,8 +261,7 @@ impl FuxiMaster {
         for m in self.topo.machines() {
             engine.deactivate_machine(m);
         }
-        let mut blacklist =
-            ClusterBlacklist::new(self.cfg.blacklist.clone(), self.topo.n_machines());
+        let mut blacklist = ClusterBlacklist::new(self.topo.n_machines());
 
         // Hard state from the checkpoint records; everything else is soft.
         let hard = HardState::load(&self.store);
@@ -280,7 +280,7 @@ impl FuxiMaster {
             actor: ctx.id().0,
             failover: had_jobs,
         });
-        ctx.timer(self.cfg.rollup_interval, TIMER_ROLLUP);
+        ctx.timer(ROLLUP_INTERVAL, TIMER_ROLLUP);
         if self.cfg.metrics.enabled {
             // The hub survives failover (it is cluster infrastructure, not
             // master state), so the election ordinal is stored there: a new
@@ -289,10 +289,7 @@ impl FuxiMaster {
                 v.rollup.master_epoch += 1;
                 v.rollup.master_epoch
             });
-            ctx.timer(
-                SimDuration::from_secs_f64(self.cfg.metrics.window_s),
-                TIMER_METRICS,
-            );
+            ctx.timer(SimDuration::from_secs_f64(DEFAULT_WINDOW_S), TIMER_METRICS);
         }
         if had_jobs {
             // Failover: collect soft state before scheduling resumes.
@@ -751,8 +748,7 @@ impl FuxiMaster {
         let engine = self.engine.as_ref().unwrap();
         let total = engine.total_capacity();
         let planned = engine.planned().clone();
-        let (free, stranded, largest) =
-            engine.free_summary(self.cfg.metrics.frag_probe_mem_mb);
+        let (free, stranded, largest) = engine.free_summary(FRAG_PROBE_MEM_MB);
         let sched = self.sched_win.merged();
         // Both totals come from checkpointed hard state, so they carry
         // across master epochs: every accepted submit takes one app id,
@@ -778,10 +774,10 @@ impl FuxiMaster {
             master_epoch: self.epoch,
         };
         let watchdog = &mut self.watchdog;
-        let rules = &self.cfg.metrics.rules;
+        let pending_age_s = self.cfg.metrics.pending_age_s;
         let transitions: Vec<SloAlert> = self.hub.update(|v| {
             v.apply_rollup(rollup);
-            let tr = watchdog.evaluate(rules, v, now);
+            let tr = watchdog.evaluate(pending_age_s, v, now);
             v.apply_alerts(&tr);
             tr
         });
@@ -1196,16 +1192,13 @@ impl Actor<Msg> for FuxiMaster {
             TIMER_ROLLUP
                 if self.role != Role::Standby => {
                     self.rollup(ctx);
-                    ctx.timer(self.cfg.rollup_interval, TIMER_ROLLUP);
+                    ctx.timer(ROLLUP_INTERVAL, TIMER_ROLLUP);
                 }
             TIMER_REBUILD_DONE => self.finish_rebuild(ctx),
             TIMER_METRICS
                 if self.role != Role::Standby => {
                     self.metrics_tick(ctx);
-                    ctx.timer(
-                        SimDuration::from_secs_f64(self.cfg.metrics.window_s),
-                        TIMER_METRICS,
-                    );
+                    ctx.timer(SimDuration::from_secs_f64(DEFAULT_WINDOW_S), TIMER_METRICS);
                 }
             _ => {}
         }

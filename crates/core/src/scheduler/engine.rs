@@ -22,20 +22,19 @@ use std::collections::{BTreeMap, BTreeSet};
 /// accounted (they occupy resources like any other container).
 pub const MASTER_UNIT: UnitId = UnitId(u32::MAX);
 
+/// Cap on queue candidates examined per machine free-up event.
+const MAX_CANDIDATES: usize = 256;
+
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Cap on machines scanned per cluster-level satisfy attempt; the scan
     /// cursor rotates so successive attempts cover different machines.
     pub max_cluster_scan: usize,
-    /// Cap on queue candidates examined per machine free-up event.
-    pub max_candidates: usize,
     /// Enable preemption of lower-priority apps when the cluster is full.
     pub enable_priority_preemption: bool,
     /// Enable preemption of over-quota groups in favour of deficit groups.
     pub enable_quota_preemption: bool,
-    /// Upper bound on containers revoked per preemption attempt.
-    pub max_preemptions_per_attempt: u64,
     /// Naive reference mode for differential testing and benchmarking: the
     /// free pool's hierarchical fit index is bypassed (every rack is
     /// descended) and machine-down handling re-derives victims by scanning
@@ -48,10 +47,8 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             max_cluster_scan: 2048,
-            max_candidates: 256,
             enable_priority_preemption: true,
             enable_quota_preemption: true,
-            max_preemptions_per_attempt: 64,
             reference_mode: false,
         }
     }
@@ -983,7 +980,7 @@ impl Engine {
                 break;
             }
             self.tree
-                .candidates_into(m, rack, &free, self.cfg.max_candidates, &mut cands);
+                .candidates_into(m, rack, &free, MAX_CANDIDATES, &mut cands);
             if cands.is_empty() {
                 break;
             }

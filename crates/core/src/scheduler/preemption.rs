@@ -82,6 +82,9 @@ impl Engine {
     }
 }
 
+/// Upper bound on containers revoked per preemption attempt.
+const MAX_PREEMPTIONS_PER_ATTEMPT: u64 = 64;
+
 impl Engine {
     /// Attempts preemption in favour of `(app, unit)`'s outstanding demand.
     pub(crate) fn maybe_preempt(&mut self, app: AppId, unit_id: UnitId) {
@@ -147,7 +150,7 @@ impl Engine {
                 .then(b.seq.cmp(&a.seq))
         });
 
-        let mut budget = cfg.max_preemptions_per_attempt;
+        let mut budget = MAX_PREEMPTIONS_PER_ATTEMPT;
         for v in victims {
             if budget == 0 || self.unit_outstanding(app, unit_id) == 0 {
                 break;

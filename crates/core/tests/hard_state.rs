@@ -14,8 +14,7 @@ fn primary() -> (World<Msg>, ActorId, StoreHandle) {
     let topo = TopologyBuilder::new().uniform(4, 5, MachineSpec::default()).build();
     let (cfg, store) = (MasterConfig::default(), StoreHandle::new());
     let lock = world.spawn(None, Box::new(LockService::with_defaults()));
-    let hub = MetricsHub::new(cfg.metrics.window_s);
-    let fm = FuxiMaster::new(cfg, topo, NameRegistry::new(), store.clone(), lock, hub);
+    let fm = FuxiMaster::new(cfg, topo, NameRegistry::new(), store.clone(), lock, MetricsHub::default());
     let fm = world.spawn(None, Box::new(fm));
     world.run_for(SimDuration::from_secs(1));
     assert_eq!(world.metrics().counter("fm.became_primary"), 1);

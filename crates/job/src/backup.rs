@@ -9,29 +9,12 @@
 
 use fuxi_sim::SimTime;
 
-/// Backup-instance policy parameters.
-#[derive(Debug, Clone)]
-pub struct BackupConfig {
-    /// Criterion 1: fraction of instances that must have finished.
-    pub finished_quorum: f64,
-    /// Criterion 2: elapsed must exceed `slowdown × avg_finished_runtime`.
-    pub slowdown: f64,
-    /// Maximum simultaneous backup attempts per instance.
-    pub max_backups: u32,
-    /// Master switch.
-    pub enabled: bool,
-}
-
-impl Default for BackupConfig {
-    fn default() -> Self {
-        Self {
-            finished_quorum: 0.9,
-            slowdown: 2.0,
-            max_backups: 1,
-            enabled: true,
-        }
-    }
-}
+/// Criterion 1: fraction of instances that must have finished.
+const FINISHED_QUORUM: f64 = 0.9;
+/// Criterion 2: elapsed must exceed `SLOWDOWN × avg_finished_runtime`.
+const SLOWDOWN: f64 = 2.0;
+/// Maximum simultaneous backup attempts per instance.
+const MAX_BACKUPS: u32 = 1;
 
 /// Online mean of finished-instance runtimes.
 #[derive(Debug, Clone, Default)]
@@ -69,9 +52,7 @@ impl RuntimeStats {
 /// * `normal_time_s` — the user-declared normal runtime; 0 disables the
 ///   gate (criterion 3);
 /// * `existing_backups` — attempts already racing for this instance.
-#[allow(clippy::too_many_arguments)]
 pub fn should_backup(
-    cfg: &BackupConfig,
     now: SimTime,
     started: SimTime,
     finished: u64,
@@ -80,19 +61,19 @@ pub fn should_backup(
     normal_time_s: f64,
     existing_backups: u32,
 ) -> bool {
-    if !cfg.enabled || total == 0 || stats.count() == 0 {
+    if total == 0 || stats.count() == 0 {
         return false;
     }
-    if existing_backups >= cfg.max_backups {
+    if existing_backups >= MAX_BACKUPS {
         return false;
     }
     // Criterion 1: quorum finished, so the average is meaningful.
-    if (finished as f64) < cfg.finished_quorum * total as f64 {
+    if (finished as f64) < FINISHED_QUORUM * total as f64 {
         return false;
     }
     let elapsed = now.since(started).as_secs_f64();
     // Criterion 2: several times the estimated average.
-    if elapsed <= cfg.slowdown * stats.mean_s() {
+    if elapsed <= SLOWDOWN * stats.mean_s() {
         return false;
     }
     // Criterion 3: beyond what the user calls normal (skew filter).
@@ -116,7 +97,6 @@ mod tests {
 
     fn base_check(now_s: f64, started_s: f64, finished: u64) -> bool {
         should_backup(
-            &BackupConfig::default(),
             SimTime::from_secs_f64(now_s),
             SimTime::from_secs_f64(started_s),
             finished,
@@ -150,10 +130,8 @@ mod tests {
 
     #[test]
     fn normal_time_gate_filters_skew() {
-        let cfg = BackupConfig::default();
         let args = |normal: f64| {
             should_backup(
-                &cfg,
                 SimTime::from_secs(60),
                 SimTime::from_secs(10),
                 95,
@@ -169,11 +147,9 @@ mod tests {
     }
 
     #[test]
-    fn backup_cap_and_disable() {
-        let mut cfg = BackupConfig::default();
-        let check = |cfg: &BackupConfig, existing| {
+    fn backup_cap() {
+        let check = |existing| {
             should_backup(
-                cfg,
                 SimTime::from_secs(60),
                 SimTime::from_secs(10),
                 95,
@@ -183,16 +159,13 @@ mod tests {
                 existing,
             )
         };
-        assert!(check(&cfg, 0));
-        assert!(!check(&cfg, 1), "max one backup by default");
-        cfg.enabled = false;
-        assert!(!check(&cfg, 0));
+        assert!(check(0));
+        assert!(!check(MAX_BACKUPS), "at most one backup per instance");
     }
 
     #[test]
     fn no_backup_without_finished_samples() {
         assert!(!should_backup(
-            &BackupConfig::default(),
             SimTime::from_secs(100),
             SimTime::ZERO,
             0,

@@ -10,25 +10,12 @@
 use fuxi_proto::{MachineId, TaskId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Blacklist thresholds.
-#[derive(Debug, Clone)]
-pub struct JobBlacklistConfig {
-    /// Distinct instances that must fail on a machine before the *task*
-    /// blacklists it.
-    pub instance_marks_to_task: usize,
-    /// Distinct tasks that must blacklist a machine before the *job*
-    /// reports it to FuxiMaster.
-    pub task_marks_to_job: usize,
-}
-
-impl Default for JobBlacklistConfig {
-    fn default() -> Self {
-        Self {
-            instance_marks_to_task: 3,
-            task_marks_to_job: 1,
-        }
-    }
-}
+/// Distinct instances that must fail on a machine before the *task*
+/// blacklists it.
+const INSTANCE_MARKS_TO_TASK: usize = 3;
+/// Distinct tasks that must blacklist a machine before the *job* reports it
+/// to FuxiMaster.
+const TASK_MARKS_TO_JOB: usize = 1;
 
 /// What a recorded failure escalated to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +31,6 @@ pub enum Escalation {
 /// The per-job blacklist state, shared by all of a job's TaskMasters.
 #[derive(Debug, Default)]
 pub struct JobBlacklist {
-    cfg: JobBlacklistConfigInner,
     /// (task, machine) → distinct failing instance indexes.
     instance_marks: BTreeMap<(TaskId, MachineId), BTreeSet<u32>>,
     /// task → machines it blacklisted.
@@ -53,40 +39,13 @@ pub struct JobBlacklist {
     job_level: BTreeSet<MachineId>,
 }
 
-#[derive(Debug)]
-struct JobBlacklistConfigInner {
-    instance_marks_to_task: usize,
-    task_marks_to_job: usize,
-}
-
-impl Default for JobBlacklistConfigInner {
-    fn default() -> Self {
-        let d = JobBlacklistConfig::default();
-        Self {
-            instance_marks_to_task: d.instance_marks_to_task,
-            task_marks_to_job: d.task_marks_to_job,
-        }
-    }
-}
-
 impl JobBlacklist {
-    /// Creates a new instance with the given configuration.
-    pub fn new(cfg: JobBlacklistConfig) -> Self {
-        Self {
-            cfg: JobBlacklistConfigInner {
-                instance_marks_to_task: cfg.instance_marks_to_task,
-                task_marks_to_job: cfg.task_marks_to_job,
-            },
-            ..Self::default()
-        }
-    }
-
     /// Records that `instance` of `task` failed on `machine`; returns the
     /// highest level the mark escalated to.
     pub fn record_failure(&mut self, task: TaskId, instance: u32, machine: MachineId) -> Escalation {
         let marks = self.instance_marks.entry((task, machine)).or_default();
         marks.insert(instance);
-        if marks.len() < self.cfg.instance_marks_to_task {
+        if marks.len() < INSTANCE_MARKS_TO_TASK {
             return Escalation::Instance;
         }
         let newly_task = self.task_level.entry(task).or_default().insert(machine);
@@ -98,7 +57,7 @@ impl JobBlacklist {
             .iter()
             .filter(|(_, ms)| ms.contains(&machine))
             .count();
-        if tasks_marking >= self.cfg.task_marks_to_job && self.job_level.insert(machine) {
+        if tasks_marking >= TASK_MARKS_TO_JOB && self.job_level.insert(machine) {
             Escalation::Job
         } else {
             Escalation::Task
@@ -142,33 +101,32 @@ impl JobBlacklist {
 mod tests {
     use super::*;
 
-    fn bl() -> JobBlacklist {
-        JobBlacklist::new(JobBlacklistConfig {
-            instance_marks_to_task: 2,
-            task_marks_to_job: 2,
-        })
-    }
-
     #[test]
     fn escalates_instance_to_task_to_job() {
-        let mut b = bl();
+        let mut b = JobBlacklist::default();
         let m = MachineId(5);
-        assert_eq!(b.record_failure(TaskId(0), 1, m), Escalation::Instance);
+        for i in 1..INSTANCE_MARKS_TO_TASK as u32 {
+            assert_eq!(b.record_failure(TaskId(0), i, m), Escalation::Instance);
+        }
         assert!(!b.task_avoids(TaskId(0), m));
-        // A second *distinct* instance failing trips the task level.
-        assert_eq!(b.record_failure(TaskId(0), 2, m), Escalation::Task);
+        // The next *distinct* instance failing trips the task level, and
+        // the first task to blacklist a machine reports it for the job.
+        let last = INSTANCE_MARKS_TO_TASK as u32;
+        assert_eq!(b.record_failure(TaskId(0), last, m), Escalation::Job);
         assert!(b.task_avoids(TaskId(0), m));
-        assert!(!b.task_avoids(TaskId(1), m), "other tasks unaffected");
-        // Another task marking the machine trips the job level.
-        assert_eq!(b.record_failure(TaskId(1), 0, m), Escalation::Instance);
-        assert_eq!(b.record_failure(TaskId(1), 7, m), Escalation::Job);
         assert!(b.task_avoids(TaskId(2), m), "job level covers all tasks");
         assert!(b.job_level().contains(&m));
+        // Another task blacklisting the same machine is task-level only:
+        // the job already reported it.
+        for i in 1..last {
+            assert_eq!(b.record_failure(TaskId(1), i, m), Escalation::Instance);
+        }
+        assert_eq!(b.record_failure(TaskId(1), last, m), Escalation::Task);
     }
 
     #[test]
     fn repeated_failures_of_same_instance_count_once() {
-        let mut b = bl();
+        let mut b = JobBlacklist::default();
         let m = MachineId(0);
         assert_eq!(b.record_failure(TaskId(0), 1, m), Escalation::Instance);
         assert_eq!(
@@ -181,14 +139,15 @@ mod tests {
 
     #[test]
     fn instance_avoid_set_accumulates_levels() {
-        let mut b = bl();
+        let mut b = JobBlacklist::default();
         b.record_failure(TaskId(0), 3, MachineId(1));
         let set = b.instance_avoid_set(TaskId(0), 3);
         assert!(set.contains(&MachineId(1)));
         assert!(!set.contains(&MachineId(2)));
         // Task-level entries apply to every instance of the task.
-        b.record_failure(TaskId(0), 4, MachineId(2));
-        b.record_failure(TaskId(0), 5, MachineId(2));
+        for i in 4..4 + INSTANCE_MARKS_TO_TASK as u32 {
+            b.record_failure(TaskId(0), i, MachineId(2));
+        }
         let set = b.instance_avoid_set(TaskId(0), 3);
         assert!(set.contains(&MachineId(2)));
         // Other instances don't inherit instance-level marks.

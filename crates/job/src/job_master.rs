@@ -6,21 +6,19 @@
 //! high-level task scheduling; one [`TaskMaster`] object per task doing
 //! fine-grained instance scheduling; TaskWorker actors executing instances.
 
-use crate::backup::BackupConfig;
-use crate::blacklist::{Escalation, JobBlacklist, JobBlacklistConfig};
+use crate::blacklist::{Escalation, JobBlacklist};
 use crate::dag::TaskGraph;
 use crate::desc::JobDesc;
 use crate::snapshot::JobSnapshot;
 use crate::task_master::{AssignmentOut, Attempt, InstState, InstanceRt, TWorker, TaskMaster};
-use crate::worker::WorkerConfig;
 use fuxi_agent::ProcMeta;
 use fuxi_apsara::{NameRegistry, PanguHandle, StoreHandle};
 use fuxi_proto::msg::{SeqCheck, SeqReceiver, SeqSender, WorkerSpec};
 use fuxi_proto::request::{GrantDelta, RequestDelta, RequestState, ScheduleUnitDef};
 use fuxi_proto::topology::Topology;
 use fuxi_proto::{
-    AppId, InstanceOutcome, JobId, JobSummary, MachineId, Msg, Priority, ResourceVec, StartFailure,
-    TaskId, UnitId, WorkerId,
+    AppId, InstanceOutcome, JobId, MachineId, Msg, Priority, ResourceVec, StartFailure, TaskId,
+    UnitId, WorkerId,
 };
 use fuxi_sim::{Actor, ActorId, Ctx, SimDuration, TraceEvent, TraceId};
 use rand::Rng;
@@ -30,12 +28,11 @@ use std::sync::Arc;
 /// JobMaster tuning.
 #[derive(Debug, Clone)]
 pub struct JobMasterConfig {
-    /// Worker tuning.
-    pub worker: WorkerConfig,
-    /// Backup-instance (straggler) policy.
-    pub backup: BackupConfig,
-    /// Blacklist configuration.
-    pub blacklist: JobBlacklistConfig,
+    /// Per-launch process startup cost (binary load, JVM/sandbox init)
+    /// charged before a worker registers with its master. Zero by default;
+    /// the container-reuse ablation sets it to expose the cost a
+    /// launch-per-task (YARN-style) policy pays on every instance.
+    pub startup_overhead_s: f64,
     /// Fuxi's task/container separation (Section 3.2.3). When false, the
     /// JobMaster behaves like YARN: every finished instance returns its
     /// container and a fresh request/grant/download cycle precedes the next
@@ -48,9 +45,7 @@ pub struct JobMasterConfig {
 impl Default for JobMasterConfig {
     fn default() -> Self {
         Self {
-            worker: WorkerConfig::default(),
-            backup: BackupConfig::default(),
-            blacklist: JobBlacklistConfig::default(),
+            startup_overhead_s: 0.0,
             container_reuse: true,
         }
     }
@@ -133,7 +128,6 @@ impl JobMaster {
         master_resource: ResourceVec,
         report_metrics: bool,
     ) -> Self {
-        let blacklist = JobBlacklist::new(cfg.blacklist.clone());
         Self {
             app,
             job,
@@ -151,7 +145,7 @@ impl JobMaster {
             tms: Vec::new(),
             finished_tasks: BTreeSet::new(),
             started_tasks: BTreeSet::new(),
-            blacklist,
+            blacklist: JobBlacklist::default(),
             req_states: BTreeMap::new(),
             ledger: Default::default(),
             tx: SeqSender::new(),
@@ -956,45 +950,26 @@ impl JobMaster {
         ctx.metrics().count("jm.recovery_done", 1);
     }
 
-    fn summary(&self) -> JobSummary {
-        let mut s = JobSummary {
-            tasks_total: self.graph.as_ref().map(|g| g.len() as u32).unwrap_or(0),
-            tasks_finished: self.finished_tasks.len() as u32,
-            ..Default::default()
-        };
-        for tm in self.tms.iter().flatten() {
-            s.instances_total += tm.total_instances();
-            s.instances_running += tm.running_count();
-            s.instances_finished += tm.finished;
-            s.workers_active += tm.workers.len() as u64;
-        }
-        s
-    }
-
     /// Pushes the in-band metrics report to the current master. Instance
     /// counters are cumulative, so a report lost to failover or reordering
     /// only delays the cluster view, never skews it.
     fn send_metrics_report(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let Some(fm) = self.fm else { return };
-        let s = self.summary();
-        let pending: u64 = self
-            .tms
-            .iter()
-            .flatten()
-            .map(|tm| tm.pending_count() as u64)
-            .sum();
-        let report = fuxi_sim::obs::JobReport {
+        let mut report = fuxi_sim::obs::JobReport {
             app: self.app.0,
             job: self.job.0,
             t_s: ctx.now().as_secs_f64(),
-            tasks_total: s.tasks_total,
-            tasks_finished: s.tasks_finished,
-            instances_total: s.instances_total,
-            instances_running: s.instances_running,
-            instances_finished: s.instances_finished,
-            workers_active: s.workers_active,
-            pending_instances: pending,
+            tasks_total: self.graph.as_ref().map_or(0, |g| g.len() as u32),
+            tasks_finished: self.finished_tasks.len() as u32,
+            ..Default::default()
         };
+        for tm in self.tms.iter().flatten() {
+            report.instances_total += tm.total_instances();
+            report.instances_running += tm.running_count();
+            report.instances_finished += tm.finished;
+            report.workers_active += tm.workers.len() as u64;
+            report.pending_instances += tm.pending_count() as u64;
+        }
         ctx.send(
             fm,
             Msg::MetricsReport {
@@ -1256,16 +1231,6 @@ impl JobMaster {
                     self.stop_worker(ctx, w);
                 }
             }
-            Msg::JmStatusQuery => {
-                let summary = self.summary();
-                ctx.send(
-                    from,
-                    Msg::JmStatusReply {
-                        job: self.job,
-                        summary,
-                    },
-                );
-            }
             Msg::StopJob { .. } => {
                 self.complete(ctx, false, "stopped by user".into());
             }
@@ -1301,9 +1266,8 @@ impl JobMaster {
                         self.reconcile_workers(ctx, task);
                         // Backup (speculative) instances for stragglers.
                         let now = ctx.now();
-                        let backup_cfg = self.cfg.backup.clone();
                         if let Some(tm) = self.tms[task.0 as usize].as_mut() {
-                            let out = tm.backup_scan(&backup_cfg, now, &self.blacklist);
+                            let out = tm.backup_scan(now, &self.blacklist);
                             if !out.is_empty() {
                                 ctx.metrics().count("jm.backups_launched", out.len() as u64);
                             }

@@ -19,11 +19,10 @@ pub mod streamline;
 pub mod task_master;
 pub mod worker;
 
-pub use backup::BackupConfig;
-pub use blacklist::{JobBlacklist, JobBlacklistConfig};
+pub use blacklist::JobBlacklist;
 pub use dag::TaskGraph;
 pub use desc::{JobDesc, TaskDesc};
 pub use job_master::{JobMaster, JobMasterConfig};
 pub use snapshot::JobSnapshot;
 pub use task_master::TaskMaster;
-pub use worker::{TaskWorker, WorkerConfig};
+pub use worker::TaskWorker;

@@ -12,7 +12,7 @@
 //! A TaskMaster is a plain object owned by the JobMaster actor (exactly the
 //! paper's hierarchical model, Figure 8); TaskWorkers are actors.
 
-use crate::backup::{should_backup, BackupConfig, RuntimeStats};
+use crate::backup::{should_backup, RuntimeStats};
 use crate::blacklist::JobBlacklist;
 use crate::desc::TaskDesc;
 use crate::snapshot::TaskSnapshot;
@@ -553,13 +553,8 @@ impl TaskMaster {
 
     /// Scans for long-tail instances and launches backups on idle workers
     /// (different machine than the running attempt). Returns assignments.
-    pub fn backup_scan(
-        &mut self,
-        cfg: &BackupConfig,
-        now: SimTime,
-        bl: &JobBlacklist,
-    ) -> Vec<AssignmentOut> {
-        if !cfg.enabled || !self.pending.is_empty() {
+    pub fn backup_scan(&mut self, now: SimTime, bl: &JobBlacklist) -> Vec<AssignmentOut> {
+        if !self.pending.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::new();
@@ -578,7 +573,6 @@ impl TaskMaster {
                 )
             };
             if !should_backup(
-                cfg,
                 now,
                 started,
                 self.finished,
@@ -612,7 +606,7 @@ impl TaskMaster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blacklist::{JobBlacklist, JobBlacklistConfig};
+    use crate::blacklist::JobBlacklist;
 
     fn inst(chunks_on: &[u32], compute_s: f64) -> InstanceRt {
         InstanceRt {
@@ -639,7 +633,7 @@ mod tests {
     }
 
     fn bl() -> JobBlacklist {
-        JobBlacklist::new(JobBlacklistConfig::default())
+        JobBlacklist::default()
     }
 
     /// A worker that was requested and has registered.
@@ -693,10 +687,7 @@ mod tests {
     #[test]
     fn failed_attempt_requeues_and_blacklist_avoids_machine() {
         let mut t = tm(vec![inst(&[], 1.0)]);
-        let mut b = JobBlacklist::new(JobBlacklistConfig {
-            instance_marks_to_task: 99,
-            task_marks_to_job: 99,
-        });
+        let mut b = JobBlacklist::default();
         up(&mut t, 1, 4);
         let out = t.try_assign(SimTime::ZERO, &b);
         assert_eq!(out.len(), 1);
@@ -741,9 +732,8 @@ mod tests {
             }
         }
         assert_eq!(t.finished, 9);
-        let cfg = BackupConfig::default();
         // At t=50 (elapsed 50 > 2×10) a backup must fire on a different machine.
-        let backups = t.backup_scan(&cfg, SimTime::from_secs(50), &bl());
+        let backups = t.backup_scan(SimTime::from_secs(50), &bl());
         assert_eq!(backups.len(), 1);
         let b = &backups[0];
         assert_eq!(b.instance.index, 9);
@@ -751,7 +741,7 @@ mod tests {
         let backup_machine = t.workers[&b.worker].machine;
         assert_ne!(backup_machine, orig_machine);
         // No duplicate backups on the next scan.
-        assert!(t.backup_scan(&cfg, SimTime::from_secs(60), &bl()).is_empty());
+        assert!(t.backup_scan(SimTime::from_secs(60), &bl()).is_empty());
         // Backup finishes first: original attempt must be killed.
         let losers = t.attempt_succeeded(b.worker, 9, b.attempt, 5.0);
         assert_eq!(losers.len(), 1);

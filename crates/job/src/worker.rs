@@ -9,27 +9,9 @@ use fuxi_proto::msg::WorkerSpec;
 use fuxi_proto::{FailReason, InstanceId, InstanceOutcome, InstanceWork, MachineId, Msg};
 use fuxi_sim::{Actor, ActorId, Ctx, FlowKind, FlowSpec, SimDuration, SimTime, TraceId};
 
-/// Worker tuning.
-#[derive(Debug, Clone)]
-pub struct WorkerConfig {
-    /// Progress-report cadence ("all TaskWorkers will periodically report
-    /// their status including execution progresses").
-    pub report_interval: SimDuration,
-    /// Per-launch process startup cost (binary load, JVM/sandbox init)
-    /// charged before the worker registers with its master. Zero by
-    /// default; the container-reuse ablation sets it to expose the cost
-    /// a launch-per-task (YARN-style) policy pays on every instance.
-    pub startup_overhead_s: f64,
-}
-
-impl Default for WorkerConfig {
-    fn default() -> Self {
-        Self {
-            report_interval: SimDuration::from_secs(10),
-            startup_overhead_s: 0.0,
-        }
-    }
-}
+/// Progress-report cadence ("all TaskWorkers will periodically report their
+/// status including execution progresses").
+const REPORT_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 const TIMER_REPORT: u64 = 1;
 /// Fires once when a configured process-startup overhead elapses.
@@ -61,7 +43,9 @@ pub struct TaskWorker {
     /// What the worker was launched with. `spec.master` is where it reports
     /// *now*: a restarted JobMaster's status query moves it.
     spec: WorkerSpec,
-    cfg: WorkerConfig,
+    /// Process startup cost charged before registering, seconds
+    /// (`JobMasterConfig::startup_overhead_s`).
+    startup_overhead_s: f64,
     current: Option<Exec>,
     /// Bumped on every assignment/abort; embedded in timers and flow tags.
     generation: u64,
@@ -77,10 +61,10 @@ pub struct TaskWorker {
 
 impl TaskWorker {
     /// From spec.
-    pub fn from_spec(spec: &WorkerSpec, cfg: WorkerConfig) -> Self {
+    pub fn from_spec(spec: &WorkerSpec, startup_overhead_s: f64) -> Self {
         Self {
             spec: spec.clone(),
-            cfg,
+            startup_overhead_s,
             current: None,
             generation: 0,
             unacked: None,
@@ -211,18 +195,18 @@ impl TaskWorker {
                 machine,
             },
         );
-        ctx.timer(self.cfg.report_interval, TIMER_REPORT);
+        ctx.timer(REPORT_INTERVAL, TIMER_REPORT);
     }
 }
 
 impl Actor<Msg> for TaskWorker {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.trace = ctx.trace_id();
-        if self.cfg.startup_overhead_s > 0.0 {
+        if self.startup_overhead_s > 0.0 {
             // Charge process startup before the worker becomes visible:
             // registration (and hence the first assignment) waits it out.
             let speed = ctx.machine_speed(self.machine(ctx)).max(1e-3);
-            let d = SimDuration::from_secs_f64(self.cfg.startup_overhead_s / speed);
+            let d = SimDuration::from_secs_f64(self.startup_overhead_s / speed);
             ctx.timer(d, TIMER_STARTUP);
         } else {
             self.come_online(ctx);
@@ -360,7 +344,7 @@ impl Actor<Msg> for TaskWorker {
                         },
                     );
                 }
-                ctx.timer(self.cfg.report_interval, TIMER_REPORT);
+                ctx.timer(REPORT_INTERVAL, TIMER_REPORT);
             }
             t if t & TIMER_COMPUTE_BASE != 0 && (t & 0xFFFF_FFFF) == (self.generation & 0xFFFF_FFFF) => {
                 // Compute finished; write output if modelled, else done.
@@ -424,7 +408,7 @@ mod tests {
         };
         let worker = w.spawn(
             Some(2),
-            Box::new(TaskWorker::from_spec(&spec, WorkerConfig::default())),
+            Box::new(TaskWorker::from_spec(&spec, 0.0)),
         );
         (w, worker, master, log)
     }

@@ -35,7 +35,7 @@ pub mod window;
 
 pub use metrics::{Histogram, Metrics, WindowedHistogram};
 pub use recorder::{FlightDump, FlightRing, Tracer, TracerConfig};
-pub use slo::{SloAlert, SloRuleKind, SloRules, SloWatchdog};
+pub use slo::{SloAlert, SloRuleKind, SloWatchdog};
 pub use trace::{SpanKind, SpanRecord, TraceEvent, TraceId, TraceRecord};
 pub use view::{
     AgentReport, ClusterView, JobReport, MasterRollup, MetricsHub, MetricsPlaneConfig,

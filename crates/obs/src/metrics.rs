@@ -249,37 +249,22 @@ impl Metrics {
     }
 
     /// Time-weighted mean of a series: the trapezoid integral of `v` over
-    /// `t` divided by the covered span. Unlike the unweighted mean, bursts
-    /// of dense sampling don't over-weight the sampled value.
+    /// `t` divided by the covered span. Unlike a per-point mean, bursts of
+    /// dense sampling don't over-weight the sampled value.
     pub fn series_mean(&self, name: &str) -> f64 {
-        let s = self.series(name);
-        match s.len() {
-            0 => 0.0,
-            1 => s[0].1,
-            _ => {
-                let span = s[s.len() - 1].0 - s[0].0;
-                if span <= 0.0 {
-                    // Degenerate: all points share one timestamp.
-                    return self.series_mean_unweighted(name);
-                }
-                let area: f64 = s
-                    .windows(2)
-                    .map(|w| 0.5 * (w[0].1 + w[1].1) * (w[1].0 - w[0].0))
-                    .sum();
-                area / span
-            }
-        }
+        trapezoid_mean(self.series(name))
     }
 
-    /// Mean of a series' values ignoring sample spacing (the pre-existing
-    /// behaviour; kept for consumers that sample on a strict cadence).
-    pub fn series_mean_unweighted(&self, name: &str) -> f64 {
-        let s = self.series(name);
-        if s.is_empty() {
-            0.0
-        } else {
-            s.iter().map(|&(_, v)| v).sum::<f64>() / s.len() as f64
-        }
+    /// [`Metrics::series_mean`] over the samples with `t` in `[from_s,
+    /// to_s]` (steady-state windows).
+    pub fn series_mean_window(&self, name: &str, from_s: f64, to_s: f64) -> f64 {
+        let pts: Vec<(f64, f64)> = self
+            .series(name)
+            .iter()
+            .filter(|&&(t, _)| t >= from_s && t <= to_s)
+            .copied()
+            .collect();
+        trapezoid_mean(&pts)
     }
 
     /// Counters.
@@ -375,6 +360,26 @@ fn write_sorted<V>(
     }
 }
 
+/// The trapezoid integral of `v` over `t` divided by the covered span; the
+/// plain mean when every sample shares one instant.
+fn trapezoid_mean(s: &[(f64, f64)]) -> f64 {
+    match s.len() {
+        0 => 0.0,
+        1 => s[0].1,
+        _ => {
+            let span = s[s.len() - 1].0 - s[0].0;
+            if span <= 0.0 {
+                return s.iter().map(|&(_, v)| v).sum::<f64>() / s.len() as f64;
+            }
+            let area: f64 = s
+                .windows(2)
+                .map(|w| 0.5 * (w[0].1 + w[1].1) * (w[1].0 - w[0].0))
+                .sum();
+            area / span
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,21 +401,18 @@ mod tests {
         m.push_series("util", 1.0, 20.0);
         assert_eq!(m.series("util").len(), 2);
         assert!((m.series_mean("util") - 15.0).abs() < 1e-12);
-        assert!((m.series_mean_unweighted("util") - 15.0).abs() < 1e-12);
     }
 
     #[test]
     fn series_mean_is_time_weighted() {
         let mut m = Metrics::new();
-        // v=0 for 10 s, then a burst of v=100 samples within 1 s: the
-        // unweighted mean is dragged to ~75, the trapezoid mean stays low.
+        // v=0 for 10 s, then a burst of v=100 samples within 1 s: a
+        // per-point mean is dragged to 50, the trapezoid mean stays low.
         m.push_series("u", 0.0, 0.0);
         m.push_series("u", 10.0, 0.0);
         m.push_series("u", 10.5, 100.0);
         m.push_series("u", 11.0, 100.0);
         let w = m.series_mean("u");
-        let uw = m.series_mean_unweighted("u");
-        assert!((uw - 50.0).abs() < 1e-9, "unweighted = {uw}");
         // Integral: 0*10 + 50*0.5 + 100*0.5 = 75 over 11 s ≈ 6.82.
         assert!((w - 75.0 / 11.0).abs() < 1e-9, "weighted = {w}");
     }
@@ -424,6 +426,34 @@ mod tests {
         m.push_series("same_t", 1.0, 10.0);
         m.push_series("same_t", 1.0, 30.0);
         assert!((m.series_mean("same_t") - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn series_mean_window_filters() {
+        let mut m = Metrics::new();
+        for t in 0..10 {
+            m.push_series("x", t as f64, t as f64);
+        }
+        let mean = m.series_mean_window("x", 5.0, 9.0);
+        assert!((mean - 7.0).abs() < 1e-9);
+        assert_eq!(m.series_mean_window("missing", 0.0, 1.0), 0.0);
+    }
+
+    #[test]
+    fn series_mean_window_is_time_weighted() {
+        // 10 at t=0..10, then a burst of 50-valued samples in the last
+        // second. A per-point mean would say 30; the signal spent 10x as
+        // long at 10 as at 50.
+        let mut m = Metrics::new();
+        m.push_series("u", 0.0, 10.0);
+        m.push_series("u", 10.0, 10.0);
+        m.push_series("u", 10.0, 50.0);
+        m.push_series("u", 11.0, 50.0);
+        let mean = m.series_mean_window("u", 0.0, 11.0);
+        let expected = (10.0 * 10.0 + 1.0 * 50.0) / 11.0;
+        assert!((mean - expected).abs() < 1e-9, "mean = {mean}");
+        // Degenerate: single point in window.
+        assert_eq!(m.series_mean_window("u", 10.5, 11.5), 50.0);
     }
 
     #[test]

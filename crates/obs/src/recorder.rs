@@ -4,34 +4,26 @@ use std::collections::HashMap;
 
 use crate::trace::{SpanKind, SpanRecord, TraceEvent, TraceId, TraceRecord};
 
-/// Tracer tuning knobs.
+/// Tracer switch.
 #[derive(Debug, Clone)]
 pub struct TracerConfig {
     /// Master switch. When `false` every record call is a no-op branch.
     pub enabled: bool,
-    /// Keep the full event log (`records`) for export. The flight rings
-    /// are kept regardless — they are bounded.
-    pub log_events: bool,
-    /// Capacity of each actor's flight ring.
-    pub ring_capacity: usize,
-    /// A flight dump fires when at least this many distinct machines go
-    /// down within [`TracerConfig::storm_window_s`].
-    pub storm_threshold: usize,
-    /// Sliding window for node-down storm detection, seconds.
-    pub storm_window_s: f64,
 }
 
 impl Default for TracerConfig {
     fn default() -> Self {
-        TracerConfig {
-            enabled: true,
-            log_events: true,
-            ring_capacity: 256,
-            storm_threshold: 3,
-            storm_window_s: 10.0,
-        }
+        TracerConfig { enabled: true }
     }
 }
+
+/// Capacity of each actor's flight ring.
+const RING_CAPACITY: usize = 256;
+/// A flight dump fires when at least this many distinct machines go down
+/// within [`STORM_WINDOW_S`].
+const STORM_THRESHOLD: usize = 3;
+/// Sliding window for node-down storm detection, seconds.
+const STORM_WINDOW_S: f64 = 10.0;
 
 /// Fixed-capacity ring of the most recent [`TraceRecord`]s for one actor.
 #[derive(Debug, Clone)]
@@ -101,7 +93,7 @@ impl FlightDump {
 #[derive(Debug, Default)]
 pub struct Tracer {
     cfg: TracerConfig,
-    /// Full event log (only when `cfg.log_events`).
+    /// Full event log, for export.
     pub records: Vec<TraceRecord>,
     /// Completed spans.
     pub spans: Vec<SpanRecord>,
@@ -130,11 +122,6 @@ impl Tracer {
         self.cfg.enabled
     }
 
-    /// The active config.
-    pub fn config(&self) -> &TracerConfig {
-        &self.cfg
-    }
-
     /// Records one event from `actor` at sim time `t_s` under `trace`.
     /// Also feeds the actor's flight ring and the storm detector.
     pub fn record(&mut self, t_s: f64, actor: u32, trace: TraceId, event: TraceEvent) {
@@ -147,14 +134,11 @@ impl Tracer {
             trace,
             event,
         };
-        let cap = self.cfg.ring_capacity;
         self.rings
             .entry(actor)
-            .or_insert_with(|| FlightRing::new(cap))
+            .or_insert_with(|| FlightRing::new(RING_CAPACITY))
             .push(rec);
-        if self.cfg.log_events {
-            self.records.push(rec);
-        }
+        self.records.push(rec);
         if let TraceEvent::NodeDown { machine } = event {
             self.note_node_down(t_s, machine);
         }
@@ -175,12 +159,12 @@ impl Tracer {
     }
 
     fn note_node_down(&mut self, t_s: f64, machine: u32) {
-        let horizon = t_s - self.cfg.storm_window_s;
+        let horizon = t_s - STORM_WINDOW_S;
         self.recent_downs.retain(|&(t, _)| t >= horizon);
         if !self.recent_downs.iter().any(|&(_, m)| m == machine) {
             self.recent_downs.push((t_s, machine));
         }
-        if self.recent_downs.len() >= self.cfg.storm_threshold {
+        if self.recent_downs.len() >= STORM_THRESHOLD {
             self.dump(t_s, "node_down_storm");
             self.recent_downs.clear();
         }
@@ -246,8 +230,7 @@ impl Tracer {
         self.dumps.sort_by(|a, b| by_t(a.t_s, b.t_s));
     }
 
-    /// All records carrying `trace`, in recording order. Requires
-    /// `log_events`.
+    /// All records carrying `trace`, in recording order.
     pub fn by_trace(&self, trace: TraceId) -> impl Iterator<Item = &TraceRecord> {
         self.records.iter().filter(move |r| r.trace == trace)
     }
@@ -278,11 +261,7 @@ mod tests {
 
     #[test]
     fn storm_triggers_dump() {
-        let mut t = Tracer::new(TracerConfig {
-            storm_threshold: 3,
-            storm_window_s: 10.0,
-            ..TracerConfig::default()
-        });
+        let mut t = Tracer::new(TracerConfig::default());
         t.record(1.0, 7, TraceId::NONE, ev(1));
         t.record(2.0, 7, TraceId::NONE, ev(2));
         assert!(t.dumps.is_empty());
@@ -299,11 +278,7 @@ mod tests {
 
     #[test]
     fn storm_window_slides() {
-        let mut t = Tracer::new(TracerConfig {
-            storm_threshold: 3,
-            storm_window_s: 10.0,
-            ..TracerConfig::default()
-        });
+        let mut t = Tracer::new(TracerConfig::default());
         t.record(1.0, 7, TraceId::NONE, ev(1));
         t.record(20.0, 7, TraceId::NONE, ev(2));
         t.record(21.0, 7, TraceId::NONE, ev(3));
@@ -314,21 +289,16 @@ mod tests {
 
     #[test]
     fn repeated_same_machine_is_one_down() {
-        let mut t = Tracer::new(TracerConfig {
-            storm_threshold: 2,
-            ..TracerConfig::default()
-        });
-        t.record(1.0, 7, TraceId::NONE, ev(5));
-        t.record(1.5, 7, TraceId::NONE, ev(5));
+        let mut t = Tracer::new(TracerConfig::default());
+        for i in 0..STORM_THRESHOLD {
+            t.record(1.0 + i as f64, 7, TraceId::NONE, ev(5));
+        }
         assert!(t.dumps.is_empty(), "one machine flapping is not a storm");
     }
 
     #[test]
     fn disabled_records_nothing() {
-        let mut t = Tracer::new(TracerConfig {
-            enabled: false,
-            ..TracerConfig::default()
-        });
+        let mut t = Tracer::new(TracerConfig { enabled: false });
         t.record(1.0, 1, TraceId::from_job(0), ev(1));
         t.span(1.0, 1, TraceId::NONE, SpanKind::SchedDecision, 1e-6);
         t.dump(1.0, "invariant");

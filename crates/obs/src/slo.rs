@@ -54,36 +54,20 @@ impl SloRuleKind {
     }
 }
 
-/// Thresholds for the watchdog rules. Defaults are deliberately loose —
-/// far above anything a healthy run produces — so breaches mean trouble,
-/// not noise; chaos scenarios tighten them to taste.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SloRules {
-    /// Breach when the windowed sched p99 exceeds this many seconds.
-    pub sched_p99_s: f64,
-    /// Minimum windowed sample count before the sched rule is evaluated
-    /// (a single slow decision in an idle window is not a p99).
-    pub min_sched_samples: u64,
-    /// Breach when some job has had pending instances continuously for
-    /// longer than this many seconds.
-    pub pending_age_s: f64,
-    /// Breach when the stranded-free-memory fraction exceeds this.
-    pub frag_ratio: f64,
-    /// Breach when the sampled live mailbox backlog exceeds this depth.
-    pub mailbox_depth: u64,
-}
+// Thresholds for the watchdog rules. They are deliberately loose — far
+// above anything a healthy run produces — so breaches mean trouble, not
+// noise. Only the pending-age threshold is configurable
+// (`MetricsPlaneConfig::pending_age_s`).
 
-impl Default for SloRules {
-    fn default() -> Self {
-        SloRules {
-            sched_p99_s: 0.25,
-            min_sched_samples: 8,
-            pending_age_s: 30.0,
-            frag_ratio: 0.95,
-            mailbox_depth: 6144,
-        }
-    }
-}
+/// Breach when the windowed sched p99 exceeds this many seconds.
+const SCHED_P99_S: f64 = 0.25;
+/// Minimum windowed sample count before the sched rule is evaluated (a
+/// single slow decision in an idle window is not a p99).
+const MIN_SCHED_SAMPLES: u64 = 8;
+/// Breach when the stranded-free-memory fraction exceeds this.
+const FRAG_RATIO: f64 = 0.95;
+/// Breach when the sampled live mailbox backlog exceeds this depth.
+const MAILBOX_DEPTH: u64 = 6144;
 
 /// One edge-triggered alert transition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +84,7 @@ pub struct SloAlert {
     pub t_s: f64,
 }
 
-/// Evaluates [`SloRules`] against successive rollups, tracking which rules
+/// Evaluates the rules against successive rollups, tracking which rules
 /// are currently breached so transitions are reported exactly once.
 #[derive(Debug, Clone, Default)]
 pub struct SloWatchdog {
@@ -125,34 +109,35 @@ impl SloWatchdog {
     }
 
     /// The (value, threshold, breached) reading of one rule against a view.
-    fn read(rules: &SloRules, view: &ClusterView, rule: SloRuleKind) -> (f64, f64, bool) {
+    fn read(pending_age_s: f64, view: &ClusterView, rule: SloRuleKind) -> (f64, f64, bool) {
         match rule {
             SloRuleKind::SchedP99 => {
                 let v = view.sched_p99_s;
-                let enough = view.sched_count_win >= rules.min_sched_samples;
-                (v, rules.sched_p99_s, enough && v > rules.sched_p99_s)
+                let enough = view.sched_count_win >= MIN_SCHED_SAMPLES;
+                (v, SCHED_P99_S, enough && v > SCHED_P99_S)
             }
             SloRuleKind::PendingAge => {
                 let v = view.oldest_pending_age_s;
-                (v, rules.pending_age_s, v > rules.pending_age_s)
+                (v, pending_age_s, v > pending_age_s)
             }
             SloRuleKind::Fragmentation => {
                 let v = view.frag_ratio;
-                (v, rules.frag_ratio, v > rules.frag_ratio)
+                (v, FRAG_RATIO, v > FRAG_RATIO)
             }
             SloRuleKind::MailboxDepth => {
                 let v = view.mailbox_depth as f64;
-                (v, rules.mailbox_depth as f64, view.mailbox_depth > rules.mailbox_depth)
+                (v, MAILBOX_DEPTH as f64, view.mailbox_depth > MAILBOX_DEPTH)
             }
         }
     }
 
-    /// Evaluates every rule against `view` at rollup time `now_s`,
-    /// returning only the transitions (raises and clears).
-    pub fn evaluate(&mut self, rules: &SloRules, view: &ClusterView, now_s: f64) -> Vec<SloAlert> {
+    /// Evaluates every rule against `view` at rollup time `now_s`, with
+    /// the pending-age rule's threshold `pending_age_s`, returning only the
+    /// transitions (raises and clears).
+    pub fn evaluate(&mut self, pending_age_s: f64, view: &ClusterView, now_s: f64) -> Vec<SloAlert> {
         let mut out = Vec::new();
         for rule in SloRuleKind::ALL {
-            let (value, threshold, breached) = Self::read(rules, view, rule);
+            let (value, threshold, breached) = Self::read(pending_age_s, view, rule);
             let slot = Self::slot(rule);
             if breached != self.active[slot] {
                 self.active[slot] = breached;
@@ -178,27 +163,23 @@ mod tests {
 
     #[test]
     fn alerts_are_edge_triggered() {
-        let rules = SloRules {
-            pending_age_s: 5.0,
-            ..SloRules::default()
-        };
-        let mut view = ClusterView::new(1.0);
+        let mut view = ClusterView::default();
         let mut wd = SloWatchdog::new();
-        assert!(wd.evaluate(&rules, &view, 1.0).is_empty());
+        assert!(wd.evaluate(5.0, &view, 1.0).is_empty());
 
         view.oldest_pending_age_s = 9.0;
-        let raised = wd.evaluate(&rules, &view, 2.0);
+        let raised = wd.evaluate(5.0, &view, 2.0);
         assert_eq!(raised.len(), 1);
         assert!(raised[0].raised);
         assert_eq!(raised[0].rule, SloRuleKind::PendingAge);
         assert_eq!(raised[0].value, 9.0);
         // Sustained breach: no further transitions.
-        assert!(wd.evaluate(&rules, &view, 3.0).is_empty());
+        assert!(wd.evaluate(5.0, &view, 3.0).is_empty());
         assert!(wd.is_active(SloRuleKind::PendingAge));
         assert_eq!(wd.breaches, 1);
 
         view.oldest_pending_age_s = 0.0;
-        let cleared = wd.evaluate(&rules, &view, 4.0);
+        let cleared = wd.evaluate(5.0, &view, 4.0);
         assert_eq!(cleared.len(), 1);
         assert!(!cleared[0].raised);
         assert!(!wd.is_active(SloRuleKind::PendingAge));
@@ -206,13 +187,12 @@ mod tests {
 
     #[test]
     fn sched_rule_needs_samples() {
-        let rules = SloRules::default();
-        let mut view = ClusterView::new(1.0);
+        let mut view = ClusterView::default();
         view.sched_p99_s = 10.0;
-        view.sched_count_win = rules.min_sched_samples - 1;
+        view.sched_count_win = MIN_SCHED_SAMPLES - 1;
         let mut wd = SloWatchdog::new();
-        assert!(wd.evaluate(&rules, &view, 1.0).is_empty(), "too few samples");
-        view.sched_count_win = rules.min_sched_samples;
-        assert_eq!(wd.evaluate(&rules, &view, 2.0).len(), 1);
+        assert!(wd.evaluate(30.0, &view, 1.0).is_empty(), "too few samples");
+        view.sched_count_win = MIN_SCHED_SAMPLES;
+        assert_eq!(wd.evaluate(30.0, &view, 2.0).len(), 1);
     }
 }

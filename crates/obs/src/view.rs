@@ -21,34 +21,25 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::export::json_string;
-use crate::slo::{SloAlert, SloRules};
-use crate::window::{WindowRing, DEFAULT_RETAIN};
+use crate::slo::SloAlert;
+use crate::window::WindowRing;
 
-/// Configuration of the metrics plane, threaded through master/agent/JM
-/// configs so benchmarks can price the plane on vs off.
+/// Configuration of the metrics plane, threaded through the master config
+/// so benchmarks can price the plane on vs off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsPlaneConfig {
     /// Master-side switch: rollup timer, report ingestion, watchdog.
     pub enabled: bool,
-    /// Window width for the rollup rings, seconds.
-    pub window_s: f64,
-    /// Windows retained per ring.
-    pub retain: usize,
-    /// Watchdog thresholds.
-    pub rules: SloRules,
-    /// Probe unit for the fragmentation reading: free memory on machines
-    /// with less than this free is considered stranded.
-    pub frag_probe_mem_mb: u64,
+    /// Pending-age SLO: breach when some job has had pending instances
+    /// continuously for longer than this many seconds.
+    pub pending_age_s: f64,
 }
 
 impl Default for MetricsPlaneConfig {
     fn default() -> Self {
         MetricsPlaneConfig {
             enabled: true,
-            window_s: 1.0,
-            retain: DEFAULT_RETAIN,
-            rules: SloRules::default(),
-            frag_probe_mem_mb: 2048,
+            pending_age_s: 30.0,
         }
     }
 }
@@ -162,15 +153,14 @@ pub struct MasterRollup {
 /// updates it once per window and on every inbound report.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterView {
-    /// Window width the view was built with, seconds.
-    pub window_s: f64,
     /// Scheduler-derived readings from the last rollup.
     pub rollup: MasterRollup,
     /// Planned-over-capacity utilization (CPU), 0..=1.
     pub util_cpu: f64,
     /// Planned-over-capacity utilization (memory), 0..=1.
     pub util_mem: f64,
-    /// Stranded fraction of free memory (see `MetricsPlaneConfig`).
+    /// Stranded fraction of free memory: free memory on machines with too
+    /// little free to fit the master's probe unit, over all free memory.
     pub frag_ratio: f64,
     /// Windowed sched p99 copied from the rollup, seconds (watchdog input).
     pub sched_p99_s: f64,
@@ -203,15 +193,6 @@ pub struct ClusterView {
 }
 
 impl ClusterView {
-    /// Empty view with the given window width.
-    pub fn new(window_s: f64) -> ClusterView {
-        ClusterView {
-            window_s,
-            inst_ring: WindowRing::new(window_s.max(1e-3), DEFAULT_RETAIN),
-            ..ClusterView::default()
-        }
-    }
-
     /// Ingests one pushed report at view time `now_s`.
     pub fn apply_report(&mut self, now_s: f64, report: &MetricsReport) {
         self.reports_received += 1;
@@ -500,13 +481,6 @@ pub struct MetricsHub {
 }
 
 impl MetricsHub {
-    /// Hub around an empty view with the given window width.
-    pub fn new(window_s: f64) -> MetricsHub {
-        MetricsHub {
-            inner: Arc::new(Mutex::new(ClusterView::new(window_s))),
-        }
-    }
-
     /// Runs `f` under the view lock and returns its result.
     pub fn update<R>(&self, f: impl FnOnce(&mut ClusterView) -> R) -> R {
         let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
@@ -540,7 +514,7 @@ mod tests {
 
     #[test]
     fn cumulative_job_reports_diff_into_rates() {
-        let mut v = ClusterView::new(1.0);
+        let mut v = ClusterView::default();
         v.apply_report(0.5, &job_report(7, 0, 4));
         v.apply_report(2.5, &job_report(7, 10, 0));
         v.apply_rollup(MasterRollup {
@@ -556,7 +530,7 @@ mod tests {
 
     #[test]
     fn pending_age_tracks_first_continuous_pending() {
-        let mut v = ClusterView::new(1.0);
+        let mut v = ClusterView::default();
         v.apply_report(1.0, &job_report(3, 0, 5));
         v.apply_report(4.0, &job_report(3, 2, 5)); // still pending: clock keeps t=1
         v.apply_rollup(MasterRollup {
@@ -575,7 +549,7 @@ mod tests {
 
     #[test]
     fn finished_jobs_leave_the_live_table() {
-        let mut v = ClusterView::new(1.0);
+        let mut v = ClusterView::default();
         v.apply_report(0.5, &job_report(9, 0, 4));
         assert_eq!(v.jobs.len(), 1);
         // Its last report said "4 pending"; the master's word ends that.
@@ -587,7 +561,7 @@ mod tests {
 
     #[test]
     fn exposition_formats_are_well_formed() {
-        let mut v = ClusterView::new(1.0);
+        let mut v = ClusterView::default();
         v.apply_report(
             0.5,
             &MetricsReport::Agent(AgentReport {
@@ -622,7 +596,7 @@ mod tests {
         assert!(json.contains("\"jobs_per_sec\":1.500000"));
         assert!(json.contains("\"machine\":3"));
         assert!(json.contains("\"pending_instances\":3"));
-        let hub = MetricsHub::new(1.0);
+        let hub = MetricsHub::default();
         hub.update(|view| *view = v.clone());
         assert_eq!(hub.snapshot().to_json(), json);
     }

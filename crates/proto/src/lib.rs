@@ -27,7 +27,7 @@ pub use ids::{
     AppId, FlowTag, InstanceId, JobId, MachineId, Priority, QuotaGroupId, RackId, TaskId, UnitId,
     WorkerId,
 };
-pub use msg::{FailReason, InstanceOutcome, InstanceWork, JobSummary, Msg, StartFailure};
+pub use msg::{FailReason, InstanceOutcome, InstanceWork, Msg, StartFailure};
 pub use request::{
     CapacityChange, GrantDelta, GrantLedger, RequestDelta, RequestState, ScheduleUnitDef,
     WantLevels,

@@ -124,24 +124,6 @@ pub enum InstanceOutcome {
     Failed(FailReason),
 }
 
-/// Compact job progress summary (returned to status queries and carried in
-/// JobMaster → FuxiMaster status reports).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct JobSummary {
-    /// Tasks in the job.
-    pub tasks_total: u32,
-    /// Tasks that completed.
-    pub tasks_finished: u32,
-    /// Instances across all tasks.
-    pub instances_total: u64,
-    /// Instances currently executing.
-    pub instances_running: u64,
-    /// Instances completed.
-    pub instances_finished: u64,
-    /// Worker containers currently held.
-    pub workers_active: u64,
-}
-
 /// The complete message set. One enum keeps dispatch exhaustive: adding a
 /// message forces every component to consider it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -488,20 +470,6 @@ pub enum Msg {
         machine: MachineId,
         /// Currently executing (instance, attempt, progress), if any.
         running: Option<(InstanceId, u32, f64)>,
-    },
-
-    // ------------------------------------------------------------------
-    // Job status
-    // ------------------------------------------------------------------
-    /// Anyone → JobMaster: progress query (the command-line tool).
-    JmStatusQuery,
-    /// JobMaster → requester.
-    /// Job progress summary.
-    JmStatusReply {
-        /// Job id.
-        job: JobId,
-        /// Job progress summary.
-        summary: JobSummary,
     },
 
     // ------------------------------------------------------------------

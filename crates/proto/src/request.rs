@@ -20,10 +20,11 @@
 //!   grant *and re-adds the demand at cluster level* — the application still
 //!   wants the resource, but the machine it was on is no longer a good hint.
 //!
-//! Requests and grants both travel as *deltas*; [`crate::msg::SeqEnvelope`]
-//! provides the ordering/idempotency layer and periodic full-state syncs
-//! repair any divergence ("as a safety measurement, application masters
-//! exchange with FuxiMaster the full state of resources periodically").
+//! Requests and grants both travel as *deltas*; [`crate::msg::SeqSender`] /
+//! [`crate::msg::SeqReceiver`] provide the ordering/idempotency layer and
+//! periodic full-state syncs repair any divergence ("as a safety
+//! measurement, application masters exchange with FuxiMaster the full state
+//! of resources periodically").
 
 use crate::ids::{AppId, MachineId, Priority, RackId, UnitId};
 use crate::resource::ResourceVec;

@@ -24,7 +24,7 @@ use std::fmt;
 
 /// Protocol version spoken by this build. Bump on any change to the
 /// encoded shape of [`Msg`] or the control frames.
-pub const PROTO_VERSION: u16 = 3;
+pub const PROTO_VERSION: u16 = 4;
 
 /// Frame magic: every frame starts with these four bytes.
 pub const MAGIC: [u8; 4] = *b"FUXI";
@@ -402,7 +402,7 @@ mod tests {
     use crate::health::NodeHealthReport;
     use crate::ids::{AppId, InstanceId, JobId, MachineId, Priority, TaskId, UnitId, WorkerId};
     use crate::msg::{
-        AppDescription, FailReason, InstanceOutcome, InstanceWork, JobSummary, StartFailure, WorkerSpec,
+        AppDescription, FailReason, InstanceOutcome, InstanceWork, StartFailure, WorkerSpec,
     };
     use crate::request::{
         CapacityChange, GrantDelta, RequestDelta, RequestState, ScheduleUnitDef, WantLevels,
@@ -508,14 +508,12 @@ mod tests {
             Msg::WorkerExit => 35,
             Msg::WorkerStatusQuery => 36,
             Msg::WorkerStatusReply { .. } => 37,
-            Msg::JmStatusQuery => 38,
-            Msg::JmStatusReply { .. } => 39,
-            Msg::LockAcquire { .. } => 40,
-            Msg::LockGranted { .. } => 41,
-            Msg::LockKeepalive { .. } => 42,
-            Msg::LockRelease { .. } => 43,
-            Msg::LockLost { .. } => 44,
-            Msg::FlowDone { .. } => 45,
+            Msg::LockAcquire { .. } => 38,
+            Msg::LockGranted { .. } => 39,
+            Msg::LockKeepalive { .. } => 40,
+            Msg::LockRelease { .. } => 41,
+            Msg::LockLost { .. } => 42,
+            Msg::FlowDone { .. } => 43,
         }
     }
 
@@ -666,21 +664,16 @@ mod tests {
                 machine,
                 running: Some((rinst(rng), rng.gen_range(0..4u32), rng.gen_range(0.0..1.0))),
             },
-            38 => Msg::JmStatusQuery,
-            39 => Msg::JmStatusReply {
-                job,
-                summary: JobSummary { tasks_total: 4, instances_total: 20, ..Default::default() },
-            },
-            40 => Msg::LockAcquire { name: "fuxi-master".into(), ttl_s: rng.gen_range(1.0..10.0) },
-            41 => Msg::LockGranted { name: "fuxi-master".into() },
-            42 => Msg::LockKeepalive { name: "fuxi-master".into() },
-            43 => Msg::LockRelease { name: "fuxi-master".into() },
-            44 => Msg::LockLost { name: "fuxi-master".into() },
+            38 => Msg::LockAcquire { name: "fuxi-master".into(), ttl_s: rng.gen_range(1.0..10.0) },
+            39 => Msg::LockGranted { name: "fuxi-master".into() },
+            40 => Msg::LockKeepalive { name: "fuxi-master".into() },
+            41 => Msg::LockRelease { name: "fuxi-master".into() },
+            42 => Msg::LockLost { name: "fuxi-master".into() },
             _ => Msg::FlowDone { tag: rng.gen_range(0..1u64 << 40), failed: rng.gen_range(0..2u32) == 1 },
         }
     }
 
-    const N_SAMPLES: usize = 46;
+    const N_SAMPLES: usize = 44;
 
     #[test]
     fn every_variant_roundtrips() {

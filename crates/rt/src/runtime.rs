@@ -3,7 +3,7 @@
 //!
 //! The same actor code that runs under the deterministic kernel runs here
 //! unchanged — handlers see a [`Ctx`] whose live backend is implemented by
-//! [`ThreadCtx`] below. What changes is the execution substrate:
+//! `ThreadCtx` below. What changes is the execution substrate:
 //!
 //! * **Delivery** is one [`crate::mailbox`] per actor. A given sender's
 //!   messages to a given destination arrive in send order (the kernel's

@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn serves_prometheus_and_json() {
-        let hub = MetricsHub::new(1.0);
+        let hub = MetricsHub::default();
         hub.update(|v| {
             v.rollup.jobs_per_sec = 2.0;
             v.rollup.jobs_finished_total = 4;

@@ -42,6 +42,5 @@ pub use fuxi_obs::{Histogram, Metrics, WindowedHistogram};
 pub use fuxi_obs::{SpanKind, TraceEvent, TraceId, Tracer, TracerConfig};
 pub use failure::{Fault, FaultPlan};
 pub use flow::{FlowDone, FlowKind, FlowNet, FlowSpec};
-pub use net::NetConfig;
 pub use time::{SimDuration, SimTime};
 pub use world::{MachineConfig, World, WorldConfig};

@@ -3,7 +3,7 @@
 use crate::actor::{Actor, ActorId, Ctx, CtxBackend};
 use crate::event::{EventKind, EventQueue, KernelMsg};
 use crate::flow::{FlowDone, FlowNet, FlowSpec};
-use crate::net::NetConfig;
+use crate::net;
 use crate::time::{SimDuration, SimTime};
 use fuxi_obs::{Metrics, TraceEvent, TraceId, Tracer, TracerConfig};
 use rand::rngs::SmallRng;
@@ -26,8 +26,8 @@ pub struct MachineConfig {
 pub struct WorldConfig {
     /// Hardware description per machine.
     pub machines: Vec<MachineConfig>,
-    /// Network latency/loss model.
-    pub net: NetConfig,
+    /// Probability a message is silently dropped (chaos testing only).
+    pub drop_prob: f64,
     /// Deterministic RNG seed.
     pub seed: u64,
     /// Observability configuration (tracer, flight recorder).
@@ -46,7 +46,7 @@ impl WorldConfig {
             .collect();
         Self {
             machines,
-            net: NetConfig::default(),
+            drop_prob: 0.0,
             seed,
             obs: TracerConfig::default(),
         }
@@ -79,7 +79,7 @@ pub struct WorldCore<M: KernelMsg> {
     pub(crate) rng: SmallRng,
     /// Metrics sink shared by every actor.
     pub metrics: Metrics,
-    net: NetConfig,
+    drop_prob: f64,
     flows: FlowNet,
     flows_dirty: bool,
     flow_tick_at: Option<SimTime>,
@@ -164,12 +164,12 @@ impl<M: KernelMsg> WorldCore<M> {
         trace: TraceId,
     ) {
         self.metrics.count("net.sent", 1);
-        if self.net.dropped(&mut self.rng) {
+        if net::dropped(self.drop_prob, &mut self.rng) {
             self.metrics.count("net.dropped", 1);
             return;
         }
         let (same_machine, same_rack) = self.relation(from, to);
-        let latency = self.net.sample_latency(&mut self.rng, same_machine, same_rack);
+        let latency = net::sample_latency(&mut self.rng, same_machine, same_rack);
         let mut at = self.time + latency + extra;
         // Per-source FIFO: never deliver before an earlier send from the
         // same source (see `channel_clock`).
@@ -312,7 +312,7 @@ impl<M: KernelMsg> World<M> {
                 machines,
                 rng: SmallRng::seed_from_u64(cfg.seed),
                 metrics: Metrics::new(),
-                net: cfg.net,
+                drop_prob: cfg.drop_prob,
                 flows: FlowNet::new(disk_bw, net_bw),
                 flows_dirty: false,
                 flow_tick_at: None,

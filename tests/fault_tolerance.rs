@@ -261,12 +261,11 @@ fn fault_plan_injection_end_to_end() {
 
 #[test]
 fn lossy_network_is_repaired_by_full_syncs() {
-    use fuxi::sim::NetConfig;
     let mut c = Cluster::new(ClusterConfig {
         n_machines: 8,
         rack_size: 4,
         seed: 29,
-        net: NetConfig::chaotic(0.02),
+        drop_prob: 0.02,
         ..ClusterConfig::default()
     });
     let _j = c.submit(&job(12, 2, 5.0), &SubmitOpts::default());
@@ -424,7 +423,6 @@ fn failover_under_load_adopts_only_live_apps() {
 #[test]
 fn lost_acks_never_run_a_job_twice() {
     use fuxi::obs::{TraceEvent, TraceId};
-    use fuxi::sim::NetConfig;
     use std::collections::BTreeMap;
     const JOBS: u64 = 6;
     // Last trace event of an unfinished job -> the (seed, job) it wedged.
@@ -434,7 +432,7 @@ fn lost_acks_never_run_a_job_twice() {
             n_machines: 8,
             rack_size: 4,
             seed,
-            net: NetConfig::chaotic(0.05),
+            drop_prob: 0.05,
             ..ClusterConfig::default()
         });
         for _ in 0..JOBS {

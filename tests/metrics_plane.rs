@@ -70,6 +70,18 @@ fn assert_view_matches_counters(view: &ClusterView, m: &fuxi::sim::Metrics) {
     assert!(view.jobs.is_empty(), "every job finished, yet live rows remain: {:?}", view.jobs.keys());
     assert_eq!(view.pending_instances, 0, "... and so nothing is pending");
     assert!(view.rollup.sched_count_win > 0 || view.rollup.jobs_finished_total > 0);
+    assert_agents_within_capacity(view);
+}
+
+/// No agent reports more in use than it has, CPU or memory.
+fn assert_agents_within_capacity(view: &ClusterView) {
+    for a in view.agents.values() {
+        assert!(
+            a.used_cpu_milli <= a.total_cpu_milli && a.used_mem_mb <= a.total_mem_mb,
+            "agent {} reports more in use than it has: {a:?}",
+            a.machine
+        );
+    }
 }
 
 #[test]
@@ -212,7 +224,7 @@ fn sim_job_totals_are_monotone_across_master_failover() {
 fn live_job_totals_are_monotone_across_master_failover() {
     let mut cfg = failover_config();
     cfg.master.rebuild_window = SimDuration::from_secs(8);
-    cfg.master.metrics.rules.pending_age_s = 0.5;
+    cfg.master.metrics.pending_age_s = 0.5;
     let mut c = LiveCluster::new(cfg);
     let mut watch = TotalsWatch::default();
     for i in 0..N_JOBS / 2 {
@@ -255,7 +267,7 @@ fn live_job_totals_are_monotone_across_master_failover() {
 #[test]
 fn watchdog_raises_pending_age_alert_and_dumps_flight_recorder() {
     let mut cfg = plane_config();
-    cfg.master.metrics.rules.pending_age_s = 2.0;
+    cfg.master.metrics.pending_age_s = 2.0;
     let mut c = Cluster::new(cfg);
     c.submit(
         &wordcount_job(&MapReduceParams {
@@ -334,6 +346,19 @@ fn live_rollup_and_scrape_match_sim() {
         matches!(reports, serde_json::Value::UInt(n) if n > 0),
         "live master must have ingested reports, got {reports:?}"
     );
+    let agents = v.get_field("agents").and_then(|a| a.as_array()).expect("/json agent rows");
+    assert_eq!(agents.len(), N_MACHINES, "one scraped row per agent");
+    for row in agents {
+        let field = |k: &str| match row.get_field(k) {
+            Some(&serde_json::Value::UInt(n)) => n,
+            other => panic!("agent row field {k}: {other:?}"),
+        };
+        assert!(
+            field("used_cpu_milli") <= field("total_cpu_milli")
+                && field("used_mem_mb") <= field("total_mem_mb"),
+            "a scraped agent row reports more in use than it has: {row:?}"
+        );
+    }
 
     let view = c.hub.snapshot();
     let (metrics, _tracer) = c.shutdown();

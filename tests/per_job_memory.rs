@@ -96,7 +96,7 @@ fn a_finished_job_leaves_under_700_bytes_behind() {
     let mut c = LiveCluster::new(ClusterConfig {
         n_machines: 32,
         rack_size: 8,
-        obs: TracerConfig { enabled: false, ..TracerConfig::default() },
+        obs: TracerConfig { enabled: false },
         ..ClusterConfig::default()
     });
     let mut submitted = 0;
