@@ -181,6 +181,12 @@ impl FuxiAgent {
                     total: self.total.clone(),
                     allocations: self.envelope.report(),
                     app_masters: self.jms.iter().map(|(&app, &(a, _, _))| (app, a)).collect(),
+                    jm_launches: (self.pending.values())
+                        .filter_map(|p| match p {
+                            PendingLaunch::Master { launch, .. } => Some(launch.app),
+                            PendingLaunch::WorkerBinary(_) => None,
+                        })
+                        .collect(),
                 },
             );
         }
@@ -783,6 +789,9 @@ impl Actor<Msg> for FuxiAgent {
                 }
             }
             Msg::FlowDone { tag, failed } => self.finish_download(ctx, tag, failed),
+            // A new primary asks for this machine's report now rather than
+            // at the next heartbeat.
+            Msg::MasterElected => self.resolve_master(ctx),
             _ => {}
         }
     }

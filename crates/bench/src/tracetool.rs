@@ -454,7 +454,7 @@ mod tests {
             TraceEvent::MasterElected { actor: 4, failover: true },
         );
         t.record(3.6, 4, TraceId::NONE, TraceEvent::RebuildStarted { jobs: 1 });
-        t.record(4.1, 4, TraceId::NONE, TraceEvent::RebuildDone { apps_seen: 1 });
+        t.record(4.1, 4, TraceId::NONE, TraceEvent::RebuildDone { apps_seen: 1, capped: true });
         t.span(1.5, 2, tr, SpanKind::SchedDecision, 10e-6);
         t.span(1.6, 2, tr, SpanKind::SchedDecision, 30e-6);
         t.dump(3.5, "master_failover");

@@ -19,8 +19,12 @@
 //!   holds no state until `LockGranted` promotes it.
 //! * **Failover rebuild** — hard state from the checkpoint, soft state
 //!   re-collected from agents (`AgentAllocationReport`) and application
-//!   masters (`FullRequestSync`) during a bounded rebuild window (Figure 7),
-//!   after which scheduling resumes with all prior grants intact.
+//!   masters (`FullRequestSync`) (Figure 7). The new primary asks every
+//!   agent that is up to report at once (`MasterElected`), and every
+//!   JobMaster those reports name; scheduling resumes, with all prior
+//!   grants intact, as soon as all of them have answered and the books
+//!   know every job's JobMaster, or when the rebuild window runs out,
+//!   whichever is first.
 
 use crate::blacklist::{ClusterBlacklist, ExclusionReason, Transition};
 use crate::quota::{QuotaGroup, QuotaManager};
@@ -46,7 +50,9 @@ pub struct MasterConfig {
     pub lease_ttl: SimDuration,
     /// Keepalive cadence (should be well under `lease_ttl`).
     pub keepalive_interval: SimDuration,
-    /// How long a new primary collects soft state before scheduling resumes.
+    /// The longest a new primary collects soft state before scheduling
+    /// resumes: the rebuild ends earlier once every agent and JobMaster it
+    /// waits for has reported; this cap is for the ones that never do.
     pub rebuild_window: SimDuration,
     /// Scheduling-engine tuning.
     pub engine: EngineConfig,
@@ -129,6 +135,9 @@ struct JobRuntime {
     submitted_at: SimTime,
     /// Machines where JM launch failed (avoid on retry).
     launch_avoid: BTreeSet<MachineId>,
+    /// A worker grant went out since this master took the job on: the
+    /// job's pending clock in the metrics hub is stopped.
+    granted: bool,
 }
 
 impl JobRuntime {
@@ -140,6 +149,7 @@ impl JobRuntime {
             jm: JmState::Waiting,
             submitted_at: now,
             launch_avoid: BTreeSet::new(),
+            granted: false,
         }
     }
 }
@@ -153,6 +163,21 @@ fn job_of_app<'a>(
 ) -> Option<(JobId, &'a mut JobRuntime)> {
     let job = *app_to_job.get(&app)?;
     Some((job, jobs.get_mut(&job)?))
+}
+
+/// What a failover rebuild still waits for before soft state is whole.
+#[derive(Debug, Default)]
+struct RebuildWait {
+    /// Agents up at election that have not yet sent their allocation report.
+    agents: BTreeSet<MachineId>,
+    /// Machines that have not reported, up or not: one may run a JobMaster
+    /// nobody has told the books of.
+    unreported: BTreeSet<MachineId>,
+    /// JobMasters named by those reports that have not yet re-synced.
+    jms: BTreeSet<AppId>,
+    /// The jobs in hard state at election. A job submitted during the
+    /// rebuild has no JobMaster anywhere yet and is not waited for.
+    inherited: Vec<AppId>,
 }
 
 /// The FuxiMaster actor. Spawn two (a pair) for hot-standby operation.
@@ -175,13 +200,14 @@ pub struct FuxiMaster {
     pending_deltas: BTreeMap<AppId, BTreeMap<UnitId, RequestDelta>>,
     /// Apps whose AM has re-synced during the current rebuild.
     apps_seen: BTreeSet<AppId>,
+    rebuild: RebuildWait,
     /// Reused event buffer for [`Self::flush_engine`]: the engine swaps its
     /// decision log into this, so steady-state flushes allocate nothing.
     scratch_events: Vec<EngineEvent>,
     /// Shared cluster view fed by agent/JM reports and the master's own
     /// rollup. Like the name registry, the hub is cluster infrastructure:
-    /// it outlives any single master, so pending-age clocks keep running
-    /// across a failover.
+    /// where both masters share one (the sim, `LiveCluster`), it outlives
+    /// either, so pending-age clocks keep running across a failover.
     hub: MetricsHub,
     /// Edge-triggered SLO evaluation state (per-rule active flags).
     watchdog: SloWatchdog,
@@ -230,6 +256,7 @@ impl FuxiMaster {
             grant_tx: BTreeMap::new(),
             pending_deltas: BTreeMap::new(),
             apps_seen: BTreeSet::new(),
+            rebuild: RebuildWait::default(),
             scratch_events: Vec::new(),
         }
     }
@@ -295,6 +322,8 @@ impl FuxiMaster {
             // Failover: collect soft state before scheduling resumes.
             self.role = Role::Rebuilding;
             self.apps_seen.clear();
+            self.rebuild.inherited = self.jobs.values().map(|j| j.app).collect();
+            self.rebuild.unreported = self.topo.machines().collect();
             self.engine.as_mut().unwrap().pause();
             ctx.trace(TraceEvent::RebuildStarted {
                 jobs: self.jobs.len() as u32,
@@ -304,19 +333,71 @@ impl FuxiMaster {
             // counters.
             ctx.flight_dump("master_failover");
             ctx.timer(self.cfg.rebuild_window, TIMER_REBUILD_DONE);
+            self.call_in_agents(ctx);
         } else {
             self.role = Role::Primary;
         }
     }
 
-    fn finish_rebuild(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    /// Asks every agent that is up to report now instead of on its next
+    /// heartbeat. The rebuild waits for exactly these agents (one that
+    /// dies meanwhile is left to the window's cap).
+    fn call_in_agents(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        for m in self.topo.machines() {
+            let Some(agent) = self.naming.lookup(&format!("agent/{m}")) else { continue };
+            if ctx.alive(agent) {
+                self.rebuild.agents.insert(m);
+                ctx.send(agent, Msg::MasterElected);
+            }
+        }
+        self.finish_rebuild_if_whole(ctx);
+    }
+
+    /// Ends the rebuild once every awaited agent and JobMaster has
+    /// reported and the books know of every inherited job's JobMaster:
+    /// either it has re-attached, or it is known not to exist — every
+    /// machine has reported, and none runs it or is starting it. A job
+    /// short of both may have a JobMaster the books cannot see (on a
+    /// machine whose agent is down, or in a package download): ending
+    /// would start a second one, so it holds the rebuild until that
+    /// JobMaster turns up or the cap.
+    fn finish_rebuild_if_whole(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        let known = |app: &AppId| {
+            let job = self.app_to_job.get(app).and_then(|job| self.jobs.get(job));
+            job.is_none_or(|j| match j.jm {
+                JmState::Running { .. } => self.apps_seen.contains(app),
+                JmState::Launching { .. } => false,
+                JmState::Waiting => self.rebuild.unreported.is_empty(),
+            })
+        };
+        let whole = self.role == Role::Rebuilding
+            && self.rebuild.agents.is_empty()
+            && self.rebuild.jms.is_empty()
+            && self.rebuild.inherited.iter().all(known);
+        if whole {
+            self.finish_rebuild(ctx, false);
+        }
+    }
+
+    fn finish_rebuild(&mut self, ctx: &mut Ctx<'_, Msg>, capped: bool) {
         if self.role != Role::Rebuilding {
             return;
         }
         self.role = Role::Primary;
+        self.rebuild = RebuildWait::default();
         ctx.trace(TraceEvent::RebuildDone {
             apps_seen: self.apps_seen.len() as u32,
+            capped,
         });
+        if capped {
+            ctx.metrics().count("fm.rebuild_capped", 1);
+        }
+        // The watchdog looks at the stall before the grants below end it:
+        // a rebuild shorter than a metrics window would otherwise pass
+        // unseen.
+        if self.cfg.metrics.enabled {
+            self.metrics_tick(ctx);
+        }
         let t_rebuild = std::time::Instant::now();
         let t = std::time::Instant::now();
         self.engine.as_mut().unwrap().resume();
@@ -376,6 +457,12 @@ impl FuxiMaster {
         let rec = JobRecord { job, app, client, desc };
         Self::write_hard(ctx, || HardState::job_submitted(&self.store, &rec));
         self.jobs.insert(job, JobRuntime::new(rec, ctx.now()));
+        if self.cfg.metrics.enabled {
+            // The job's pending clock: from acceptance to its first worker
+            // grant, kept in the hub so it runs on across a failover.
+            let (now, epoch) = (ctx.now().as_secs_f64(), self.epoch);
+            self.hub.update(|v| v.job_accepted(job.0, now, epoch));
+        }
         ctx.send(client, Msg::JobAccepted { job, app });
         if self.is_active() {
             self.launch_jm(ctx, job);
@@ -506,6 +593,8 @@ impl FuxiMaster {
             self.jobs_done_win.observe(ctx.now().as_secs_f64(), 1.0);
             self.hub.update(|v| v.job_finished(job.0));
         }
+        self.rebuild.jms.remove(&app);
+        self.finish_rebuild_if_whole(ctx);
     }
 
     // ------------------------------------------------------------------
@@ -585,6 +674,14 @@ impl FuxiMaster {
                         unit,
                         changes: vec![(machine, delta)],
                     });
+                    if delta > 0 && self.cfg.metrics.enabled {
+                        if let Some((job, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
+                            if !j.granted {
+                                j.granted = true;
+                                self.hub.update(|v| v.job_granted(job.0));
+                            }
+                        }
+                    }
                 }
                 // Agents enforce the per-app envelope.
                 if self.agents[machine.0 as usize].is_some() {
@@ -905,6 +1002,17 @@ impl FuxiMaster {
         self.apps_seen.insert(app);
         self.pending_deltas.remove(&app);
         self.req_rx.entry(app).or_default().synced();
+        self.rebuild.jms.remove(&app);
+        // A live JobMaster no agent report named (its agent is down) is
+        // the job's JobMaster all the same: without this the roll-up would
+        // start a second one.
+        if let Some((_, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
+            if j.jm == JmState::Waiting && ctx.alive(from) {
+                if let Some(m) = ctx.machine_of(from) {
+                    j.jm = JmState::Running { machine: MachineId(m), actor: from };
+                }
+            }
+        }
         let group = self
             .app_to_job
             .get(&app)
@@ -927,6 +1035,7 @@ impl FuxiMaster {
         if self.is_active() {
             self.flush_engine(ctx);
         }
+        self.finish_rebuild_if_whole(ctx);
     }
 
     /// Sends `am` the authoritative grants of `app` and restarts grant
@@ -1014,6 +1123,7 @@ impl Actor<Msg> for FuxiMaster {
                 total,
                 allocations,
                 app_masters,
+                jm_launches,
             } => {
                 self.agents[machine.0 as usize] = Some(from);
                 // Re-learn where application masters live (prevents the new
@@ -1046,6 +1156,29 @@ impl Actor<Msg> for FuxiMaster {
                             &fuxi_proto::NodeHealthReport::healthy(),
                         );
                     }
+                    self.rebuild.agents.remove(&machine);
+                    self.rebuild.unreported.remove(&machine);
+                    // A JobMaster still downloading announces itself with
+                    // `AppMasterStarted` (or `AppMasterStartFailed`).
+                    for app in jm_launches {
+                        if let Some((_, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
+                            if j.jm == JmState::Waiting {
+                                j.jm = JmState::Launching { machine, since: ctx.now() };
+                            }
+                        }
+                    }
+                    // The JobMasters this machine runs that have not been
+                    // heard from re-sync now, not on their full-sync tick;
+                    // the rebuild waits for them.
+                    for (app, actor) in app_masters {
+                        let awaited = self.app_to_job.contains_key(&app)
+                            && !self.am_addr.contains_key(&app)
+                            && ctx.alive(actor);
+                        if awaited && self.rebuild.jms.insert(app) {
+                            ctx.send(actor, Msg::MasterElected);
+                        }
+                    }
+                    self.finish_rebuild_if_whole(ctx);
                 } else {
                     // Outside a rebuild the master's books are authoritative.
                     // This is how an agent joins (boot, its own restart) and
@@ -1070,6 +1203,7 @@ impl Actor<Msg> for FuxiMaster {
                         },
                     );
                 }
+                self.finish_rebuild_if_whole(ctx);
             }
             Msg::AppMasterStartFailed { app, reason: _ } => {
                 if let Some((job, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
@@ -1086,6 +1220,7 @@ impl Actor<Msg> for FuxiMaster {
                         self.launch_jm(ctx, job);
                     }
                 }
+                self.finish_rebuild_if_whole(ctx);
             }
             Msg::AppMasterExited { app, machine } => {
                 if let Some((job, j)) = job_of_app(&self.app_to_job, &mut self.jobs, app) {
@@ -1107,6 +1242,9 @@ impl Actor<Msg> for FuxiMaster {
                         self.launch_jm(ctx, job);
                     }
                 }
+                // A JobMaster that died will never re-sync.
+                self.rebuild.jms.remove(&app);
+                self.finish_rebuild_if_whole(ctx);
             }
             Msg::AmAttach { app, units } => {
                 self.am_addr.insert(app, from);
@@ -1194,7 +1332,7 @@ impl Actor<Msg> for FuxiMaster {
                     self.rollup(ctx);
                     ctx.timer(ROLLUP_INTERVAL, TIMER_ROLLUP);
                 }
-            TIMER_REBUILD_DONE => self.finish_rebuild(ctx),
+            TIMER_REBUILD_DONE => self.finish_rebuild(ctx, true),
             TIMER_METRICS
                 if self.role != Role::Standby => {
                     self.metrics_tick(ctx);

@@ -52,13 +52,14 @@ impl Default for JobMasterConfig {
 }
 
 /// Periodic full-state safety sync with FuxiMaster (also how a new
-/// primary is discovered after master failover).
+/// primary is discovered after a failover if its `MasterElected` is lost).
 const FULL_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(5);
 /// Housekeeping cadence: backup scans, worker reconciliation, snapshot
 /// flushes.
 const HOUSEKEEPING_INTERVAL: SimDuration = SimDuration::from_secs(2);
-/// How long a restarted JobMaster collects worker status before
-/// resuming scheduling.
+/// The longest a restarted JobMaster collects worker status before
+/// resuming scheduling: it resumes as soon as every worker it asked has
+/// answered; this cap is for the ones that never do.
 const RECOVERY_WINDOW: SimDuration = SimDuration::from_secs(2);
 
 const TIMER_HOUSEKEEPING: u64 = 1;
@@ -101,6 +102,9 @@ pub struct JobMaster {
     // `recover`) and leaves both in `forget_worker`.
     next_worker: u64,
     worker_task: BTreeMap<WorkerId, TaskId>,
+    /// Workers `recover` asked for their status that have not answered
+    /// (or left) yet; recovery ends when it empties.
+    unanswered: BTreeSet<WorkerId>,
     launch_failures: BTreeMap<MachineId, u32>,
     snapshot_dirty: bool,
     attached: bool,
@@ -154,6 +158,7 @@ impl JobMaster {
             // apps in one table.
             next_worker: ((app.0 as u64) << 32) | 1,
             worker_task: BTreeMap::new(),
+            unanswered: BTreeSet::new(),
             launch_failures: BTreeMap::new(),
             snapshot_dirty: false,
             attached: false,
@@ -186,6 +191,18 @@ impl JobMaster {
         ctx.send(fm, Msg::AmAttach { app: self.app, units });
         self.attached = true;
         self.send_full_sync(ctx);
+    }
+
+    /// Re-resolves the master: a new one gets `attach`, the known one a
+    /// full sync. Runs on the full-sync tick and when a new primary asks.
+    fn sync_with_master(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.naming.master() != self.fm || !self.attached {
+            // Master failover: re-attach and re-send everything (Figure 7's
+            // AM side).
+            self.attach(ctx);
+        } else {
+            self.send_full_sync(ctx);
+        }
     }
 
     fn send_full_sync(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -614,6 +631,7 @@ impl JobMaster {
         let tm = self.task_master_of(worker)?;
         let found = (tm.task, tm.remove_worker(worker).expect("an indexed worker has a row"));
         self.worker_task.remove(&worker);
+        self.unanswered.remove(&worker);
         self.snapshot_dirty = true;
         Some(found)
     }
@@ -905,9 +923,18 @@ impl JobMaster {
             self.worker_task.insert(worker, task);
             if let Some(a) = actor {
                 ctx.send(a, Msg::WorkerStatusQuery);
+                self.unanswered.insert(worker);
             }
         }
         ctx.timer(RECOVERY_WINDOW, TIMER_RECOVERY_DONE);
+        self.finish_recovery_if_answered(ctx);
+    }
+
+    /// Ends recovery once every worker asked has answered or left.
+    fn finish_recovery_if_answered(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        if self.state == JmState::Recovering && self.unanswered.is_empty() {
+            self.finish_recovery(ctx);
+        }
     }
 
     fn finish_recovery(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -1187,6 +1214,7 @@ impl JobMaster {
                 running,
             } => {
                 // Recovery confirmation from a surviving worker.
+                self.unanswered.remove(&worker);
                 if let Some(tm) = self.task_master_of(worker) {
                     let row = tm.workers.get_mut(&worker).expect("an indexed worker has a row");
                     row.actor = Some(from);
@@ -1234,8 +1262,13 @@ impl JobMaster {
             Msg::StopJob { .. } => {
                 self.complete(ctx, false, "stopped by user".into());
             }
+            // A new primary is rebuilding and waits for this job's sync; a
+            // recovering JobMaster attaches when its recovery ends anyway.
+            Msg::MasterElected if self.state == JmState::Running => self.sync_with_master(ctx),
             _ => {}
         }
+        // The last awaited worker answered or left.
+        self.finish_recovery_if_answered(ctx);
     }
 
     fn handle_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
@@ -1283,14 +1316,7 @@ impl JobMaster {
             }
             TIMER_FULL_SYNC => {
                 if self.state == JmState::Running {
-                    let current = self.naming.master();
-                    if current != self.fm || !self.attached {
-                        // Master failover: re-attach and re-send everything
-                        // (Figure 7's AM side).
-                        self.attach(ctx);
-                    } else {
-                        self.send_full_sync(ctx);
-                    }
+                    self.sync_with_master(ctx);
                 }
                 ctx.timer(FULL_SYNC_INTERVAL, TIMER_FULL_SYNC);
             }

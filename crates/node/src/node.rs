@@ -86,7 +86,7 @@ impl LiveNode {
                     .or_else(|| deploy.nodes[deploy.hub_index()].addr.clone())
                     .expect("leaf needs the hub address");
                 let cfg = LeafConfig::new(&spec.name, node_index as u32);
-                let leaf = LeafSupervisor::start(&addr, cfg, naming, store, inject);
+                let leaf = LeafSupervisor::dial(&addr, cfg, naming, store, inject);
                 rt.set_remote_router(leaf.router());
                 rt.set_remote_alive(leaf.remote_alive());
                 Supervisor::Leaf(leaf)
@@ -99,9 +99,10 @@ impl LiveNode {
         let b = boot_groups(&mut rt, &shared, &spec.actors, lock_id, |gi, k, id| {
             assert_eq!(id, deploy.actor_id(node_index, gi, k), "actor placement");
         });
-        // The hub's own actors (the lock service) exist: peers may talk.
-        if let Supervisor::Hub(hub) = &mut supervisor {
-            hub.admit_peers();
+        // This node's actors exist: peers may talk to them.
+        match &mut supervisor {
+            Supervisor::Hub(hub) => hub.admit_peers(),
+            Supervisor::Leaf(leaf) => leaf.admit(),
         }
         let Shared { naming, store, hub: hub_metrics, topo, jobs, .. } = shared;
 

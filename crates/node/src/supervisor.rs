@@ -28,7 +28,8 @@
 //!
 //! A supervisor is started *before* its node's actors, so every local
 //! send and write is in an outbound queue from the first actor on; the
-//! hub admits peers ([`HubSupervisor::admit_peers`]) only once its own
+//! hub admits peers ([`HubSupervisor::admit_peers`]), and a leaf delivers
+//! inbound messages ([`LeafSupervisor::admit`]), only once the node's own
 //! actors exist to answer them.
 
 use fuxi_apsara::{NameRegistry, StoreHandle};
@@ -381,19 +382,33 @@ struct LeafInner {
     reconnects: AtomicU64,
     /// The live socket, for fault injection (`sever`).
     current: Mutex<Option<std::net::TcpStream>>,
+    /// Inbound messages that arrived before [`LeafSupervisor::admit`], in
+    /// order; `None` once admitted. A message delivered while the node
+    /// still spawns its actors could spawn one of its own (an agent starts
+    /// a JobMaster) and take an id the topology gave a later boot actor.
+    held: Mutex<Option<Vec<Frame>>>,
 }
 
 impl LeafInner {
     fn dispatch(&self, frame: Frame) {
         match frame.frame_type {
-            FrameType::Msg => {
-                if let Ok(r) = wire::decode_payload::<RoutedMsg>(PROTO_VERSION, &frame.payload) {
-                    (self.inject)(r.from, r.to, r.msg);
-                }
-            }
+            FrameType::Msg => match self.held().as_mut() {
+                Some(held) => held.push(frame),
+                None => self.inject(&frame),
+            },
             _ => {
                 apply_update(&self.naming, &self.store, &frame);
             }
+        }
+    }
+
+    fn held(&self) -> std::sync::MutexGuard<'_, Option<Vec<Frame>>> {
+        self.held.lock().expect("a thread panicked while holding the held messages")
+    }
+
+    fn inject(&self, frame: &Frame) {
+        if let Ok(r) = wire::decode_payload::<RoutedMsg>(PROTO_VERSION, &frame.payload) {
+            (self.inject)(r.from, r.to, r.msg);
         }
     }
 }
@@ -435,10 +450,26 @@ pub struct LeafSupervisor {
 }
 
 impl LeafSupervisor {
+    /// [`LeafSupervisor::dial`], delivering inbound messages at once: for a
+    /// leaf with no actors of its own to start first.
+    pub fn start(
+        hub_addr: &str,
+        cfg: LeafConfig,
+        naming: NameRegistry,
+        store: StoreHandle,
+        inject: Inject,
+    ) -> LeafSupervisor {
+        let leaf = Self::dial(hub_addr, cfg, naming, store, inject);
+        leaf.admit();
+        leaf
+    }
+
     /// Starts the dial loop against `hub_addr`. Outbound frames queue
     /// while disconnected and drain after the next successful handshake,
-    /// so brief hub outages lose nothing that was already queued.
-    pub fn start(
+    /// so brief hub outages lose nothing that was already queued. Inbound
+    /// messages wait, in order, for [`LeafSupervisor::admit`]; name and
+    /// store updates apply as they arrive.
+    pub fn dial(
         hub_addr: &str,
         cfg: LeafConfig,
         naming: NameRegistry,
@@ -453,6 +484,7 @@ impl LeafSupervisor {
             up: AtomicBool::new(false),
             reconnects: AtomicU64::new(0),
             current: Mutex::new(None),
+            held: Mutex::new(Some(Vec::new())),
         });
 
         // Local mutations replicate up to the hub (which rebroadcasts).
@@ -550,6 +582,17 @@ impl LeafSupervisor {
             .expect("spawn leaf dial loop");
 
         LeafSupervisor { inner, out_tx }
+    }
+
+    /// Delivers the messages held since [`LeafSupervisor::dial`], in
+    /// arrival order, and every later one as it arrives (once; later calls
+    /// do nothing). The reader waits on the lock meanwhile, so nothing
+    /// overtakes the held messages.
+    pub fn admit(&self) {
+        let mut held = self.inner.held();
+        for frame in held.take().unwrap_or_default() {
+            self.inner.inject(&frame);
+        }
     }
 
     /// Outbound router for this leaf's runtime: everything non-local goes

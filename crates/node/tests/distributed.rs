@@ -154,10 +154,12 @@ fn http_get(addr: &str, path: &str) -> std::io::Result<(String, String)> {
 /// §4.3's failover across real OS boundaries. This process is the hub
 /// (lock service + client); masters A and B and the agent fleet are
 /// `fuxi-node` processes on the binary's own clocks (6 s lease, 2 s
-/// keepalive, 8 s rebuild window). A quarter of the way through 32 jobs
+/// keepalive, 8 s rebuild cap). A quarter of the way through 32 jobs
 /// the process hosting the elected master is SIGKILLed: the standby in the
-/// other process must take the lease within `lease_ttl + keepalive`, every
-/// job must end exactly once, and the new master's process must answer
+/// other process must take the lease within `lease_ttl + keepalive`, jobs
+/// must complete again within 2 s of the takeover (the rebuild ends when
+/// the agents and JobMasters have reported, not at the cap), every job
+/// must end exactly once, and the new master's process must answer
 /// `/metrics` and `/json` with reports from the agents' process in it.
 #[test]
 fn sigkill() {
@@ -205,6 +207,10 @@ fn sigkill() {
     let mut submitted = 0;
     let mut killed: Option<(ActorId, Instant)> = None;
     let mut takeover: Option<(ActorId, Duration)> = None;
+    // When the hub saw the takeover, with the jobs finished by then; and
+    // how long after it the next job finished.
+    let mut taken_over: Option<(Instant, usize)> = None;
+    let mut resumed: Option<Duration> = None;
     let deadline = Instant::now() + Duration::from_secs(120);
     while hub.finished_count() < JOBS {
         assert!(Instant::now() < deadline, "{} of {JOBS} jobs terminal after 120 s", hub.finished_count());
@@ -221,6 +227,10 @@ fn sigkill() {
         }
         if let (Some((old, at)), None) = (killed, takeover) {
             takeover = hub.current_master().filter(|&m| m != old).map(|m| (m, at.elapsed()));
+            taken_over = takeover.map(|_| (Instant::now(), hub.finished_count()));
+        }
+        if let (Some((at, finished)), None) = (taken_over, resumed) {
+            resumed = (hub.finished_count() > finished).then(|| at.elapsed());
         }
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -233,6 +243,10 @@ fn sigkill() {
     let master = &deploy.cluster.master;
     let bound = (master.lease_ttl + master.keepalive_interval).as_secs_f64();
     assert!(latency.as_secs_f64() <= bound, "takeover took {latency:?}, over lease + keepalive ({bound} s)");
+    let resumed = resumed.expect("no job finished after the takeover");
+    let cap = master.rebuild_window.as_secs_f64();
+    eprintln!("first job completion {resumed:?} after the takeover (rebuild cap {cap} s)");
+    assert!(resumed <= Duration::from_secs(2), "jobs resumed {resumed:?} after the takeover: the rebuild ran to its cap");
     assert!(hub.all_jobs().iter().all(|(_, s)| s.done.as_ref().is_some_and(|d| d.0)), "a job failed");
     assert_eq!(hub.duplicate_finishes(), 0, "a job finished twice");
 
@@ -345,4 +359,58 @@ fn records_deleted_while_a_leaf_was_away_stay_deleted() {
     }
     assert_eq!(leftovers(), Vec::<String>::new(), "deleted records came back");
     assert_eq!(hub.duplicate_finishes(), 0);
+}
+
+/// A leaf delivers nothing to its actors until they all exist. A message
+/// that reached an agent while `boot_groups` was still spawning the fleet
+/// started a JobMaster there, and the JobMaster took the id of an agent
+/// not yet spawned: `LiveNode::boot`'s "actor placement" assert, in about
+/// one `dist_null` run of fourteen. Here a bare hub sends the first agent
+/// `StartAppMaster` without pause while the agents' node boots: boot must
+/// place every agent where the topology says, after the node's link was up
+/// mid-boot, and the held messages must still arrive.
+#[test]
+fn a_message_to_a_leaf_mid_boot_misplaces_no_actor() {
+    use fuxi_apsara::{NameRegistry, StoreHandle};
+    use fuxi_proto::msg::AppDescription;
+    use fuxi_proto::{AppId, JobId, Msg};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
+    const MACHINES: usize = 256;
+    let deploy = fuxi_node::standard_topology(MACHINES, 16, "127.0.0.1:0");
+    let noop: fuxi_node::supervisor::Inject = Arc::new(|_, _, _| {});
+    let hub = fuxi_node::HubSupervisor::start("127.0.0.1:0", "hub", NameRegistry::new(), StoreHandle::new(), noop)
+        .expect("hub binds");
+    let (_, first_agent) = deploy.agent_ids()[0];
+    let (route, alive, from) = (hub.router(), hub.remote_alive(), deploy.client_id().id);
+    let stop = Arc::new(AtomicBool::new(false));
+    let link_up_at = Arc::new(Mutex::new(None::<Instant>));
+    let sender = {
+        let (stop, link_up_at) = (Arc::clone(&stop), Arc::clone(&link_up_at));
+        std::thread::spawn(move || {
+            let desc = AppDescription { master_package_mb: 0.0, ..AppDescription::default() };
+            for job in 1.. {
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
+                if alive(first_agent.id) {
+                    link_up_at.lock().unwrap().get_or_insert_with(Instant::now);
+                }
+                route(from, first_agent.id, Msg::StartAppMaster { app: AppId(job), job: JobId(job), desc: desc.clone() });
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        })
+    };
+    let agents = LiveNode::boot(deploy.clone(), first_agent.node, Some(&hub.addr().to_string())).expect("agents boot");
+    let booted = Instant::now();
+    let delivered = || agents.rt.metrics_snapshot().counter("net.remote_in");
+    while delivered() == 0 && booted.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    stop.store(true, Ordering::Release);
+    sender.join().expect("sender thread");
+    let link_up = link_up_at.lock().unwrap().expect("the agents' link never came up");
+    assert!(link_up < booted, "the link came up only after boot: nothing was sent mid-boot");
+    assert!(delivered() > 0, "the held messages never arrived");
+    agents.rt.shutdown();
 }

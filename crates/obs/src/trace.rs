@@ -192,6 +192,9 @@ pub enum TraceEvent {
     RebuildDone {
         /// Applications whose soft state was re-collected.
         apps_seen: u32,
+        /// `true` when the rebuild window ran out before every awaited
+        /// agent and JobMaster had reported.
+        capped: bool,
     },
     /// The flight recorder dumped (see [`crate::FlightDump`] for contents).
     FlightDumped {
@@ -323,8 +326,8 @@ impl TraceEvent {
             TraceEvent::RebuildStarted { jobs } => {
                 let _ = write!(out, ",\"jobs\":{jobs}");
             }
-            TraceEvent::RebuildDone { apps_seen } => {
-                let _ = write!(out, ",\"apps_seen\":{apps_seen}");
+            TraceEvent::RebuildDone { apps_seen, capped } => {
+                let _ = write!(out, ",\"apps_seen\":{apps_seen},\"capped\":{capped}");
             }
             TraceEvent::FlightDumped { reason, events } => {
                 let _ = write!(out, ",\"reason\":\"{reason}\",\"events\":{events}");

@@ -168,7 +168,10 @@ pub struct ClusterView {
     pub sched_count_win: u64,
     /// Sum of pending instances over all reporting jobs.
     pub pending_instances: u64,
-    /// Age of the oldest continuously-pending job, seconds.
+    /// Age of the oldest continuously-pending job, seconds: the older of
+    /// its JobMaster-reported clock (pending instances) and, for a job an
+    /// earlier master epoch accepted and no master has granted a worker
+    /// yet, its master-side clock since acceptance.
     pub oldest_pending_age_s: f64,
     /// Instances finished per second (from job-report diffs).
     pub instances_per_sec: f64,
@@ -188,6 +191,10 @@ pub struct ClusterView {
     pub reports_received: u64,
     /// When each job first went (and stayed) pending, for the age rule.
     pending_since: BTreeMap<u32, f64>,
+    /// When, and in which master epoch, each job not yet granted a worker
+    /// was accepted (the master's own clock: it needs no JobMaster report,
+    /// so it sees a job stalled behind a failover from the first second).
+    awaiting_grant: BTreeMap<u32, (f64, u32)>,
     /// Windowed instances-finished deltas, for `instances_per_sec`.
     inst_ring: WindowRing,
 }
@@ -215,12 +222,37 @@ impl ClusterView {
         }
     }
 
+    /// The master of `epoch` accepted `job` at `now_s`: its pending clock
+    /// starts. A resubmission to a later master keeps the first start.
+    ///
+    /// The clock counts towards `oldest_pending_age_s` only once the
+    /// epoch has ended. Under the master that accepted it, a job with no
+    /// grant is still starting its JobMaster (a package download that can
+    /// take seconds and is healthy), and its JobMaster's reports cover it
+    /// from then on; a job accepted by a master that has since died, and
+    /// granted nothing by its successor, was held up by the failover.
+    ///
+    /// The clock lives in the hub, so it spans a failover only when both
+    /// masters update the same hub (the sim and `LiveCluster`). A
+    /// `fuxi-node` master keeps its own hub, and a new primary there has
+    /// no clock for the jobs its predecessor accepted.
+    pub fn job_accepted(&mut self, job: u32, now_s: f64, epoch: u32) {
+        self.awaiting_grant.entry(job).or_insert((now_s, epoch));
+    }
+
+    /// The master granted `job` its first worker: the clock
+    /// [`ClusterView::job_accepted`] started stops.
+    pub fn job_granted(&mut self, job: u32) {
+        self.awaiting_grant.remove(&job);
+    }
+
     /// The master saw `job` finish: it leaves the live table and stops
     /// ageing. (Its JobMaster reports on a timer and exits without a last
     /// report, so the reports alone would leave its last reading for ever.)
     pub fn job_finished(&mut self, job: u32) {
         self.jobs.remove(&job);
         self.pending_since.remove(&job);
+        self.awaiting_grant.remove(&job);
     }
 
     /// Folds the master's own per-window readings in and refreshes every
@@ -232,9 +264,11 @@ impl ClusterView {
         self.sched_p99_s = r.sched_p99_s;
         self.sched_count_win = r.sched_count_win;
         self.pending_instances = self.jobs.values().map(|j| j.pending_instances).sum();
-        self.oldest_pending_age_s = self
-            .pending_since
-            .values()
+        let stalled = (self.awaiting_grant.values())
+            .filter(|&&(_, epoch)| epoch != r.master_epoch)
+            .map(|(t, _)| t);
+        self.oldest_pending_age_s = (self.pending_since.values())
+            .chain(stalled)
             .map(|t| (r.t_s - t).max(0.0))
             .fold(0.0, f64::max);
         self.instances_per_sec = self.inst_ring.rate_per_sec(r.t_s);
@@ -544,6 +578,25 @@ mod tests {
             t_s: 11.0,
             ..MasterRollup::default()
         });
+        assert_eq!(v.oldest_pending_age_s, 0.0);
+    }
+
+    #[test]
+    fn master_clock_runs_from_acceptance_to_first_grant_once_its_epoch_ends() {
+        let mut v = ClusterView::default();
+        let rollup = |t_s, master_epoch| MasterRollup { t_s, master_epoch, ..MasterRollup::default() };
+        v.job_accepted(5, 2.0, 1);
+        v.apply_rollup(rollup(6.0, 1));
+        assert_eq!(v.oldest_pending_age_s, 0.0, "its master is still starting its JobMaster");
+        v.job_accepted(5, 3.0, 2); // a resubmission: the first start stands
+        v.apply_rollup(rollup(6.0, 2));
+        assert!((v.oldest_pending_age_s - 4.0).abs() < 1e-9);
+        v.job_granted(5);
+        v.apply_rollup(rollup(7.0, 2));
+        assert_eq!(v.oldest_pending_age_s, 0.0);
+        v.job_accepted(6, 7.0, 1);
+        v.job_finished(6);
+        v.apply_rollup(rollup(20.0, 2));
         assert_eq!(v.oldest_pending_age_s, 0.0);
     }
 

@@ -234,6 +234,10 @@ pub enum Msg {
         /// rebuilding FuxiMaster must re-learn where JobMasters live or it
         /// would start duplicates.
         app_masters: Vec<(AppId, ActorId)>,
+        /// Application masters this machine is still starting (their
+        /// package download is in flight): on their way, so no one else's
+        /// to start.
+        jm_launches: Vec<AppId>,
     },
     /// FM → FA after an agent restarts: the granted envelope the master
     /// still has on the books for this machine, so the agent can rebuild
@@ -244,6 +248,13 @@ pub enum Msg {
         /// Per-app allocations as (app, unit, unit resource, count).
         allocations: Vec<(AppId, UnitId, ResourceVec, u64)>,
     },
+    /// FM → FA and FM → AM from a primary that took over with jobs on its
+    /// books: report to me now. An agent answers with its
+    /// [`Msg::AgentAllocationReport`], an application master with
+    /// [`Msg::AmAttach`] and [`Msg::FullRequestSync`] — what its heartbeat
+    /// or full-sync tick would have done seconds later — so the rebuild
+    /// ends as soon as soft state is whole.
+    MasterElected,
     /// FA → FM: the application-master process on this machine exited
     /// (detected by the agent's process sweep); FM decides whether to
     /// restart it ("the FuxiMaster leverages heartbeat to determine whether

@@ -24,7 +24,7 @@ use std::fmt;
 
 /// Protocol version spoken by this build. Bump on any change to the
 /// encoded shape of [`Msg`] or the control frames.
-pub const PROTO_VERSION: u16 = 4;
+pub const PROTO_VERSION: u16 = 5;
 
 /// Frame magic: every frame starts with these four bytes.
 pub const MAGIC: [u8; 4] = *b"FUXI";
@@ -514,6 +514,7 @@ mod tests {
             Msg::LockRelease { .. } => 41,
             Msg::LockLost { .. } => 42,
             Msg::FlowDone { .. } => 43,
+            Msg::MasterElected => 44,
         }
     }
 
@@ -568,6 +569,7 @@ mod tests {
                 total: rres(rng),
                 allocations: vec![(app, unit, rres(rng), rng.gen_range(0..8u64))],
                 app_masters: vec![(app, rid(rng))],
+                jm_launches: vec![app],
             },
             11 => Msg::AgentCapacitySnapshot {
                 allocations: vec![(app, unit, rres(rng), rng.gen_range(0..8u64))],
@@ -669,11 +671,12 @@ mod tests {
             40 => Msg::LockKeepalive { name: "fuxi-master".into() },
             41 => Msg::LockRelease { name: "fuxi-master".into() },
             42 => Msg::LockLost { name: "fuxi-master".into() },
-            _ => Msg::FlowDone { tag: rng.gen_range(0..1u64 << 40), failed: rng.gen_range(0..2u32) == 1 },
+            43 => Msg::FlowDone { tag: rng.gen_range(0..1u64 << 40), failed: rng.gen_range(0..2u32) == 1 },
+            _ => Msg::MasterElected,
         }
     }
 
-    const N_SAMPLES: usize = 44;
+    const N_SAMPLES: usize = 45;
 
     #[test]
     fn every_variant_roundtrips() {

@@ -4,6 +4,7 @@
 //! straggler backups.
 
 use fuxi::cluster::{Cluster, ClusterConfig, SubmitOpts};
+use fuxi::proto::MachineId;
 use fuxi::sim::{Fault, SimDuration, SimTime};
 use fuxi::workloads::mapreduce::{wordcount_job, MapReduceParams};
 
@@ -407,6 +408,226 @@ fn failover_under_load_adopts_only_live_apps() {
     assert_eq!(m.counter("fm.rebuild_done"), 1);
     let planned = m.series("fm.planned_cpu_milli").last().map(|&(_, v)| v);
     assert_eq!(planned, Some(0.0), "capacity planned with no job left");
+}
+
+/// How an agent fails in [`rebuild_drill`].
+#[derive(Clone, Copy, PartialEq)]
+enum AgentFault {
+    None,
+    /// Dies while the old primary's lease runs out: dead at the election.
+    DuringLease,
+    /// Dies in the instant after the election, with the new primary's
+    /// `MasterElected` on its way: awaited, and never answers.
+    AfterElection,
+}
+
+/// The machines that run a process of `job`: its JobMaster and its
+/// workers, one entry per process. An agent's death leaves its machine's
+/// processes running, so a second JobMaster would show here.
+fn machines_of(c: &Cluster, job: fuxi::proto::JobId) -> (Vec<MachineId>, Vec<MachineId>) {
+    use fuxi::agent::ProcMeta;
+    let procs: Vec<_> = (c.topo.machines())
+        .flat_map(|m| c.world.procs_on(m.0).into_iter().map(move |(_, meta)| (m, ProcMeta::decode(&meta))))
+        .collect();
+    let jms: Vec<_> = (procs.iter())
+        .filter_map(|(m, p)| match p {
+            Some(ProcMeta::JobMaster { job: j, app, .. }) if *j == job => Some((*m, *app)),
+            _ => None,
+        })
+        .collect();
+    let workers = (procs.iter())
+        .filter(|(_, p)| matches!(p, Some(ProcMeta::Worker(w)) if jms.iter().any(|&(_, app)| app == w.app)))
+        .map(|&(m, _)| m)
+        .collect();
+    (jms.into_iter().map(|(m, _)| m).collect(), workers)
+}
+
+/// Eight jobs of two 60 s waves on 20 machines, the primary killed at 15 s
+/// (6 s lease, 8 s rebuild cap). Without `whole_job`, the faulty agent is
+/// one on a machine that runs workers but no JobMaster; with it, the faulty
+/// agents are those of every machine the first job runs on, its JobMaster's
+/// included, so no agent report can tell the new primary that the job is
+/// alive. The faulty agents restart once the rebuild is over. Returns the
+/// cluster once every job has finished, the election and rebuild-done
+/// times and whether the cap fired. Every job has exactly one JobMaster
+/// after the rebuild and past the roll-ups that follow it.
+fn rebuild_drill(fault: AgentFault, whole_job: bool) -> (Cluster, f64, f64, bool) {
+    use fuxi::obs::TraceEvent;
+    let mut c = cluster(33, 20, true);
+    let jobs: Vec<_> = (0..8).map(|_| c.submit(&job(4, 1, 60.0), &SubmitOpts::default())).collect();
+    c.run_for(SimDuration::from_secs(15));
+    assert!(jobs.iter().all(|&j| c.job_done(j).is_none()), "every job is live at the kill");
+    let victims: Vec<MachineId> = if whole_job {
+        let (jm, workers) = machines_of(&c, jobs[0]);
+        jm.into_iter().chain(workers).collect()
+    } else {
+        let jm_machines: Vec<_> = jobs.iter().filter_map(|&j| c.find_jobmaster(j)).map(|(m, _)| m).collect();
+        let victim = (c.topo.machines())
+            .find(|&m| !jm_machines.contains(&m) && !c.workers_on(m).is_empty())
+            .expect("a machine with workers and no JobMaster");
+        vec![victim]
+    };
+    let one_jm_each = |c: &Cluster| {
+        for &j in &jobs {
+            if c.job_done(j).is_none() {
+                assert_eq!(machines_of(c, j).0.len(), 1, "{j:?} has one JobMaster at {:?}", c.world.now());
+            }
+        }
+    };
+    c.kill_primary_master();
+    if fault == AgentFault::DuringLease {
+        c.run_for(SimDuration::from_secs(1));
+        for &m in &victims {
+            c.kill_agent(m);
+        }
+    }
+    assert_eq!(c.run_until_counter("fm.became_primary", 2, SimTime::from_secs(60)), 2);
+    if fault == AgentFault::AfterElection {
+        for &m in &victims {
+            c.kill_agent(m);
+        }
+    }
+    assert_eq!(c.run_until_counter("fm.rebuild_done", 1, SimTime::from_secs(60)), 1);
+    if fault != AgentFault::None {
+        for &m in &victims {
+            c.respawn_agent(m);
+        }
+    }
+    one_jm_each(&c);
+    // Past the next two roll-ups, which relaunch any job the master thinks
+    // has no JobMaster.
+    c.run_for(SimDuration::from_secs(11));
+    one_jm_each(&c);
+    assert_eq!(c.run_until_n_done(8, SimTime::from_secs(2000)), 8, "every job finishes");
+    assert!(c.all_jobs().iter().all(|(_, s)| s.done.as_ref().is_some_and(|d| d.0)));
+    assert_eq!(c.duplicate_finishes(), 0, "... exactly once");
+    let records = &c.world.tracer().records;
+    let elected = (records.iter())
+        .find(|r| matches!(r.event, TraceEvent::MasterElected { failover: true, .. }))
+        .map(|r| r.t_s)
+        .expect("a failover election");
+    let (done, capped) = (records.iter())
+        .find_map(|r| match r.event {
+            TraceEvent::RebuildDone { capped, .. } => Some((r.t_s, capped)),
+            _ => None,
+        })
+        .expect("the rebuild ended");
+    eprintln!("rebuild ended {:.6} s after the election (capped: {capped})", done - elected);
+    (c, elected, done, capped)
+}
+
+/// The new primary asks every agent to report at once and every JobMaster
+/// those reports name to re-sync; with all of them up, scheduling resumes
+/// a few message latencies after the election instead of after the 8 s
+/// window.
+#[test]
+fn rebuild_ends_when_every_agent_and_jobmaster_has_reported() {
+    let (c, elected, done, capped) = rebuild_drill(AgentFault::None, false);
+    assert!(!capped);
+    assert!(done - elected < 0.05, "rebuild took {:.3} s after the election", done - elected);
+    let m = c.world.metrics();
+    assert_eq!(m.counter("fm.rebuild_capped"), 0);
+    assert_eq!(m.counter("jm.recoveries"), 0, "no JobMaster was replaced");
+}
+
+/// An agent that is already dead at the election, on a machine with no
+/// JobMaster, is not waited for: the rebuild still ends early, and its
+/// machine rejoins when it restarts.
+#[test]
+fn rebuild_does_not_wait_for_an_agent_dead_at_the_election() {
+    let (c, elected, done, capped) = rebuild_drill(AgentFault::DuringLease, false);
+    assert!(!capped);
+    assert!(done - elected < 0.05, "rebuild took {:.3} s after the election", done - elected);
+    assert_eq!(c.world.metrics().counter("fm.rebuild_capped"), 0);
+}
+
+/// The agents of every machine one job runs on are dead at the election:
+/// no report names its JobMaster or any of its workers, yet both live on,
+/// and the JobMaster re-syncs on its own 5 s tick. The rebuild must not end
+/// before then, or the new primary starts a second JobMaster for the job.
+/// The tick comes inside the 8 s cap, and no JobMaster is replaced.
+#[test]
+fn rebuild_waits_for_a_jobmaster_no_agent_reports() {
+    let (c, elected, done, capped) = rebuild_drill(AgentFault::DuringLease, true);
+    assert!(!capped, "rebuild ended {:.3} s after the election", done - elected);
+    let m = c.world.metrics();
+    assert_eq!(m.counter("fm.rebuild_capped"), 0);
+    assert_eq!(m.counter("fm.jm_restarts"), 0, "no JobMaster was restarted");
+    assert_eq!(m.counter("jm.recoveries"), 0, "no JobMaster was replaced");
+}
+
+/// An awaited agent that dies before it reports never answers: the window
+/// is the cap, and the rebuild ends when it runs out.
+#[test]
+fn rebuild_ends_at_the_cap_when_an_awaited_agent_dies() {
+    let (c, elected, done, capped) = rebuild_drill(AgentFault::AfterElection, false);
+    assert!(capped);
+    assert!((done - elected - 8.0).abs() < 1e-6, "rebuild ended {:.3} s after the election", done - elected);
+    assert_eq!(c.world.metrics().counter("fm.rebuild_capped"), 1);
+}
+
+/// A JobMaster whose package download outlasts the lease: at the election
+/// no agent runs it yet, but the one fetching it says so. The rebuild waits
+/// for it to start and attach instead of starting a second one.
+#[test]
+fn rebuild_waits_for_a_jobmaster_still_downloading() {
+    use fuxi::obs::TraceEvent;
+    let mut c = cluster(35, 20, true);
+    // 2 GB: the download ends ~8 s in, after the election at ~6.25 s.
+    let j = c.submit(&job(4, 1, 20.0), &SubmitOpts { master_package_mb: 2000.0, ..SubmitOpts::default() });
+    c.run_for(SimDuration::from_secs(1));
+    assert!(c.find_jobmaster(j).is_none(), "the JobMaster is still downloading at the kill");
+    c.kill_primary_master();
+    assert_eq!(c.run_until_counter("fm.rebuild_done", 1, SimTime::from_secs(60)), 1);
+    let at = |pick: fn(&TraceEvent) -> bool| {
+        (c.world.tracer().records.iter()).rev().find(|r| pick(&r.event)).map(|r| r.t_s)
+    };
+    let elected = at(|e| matches!(e, TraceEvent::MasterElected { failover: true, .. })).unwrap();
+    let done = at(|e| matches!(e, TraceEvent::RebuildDone { capped: false, .. }));
+    let started = at(|e| matches!(e, TraceEvent::JmStarted { .. }));
+    eprintln!("election {elected:.3} s, JobMaster started {started:.3?} s, rebuild done {done:.3?} s");
+    assert!(
+        started.zip(done).is_some_and(|(s, d)| elected < s && s <= d),
+        "the rebuild, uncapped, ends once the downloaded JobMaster has started"
+    );
+    assert_eq!(machines_of(&c, j).0.len(), 1);
+    c.run_for(SimDuration::from_secs(11));
+    assert_eq!(machines_of(&c, j).0.len(), 1, "one JobMaster past the roll-ups");
+    let (ok, _) = c.run_until_job_done(j, SimTime::from_secs(600)).expect("finishes");
+    assert!(ok);
+    assert_eq!(c.duplicate_finishes(), 0);
+    assert_eq!(c.world.metrics().counter("jm.recoveries"), 0, "no JobMaster was replaced");
+}
+
+/// A restarted JobMaster resumes once every worker in its snapshot has
+/// answered its status query, not after the 2 s recovery window; a worker
+/// on a dead machine never answers, and then the window is the cap.
+#[test]
+fn jobmaster_recovery_ends_when_its_workers_have_answered() {
+    let recovery_s = |machine_down: bool| {
+        let mut c = cluster(34, 10, false);
+        let j = c.submit(&job(12, 2, 60.0), &SubmitOpts::default());
+        c.run_for(SimDuration::from_secs(25));
+        let (jm_machine, jm) = c.find_jobmaster(j).expect("JobMaster is running somewhere");
+        if machine_down {
+            let victim = (c.topo.machines())
+                .find(|&m| m != jm_machine && !c.workers_on(m).is_empty())
+                .expect("a worker away from the JobMaster");
+            c.world.kill_machine(victim.0);
+        }
+        c.world.kill_actor(jm);
+        assert_eq!(c.run_until_counter("jm.recoveries", 1, SimTime::from_secs(120)), 1);
+        let started = c.world.now().as_secs_f64();
+        assert_eq!(c.run_until_counter("jm.recovery_done", 1, SimTime::from_secs(120)), 1);
+        let took = c.world.now().as_secs_f64() - started;
+        let (ok, _) = c.run_until_job_done(j, SimTime::from_secs(2000)).expect("job finishes");
+        assert!(ok);
+        took
+    };
+    let (all_up, one_down) = (recovery_s(false), recovery_s(true));
+    eprintln!("JobMaster recovery: {all_up:.6} s with every worker up, {one_down:.6} s with one down");
+    assert!(all_up < 0.1, "recovery with every worker up took {all_up:.3} s");
+    assert!((one_down - 2.0).abs() < 1e-6, "recovery with a worker's machine down took {one_down:.3} s");
 }
 
 /// A lost `JobAccepted` must not turn into a second run of the job: the
