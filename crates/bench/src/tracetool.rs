@@ -31,15 +31,9 @@ fn unum(v: &Value) -> Option<u64> {
     }
 }
 
-/// Timestamp of a line: sim exports use `t_s`; live-runtime exports
-/// (`export_jsonl_wall`) carry wall-clock time instead — `wall_s` on
-/// events, `t_wall_s` on spans and dumps (where `wall_s` is already the
-/// span's measured duration). Either key lands in the same field so the
-/// reconstruction below is timebase-agnostic.
-fn timestamp(v: &Value, keys: &[&str]) -> f64 {
-    keys.iter()
-        .find_map(|k| v.get_field(k).and_then(num))
-        .unwrap_or(0.0)
+/// Timestamp of a line, its `t_s`.
+fn timestamp(v: &Value) -> f64 {
+    v.get_field("t_s").and_then(num).unwrap_or(0.0)
 }
 
 /// One `"kind":"event"` line.
@@ -59,11 +53,6 @@ impl EventLine {
         self.value.get_field(key).and_then(unum)
     }
 
-    /// Looks up an event payload field as a string.
-    pub fn field_str(&self, key: &str) -> Option<&str> {
-        self.value.get_field(key).and_then(|v| v.as_str())
-    }
-
     /// Looks up an event payload field as a bool.
     pub fn field_bool(&self, key: &str) -> Option<bool> {
         match self.value.get_field(key) {
@@ -75,7 +64,7 @@ impl EventLine {
     /// Renders the event-specific payload (`k=v` pairs, envelope keys
     /// skipped) for human-readable timelines.
     pub fn detail(&self) -> String {
-        const ENVELOPE: [&str; 6] = ["kind", "t_s", "wall_s", "actor", "trace", "event"];
+        const ENVELOPE: [&str; 5] = ["kind", "t_s", "actor", "trace", "event"];
         let mut out = String::new();
         if let Some(obj) = self.value.as_object() {
             for (k, v) in obj {
@@ -155,7 +144,7 @@ impl TraceLog {
             let kind = v.get_field("kind").and_then(|k| k.as_str()).unwrap_or("");
             match kind {
                 "event" => log.events.push(EventLine {
-                    t_s: timestamp(&v, &["t_s", "wall_s"]),
+                    t_s: timestamp(&v),
                     actor: v.get_field("actor").and_then(unum).unwrap_or(0) as u32,
                     trace: v.get_field("trace").and_then(unum).unwrap_or(0),
                     event: v
@@ -166,7 +155,7 @@ impl TraceLog {
                     value: v,
                 }),
                 "span" => log.spans.push(SpanLine {
-                    t_s: timestamp(&v, &["t_s", "t_wall_s"]),
+                    t_s: timestamp(&v),
                     actor: v.get_field("actor").and_then(unum).unwrap_or(0) as u32,
                     trace: v.get_field("trace").and_then(unum).unwrap_or(0),
                     span: v
@@ -192,7 +181,7 @@ impl TraceLog {
                         }
                     }
                     log.dumps.push(DumpLine {
-                        t_s: timestamp(&v, &["t_s", "t_wall_s"]),
+                        t_s: timestamp(&v),
                         reason: v
                             .get_field("reason")
                             .and_then(|r| r.as_str())
@@ -514,42 +503,6 @@ mod tests {
         let (n, median) = s["sched_decision"];
         assert_eq!(n, 2);
         assert!((median - 30e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parses_live_runtime_wall_export() {
-        // The live runtime exports wall-clock timestamps: `wall_s` on
-        // events, `t_wall_s` on spans/dumps. The parser must land them in
-        // the same `t_s` field it fills from sim exports.
-        let mut t = Tracer::new(TracerConfig::default());
-        let tr = TraceId::from_job(7);
-        t.record(1.25, 2, tr, TraceEvent::JobSubmitted { job: 7, app: 3 });
-        t.record(
-            4.5,
-            2,
-            tr,
-            TraceEvent::JobFinished { job: 7, app: 3, success: true },
-        );
-        t.span(2.0, 2, tr, SpanKind::SchedDecision, 12e-6);
-        t.dump(4.75, "live_probe");
-        let text = fuxi_sim::obs::export::export_jsonl_wall(&t);
-        assert!(!text.contains("\"t_s\""), "wall export must not carry sim time");
-
-        let log = TraceLog::parse(&text).unwrap();
-        assert_eq!(log.events.len(), 3); // 2 records + FlightDumped marker
-        assert!((log.events[0].t_s - 1.25).abs() < 1e-6);
-        assert!((log.spans[0].t_s - 2.0).abs() < 1e-6);
-        assert!((log.spans[0].wall_s - 12e-6).abs() < 1e-12);
-        assert!((log.dumps[0].t_s - 4.75).abs() < 1e-6);
-
-        // Reconstruction works unchanged on the wall timebase.
-        let jobs = job_lifecycles(&log);
-        assert_eq!(jobs.len(), 1);
-        assert_eq!(jobs[0].success, Some(true));
-        assert!((jobs[0].first_s - 1.25).abs() < 1e-6);
-        assert!((jobs[0].last_s - 4.5).abs() < 1e-6);
-        // The wall timestamp is envelope, not payload detail.
-        assert!(!log.events[0].detail().contains("wall_s"));
     }
 
     #[test]

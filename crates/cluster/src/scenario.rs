@@ -115,17 +115,6 @@ pub struct SyntheticRunStats {
     pub job_runtimes_s: Vec<f64>,
 }
 
-impl SyntheticRunStats {
-    /// Mean runtime s.
-    pub fn mean_runtime_s(&self) -> f64 {
-        if self.job_runtimes_s.is_empty() {
-            0.0
-        } else {
-            self.job_runtimes_s.iter().sum::<f64>() / self.job_runtimes_s.len() as f64
-        }
-    }
-}
-
 /// Drives the §5.2 experiment: keeps `concurrent` jobs running until
 /// `duration` of simulated time passes ("we keep 1,000 jobs concurrently
 /// running by starting a new job when one job finishes"), a slice of

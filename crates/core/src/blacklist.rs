@@ -150,12 +150,14 @@ pub struct ClusterBlacklist {
 }
 
 impl ClusterBlacklist {
-    /// An empty blacklist over `n_machines` machines.
-    pub fn new(n_machines: usize) -> Self {
+    /// An empty blacklist over `n_machines` machines, kept from `start` on:
+    /// a machine's heartbeat clock starts then, so a master elected late
+    /// gives every agent the full timeout to report.
+    pub fn new(n_machines: usize, start: SimTime) -> Self {
         Self {
             n_machines,
             plugins: Self::default_plugins(),
-            last_heartbeat: vec![SimTime::ZERO; n_machines],
+            last_heartbeat: vec![start; n_machines],
             low_since: vec![None; n_machines],
             last_score: vec![1.0; n_machines],
             marks: BTreeMap::new(),
@@ -341,8 +343,18 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_clocks_start_with_the_blacklist() {
+        // A master elected at 100 s has heard from no agent yet: none is
+        // dead before the full timeout has run from the election.
+        let start = SimTime::from_secs(100);
+        let mut b = ClusterBlacklist::new(4, start);
+        assert!(b.sweep(start + SimDuration::from_secs(10)).is_empty());
+        assert_eq!(b.sweep(start + SimDuration::from_secs(16)).len(), 4);
+    }
+
+    #[test]
     fn heartbeat_timeout_marks_dead_and_readmits() {
-        let mut b = ClusterBlacklist::new(10);
+        let mut b = ClusterBlacklist::new(10, SimTime::ZERO);
         let t0 = SimTime::from_secs(1);
         for i in 0..10 {
             b.on_heartbeat(t0, MachineId(i), &healthy());
@@ -370,7 +382,7 @@ mod tests {
 
     #[test]
     fn low_score_must_persist_before_blacklisting() {
-        let mut b = ClusterBlacklist::new(10);
+        let mut b = ClusterBlacklist::new(10, SimTime::ZERO);
         let m = MachineId(0);
         assert!(b.on_heartbeat(SimTime::from_secs(0), m, &sick()).is_none());
         assert!(b.on_heartbeat(SimTime::from_secs(15), m, &sick()).is_none());
@@ -385,7 +397,7 @@ mod tests {
 
     #[test]
     fn recovery_resets_the_low_score_clock() {
-        let mut b = ClusterBlacklist::new(10);
+        let mut b = ClusterBlacklist::new(10, SimTime::ZERO);
         let m = MachineId(0);
         b.on_heartbeat(SimTime::from_secs(0), m, &sick());
         b.on_heartbeat(SimTime::from_secs(15), m, &healthy()); // clock resets
@@ -400,7 +412,7 @@ mod tests {
 
     #[test]
     fn cross_job_marks_disable_at_threshold() {
-        let mut b = ClusterBlacklist::new(10);
+        let mut b = ClusterBlacklist::new(10, SimTime::ZERO);
         let m = MachineId(4);
         assert!(b.report_mark(SimTime::from_secs(1), AppId(1), m).is_none());
         // Same job marking again does not count twice.
@@ -414,7 +426,7 @@ mod tests {
 
     #[test]
     fn upper_bound_caps_blacklist_size() {
-        let mut b = ClusterBlacklist::new(20); // cap = 10% of 20 = 2
+        let mut b = ClusterBlacklist::new(20, SimTime::ZERO); // cap = 10% of 20 = 2
         for i in 0..5u32 {
             b.report_mark(SimTime::from_secs(1), AppId(1), MachineId(i));
             b.report_mark(SimTime::from_secs(1), AppId(2), MachineId(i));
@@ -424,7 +436,7 @@ mod tests {
 
     #[test]
     fn probation_readmits_blacklisted_machines() {
-        let mut b = ClusterBlacklist::new(10);
+        let mut b = ClusterBlacklist::new(10, SimTime::ZERO);
         let m = MachineId(0);
         b.report_mark(SimTime::from_secs(1), AppId(1), m);
         b.report_mark(SimTime::from_secs(1), AppId(2), m);
@@ -437,7 +449,7 @@ mod tests {
 
     #[test]
     fn combined_score_is_minimum_of_plugins() {
-        let mut b = ClusterBlacklist::new(1);
+        let mut b = ClusterBlacklist::new(1, SimTime::ZERO);
         let r = NodeHealthReport {
             disk_ok_ratio: 1.0,
             load: 0.2,
@@ -451,11 +463,11 @@ mod tests {
 
     #[test]
     fn snapshot_restore_roundtrip() {
-        let mut b = ClusterBlacklist::new(10);
+        let mut b = ClusterBlacklist::new(10, SimTime::ZERO);
         b.report_mark(SimTime::from_secs(1), AppId(1), MachineId(7));
         b.report_mark(SimTime::from_secs(1), AppId(2), MachineId(7));
         let snap = b.snapshot();
-        let mut b2 = ClusterBlacklist::new(10);
+        let mut b2 = ClusterBlacklist::new(10, SimTime::ZERO);
         b2.restore(SimTime::from_secs(30), &snap);
         assert!(b2.is_excluded(MachineId(7)));
     }
@@ -471,7 +483,7 @@ mod tests {
                 0.1
             }
         }
-        let mut b = ClusterBlacklist::new(4);
+        let mut b = ClusterBlacklist::new(4, SimTime::ZERO);
         b.add_plugin(Box::new(AlwaysBad));
         b.on_heartbeat(SimTime::from_secs(0), MachineId(0), &healthy());
         assert!((b.score(MachineId(0)) - 0.1).abs() < 1e-9);

@@ -288,7 +288,7 @@ impl FuxiMaster {
         for m in self.topo.machines() {
             engine.deactivate_machine(m);
         }
-        let mut blacklist = ClusterBlacklist::new(self.topo.n_machines());
+        let mut blacklist = ClusterBlacklist::new(self.topo.n_machines(), ctx.now());
 
         // Hard state from the checkpoint records; everything else is soft.
         let hard = HardState::load(&self.store);

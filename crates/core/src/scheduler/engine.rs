@@ -296,11 +296,6 @@ impl Engine {
         self.apps.contains_key(&app)
     }
 
-    /// App group.
-    pub fn app_group(&self, app: AppId) -> Option<QuotaGroupId> {
-        self.apps.get(&app).map(|e| e.group)
-    }
-
     /// Removes an application, releasing every grant. Emits `Revoke`
     /// events with [`RevokeReason::AppStopped`] so agents update capacity;
     /// the (gone) AM is not notified.
@@ -1153,11 +1148,6 @@ impl Engine {
     /// Free resources on one machine (for tests and placement heuristics).
     pub fn free_on(&self, m: MachineId) -> &ResourceVec {
         self.free.free(m)
-    }
-
-    /// Apps count.
-    pub fn apps_count(&self) -> usize {
-        self.apps.len()
     }
 
     /// Free-pool fragmentation summary for the metrics plane:

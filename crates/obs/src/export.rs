@@ -33,26 +33,12 @@ pub fn json_string(s: &str) -> String {
     format!("\"{}\"", json_escape(s))
 }
 
-/// Which clock a tracer's `t_s` fields hold, as the JSONL timestamp keys.
-#[derive(Clone, Copy)]
-struct TimeKeys {
-    /// On events.
-    event: &'static str,
-    /// On spans and dumps, where `wall_s` is already the measured duration.
-    start: &'static str,
-}
-const SIM: TimeKeys = TimeKeys { event: "t_s", start: "t_s" };
-/// A live run has no simulated time: `t_s` holds wall-clock seconds since
-/// the runtime epoch. Renaming the keys makes that explicit, so consumers
-/// (tracetool) cannot misread wall seconds as simulated seconds.
-const WALL: TimeKeys = TimeKeys { event: "wall_s", start: "t_wall_s" };
-
-fn event_json(r: &TraceRecord, keys: TimeKeys) -> String {
-    let t_key = keys.event;
+/// One JSONL line for an event record (no trailing newline).
+pub fn record_line(r: &TraceRecord) -> String {
     let mut s = String::with_capacity(96);
     let _ = write!(
         s,
-        "{{\"kind\":\"event\",\"{t_key}\":{:.6},\"actor\":{},\"trace\":{},\"event\":\"{}\"",
+        "{{\"kind\":\"event\",\"t_s\":{:.6},\"actor\":{},\"trace\":{},\"event\":\"{}\"",
         r.t_s,
         r.actor,
         r.trace.0,
@@ -63,10 +49,9 @@ fn event_json(r: &TraceRecord, keys: TimeKeys) -> String {
     s
 }
 
-fn span_json(r: &SpanRecord, keys: TimeKeys) -> String {
-    let t_key = keys.start;
+fn span_line(r: &SpanRecord) -> String {
     format!(
-        "{{\"kind\":\"span\",\"{t_key}\":{:.6},\"actor\":{},\"trace\":{},\"span\":\"{}\",\"wall_s\":{:.9}}}",
+        "{{\"kind\":\"span\",\"t_s\":{:.6},\"actor\":{},\"trace\":{},\"span\":\"{}\",\"wall_s\":{:.9}}}",
         r.t_s,
         r.actor,
         r.trace.0,
@@ -75,12 +60,13 @@ fn span_json(r: &SpanRecord, keys: TimeKeys) -> String {
     )
 }
 
-fn dump_json(d: &FlightDump, keys: TimeKeys) -> String {
+/// A flight dump with the frozen ring contents inlined, so the forensic
+/// record survives on its own.
+fn dump_line(d: &FlightDump) -> String {
     let mut s = String::with_capacity(128 + d.total_events() * 96);
     let _ = write!(
         s,
-        "{{\"kind\":\"dump\",\"{}\":{:.6},\"reason\":\"{}\",\"rings\":[",
-        keys.start,
+        "{{\"kind\":\"dump\",\"t_s\":{:.6},\"reason\":\"{}\",\"rings\":[",
         d.t_s,
         json_escape(d.reason)
     );
@@ -93,7 +79,7 @@ fn dump_json(d: &FlightDump, keys: TimeKeys) -> String {
             if j > 0 {
                 s.push(',');
             }
-            s.push_str(&event_json(r, keys));
+            s.push_str(&record_line(r));
         }
         s.push_str("]}");
     }
@@ -101,64 +87,19 @@ fn dump_json(d: &FlightDump, keys: TimeKeys) -> String {
     s
 }
 
-fn jsonl(t: &Tracer, keys: TimeKeys) -> String {
+/// Full JSONL export: every event and span, one JSON object per line.
+/// Events keep recording order (which is causal order within an actor);
+/// spans follow, then one `dump` line per flight dump.
+pub fn export_jsonl(t: &Tracer) -> String {
     let mut out = String::with_capacity(t.records.len() * 96 + t.spans.len() * 96);
-    let events = t.records.iter().map(|r| event_json(r, keys));
-    let spans = t.spans.iter().map(|s| span_json(s, keys));
-    let dumps = t.dumps.iter().map(|d| dump_json(d, keys));
+    let events = t.records.iter().map(record_line);
+    let spans = t.spans.iter().map(span_line);
+    let dumps = t.dumps.iter().map(dump_line);
     for line in events.chain(spans).chain(dumps) {
         out.push_str(&line);
         out.push('\n');
     }
     out
-}
-
-/// One JSONL line for an event record (no trailing newline).
-pub fn record_line(r: &TraceRecord) -> String {
-    event_json(r, SIM)
-}
-
-/// One JSONL line for a span record (no trailing newline).
-pub fn span_line(r: &SpanRecord) -> String {
-    span_json(r, SIM)
-}
-
-/// One JSONL line summarising a flight dump, with the frozen ring
-/// contents inlined so the forensic record survives on its own.
-pub fn dump_line(d: &FlightDump) -> String {
-    dump_json(d, SIM)
-}
-
-/// Full JSONL export: every event and span, one JSON object per line.
-/// Events keep recording order (which is causal order within an actor);
-/// spans follow, then one `dump` line per flight dump.
-pub fn export_jsonl(t: &Tracer) -> String {
-    jsonl(t, SIM)
-}
-
-/// One JSONL line for a live-runtime event: the timestamp is wall-clock
-/// seconds since the runtime epoch, keyed `wall_s`; there is no `t_s`.
-pub fn record_line_wall(r: &TraceRecord) -> String {
-    event_json(r, WALL)
-}
-
-/// One JSONL line for a live-runtime span: `t_wall_s` is the wall-clock
-/// start (since the epoch), `wall_s` stays the measured duration.
-pub fn span_line_wall(r: &SpanRecord) -> String {
-    span_json(r, WALL)
-}
-
-/// One JSONL line for a live-runtime flight dump (`t_wall_s` trigger time,
-/// ring events in the wall format).
-pub fn dump_line_wall(d: &FlightDump) -> String {
-    dump_json(d, WALL)
-}
-
-/// Full JSONL export of a live-runtime tracer: like [`export_jsonl`] but
-/// every timestamp is wall-clock (`wall_s` on events, `t_wall_s` on spans
-/// and dumps) and no simulated time appears anywhere.
-pub fn export_jsonl_wall(t: &Tracer) -> String {
-    jsonl(t, WALL)
 }
 
 /// Chrome/Perfetto `trace_event` JSON (the `{"traceEvents": [...]}`
@@ -268,16 +209,18 @@ mod tests {
         let mut t = sample_tracer();
         t.dump(1.0, "invariant");
         assert_eq!(t.dumps.len(), 1);
-        let line = dump_line(&t.dumps[0]);
+        let out = export_jsonl(&t);
+        let line = out.lines().last().unwrap();
+        assert!(line.starts_with("{\"kind\":\"dump\""));
         assert!(line.contains("\"reason\":\"invariant\""));
         assert!(line.contains("\"actor\":3"));
         assert!(line.contains("job_submitted"));
     }
 
-    /// The whole export of both clocks, byte for byte as the eight
-    /// functions wrote it when each clock had its own copy of every body.
+    /// The whole export, byte for byte: `trace_dump` and the README's
+    /// excerpt read this format.
     #[test]
-    fn both_clocks_export_the_same_bytes_as_before_the_bodies_were_shared() {
+    fn export_bytes_are_pinned() {
         let mut t = sample_tracer();
         t.dump(1.0, "invariant");
         let sim = concat!(
@@ -290,28 +233,7 @@ mod tests {
             r#"{"kind":"event","t_s":0.600000,"actor":3,"trace":1,"event":"grant","app":1,"unit":0,"machine":4,"count":2}]}]}"#, "\n",
         );
         assert_eq!(export_jsonl(&t), sim);
-        // The wall export: `wall_s` on events, `t_wall_s` on the span and the dump.
-        let wall = sim.replace(r#""t_s""#, r#""wall_s""#);
-        let wall = wall.replace(r#""span","wall_s""#, r#""span","t_wall_s""#);
-        let wall = wall.replace(r#""dump","wall_s""#, r#""dump","t_wall_s""#);
-        assert_eq!(export_jsonl_wall(&t), wall);
-        assert_eq!(record_line_wall(&t.records[0]), wall.lines().next().unwrap());
-        assert_eq!(span_line_wall(&t.spans[0]), wall.lines().nth(3).unwrap());
-    }
-
-    #[test]
-    fn wall_export_has_no_sim_time() {
-        let mut t = sample_tracer();
-        t.dump(1.0, "invariant");
-        let out = export_jsonl_wall(&t);
-        assert!(!out.contains("\"t_s\""), "live export must not claim simulated time");
-        let lines: Vec<&str> = out.lines().collect();
-        // 2 sample events + the FlightDumped marker, then 1 span, 1 dump.
-        assert_eq!(lines.len(), 5);
-        assert!(lines[0].contains("\"kind\":\"event\"") && lines[0].contains("\"wall_s\":0.500000"));
-        assert!(lines[3].contains("\"kind\":\"span\"") && lines[3].contains("\"t_wall_s\":0.600000"));
-        assert!(lines[3].contains("\"wall_s\":0.000012000"));
-        assert!(lines[4].contains("\"kind\":\"dump\"") && lines[4].contains("\"t_wall_s\":1.000000"));
+        assert_eq!(record_line(&t.records[0]), sim.lines().next().unwrap());
     }
 
     #[test]

@@ -120,16 +120,6 @@ impl ResourceVec {
         self.memory_mb
     }
 
-    /// Set cpu milli.
-    pub fn set_cpu_milli(&mut self, v: u64) {
-        self.cpu_milli = v;
-    }
-
-    /// Set memory mb.
-    pub fn set_memory_mb(&mut self, v: u64) {
-        self.memory_mb = v;
-    }
-
     /// Amount of virtual dimension `id` (zero when absent).
     pub fn virtual_amount(&self, id: VirtualResourceId) -> u64 {
         match self.virtuals.binary_search_by_key(&id, |e| e.0) {

@@ -2,8 +2,8 @@
 //! clock, mailboxes as bounded queues that grow as they fill.
 //!
 //! The same actor code that runs under the deterministic kernel runs here
-//! unchanged — handlers see a [`Ctx`] whose live backend is implemented by
-//! `ThreadCtx` below. What changes is the execution substrate:
+//! unchanged — handlers see a [`Ctx`] over `ThreadCtx` below, the live
+//! implementation of [`CtxOps`]. What changes is the execution substrate:
 //!
 //! * **Delivery** is one [`crate::mailbox`] per actor. A given sender's
 //!   messages to a given destination arrive in send order (the kernel's
@@ -26,7 +26,7 @@
 use crate::mailbox::{mailbox, MailboxReceiver, MailboxSender, PushOutcome};
 use crate::timer::TimerWheel;
 use fuxi_sim::{
-    Actor, ActorId, FlowDone, FlowNet, FlowSpec, KernelMsg, LiveCtxOps, MachineConfig, Metrics, SimDuration,
+    Actor, ActorId, CtxOps, FlowDone, FlowNet, FlowSpec, KernelMsg, MachineConfig, Metrics, SimDuration,
     SimTime,
 };
 use fuxi_sim::{Ctx, TracerConfig};
@@ -126,18 +126,11 @@ enum Envelope<M> {
 }
 
 /// Commands to the clock thread.
-enum ClockCmd<M> {
+enum ClockCmd {
     Timer {
         actor: ActorId,
         delay: SimDuration,
         tag: u64,
-    },
-    DelayedSend {
-        from: ActorId,
-        to: ActorId,
-        msg: M,
-        delay: SimDuration,
-        trace: TraceId,
     },
     StartFlow {
         owner: ActorId,
@@ -153,24 +146,7 @@ enum ClockCmd<M> {
     FailMachine {
         m: u32,
     },
-    SetIoSpeed {
-        m: u32,
-        factor: f64,
-    },
     Shutdown,
-}
-
-/// What the wheel holds: a due timer or a due delayed delivery. The
-/// message is boxed: every wheel entry is as large as the largest variant,
-/// and the wheel's slots keep the capacity of their busiest tick.
-enum Due<M> {
-    Timer { actor: ActorId, tag: u64 },
-    Send {
-        from: ActorId,
-        to: ActorId,
-        msg: Box<M>,
-        trace: TraceId,
-    },
 }
 
 struct ActorSlot<M> {
@@ -191,8 +167,6 @@ struct Registry<M> {
 
 struct MachineState {
     up: bool,
-    speed: f64,
-    launch_ok: bool,
     procs: BTreeMap<ActorId, Vec<u8>>,
 }
 
@@ -210,7 +184,7 @@ struct Shared<M: KernelMsg + Send> {
     /// Deepest mailbox of any exited actor (live ones carry their own).
     hwm_exited: AtomicUsize,
     machines: RwLock<Vec<MachineState>>,
-    clock_tx: Sender<ClockCmd<M>>,
+    clock_tx: Sender<ClockCmd>,
     /// Runtime-global sinks: fault events, external sends, and what every
     /// actor thread folds in (periodically, and in full when it is reaped).
     metrics: Mutex<Metrics>,
@@ -473,17 +447,17 @@ fn actor_loop<M: KernelMsg + Send + 'static>(
         match env {
             Envelope::Start { trace } => {
                 tc.current_trace = trace;
-                actor.on_start(&mut Ctx::for_live(tc, id));
+                actor.on_start(&mut Ctx::new(tc, id));
             }
             Envelope::Msg { from, msg, trace } => {
                 tc.current_trace = trace;
-                actor.on_message(&mut Ctx::for_live(tc, id), from, msg);
+                actor.on_message(&mut Ctx::new(tc, id), from, msg);
             }
             Envelope::Timer { tag } => {
                 // Like the kernel: timer-driven activity has no inherited
                 // causal context unless the actor re-establishes it.
                 tc.current_trace = TraceId::NONE;
-                actor.on_timer(&mut Ctx::for_live(tc, id), tag);
+                actor.on_timer(&mut Ctx::new(tc, id), tag);
             }
             Envelope::Kill => break,
         }
@@ -500,7 +474,7 @@ fn actor_loop<M: KernelMsg + Send + 'static>(
     }
 }
 
-/// The live backend of a [`Ctx`]: one per actor thread, owning that
+/// The live side of the actor contract: one per actor thread, owning that
 /// thread's RNG, metrics, and tracer.
 struct ThreadCtx<M: KernelMsg + Send + 'static> {
     /// This thread's actor and its placement. Kept here because a killed
@@ -509,30 +483,20 @@ struct ThreadCtx<M: KernelMsg + Send + 'static> {
     id: ActorId,
     machine: Option<u32>,
     shared: Arc<Shared<M>>,
-    clock_tx: Sender<ClockCmd<M>>,
+    clock_tx: Sender<ClockCmd>,
     rng: SmallRng,
     metrics: Metrics,
     tracer: Tracer,
     current_trace: TraceId,
 }
 
-impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
+impl<M: KernelMsg + Send + 'static> CtxOps<M> for ThreadCtx<M> {
     fn now(&self) -> SimTime {
         self.shared.now()
     }
 
-    fn send(&mut self, from: ActorId, to: ActorId, msg: M, extra: SimDuration, trace: TraceId) {
+    fn send(&mut self, from: ActorId, to: ActorId, msg: M, trace: TraceId) {
         self.metrics.count("net.sent", 1);
-        if extra > SimDuration::ZERO {
-            let _ = self.clock_tx.send(ClockCmd::DelayedSend {
-                from,
-                to,
-                msg,
-                delay: extra,
-                trace,
-            });
-            return;
-        }
         match self.shared.push_envelope(to, Envelope::Msg { from, msg, trace }) {
             PushOutcome::Sent => {}
             PushOutcome::SentParked => self.metrics.count("rt.mailbox_parked", 1),
@@ -572,22 +536,15 @@ impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
             .is_some_and(|s| s.up)
     }
 
-    fn machine_speed(&self, m: u32) -> f64 {
-        self.shared
-            .machines
-            .read()
-            .unwrap()
-            .get(m as usize)
-            .map_or(1.0, |s| s.speed)
+    /// Live machines have no slow-machine fault: every one runs at 1.0.
+    fn machine_speed(&self, _m: u32) -> f64 {
+        1.0
     }
 
+    /// Live machines have no partial-worker fault: launches succeed
+    /// wherever the machine is up.
     fn launch_ok(&self, m: u32) -> bool {
-        self.shared
-            .machines
-            .read()
-            .unwrap()
-            .get(m as usize)
-            .is_some_and(|s| s.launch_ok)
+        self.machine_up(m)
     }
 
     fn rack_of(&self, m: u32) -> u32 {
@@ -667,10 +624,11 @@ impl<M: KernelMsg + Send + 'static> LiveCtxOps<M> for ThreadCtx<M> {
 /// timer in the runtime).
 fn clock_thread<M: KernelMsg + Send + 'static>(
     shared: Arc<Shared<M>>,
-    rx: Receiver<ClockCmd<M>>,
+    rx: Receiver<ClockCmd>,
 ) {
     let tick_us = shared.cfg.timer_tick.as_micros().max(100) as u64;
-    let mut wheel: TimerWheel<Due<M>> = TimerWheel::new(512, tick_us);
+    // Each entry is a timer, `(actor, tag)`.
+    let mut wheel: TimerWheel<(ActorId, u64)> = TimerWheel::new(512, tick_us);
     // Each actor's armed ticks (fired ones pruned as it arms more), so that
     // forgetting an actor touches only its own slots.
     let mut armed: HashMap<ActorId, Vec<u64>> = HashMap::new();
@@ -710,35 +668,19 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
             Err(RecvTimeoutError::Disconnected) => return,
         };
         // Drain whatever queued up behind the first command.
-        loop {
-            let Some(cmd) = first.take() else { break };
+        while let Some(cmd) = first.take() {
             let now = shared.now();
             match cmd {
                 ClockCmd::Shutdown => shutdown = true,
                 // A timer armed by an actor already gone (killed while it
                 // drained its mailbox) could only ever fire into the void.
                 ClockCmd::Timer { actor, delay, tag } if shared.alive(actor) => {
-                    let tick = wheel.arm(grid(now), delay, Due::Timer { actor, tag });
+                    let tick = wheel.arm(grid(now), delay, (actor, tag));
                     let ticks = armed.entry(actor).or_default();
                     ticks.retain(|&t| t > grid(now).0 / tick_us);
                     ticks.push(tick);
                 }
                 ClockCmd::Timer { .. } => {}
-                ClockCmd::DelayedSend {
-                    from,
-                    to,
-                    msg,
-                    delay,
-                    trace,
-                } => {
-                    let due = Due::Send {
-                        from,
-                        to,
-                        msg: Box::new(msg),
-                        trace,
-                    };
-                    wheel.arm(grid(now), delay, due);
-                }
                 ClockCmd::StartFlow { owner, spec } => {
                     // A degenerate (zero-size) flow completes immediately.
                     if let Some(done) = flows.start(now, owner, spec) {
@@ -748,9 +690,8 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                 ClockCmd::CancelFlows { owner } => flows.cancel_owned_by(now, owner),
                 ClockCmd::Forget { owner } => {
                     flows.cancel_owned_by(now, owner);
-                    let mine = |d: &Due<M>| matches!(d, Due::Timer { actor, .. } if *actor == owner);
                     for tick in armed.remove(&owner).unwrap_or_default() {
-                        wheel.cancel(tick, mine);
+                        wheel.cancel(tick, |&(actor, _)| actor == owner);
                     }
                 }
                 ClockCmd::FailMachine { m } => {
@@ -758,7 +699,6 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                         shared.clock_flow_done(&mut backlog, done);
                     }
                 }
-                ClockCmd::SetIoSpeed { m, factor } => flows.set_speed(now, m, factor),
             }
             first = rx.try_recv().ok();
         }
@@ -776,14 +716,8 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                 }
             }
         }
-        for due in wheel.expire(grid(now)) {
-            let (to, env) = match due {
-                Due::Timer { actor, tag } => (actor, Envelope::Timer { tag }),
-                Due::Send {
-                    from, to, msg, trace,
-                } => (to, Envelope::Msg { from, msg: *msg, trace }),
-            };
-            shared.clock_deliver(&mut backlog, to, env);
+        for (actor, tag) in wheel.expire(grid(now)) {
+            shared.clock_deliver(&mut backlog, actor, Envelope::Timer { tag });
         }
         for done in flows.advance(now) {
             shared.clock_flow_done(&mut backlog, done);
@@ -816,8 +750,6 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             .iter()
             .map(|_| MachineState {
                 up: true,
-                speed: 1.0,
-                launch_ok: true,
                 procs: BTreeMap::new(),
             })
             .collect();
@@ -958,14 +890,6 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             TraceId::NONE,
             TraceEvent::NodeDown { machine: m },
         );
-    }
-
-    /// Degrades (or restores) machine `m`'s compute and I/O speed by
-    /// `factor` — the paper's slow-node fault, live. Running flows are
-    /// re-paced from now; new worker startups scale via `machine_speed`.
-    pub fn set_io_speed(&self, m: u32, factor: f64) {
-        self.shared.machines.write().unwrap()[m as usize].speed = factor;
-        let _ = self.shared.clock_tx.send(ClockCmd::SetIoSpeed { m, factor });
     }
 
     /// Records mailbox pressure and the live-actor count into the runtime

@@ -6,15 +6,16 @@
 //! Actors may be *placed* on a machine — then they die with it — or be
 //! placeless services.
 //!
-//! A [`Ctx`] is backed by one of two execution engines: the deterministic
-//! discrete-event kernel in this crate, or a live multi-threaded runtime
-//! (`fuxi-rt`) that implements [`LiveCtxOps`]. Actor code is written once
-//! against [`Ctx`] and runs unchanged on both.
+//! The contract between an actor and its engine is one trait, [`CtxOps`],
+//! with two implementations: the deterministic discrete-event kernel's
+//! [`WorldCore`](crate::world::WorldCore) in this crate, and the live
+//! multi-threaded runtime's per-thread context in `fuxi-rt`. A [`Ctx`] is
+//! that trait object plus the acting actor's id; actor code is written once
+//! against [`Ctx`] and runs unchanged on both engines.
 
-use crate::event::{EventKind, KernelMsg};
+use crate::event::KernelMsg;
 use crate::flow::FlowSpec;
 use crate::time::{SimDuration, SimTime};
-use crate::world::WorldCore;
 use fuxi_obs::{Metrics, SpanKind, TraceEvent, TraceId, Tracer};
 use rand::rngs::SmallRng;
 use std::fmt;
@@ -79,22 +80,22 @@ pub trait Actor<M: KernelMsg> {
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _tag: u64) {}
 }
 
-/// The engine-facing half of a live (wall-clock, multi-threaded) context.
+/// What an actor can do to the world: the engine half of a [`Ctx`].
 ///
-/// `fuxi-rt` implements this for its per-actor thread state; the kernel
-/// never does — the simulated side dispatches straight into [`WorldCore`]
-/// so the hot path stays a single predictable branch.
-///
-/// Methods that act *as* the current actor take the acting [`ActorId`]
-/// explicitly because one implementation may serve a handler for any actor.
-pub trait LiveCtxOps<M: KernelMsg> {
-    /// Wall-clock time since the runtime epoch, as a [`SimTime`].
+/// Implemented by the kernel's [`WorldCore`](crate::world::WorldCore) and
+/// by `fuxi-rt`'s per-actor thread state, and nowhere else. Methods that act
+/// *as* an actor take the acting [`ActorId`] explicitly because one
+/// implementation may serve the handlers of every actor.
+pub trait CtxOps<M: KernelMsg> {
+    /// Current time: simulated in the kernel, wall-clock since the runtime
+    /// epoch live.
     fn now(&self) -> SimTime;
-    /// Sends `msg` from `from` to `to` under `trace`, after `extra` delay.
-    fn send(&mut self, from: ActorId, to: ActorId, msg: M, extra: SimDuration, trace: TraceId);
+    /// Sends `msg` from `from` to `to` under `trace`.
+    fn send(&mut self, from: ActorId, to: ActorId, msg: M, trace: TraceId);
     /// Arms a timer firing `on_timer(tag)` on `actor` after `delay`.
     fn timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64);
-    /// Spawns a new actor thread, optionally placed on a machine.
+    /// Spawns a new actor, optionally placed on a machine, under the
+    /// current trace.
     fn spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId;
     /// Terminates `id`.
     fn kill(&mut self, id: ActorId);
@@ -120,9 +121,10 @@ pub trait LiveCtxOps<M: KernelMsg> {
     fn start_flow(&mut self, owner: ActorId, spec: FlowSpec);
     /// Cancels all incomplete flows owned by `owner`.
     fn cancel_flows_of(&mut self, owner: ActorId);
-    /// Per-thread RNG.
+    /// The RNG: one per world in the kernel, one per thread live.
     fn rng(&mut self) -> &mut SmallRng;
-    /// Per-thread metrics sink (merged into the runtime's at shutdown).
+    /// The metrics sink: the world's, or the thread's (merged into the
+    /// runtime's as it runs and when the actor exits).
     fn metrics(&mut self) -> &mut Metrics;
     /// The causal trace of the handler currently running.
     fn trace_id(&self) -> TraceId;
@@ -130,46 +132,32 @@ pub trait LiveCtxOps<M: KernelMsg> {
     fn set_trace(&mut self, trace: TraceId);
     /// Records a typed trace event attributed to `actor` under `trace`.
     fn trace_event_as(&mut self, actor: ActorId, trace: TraceId, event: TraceEvent);
-    /// Records a completed span under the current trace.
+    /// Records a completed span attributed to `actor` under the current
+    /// trace.
     fn span(&mut self, actor: ActorId, kind: SpanKind, wall_s: f64);
     /// Forces a flight-recorder dump.
     fn flight_dump(&mut self, reason: &'static str);
-    /// Read access to the per-thread tracer.
+    /// Read access to the tracer.
     fn tracer(&self) -> &Tracer;
-}
-
-/// Which engine a [`Ctx`] dispatches into.
-pub(crate) enum CtxBackend<'a, M: KernelMsg> {
-    /// The deterministic discrete-event kernel.
-    Sim(&'a mut WorldCore<M>),
-    /// A live wall-clock runtime (one object per actor thread).
-    Live(&'a mut dyn LiveCtxOps<M>),
 }
 
 /// The handle through which an actor acts on the world. Borrowed for the
 /// duration of one handler invocation.
 pub struct Ctx<'a, M: KernelMsg> {
-    pub(crate) backend: CtxBackend<'a, M>,
-    pub(crate) self_id: ActorId,
+    ops: &'a mut dyn CtxOps<M>,
+    self_id: ActorId,
 }
 
 impl<'a, M: KernelMsg> Ctx<'a, M> {
-    /// Wraps a live-runtime context so handlers written against [`Ctx`]
-    /// run on real threads. The kernel builds its own contexts internally.
-    pub fn for_live(ops: &'a mut dyn LiveCtxOps<M>, self_id: ActorId) -> Self {
-        Ctx {
-            backend: CtxBackend::Live(ops),
-            self_id,
-        }
+    /// The context of one handler run by `self_id` on engine `ops`.
+    pub fn new(ops: &'a mut dyn CtxOps<M>, self_id: ActorId) -> Self {
+        Ctx { ops, self_id }
     }
 
     /// Current time: simulated in the kernel, wall-clock-since-epoch live.
     #[inline]
     pub fn now(&self) -> SimTime {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.time,
-            CtxBackend::Live(ops) => ops.now(),
-        }
+        self.ops.now()
     }
 
     /// This actor's address.
@@ -180,50 +168,18 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
 
     /// The machine this actor is placed on, if any.
     pub fn self_machine(&self) -> Option<u32> {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.machine_of(self.self_id),
-            CtxBackend::Live(ops) => ops.machine_of(self.self_id),
-        }
+        self.ops.machine_of(self.self_id)
     }
 
     /// Sends `msg` to `to` with modelled network latency.
     pub fn send(&mut self, to: ActorId, msg: M) {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.send_from(self.self_id, to, msg),
-            CtxBackend::Live(ops) => {
-                let trace = ops.trace_id();
-                ops.send(self.self_id, to, msg, SimDuration::ZERO, trace);
-            }
-        }
-    }
-
-    /// Sends `msg` to `to` after an explicit extra delay (e.g. modelling
-    /// local processing time before the reply goes out).
-    pub fn send_after(&mut self, delay: SimDuration, to: ActorId, msg: M) {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.send_from_after(self.self_id, to, msg, delay),
-            CtxBackend::Live(ops) => {
-                let trace = ops.trace_id();
-                ops.send(self.self_id, to, msg, delay, trace);
-            }
-        }
+        let trace = self.ops.trace_id();
+        self.ops.send(self.self_id, to, msg, trace);
     }
 
     /// Arms a timer that fires `on_timer(tag)` after `delay`.
     pub fn timer(&mut self, delay: SimDuration, tag: u64) {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => {
-                let at = core.time + delay;
-                core.queue.push(
-                    at,
-                    EventKind::Timer {
-                        actor: self.self_id,
-                        tag,
-                    },
-                );
-            }
-            CtxBackend::Live(ops) => ops.timer(self.self_id, delay, tag),
-        }
+        self.ops.timer(self.self_id, delay, tag);
     }
 
     /// Spawns a new actor, optionally placed on a machine. The spawned
@@ -233,141 +189,89 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
     /// The `Send` bound exists for the live runtime, where the new actor
     /// moves to its own OS thread; in the kernel it coerces away.
     pub fn spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.queue_spawn(machine, actor),
-            CtxBackend::Live(ops) => ops.spawn(machine, actor),
-        }
+        self.ops.spawn(machine, actor)
     }
 
     /// Terminates another actor after the current handler returns.
     pub fn kill(&mut self, id: ActorId) {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.queue_kill(id),
-            CtxBackend::Live(ops) => ops.kill(id),
-        }
+        self.ops.kill(id);
     }
 
     /// Terminates this actor after the current handler returns.
     pub fn kill_self(&mut self) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.queue_kill(id),
-            CtxBackend::Live(ops) => ops.kill(id),
-        }
+        self.ops.kill(self.self_id);
     }
 
     /// `true` if `id` refers to a live actor.
     pub fn alive(&self, id: ActorId) -> bool {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.actor_alive(id),
-            CtxBackend::Live(ops) => ops.alive(id),
-        }
+        self.ops.alive(id)
     }
 
     /// The machine a live actor is placed on.
     pub fn machine_of(&self, id: ActorId) -> Option<u32> {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.machine_of(id),
-            CtxBackend::Live(ops) => ops.machine_of(id),
-        }
+        self.ops.machine_of(id)
     }
 
     /// `true` if machine `m` is up.
     pub fn machine_up(&self, m: u32) -> bool {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.machine_up(m),
-            CtxBackend::Live(ops) => ops.machine_up(m),
-        }
+        self.ops.machine_up(m)
     }
 
     /// The execution speed factor of machine `m` (1.0 nominal; SlowMachine
     /// faults lower it).
     pub fn machine_speed(&self, m: u32) -> f64 {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.machine_speed(m),
-            CtxBackend::Live(ops) => ops.machine_speed(m),
-        }
+        self.ops.machine_speed(m)
     }
 
     /// `true` if process launches currently succeed on machine `m`
     /// (PartialWorkerFailure faults turn this off).
     pub fn launch_ok(&self, m: u32) -> bool {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.launch_ok(m),
-            CtxBackend::Live(ops) => ops.launch_ok(m),
-        }
+        self.ops.launch_ok(m)
     }
 
     /// Rack of machine `m` (from the world's configuration).
     pub fn rack_of(&self, m: u32) -> u32 {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.rack_of(m),
-            CtxBackend::Live(ops) => ops.rack_of(m),
-        }
+        self.ops.rack_of(m)
     }
 
     /// Number of machines in the world.
     pub fn n_machines(&self) -> usize {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.n_machines(),
-            CtxBackend::Live(ops) => ops.n_machines(),
-        }
+        self.ops.n_machines()
     }
 
     /// Registers this actor in its machine's process table with opaque
     /// metadata — the simulation equivalent of appearing in `/proc`, which
     /// is how a restarted FuxiAgent adopts running workers (Section 4.3.1).
     pub fn register_proc(&mut self, meta: Vec<u8>) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.register_proc(id, meta),
-            CtxBackend::Live(ops) => ops.register_proc(id, meta),
-        }
+        self.ops.register_proc(self.self_id, meta);
     }
 
     /// Reads machine `m`'s process table.
     pub fn procs_on(&self, m: u32) -> Vec<(ActorId, Vec<u8>)> {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.procs_on(m),
-            CtxBackend::Live(ops) => ops.procs_on(m),
-        }
+        self.ops.procs_on(m)
     }
 
     /// Starts a data flow. Completion arrives as `M::flow_done(tag, failed)`
     /// addressed to this actor.
     pub fn start_flow(&mut self, spec: FlowSpec) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.start_flow(id, spec),
-            CtxBackend::Live(ops) => ops.start_flow(id, spec),
-        }
+        self.ops.start_flow(self.self_id, spec);
     }
 
     /// Cancels all flows this actor started that have not completed
     /// (no completion message will arrive for them).
     pub fn cancel_own_flows(&mut self) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.cancel_flows_of(id),
-            CtxBackend::Live(ops) => ops.cancel_flows_of(id),
-        }
+        self.ops.cancel_flows_of(self.self_id);
     }
 
     /// Deterministic per-world RNG (per-thread in the live runtime).
     pub fn rng(&mut self) -> &mut SmallRng {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => &mut core.rng,
-            CtxBackend::Live(ops) => ops.rng(),
-        }
+        self.ops.rng()
     }
 
     /// The world's metrics sink (per-thread live, folded into the runtime's
     /// sink when the actor exits).
     pub fn metrics(&mut self) -> &mut Metrics {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => &mut core.metrics,
-            CtxBackend::Live(ops) => ops.metrics(),
-        }
+        self.ops.metrics()
     }
 
     // --- observability -----------------------------------------------------
@@ -377,10 +281,7 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
     /// timer-driven activity unless [`Ctx::set_trace`] re-establishes it.
     #[inline]
     pub fn trace_id(&self) -> TraceId {
-        match &self.backend {
-            CtxBackend::Sim(core) => core.current_trace,
-            CtxBackend::Live(ops) => ops.trace_id(),
-        }
+        self.ops.trace_id()
     }
 
     /// Re-establishes the causal context for the rest of this handler:
@@ -389,78 +290,42 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
     /// job) call this at the top of timer handlers.
     #[inline]
     pub fn set_trace(&mut self, trace: TraceId) {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.current_trace = trace,
-            CtxBackend::Live(ops) => ops.set_trace(trace),
-        }
+        self.ops.set_trace(trace);
     }
 
     /// Sends `msg` under an explicit trace (overriding the inherited one) —
     /// used where one handler acts for many causal chains, e.g. the
     /// FuxiMaster flushing batched grants for several jobs.
     pub fn send_traced(&mut self, to: ActorId, msg: M, trace: TraceId) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => {
-                core.send_from_traced(id, to, msg, SimDuration::ZERO, trace)
-            }
-            CtxBackend::Live(ops) => ops.send(id, to, msg, SimDuration::ZERO, trace),
-        }
+        self.ops.send(self.self_id, to, msg, trace);
     }
 
     /// Records a typed trace event under the current trace.
     #[inline]
     pub fn trace(&mut self, event: TraceEvent) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.trace_event(id, event),
-            CtxBackend::Live(ops) => {
-                let trace = ops.trace_id();
-                ops.trace_event_as(id, trace, event);
-            }
-        }
+        let trace = self.ops.trace_id();
+        self.ops.trace_event_as(self.self_id, trace, event);
     }
 
     /// Records a typed trace event under an explicit trace.
     #[inline]
     pub fn trace_as(&mut self, trace: TraceId, event: TraceEvent) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => core.trace_event_as(id, trace, event),
-            CtxBackend::Live(ops) => ops.trace_event_as(id, trace, event),
-        }
+        self.ops.trace_event_as(self.self_id, trace, event);
     }
 
     /// Records a completed span: `wall_s` of measured wall-clock work at
-    /// the current simulated time.
+    /// the current time.
     pub fn span(&mut self, kind: SpanKind, wall_s: f64) {
-        let id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Sim(core) => {
-                let t_s = core.time.as_secs_f64();
-                let trace = core.current_trace;
-                core.tracer.span(t_s, id.0, trace, kind, wall_s);
-            }
-            CtxBackend::Live(ops) => ops.span(id, kind, wall_s),
-        }
+        self.ops.span(self.self_id, kind, wall_s);
     }
 
     /// Forces a flight-recorder dump (invariant violations, failover).
     pub fn flight_dump(&mut self, reason: &'static str) {
-        match &mut self.backend {
-            CtxBackend::Sim(core) => {
-                let t_s = core.time.as_secs_f64();
-                core.tracer.dump(t_s, reason);
-            }
-            CtxBackend::Live(ops) => ops.flight_dump(reason),
-        }
+        self.ops.flight_dump(reason);
     }
 
     /// Read access to the tracer (rarely needed by actors).
     pub fn tracer(&self) -> &Tracer {
-        match &self.backend {
-            CtxBackend::Sim(core) => &core.tracer,
-            CtxBackend::Live(ops) => ops.tracer(),
-        }
+        self.ops.tracer()
     }
 }

@@ -245,10 +245,6 @@ impl<M: KernelMsg> Calendar<M> {
         self.ensure_window();
         self.window.peek().map(|e| e.time)
     }
-
-    fn len(&self) -> usize {
-        self.window.len() + self.in_slots
-    }
 }
 
 /// The kernel's event queue: total order by `(time, seq)`, with `Deliver`
@@ -304,10 +300,6 @@ impl<M: KernelMsg> EventQueue<M> {
     /// into its window to answer.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.calendar.peek_time()
-    }
-
-    pub fn len(&self) -> usize {
-        self.calendar.len()
     }
 }
 
@@ -369,7 +361,10 @@ mod tests {
         q.push(SimTime::from_secs(7), timer_ev(0));
         q.push(SimTime::from_secs(4), timer_ev(1));
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().map(|e| e.time), Some(SimTime::from_secs(4)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
+        assert_eq!(q.pop().map(|e| e.time), Some(SimTime::from_secs(7)));
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

@@ -73,15 +73,8 @@ enum ResVariety {
 
 #[derive(Debug)]
 struct ResState {
-    base_cap: f64,
-    speed: f64,
+    cap: f64,
     flows: HashSet<u64>,
-}
-
-impl ResState {
-    fn cap(&self) -> f64 {
-        (self.base_cap * self.speed).max(1e-9)
-    }
 }
 
 #[derive(Debug)]
@@ -117,14 +110,12 @@ pub struct FlowNet {
     next_id: u64,
     disk_bw: Vec<f64>,
     net_bw: Vec<f64>,
-    speed: Vec<f64>,
 }
 
 impl FlowNet {
     /// Creates a new instance with the given configuration.
     pub fn new(disk_bw: Vec<f64>, net_bw: Vec<f64>) -> Self {
-        let n = disk_bw.len();
-        assert_eq!(n, net_bw.len());
+        assert_eq!(disk_bw.len(), net_bw.len());
         Self {
             resources: HashMap::new(),
             flows: HashMap::new(),
@@ -132,7 +123,6 @@ impl FlowNet {
             next_id: 0,
             disk_bw,
             net_bw,
-            speed: vec![1.0; n],
         }
     }
 
@@ -144,15 +134,13 @@ impl FlowNet {
     fn res_state(&mut self, key: ResKey) -> &mut ResState {
         let disk_bw = &self.disk_bw;
         let net_bw = &self.net_bw;
-        let speed = &self.speed;
         self.resources.entry(key).or_insert_with(|| {
-            let base = match key.kind {
+            let bw = match key.kind {
                 ResVariety::Disk => disk_bw[key.machine as usize],
                 ResVariety::NetOut | ResVariety::NetIn => net_bw[key.machine as usize],
             };
             ResState {
-                base_cap: base,
-                speed: speed[key.machine as usize],
+                cap: bw.max(1e-9),
                 flows: HashSet::new(),
             }
         })
@@ -245,7 +233,7 @@ impl FlowNet {
 
     fn share_of(&self, key: ResKey) -> f64 {
         let rs = &self.resources[&key];
-        rs.cap() / rs.flows.len().max(1) as f64
+        rs.cap / rs.flows.len().max(1) as f64
     }
 
     fn reprice_flow(&mut self, now: SimTime, id: u64) {
@@ -358,19 +346,6 @@ impl FlowNet {
             self.remove_flow(now, id);
         }
     }
-
-    /// Scales a machine's disk/NIC capacity (SlowMachine fault or recovery).
-    pub fn set_speed(&mut self, now: SimTime, m: u32, factor: f64) {
-        self.speed[m as usize] = factor;
-        let mut touched = Vec::new();
-        for (key, rs) in self.resources.iter_mut() {
-            if key.machine == m {
-                rs.speed = factor;
-                touched.push(*key);
-            }
-        }
-        self.reprice_resources(now, &touched);
-    }
 }
 
 #[cfg(test)]
@@ -482,16 +457,6 @@ mod tests {
             let owners: Vec<u32> = n.fail_machine(SimTime::from_secs(1), 1).iter().map(|d| d.owner.0).collect();
             assert_eq!(owners, [0, 1, 2, 3, 4, 5, 6, 7]);
         }
-    }
-
-    #[test]
-    fn slow_machine_stretches_completion() {
-        let mut n = net2();
-        let t0 = SimTime::ZERO;
-        n.start(t0, ActorId(1), spec(FlowKind::DiskRead { machine: 0 }, 100.0, 1));
-        n.set_speed(t0, 0, 0.5); // 50 MB/s now
-        let f = n.next_completion().unwrap();
-        assert!((f.as_secs_f64() - 2.0).abs() < 1e-6, "f = {f}");
     }
 
     #[test]

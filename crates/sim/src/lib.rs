@@ -35,7 +35,7 @@ pub mod net;
 pub mod time;
 pub mod world;
 
-pub use actor::{Actor, ActorId, Ctx, LiveCtxOps};
+pub use actor::{Actor, ActorId, Ctx, CtxOps};
 pub use event::KernelMsg;
 pub use fuxi_obs as obs;
 pub use fuxi_obs::{Histogram, Metrics, WindowedHistogram};

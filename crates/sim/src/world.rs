@@ -1,11 +1,11 @@
 //! The world: machines, actors, the event loop, and fault operations.
 
-use crate::actor::{Actor, ActorId, Ctx, CtxBackend};
+use crate::actor::{Actor, ActorId, Ctx, CtxOps};
 use crate::event::{EventKind, EventQueue, KernelMsg};
 use crate::flow::{FlowDone, FlowNet, FlowSpec};
 use crate::net;
 use crate::time::{SimDuration, SimTime};
-use fuxi_obs::{Metrics, TraceEvent, TraceId, Tracer, TracerConfig};
+use fuxi_obs::{Metrics, SpanKind, TraceEvent, TraceId, Tracer, TracerConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -72,11 +72,11 @@ struct ActorMeta {
 /// Everything in the world except the actor behaviours themselves; this
 /// split lets a running actor borrow the core mutably through [`Ctx`].
 pub struct WorldCore<M: KernelMsg> {
-    pub(crate) time: SimTime,
-    pub(crate) queue: EventQueue<M>,
+    time: SimTime,
+    queue: EventQueue<M>,
     meta: Vec<ActorMeta>,
     machines: Vec<MachineState>,
-    pub(crate) rng: SmallRng,
+    rng: SmallRng,
     /// Metrics sink shared by every actor.
     pub metrics: Metrics,
     drop_prob: f64,
@@ -99,70 +99,70 @@ pub struct WorldCore<M: KernelMsg> {
     pub tracer: Tracer,
     /// The causal trace of the message currently being dispatched; sends
     /// and trace events inherit it unless overridden via `Ctx`.
-    pub(crate) current_trace: TraceId,
+    current_trace: TraceId,
     /// Total events dispatched by [`World::step`]; the numerator of the
     /// end-to-end `sim_events_per_sec` throughput benchmark.
     events_processed: u64,
 }
 
 impl<M: KernelMsg> WorldCore<M> {
-    pub(crate) fn machine_of(&self, id: ActorId) -> Option<u32> {
-        self.meta
-            .get(id.0 as usize)
-            .filter(|m| m.alive)
-            .and_then(|m| m.machine)
+    fn relation(&self, a: ActorId, b: ActorId) -> (bool, bool) {
+        match (self.machine_of_any(a), self.machine_of_any(b)) {
+            (Some(ma), Some(mb)) => (ma == mb, self.rack_of(ma) == self.rack_of(mb)),
+            // Placeless services are "one hop away": same-rack class.
+            _ => (false, true),
+        }
     }
 
-    pub(crate) fn actor_alive(&self, id: ActorId) -> bool {
-        self.meta.get(id.0 as usize).map(|m| m.alive).unwrap_or(false)
+    /// Machine of an actor even if it just died (for latency of in-flight
+    /// sends during teardown).
+    fn machine_of_any(&self, id: ActorId) -> Option<u32> {
+        self.meta.get(id.0 as usize).and_then(|m| m.machine)
     }
 
-    pub(crate) fn machine_up(&self, m: u32) -> bool {
-        self.machines.get(m as usize).map(|s| s.up).unwrap_or(false)
+    /// Allocates `actor`'s id; it joins the world (and its `on_start` runs)
+    /// when the current handler returns. Unlike [`CtxOps::spawn`], the
+    /// actor need not be `Send`: harnesses spawn through [`World::spawn`].
+    fn queue_spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M>>) -> ActorId {
+        let id = ActorId(self.meta.len() as u32);
+        self.meta.push(ActorMeta {
+            alive: true,
+            machine,
+        });
+        // The spawned actor's `on_start` runs under the trace active at
+        // spawn time, so processes launched on behalf of a job inherit its
+        // causal chain.
+        self.spawn_queue.push((id, actor, self.current_trace));
+        id
     }
 
-    pub(crate) fn machine_speed(&self, m: u32) -> f64 {
-        self.machines.get(m as usize).map(|s| s.speed).unwrap_or(0.0)
+    fn deliver_flow_done(&mut self, done: FlowDone) {
+        if self.alive(done.owner) {
+            self.queue.push(
+                self.time,
+                EventKind::Deliver {
+                    to: done.owner,
+                    from: done.owner,
+                    msg: M::flow_done(done.tag, done.failed),
+                    // Tick-driven completions have no dispatch context, so
+                    // this is NONE; owners with a durable causal identity
+                    // re-establish it via `Ctx::set_trace`.
+                    trace: self.current_trace,
+                },
+            );
+        }
+    }
+}
+
+/// The kernel's side of the actor contract. Spawns and kills take effect
+/// when the current handler returns ([`World::step`] drains them).
+impl<M: KernelMsg> CtxOps<M> for WorldCore<M> {
+    #[inline]
+    fn now(&self) -> SimTime {
+        self.time
     }
 
-    pub(crate) fn launch_ok(&self, m: u32) -> bool {
-        self.machines
-            .get(m as usize)
-            .map(|s| s.up && s.launch_ok)
-            .unwrap_or(false)
-    }
-
-    pub(crate) fn rack_of(&self, m: u32) -> u32 {
-        self.machines[m as usize].rack
-    }
-
-    pub(crate) fn n_machines(&self) -> usize {
-        self.machines.len()
-    }
-
-    pub(crate) fn send_from(&mut self, from: ActorId, to: ActorId, msg: M) {
-        self.send_from_after(from, to, msg, SimDuration::ZERO);
-    }
-
-    pub(crate) fn send_from_after(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        msg: M,
-        extra: SimDuration,
-    ) {
-        let trace = self.current_trace;
-        self.send_from_traced(from, to, msg, extra, trace);
-    }
-
-    pub(crate) fn send_from_traced(
-        &mut self,
-        from: ActorId,
-        to: ActorId,
-        msg: M,
-        extra: SimDuration,
-        trace: TraceId,
-    ) {
+    fn send(&mut self, from: ActorId, to: ActorId, msg: M, trace: TraceId) {
         self.metrics.count("net.sent", 1);
         if net::dropped(self.drop_prob, &mut self.rng) {
             self.metrics.count("net.dropped", 1);
@@ -170,7 +170,7 @@ impl<M: KernelMsg> WorldCore<M> {
         }
         let (same_machine, same_rack) = self.relation(from, to);
         let latency = net::sample_latency(&mut self.rng, same_machine, same_rack);
-        let mut at = self.time + latency + extra;
+        let mut at = self.time + latency;
         // Per-source FIFO: never deliver before an earlier send from the
         // same source (see `channel_clock`).
         let clock = self.channel_clock.entry(from).or_insert(SimTime::ZERO);
@@ -188,62 +188,62 @@ impl<M: KernelMsg> WorldCore<M> {
             .push(at, EventKind::Deliver { to, from, msg, trace });
     }
 
-    /// Records a trace event attributed to `actor` under the current trace.
-    pub(crate) fn trace_event(&mut self, actor: ActorId, event: TraceEvent) {
-        let trace = self.current_trace;
-        self.trace_event_as(actor, trace, event);
+    fn timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) {
+        self.queue.push(self.time + delay, EventKind::Timer { actor, tag });
     }
 
-    pub(crate) fn trace_event_as(&mut self, actor: ActorId, trace: TraceId, event: TraceEvent) {
-        let t_s = self.time.as_secs_f64();
-        self.tracer.record(t_s, actor.0, trace, event);
+    fn spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId {
+        self.queue_spawn(machine, actor)
     }
 
-    fn relation(&self, a: ActorId, b: ActorId) -> (bool, bool) {
-        match (self.machine_of_any(a), self.machine_of_any(b)) {
-            (Some(ma), Some(mb)) => (ma == mb, self.rack_of(ma) == self.rack_of(mb)),
-            // Placeless services are "one hop away": same-rack class.
-            _ => (false, true),
-        }
-    }
-
-    /// Machine of an actor even if it just died (for latency of in-flight
-    /// sends during teardown).
-    fn machine_of_any(&self, id: ActorId) -> Option<u32> {
-        self.meta.get(id.0 as usize).and_then(|m| m.machine)
-    }
-
-    pub(crate) fn queue_spawn(
-        &mut self,
-        machine: Option<u32>,
-        actor: Box<dyn Actor<M>>,
-    ) -> ActorId {
-        let id = ActorId(self.meta.len() as u32);
-        self.meta.push(ActorMeta {
-            alive: true,
-            machine,
-        });
-        // The spawned actor's `on_start` runs under the trace active at
-        // spawn time, so processes launched on behalf of a job inherit its
-        // causal chain.
-        self.spawn_queue.push((id, actor, self.current_trace));
-        id
-    }
-
-    pub(crate) fn queue_kill(&mut self, id: ActorId) {
-        if self.actor_alive(id) {
+    fn kill(&mut self, id: ActorId) {
+        if self.alive(id) {
             self.meta[id.0 as usize].alive = false;
             self.kill_queue.push(id);
         }
     }
 
-    pub(crate) fn register_proc(&mut self, id: ActorId, meta: Vec<u8>) {
+    fn alive(&self, id: ActorId) -> bool {
+        self.meta.get(id.0 as usize).map(|m| m.alive).unwrap_or(false)
+    }
+
+    fn machine_of(&self, id: ActorId) -> Option<u32> {
+        self.meta
+            .get(id.0 as usize)
+            .filter(|m| m.alive)
+            .and_then(|m| m.machine)
+    }
+
+    fn machine_up(&self, m: u32) -> bool {
+        self.machines.get(m as usize).map(|s| s.up).unwrap_or(false)
+    }
+
+    fn machine_speed(&self, m: u32) -> f64 {
+        self.machines.get(m as usize).map(|s| s.speed).unwrap_or(0.0)
+    }
+
+    fn launch_ok(&self, m: u32) -> bool {
+        self.machines
+            .get(m as usize)
+            .map(|s| s.up && s.launch_ok)
+            .unwrap_or(false)
+    }
+
+    fn rack_of(&self, m: u32) -> u32 {
+        self.machines[m as usize].rack
+    }
+
+    fn n_machines(&self) -> usize {
+        self.machines.len()
+    }
+
+    fn register_proc(&mut self, id: ActorId, meta: Vec<u8>) {
         if let Some(m) = self.machine_of(id) {
             self.machines[m as usize].procs.insert(id, meta);
         }
     }
 
-    pub(crate) fn procs_on(&self, m: u32) -> Vec<(ActorId, Vec<u8>)> {
+    fn procs_on(&self, m: u32) -> Vec<(ActorId, Vec<u8>)> {
         self.machines[m as usize]
             .procs
             .iter()
@@ -251,7 +251,7 @@ impl<M: KernelMsg> WorldCore<M> {
             .collect()
     }
 
-    pub(crate) fn start_flow(&mut self, owner: ActorId, spec: FlowSpec) {
+    fn start_flow(&mut self, owner: ActorId, spec: FlowSpec) {
         self.metrics.count("flow.started", 1);
         if let Some(done) = self.flows.start(self.time, owner, spec) {
             self.deliver_flow_done(done);
@@ -259,26 +259,46 @@ impl<M: KernelMsg> WorldCore<M> {
         self.flows_dirty = true;
     }
 
-    pub(crate) fn cancel_flows_of(&mut self, owner: ActorId) {
+    fn cancel_flows_of(&mut self, owner: ActorId) {
         self.flows.cancel_owned_by(self.time, owner);
         self.flows_dirty = true;
     }
 
-    fn deliver_flow_done(&mut self, done: FlowDone) {
-        if self.actor_alive(done.owner) {
-            self.queue.push(
-                self.time,
-                EventKind::Deliver {
-                    to: done.owner,
-                    from: done.owner,
-                    msg: M::flow_done(done.tag, done.failed),
-                    // Tick-driven completions have no dispatch context, so
-                    // this is NONE; owners with a durable causal identity
-                    // re-establish it via `Ctx::set_trace`.
-                    trace: self.current_trace,
-                },
-            );
-        }
+    fn rng(&mut self) -> &mut SmallRng {
+        &mut self.rng
+    }
+
+    fn metrics(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
+    #[inline]
+    fn trace_id(&self) -> TraceId {
+        self.current_trace
+    }
+
+    #[inline]
+    fn set_trace(&mut self, trace: TraceId) {
+        self.current_trace = trace;
+    }
+
+    fn trace_event_as(&mut self, actor: ActorId, trace: TraceId, event: TraceEvent) {
+        let t_s = self.time.as_secs_f64();
+        self.tracer.record(t_s, actor.0, trace, event);
+    }
+
+    fn span(&mut self, actor: ActorId, kind: SpanKind, wall_s: f64) {
+        let t_s = self.time.as_secs_f64();
+        self.tracer.span(t_s, actor.0, self.current_trace, kind, wall_s);
+    }
+
+    fn flight_dump(&mut self, reason: &'static str) {
+        let t_s = self.time.as_secs_f64();
+        self.tracer.dump(t_s, reason);
+    }
+
+    fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 }
 
@@ -352,11 +372,6 @@ impl<M: KernelMsg> World<M> {
         &self.core.tracer
     }
 
-    /// Tracer mut (for exports and manual dumps from harnesses).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.core.tracer
-    }
-
     /// N machines.
     pub fn n_machines(&self) -> usize {
         self.core.n_machines()
@@ -369,12 +384,7 @@ impl<M: KernelMsg> World<M> {
 
     /// Actor alive.
     pub fn actor_alive(&self, id: ActorId) -> bool {
-        self.core.actor_alive(id)
-    }
-
-    /// Pending events.
-    pub fn pending_events(&self) -> usize {
-        self.core.queue.len()
+        self.core.alive(id)
     }
 
     /// Reads machine `m`'s process table (the simulation's `/proc`) from
@@ -393,14 +403,14 @@ impl<M: KernelMsg> World<M> {
 
     /// Sends a message into the world from a synthetic external source.
     pub fn send_external(&mut self, to: ActorId, msg: M) {
-        self.core.send_from(ActorId::NONE, to, msg);
+        let trace = self.core.current_trace;
+        self.core.send(ActorId::NONE, to, msg, trace);
     }
 
     /// Sends a message into the world from a synthetic external source,
     /// opening a causal trace that downstream handlers inherit.
     pub fn send_external_traced(&mut self, to: ActorId, msg: M, trace: TraceId) {
-        self.core
-            .send_from_traced(ActorId::NONE, to, msg, SimDuration::ZERO, trace);
+        self.core.send(ActorId::NONE, to, msg, trace);
     }
 
     /// Schedules a control closure to run at `time` (fault scripts, scenario
@@ -412,7 +422,7 @@ impl<M: KernelMsg> World<M> {
 
     /// Terminates an actor immediately.
     pub fn kill_actor(&mut self, id: ActorId) {
-        self.core.queue_kill(id);
+        self.core.kill(id);
         self.drain_spawns_and_kills();
     }
 
@@ -431,7 +441,7 @@ impl<M: KernelMsg> World<M> {
             .map(|(i, _)| ActorId(i as u32))
             .collect();
         for id in victims.into_iter().chain(unregistered) {
-            self.core.queue_kill(id);
+            self.core.kill(id);
         }
         self.drain_spawns_and_kills();
         let fails = self.core.flows.fail_machine(self.core.time, m);
@@ -453,24 +463,15 @@ impl<M: KernelMsg> World<M> {
         ms.speed = 1.0;
         ms.launch_ok = true;
         ms.procs.clear();
-        self.core.flows.set_speed(self.core.time, m, 1.0);
         self.core
             .trace_event_as(ActorId::NONE, TraceId::NONE, TraceEvent::NodeUp { machine: m });
     }
 
     /// Applies a SlowMachine fault: *compute* on `m` runs at `factor` (the
     /// paper mocked slowdown with sleep intervals in the worker program —
-    /// a CPU-side fault). Disk/NIC capacity is a separate knob below.
+    /// a CPU-side fault). Disk and NIC keep their bandwidth.
     pub fn set_machine_speed(&mut self, m: u32, factor: f64) {
         self.core.machines[m as usize].speed = factor;
-    }
-
-    /// Degrades (or restores) machine `m`'s disk and NIC bandwidth — a
-    /// sick-spindle / flaky-link fault, distinct from compute slowdown.
-    pub fn set_machine_io_speed(&mut self, m: u32, factor: f64) {
-        self.core.flows.set_speed(self.core.time, m, factor);
-        self.core.flows_dirty = true;
-        self.schedule_flow_tick();
     }
 
     /// Applies/clears a PartialWorkerFailure fault: worker launches on `m`
@@ -526,7 +527,7 @@ impl<M: KernelMsg> World<M> {
         id: ActorId,
         f: impl FnOnce(&mut dyn Actor<M>, &mut Ctx<'_, M>),
     ) {
-        if !self.core.actor_alive(id) {
+        if !self.core.alive(id) {
             self.core.metrics.count("net.to_dead", 1);
             return;
         }
@@ -535,14 +536,10 @@ impl<M: KernelMsg> World<M> {
             return;
         };
         {
-            let mut ctx = Ctx {
-                backend: CtxBackend::Sim(&mut self.core),
-                self_id: id,
-            };
-            f(actor.as_mut(), &mut ctx);
+            f(actor.as_mut(), &mut Ctx::new(&mut self.core, id));
         }
         // The handler may have killed its own actor; only restore if alive.
-        if self.core.actor_alive(id) {
+        if self.core.alive(id) {
             self.actors[slot] = Some(actor);
         }
     }

@@ -65,14 +65,6 @@ impl SortParams {
         }
     }
 
-    /// Re-derives the map count for a different split size (the record
-    /// Hadoop runs used coarse multi-GB splits to amortize per-task
-    /// container overheads — the fair configuration for the baseline).
-    pub fn with_split_mb(mut self, split_mb: f64) -> SortParams {
-        self.maps = ((self.total_gb * 1024.0 / split_mb).round() as u32).max(2);
-        self
-    }
-
     /// Per map input mb.
     pub fn per_map_input_mb(&self) -> f64 {
         self.total_gb * 1024.0 / self.maps as f64

@@ -443,16 +443,14 @@ fn machines_of(c: &Cluster, job: fuxi::proto::JobId) -> (Vec<MachineId>, Vec<Mac
 }
 
 /// Eight jobs of two 60 s waves on 20 machines, the primary killed at 15 s
-/// (6 s lease, 8 s rebuild cap). Without `whole_job`, the faulty agent is
-/// one on a machine that runs workers but no JobMaster; with it, the faulty
-/// agents are those of every machine the first job runs on, its JobMaster's
-/// included, so no agent report can tell the new primary that the job is
-/// alive. The faulty agents restart once the rebuild is over. Returns the
-/// cluster once every job has finished, the election and rebuild-done
-/// times and whether the cap fired. Every job has exactly one JobMaster
-/// after the rebuild and past the roll-ups that follow it.
-fn rebuild_drill(fault: AgentFault, whole_job: bool) -> (Cluster, f64, f64, bool) {
-    use fuxi::obs::TraceEvent;
+/// (6 s lease, 8 s rebuild cap), run up to the standby's election. Without
+/// `whole_job`, the faulty agent is one on a machine that runs workers but
+/// no JobMaster; with it, the faulty agents are those of every machine the
+/// first job runs on, its JobMaster's included, so no agent report can
+/// tell the new primary that the job is alive. A `DuringLease` fault kills
+/// them 1 s after the primary. Returns the cluster, the jobs and the
+/// faulty agents' machines.
+fn elect_after_fault(fault: AgentFault, whole_job: bool) -> (Cluster, Vec<fuxi::proto::JobId>, Vec<MachineId>) {
     let mut c = cluster(33, 20, true);
     let jobs: Vec<_> = (0..8).map(|_| c.submit(&job(4, 1, 60.0), &SubmitOpts::default())).collect();
     c.run_for(SimDuration::from_secs(15));
@@ -467,13 +465,6 @@ fn rebuild_drill(fault: AgentFault, whole_job: bool) -> (Cluster, f64, f64, bool
             .expect("a machine with workers and no JobMaster");
         vec![victim]
     };
-    let one_jm_each = |c: &Cluster| {
-        for &j in &jobs {
-            if c.job_done(j).is_none() {
-                assert_eq!(machines_of(c, j).0.len(), 1, "{j:?} has one JobMaster at {:?}", c.world.now());
-            }
-        }
-    };
     c.kill_primary_master();
     if fault == AgentFault::DuringLease {
         c.run_for(SimDuration::from_secs(1));
@@ -482,6 +473,27 @@ fn rebuild_drill(fault: AgentFault, whole_job: bool) -> (Cluster, f64, f64, bool
         }
     }
     assert_eq!(c.run_until_counter("fm.became_primary", 2, SimTime::from_secs(60)), 2);
+    (c, jobs, victims)
+}
+
+/// Asserts that every live job of `jobs` has exactly one JobMaster.
+fn one_jm_each(c: &Cluster, jobs: &[fuxi::proto::JobId]) {
+    for &j in jobs {
+        if c.job_done(j).is_none() {
+            assert_eq!(machines_of(c, j).0.len(), 1, "{j:?} has one JobMaster at {:?}", c.world.now());
+        }
+    }
+}
+
+/// [`elect_after_fault`], then the rest of the failover: an `AfterElection`
+/// fault kills the faulty agents in the instant after the election, and
+/// every faulty agent restarts once the rebuild is over. Returns the
+/// cluster once every job has finished, the election and rebuild-done
+/// times and whether the cap fired. Every job has exactly one JobMaster
+/// after the rebuild and past the roll-ups that follow it.
+fn rebuild_drill(fault: AgentFault, whole_job: bool) -> (Cluster, f64, f64, bool) {
+    use fuxi::obs::TraceEvent;
+    let (mut c, jobs, victims) = elect_after_fault(fault, whole_job);
     if fault == AgentFault::AfterElection {
         for &m in &victims {
             c.kill_agent(m);
@@ -493,11 +505,11 @@ fn rebuild_drill(fault: AgentFault, whole_job: bool) -> (Cluster, f64, f64, bool
             c.respawn_agent(m);
         }
     }
-    one_jm_each(&c);
+    one_jm_each(&c, &jobs);
     // Past the next two roll-ups, which relaunch any job the master thinks
     // has no JobMaster.
     c.run_for(SimDuration::from_secs(11));
-    one_jm_each(&c);
+    one_jm_each(&c, &jobs);
     assert_eq!(c.run_until_n_done(8, SimTime::from_secs(2000)), 8, "every job finishes");
     assert!(c.all_jobs().iter().all(|(_, s)| s.done.as_ref().is_some_and(|d| d.0)));
     assert_eq!(c.duplicate_finishes(), 0, "... exactly once");
@@ -514,6 +526,23 @@ fn rebuild_drill(fault: AgentFault, whole_job: bool) -> (Cluster, f64, f64, bool
         .expect("the rebuild ended");
     eprintln!("rebuild ended {:.6} s after the election (capped: {capped})", done - elected);
     (c, elected, done, capped)
+}
+
+/// Agents down at the election that stay down: the new primary has never
+/// heard from them, and gives each the full 15 s heartbeat timeout,
+/// counted from its election, before it declares the machine dead and
+/// restarts the JobMaster placed there. So every job keeps its one
+/// JobMaster through the first roll-up after the election (5 s) and up to
+/// the second; a master whose heartbeat clocks start at t = 0 declares
+/// the machines dead at that first roll-up and has a second JobMaster of
+/// the first job running within a second. (Once the timeout does run out,
+/// it still starts one: fencing or adopting the JobMaster it cannot see is
+/// open work.)
+#[test]
+fn agents_down_at_the_election_get_the_full_heartbeat_timeout() {
+    let (mut c, jobs, _) = elect_after_fault(AgentFault::DuringLease, true);
+    c.run_for(SimDuration::from_secs(9));
+    one_jm_each(&c, &jobs);
 }
 
 /// The new primary asks every agent to report at once and every JobMaster

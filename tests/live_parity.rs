@@ -3,18 +3,21 @@
 //! under the live multi-threaded runtime (`fuxi-rt`) must converge to the
 //! same terminal job outcomes. Timing differs by construction (virtual vs
 //! wall clock), so the comparison is the order-insensitive set of
-//! `(JobId, success)` pairs, not timestamps.
+//! `(JobId, success)` pairs, not timestamps. Below the job level, one probe
+//! actor asks both engines the same questions about placement, the process
+//! table and machine death, and must get the same answers.
 
 use fuxi::apsara::StoreHandle;
 use fuxi::cluster::{Cluster, ClusterConfig, DeployTopology, SubmitOpts};
 use fuxi::core::HardState;
 use fuxi::job::JobDesc;
 use fuxi::proto::{JobId, MachineId};
-use fuxi::rt::LiveCluster;
-use fuxi::sim::SimTime;
+use fuxi::rt::{LiveCluster, LiveRuntime, RuntimeConfig};
+use fuxi::sim::{Actor, ActorId, Ctx, KernelMsg, SimDuration, SimTime, World, WorldConfig};
 use fuxi::workloads::mapreduce::{wordcount_job, MapReduceParams};
 use std::collections::BTreeSet;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const N_MACHINES: usize = 20;
 const N_JOBS: usize = 50;
@@ -129,4 +132,186 @@ fn live_and_sim_reach_identical_job_outcomes() {
         sim, live,
         "sim and live terminal outcomes diverged:\n sim: {sim:?}\nlive: {live:?}"
     );
+}
+
+#[derive(Debug)]
+enum Probe {
+    /// A child registered itself in its machine's process table.
+    Registered,
+    /// The harness took the children's machine down.
+    MachineKilled,
+}
+
+impl KernelMsg for Probe {
+    fn flow_done(_: u64, _: bool) -> Self {
+        unreachable!("the probe starts no flow")
+    }
+}
+
+/// What the probe saw, one answer per line, in the order it asked.
+type Answers = Arc<Mutex<Vec<String>>>;
+
+/// The machine the probe's children are placed on.
+const CHILD_MACHINE: u32 = 1;
+
+/// Registers itself with `meta` and tells its parent.
+struct Child {
+    parent: ActorId,
+    meta: u8,
+}
+
+impl Actor<Probe> for Child {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Probe>) {
+        ctx.register_proc(vec![self.meta]);
+        ctx.send(self.parent, Probe::Registered);
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_, Probe>, _: ActorId, _: Probe) {}
+}
+
+/// The script: spawn two children on one machine, read the process table
+/// once both have registered, kill one, then ask about both; read the
+/// table again in the next handler (a kill takes effect when the handler
+/// that made it returns); and after the harness has taken the machine
+/// down, ask about the machine and the survivor.
+struct ProbeActor {
+    answers: Answers,
+    children: Vec<ActorId>,
+    registered: usize,
+}
+
+impl ProbeActor {
+    fn say(&self, answer: String) {
+        self.answers.lock().unwrap().push(answer);
+    }
+
+    /// Child ids by spawn order, so the answers do not depend on how an
+    /// engine numbers its actors.
+    fn name(&self, id: ActorId) -> String {
+        match self.children.iter().position(|&c| c == id) {
+            Some(i) => format!("child{i}"),
+            None => format!("stranger {id}"),
+        }
+    }
+
+    fn children(&self, ctx: &Ctx<'_, Probe>, what: &str) {
+        for &c in &self.children {
+            let name = self.name(c);
+            self.say(format!("{what}: {name} alive {} on {:?}", ctx.alive(c), ctx.machine_of(c)));
+        }
+    }
+
+    fn procs(&self, ctx: &Ctx<'_, Probe>, what: &str) {
+        let procs: Vec<_> = (ctx.procs_on(CHILD_MACHINE).into_iter())
+            .map(|(id, meta)| (self.name(id), meta))
+            .collect();
+        self.say(format!("{what}: procs {procs:?}"));
+    }
+
+    fn machine(&self, ctx: &Ctx<'_, Probe>, what: &str) {
+        let m = CHILD_MACHINE;
+        self.say(format!(
+            "{what}: {} machines, m{m} up {} launch_ok {} speed {} rack {}",
+            ctx.n_machines(),
+            ctx.machine_up(m),
+            ctx.launch_ok(m),
+            ctx.machine_speed(m),
+            ctx.rack_of(m)
+        ));
+    }
+}
+
+impl Actor<Probe> for ProbeActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Probe>) {
+        self.say(format!("self placed on {:?}", ctx.self_machine()));
+        self.machine(ctx, "start");
+        for meta in [7, 9] {
+            let child = ctx.spawn(Some(CHILD_MACHINE), Box::new(Child { parent: ctx.id(), meta }));
+            self.children.push(child);
+        }
+        self.children(ctx, "spawned");
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Probe>, _: ActorId, msg: Probe) {
+        match msg {
+            Probe::Registered => {
+                self.registered += 1;
+                if self.registered < self.children.len() {
+                    return;
+                }
+                self.procs(ctx, "registered");
+                ctx.kill(self.children[0]);
+                self.children(ctx, "killed child0");
+                ctx.timer(SimDuration::from_millis(20), 0);
+            }
+            Probe::MachineKilled => {
+                self.machine(ctx, "machine killed");
+                self.children(ctx, "machine killed");
+                self.procs(ctx, "machine killed");
+                self.say("done".to_owned());
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Probe>, _: u64) {
+        self.procs(ctx, "next handler");
+        self.say("ready".to_owned());
+    }
+}
+
+fn probe(answers: &Answers) -> Box<ProbeActor> {
+    Box::new(ProbeActor { answers: answers.clone(), children: Vec::new(), registered: 0 })
+}
+
+fn probe_world() -> WorldConfig {
+    WorldConfig::uniform(3, 2, SEED)
+}
+
+fn said(answers: &Answers, last: &str) -> bool {
+    answers.lock().unwrap().last().is_some_and(|a| a == last)
+}
+
+fn probe_sim() -> Vec<String> {
+    let answers = Answers::default();
+    let mut w: World<Probe> = World::new(probe_world());
+    let p = w.spawn(None, probe(&answers));
+    w.run_until(SimTime::from_secs(1));
+    assert!(said(&answers, "ready"), "sim probe stalled: {:?}", answers.lock().unwrap());
+    w.kill_machine(CHILD_MACHINE);
+    w.send_external(p, Probe::MachineKilled);
+    w.run_until(SimTime::from_secs(2));
+    let out = answers.lock().unwrap().clone();
+    out
+}
+
+fn probe_live() -> Vec<String> {
+    let answers = Answers::default();
+    let rt: LiveRuntime<Probe> = LiveRuntime::new(RuntimeConfig {
+        machines: probe_world().machines,
+        seed: SEED,
+        ..RuntimeConfig::default()
+    });
+    let wait_for = |last: &str| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !said(&answers, last) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(said(&answers, last), "live probe stalled: {:?}", answers.lock().unwrap());
+    };
+    let p = rt.spawn(None, probe(&answers));
+    wait_for("ready");
+    rt.kill_machine(CHILD_MACHINE);
+    rt.send_external(p, Probe::MachineKilled);
+    wait_for("done");
+    rt.shutdown();
+    let out = answers.lock().unwrap().clone();
+    out
+}
+
+/// Both engines implement one actor contract (`CtxOps`): the same script
+/// gets the same answers from each.
+#[test]
+fn both_engines_answer_the_contract_alike() {
+    let sim = probe_sim();
+    assert_eq!(sim.last().map(String::as_str), Some("done"));
+    assert_eq!(sim, probe_live());
 }
