@@ -962,11 +962,11 @@ impl FuxiMaster {
             SeqCheck::Apply => {
                 // §3.4 batch mode without a fixed tick: the first delta since
                 // the last flush arms a flush behind whatever is already
-                // queued, and every delta that arrives before it fires merges
-                // into the same batch. At light load a delta waits for no
-                // batch period (live: for the next edge of the runtime's
-                // timer wheel); under load the batch is as large as the
-                // backlog.
+                // queued (on both engines a zero-delay timer fires after the
+                // backlog, never on a clock edge), and every delta that
+                // arrives before it fires merges into the same batch. At
+                // light load a delta waits for nothing; under load the batch
+                // is as large as the backlog.
                 if self.pending_deltas.is_empty() {
                     ctx.timer(SimDuration::ZERO, TIMER_BATCH);
                 }

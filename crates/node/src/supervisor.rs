@@ -154,17 +154,19 @@ impl HubInner {
     fn dispatch(&self, src: u32, frame: Frame) {
         match frame.frame_type {
             FrameType::Msg => {
-                let Ok(routed) =
-                    wire::decode_payload::<RoutedMsg>(PROTO_VERSION, &frame.payload)
-                else {
+                let Ok(to) = wire::routed_to(PROTO_VERSION, &frame.payload) else {
                     return;
                 };
-                if routed.to.node_index() == 0 {
-                    (self.inject)(routed.from, routed.to, routed.msg);
+                if to.node_index() == 0 {
+                    let routed = wire::decode_payload::<RoutedMsg>(PROTO_VERSION, &frame.payload);
+                    if let Ok(RoutedMsg { from, to, msg }) = routed {
+                        (self.inject)(from, to, msg);
+                    }
                 } else {
-                    // Relay the raw payload unchanged — no re-encode.
+                    // Relay the raw payload unchanged — no decode, no
+                    // re-encode.
                     self.relayed.fetch_add(1, Ordering::Relaxed);
-                    self.send_to(routed.to.node_index(), FrameType::Msg, frame.payload);
+                    self.send_to(to.node_index(), FrameType::Msg, frame.payload);
                 }
             }
             // Applied here first, then passed on: what a peer is told, a
@@ -209,8 +211,9 @@ impl HubInner {
         std::thread::Builder::new()
             .name(format!("hub-tx-{}", hello.node))
             .spawn(move || {
-                while let Ok((ft, payload)) = rx.recv() {
-                    if writer.send(ft, &payload).is_err() {
+                while let Ok(first) = rx.recv() {
+                    let batch = burst(first, rx.try_iter());
+                    if writer.send_batch(&batch).is_err() {
                         wup.store(false, Ordering::Release);
                         break;
                     }
@@ -438,6 +441,27 @@ impl LeafConfig {
     }
 }
 
+/// Most frames one write takes: a writer sends what queued behind the
+/// frame it woke for in the same write, up to this many frames or
+/// [`MAX_BURST_BYTES`]. A write buffer the allocator hands out from its
+/// heap and takes back, rather than one it maps and unmaps (or, having
+/// raised its threshold after such an unmap, keeps).
+const MAX_BURST: usize = 256;
+const MAX_BURST_BYTES: usize = 32 * 1024;
+
+/// `first` and what is already queued behind it, in order, up to
+/// [`MAX_BURST`] frames of at most [`MAX_BURST_BYTES`] in all.
+fn burst(first: OutFrame, mut queued: impl Iterator<Item = OutFrame>) -> Vec<OutFrame> {
+    let mut bytes = first.1.len();
+    let mut batch = vec![first];
+    while batch.len() < MAX_BURST && bytes < MAX_BURST_BYTES {
+        let Some(frame) = queued.next() else { break };
+        bytes += frame.1.len();
+        batch.push(frame);
+    }
+    batch
+}
+
 /// Initial redial delay.
 const BACKOFF_BASE: Duration = Duration::from_millis(50);
 /// Redial delay cap.
@@ -563,7 +587,7 @@ impl LeafSupervisor {
                         .expect("spawn leaf reader");
 
                     while loop_inner.up.load(Ordering::Acquire) {
-                        let (ft, payload) = match unsent.pop_front() {
+                        let first = match unsent.pop_front() {
                             Some(frame) => frame,
                             None => match out_rx.recv_timeout(Duration::from_millis(50)) {
                                 Ok(frame) => frame,
@@ -571,8 +595,20 @@ impl LeafSupervisor {
                                 Err(mpsc::RecvTimeoutError::Disconnected) => return,
                             },
                         };
-                        if transport.send(ft, &payload).is_err() {
+                        let resent = std::iter::from_fn(|| unsent.pop_front());
+                        let batch = burst(first, resent.chain(out_rx.try_iter()));
+                        if transport.send_batch(&batch).is_err() {
                             loop_inner.up.store(false, Ordering::Release);
+                            // How much of the write arrived is unknown. A
+                            // message may be lost (as any message to an
+                            // unreachable peer is), but a replica update
+                            // goes again after the re-sync: applying one
+                            // twice changes nothing. Back at the front, so
+                            // that no older value lands after a newer one.
+                            let updates = batch.into_iter().filter(|(ft, _)| *ft != FrameType::Msg);
+                            for update in updates.rev() {
+                                unsent.push_front(update);
+                            }
                         }
                     }
                     drop(transport); // closes our half; unblocks the reader

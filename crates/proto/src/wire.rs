@@ -322,9 +322,62 @@ fn decode_value(r: &mut Reader<'_>, depth: u32) -> Result<Value, WireError> {
     }
 }
 
+/// Steps over one encoded value without building it.
+fn skip_value(r: &mut Reader<'_>, depth: u32) -> Result<(), WireError> {
+    if depth > MAX_DEPTH {
+        return Err(WireError::Malformed("value nesting too deep".into()));
+    }
+    match r.u8()? {
+        T_NULL | T_FALSE | T_TRUE => {}
+        T_UINT | T_INT | T_FLOAT => {
+            r.take(8)?;
+        }
+        T_STR => {
+            let len = r.u32()? as usize;
+            r.take(len)?;
+        }
+        T_ARRAY => {
+            for _ in 0..r.u32()? {
+                skip_value(r, depth + 1)?;
+            }
+        }
+        T_OBJECT => {
+            for _ in 0..r.u32()? {
+                let len = r.u32()? as usize;
+                r.take(len)?;
+                skip_value(r, depth + 1)?;
+            }
+        }
+        t => return Err(WireError::Malformed(format!("unknown value tag {t}"))),
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Single encode/decode entry points
 // ---------------------------------------------------------------------
+
+/// The destination of an encoded [`RoutedMsg`], read without decoding the
+/// message: all a relay needs to pass the payload on unchanged. A message
+/// malformed past its `to` field is the receiver's to reject.
+pub fn routed_to(version: u16, bytes: &[u8]) -> Result<ActorId, WireError> {
+    if version != PROTO_VERSION {
+        return Err(WireError::VersionMismatch { ours: PROTO_VERSION, theirs: version });
+    }
+    let mut r = Reader { buf: bytes, pos: 0 };
+    if r.u8()? != T_OBJECT {
+        return Err(WireError::Malformed("a routed message is an object".into()));
+    }
+    for _ in 0..r.u32()? {
+        let len = r.u32()? as usize;
+        if r.take(len)? == b"to" {
+            let to = decode_value(&mut r, 1)?;
+            return ActorId::from_value(&to).map_err(|DeError(why)| WireError::Malformed(why));
+        }
+        skip_value(&mut r, 1)?;
+    }
+    Err(WireError::Malformed("a routed message without `to`".into()))
+}
 
 /// Serializes any protocol payload under an explicit version. For
 /// `version` other than [`PROTO_VERSION`] this build cannot produce
@@ -363,12 +416,18 @@ pub fn decode_payload<T: Deserialize>(version: u16, bytes: &[u8]) -> Result<T, W
 /// Renders a complete frame: header + payload bytes.
 pub fn encode_frame(version: u16, frame_type: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+    append_frame(version, frame_type, payload, &mut out);
+    out
+}
+
+/// [`encode_frame`] onto the end of `out`: how several frames share one
+/// write.
+pub fn append_frame(version: u16, frame_type: u16, payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&frame_type.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 /// Parsed frame header: `(version, frame type, payload length)`.
@@ -725,6 +784,24 @@ mod tests {
             let mut r = Reader { buf: &out, pos: 0 };
             prop_assert_eq!(decode_value(&mut r, 0).unwrap(), Value::UInt(bits));
         }
+    }
+
+    #[test]
+    fn routed_to_reads_the_destination_alone() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        for ix in 0..N_SAMPLES {
+            let (from, to) = (ActorId(3 << 24 | ix as u32), ActorId(2 << 24 | 7));
+            let routed = RoutedMsg { from, to, msg: sample(ix, &mut rng) };
+            let bytes = encode_payload(PROTO_VERSION, &routed).unwrap();
+            assert_eq!(routed_to(PROTO_VERSION, &bytes), Ok(routed.to), "variant {ix}");
+            // Past `to` nothing is read: a cut-off message still routes.
+            assert_eq!(routed_to(PROTO_VERSION, &bytes[..bytes.len() - 1]), Ok(routed.to));
+        }
+        let put = StoreUpdate { key: "to".into(), value: None };
+        let not_routed = encode_payload(PROTO_VERSION, &put).unwrap();
+        assert!(matches!(routed_to(PROTO_VERSION, &not_routed), Err(WireError::Malformed(_))));
+        assert!(matches!(routed_to(PROTO_VERSION, &[T_OBJECT, 1]), Err(WireError::Malformed(_))));
+        assert!(matches!(routed_to(4, &[]), Err(WireError::VersionMismatch { .. })));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! `depth` counts reservations, so it is never below the number of queued
 //! values and data pushes never take it past the bound. Control values
-//! ([`MailboxSender::push_control`]: an actor's start and kill) skip the
-//! reservation — the queue can always take them — and may overshoot the
-//! bound by their own number.
+//! ([`MailboxSender::push_control`]: an actor's start, its kill and the
+//! zero-delay timers it arms on itself) skip the reservation — the queue
+//! can always take them — and may overshoot the bound by their own number.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvError, Sender};

@@ -9,8 +9,12 @@
 //!   messages to a given destination arrive in send order (the kernel's
 //!   per-source FIFO guarantee, restricted to each destination pair); there
 //!   is no global order across destinations.
-//! * **Timers** live in a hashed [`TimerWheel`] owned by one clock thread,
-//!   which also drives the shared [`FlowNet`] I/O model on wall time.
+//! * **Timers** with a delay live in a hashed [`TimerWheel`] owned by one
+//!   clock thread, which also drives the shared [`FlowNet`] I/O model on
+//!   wall time. A zero-delay timer never reaches the clock: like `Start`
+//!   and `Kill` it is a control envelope on the actor's own mailbox, so it
+//!   fires behind whatever is already queued — the kernel's "same instant,
+//!   after the backlog".
 //! * **Observability** is per-thread: each actor thread owns a `Metrics`
 //!   and a `Tracer` (so the hot path takes no locks), folded into the
 //!   runtime's sinks periodically and, in full, when the actor exits.
@@ -53,12 +57,14 @@ pub struct RuntimeConfig {
     pub obs: TracerConfig,
     /// Mailbox bound: senders park (and are counted) beyond this depth.
     pub mailbox_capacity: usize,
-    /// Timer-wheel granularity: a timer fires at the first tick edge at or
-    /// after its deadline. The default (10 ms) is wide enough that the
-    /// control-plane work one timer sets off (a batch flush: grant, worker
-    /// start, assignment, up to the next timer) finishes inside the tick,
-    /// even across processes, so a job's path is a count of ticks and does
-    /// not stretch with the host's load. At 2 ms that work spills over tick
+    /// Timer-wheel granularity: a timer with a non-zero delay fires at the
+    /// first tick edge at or after its deadline (a zero delay skips the
+    /// wheel and fires behind the actor's backlog). The default (10 ms) is
+    /// wide enough that the control-plane work one timer sets off (an
+    /// instance's completion: report, batch flush, grant, worker start,
+    /// assignment, up to the next timer) finishes inside the tick, even
+    /// across processes, so a job's path is a count of ticks and does not
+    /// stretch with the host's load. At 2 ms that work spills over tick
     /// edges by chance, and light-load throughput varies ±8 % from run to
     /// run.
     pub timer_tick: Duration,
@@ -125,13 +131,17 @@ enum Envelope<M> {
     Kill,
 }
 
+/// A timer with a delay, armed at `at` and waiting for the clock thread
+/// to put it on the wheel.
+struct NewTimer {
+    actor: ActorId,
+    at: SimTime,
+    delay: SimDuration,
+    tag: u64,
+}
+
 /// Commands to the clock thread.
 enum ClockCmd {
-    Timer {
-        actor: ActorId,
-        delay: SimDuration,
-        tag: u64,
-    },
     StartFlow {
         owner: ActorId,
         spec: FlowSpec,
@@ -185,6 +195,11 @@ struct Shared<M: KernelMsg + Send> {
     hwm_exited: AtomicUsize,
     machines: RwLock<Vec<MachineState>>,
     clock_tx: Sender<ClockCmd>,
+    /// Timers armed since the clock thread last woke. Arming one does not
+    /// wake it: no timer can fire before the next tick edge, where the
+    /// clock wakes anyway and wheels these first, each from the instant it
+    /// was armed.
+    new_timers: Mutex<Vec<NewTimer>>,
     /// Runtime-global sinks: fault events, external sends, and what every
     /// actor thread folds in (periodically, and in full when it is reaped).
     metrics: Mutex<Metrics>,
@@ -504,8 +519,20 @@ impl<M: KernelMsg + Send + 'static> CtxOps<M> for ThreadCtx<M> {
         }
     }
 
+    /// A zero delay is the kernel's "same instant, after the backlog": the
+    /// timer goes straight onto the actor's own mailbox, behind whatever is
+    /// queued, and never waits for a wheel edge. It is a control push (an
+    /// actor must not park on its own full box), and an actor no longer
+    /// registered drops it, as `ClockCmd::Forget` drops its wheel timers.
     fn timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) {
-        let _ = self.clock_tx.send(ClockCmd::Timer { actor, delay, tag });
+        if delay == SimDuration::ZERO {
+            if let Some(tx) = self.shared.sender_of(actor) {
+                tx.push_control(Envelope::Timer { tag });
+            }
+            return;
+        }
+        let at = self.shared.now();
+        self.shared.new_timers.lock().unwrap().push(NewTimer { actor, at, delay, tag });
     }
 
     fn spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId {
@@ -573,7 +600,18 @@ impl<M: KernelMsg + Send + 'static> CtxOps<M> for ThreadCtx<M> {
             .collect()
     }
 
+    /// A zero-size flow (a download of an empty package) is done the
+    /// moment it starts, so, as in the kernel, its completion goes
+    /// straight onto the owner's mailbox behind the backlog instead of
+    /// through the clock thread, by the zero-delay timer's rule.
     fn start_flow(&mut self, owner: ActorId, spec: FlowSpec) {
+        if spec.size_mb <= 0.0 {
+            if let Some(tx) = self.shared.sender_of(owner) {
+                let msg = M::flow_done(spec.tag, false);
+                tx.push_control(Envelope::Msg { from: owner, msg, trace: self.current_trace });
+            }
+            return;
+        }
         let _ = self.clock_tx.send(ClockCmd::StartFlow { owner, spec });
     }
 
@@ -672,17 +710,8 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
             let now = shared.now();
             match cmd {
                 ClockCmd::Shutdown => shutdown = true,
-                // A timer armed by an actor already gone (killed while it
-                // drained its mailbox) could only ever fire into the void.
-                ClockCmd::Timer { actor, delay, tag } if shared.alive(actor) => {
-                    let tick = wheel.arm(grid(now), delay, (actor, tag));
-                    let ticks = armed.entry(actor).or_default();
-                    ticks.retain(|&t| t > grid(now).0 / tick_us);
-                    ticks.push(tick);
-                }
-                ClockCmd::Timer { .. } => {}
                 ClockCmd::StartFlow { owner, spec } => {
-                    // A degenerate (zero-size) flow completes immediately.
+                    // (`start_flow` completes a zero-size flow itself.)
                     if let Some(done) = flows.start(now, owner, spec) {
                         shared.clock_flow_done(&mut backlog, done);
                     }
@@ -707,6 +736,17 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
         }
 
         let now = shared.now();
+        let new_timers = std::mem::take(&mut *shared.new_timers.lock().unwrap());
+        for NewTimer { actor, at, delay, tag } in new_timers {
+            // A timer armed by an actor already gone (killed while it
+            // drained its mailbox) could only ever fire into the void.
+            if shared.alive(actor) {
+                let tick = wheel.arm(grid(at), delay, (actor, tag));
+                let ticks = armed.entry(actor).or_default();
+                ticks.retain(|&t| t > grid(now).0 / tick_us);
+                ticks.push(tick);
+            }
+        }
         // Retry deliveries parked on full mailboxes.
         if !backlog.is_empty() {
             let pending = std::mem::take(&mut backlog);
@@ -763,6 +803,7 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             hwm_exited: AtomicUsize::new(0),
             machines: RwLock::new(machines),
             clock_tx,
+            new_timers: Mutex::new(Vec::new()),
             metrics: Mutex::new(Metrics::new()),
             tracer: Mutex::new(Tracer::default()),
             hub: Mutex::new(None),
@@ -1303,6 +1344,73 @@ mod tests {
         );
     }
 
+    /// Sends itself three pings, then arms a zero-delay timer; reports each
+    /// handler it runs, and the instant of the timer.
+    struct Backlogged(std::sync::mpsc::Sender<(String, Instant)>);
+    impl Actor<TMsg> for Backlogged {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            for n in 0..3 {
+                ctx.send(ctx.id(), TMsg::Ping(n));
+            }
+            ctx.timer(SimDuration::ZERO, 9);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, msg: TMsg) {
+            let _ = self.0.send((format!("{msg:?}"), Instant::now()));
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, TMsg>, tag: u64) {
+            let _ = self.0.send((format!("timer {tag}"), Instant::now()));
+        }
+    }
+
+    #[test]
+    fn a_zero_delay_timer_fires_after_the_backlog_without_waiting_for_a_tick() {
+        // A one-second wheel: a timer that went through it would wait for
+        // the next edge, up to a second away.
+        let cfg = RuntimeConfig { timer_tick: Duration::from_secs(1), ..two_machine_cfg() };
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(cfg);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let start = Instant::now();
+        rt.spawn(None, Box::new(Backlogged(tx)));
+        let seen: Vec<(String, Instant)> = (0..4)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("handler ran"))
+            .collect();
+        rt.shutdown();
+        let order: Vec<&str> = seen.iter().map(|(what, _)| what.as_str()).collect();
+        assert_eq!(order, ["Ping(0)", "Ping(1)", "Ping(2)", "timer 9"]);
+        let fired_after = seen[3].1 - start;
+        assert!(fired_after < Duration::from_millis(200), "fired {fired_after:?} after start");
+    }
+
+    /// Sends itself a ping, then starts a zero-size flow; reports both.
+    struct EmptyDownload(std::sync::mpsc::Sender<(String, Instant)>);
+    impl Actor<TMsg> for EmptyDownload {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            ctx.send(ctx.id(), TMsg::Ping(0));
+            let kind = fuxi_sim::FlowKind::DiskRead { machine: 0 };
+            ctx.start_flow(FlowSpec { kind, size_mb: 0.0, tag: 4 });
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, msg: TMsg) {
+            let _ = self.0.send((format!("{msg:?}"), Instant::now()));
+        }
+    }
+
+    #[test]
+    fn a_zero_size_flow_completes_behind_the_backlog_at_once() {
+        let cfg = RuntimeConfig { timer_tick: Duration::from_secs(1), ..two_machine_cfg() };
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(cfg);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let start = Instant::now();
+        rt.spawn(Some(0), Box::new(EmptyDownload(tx)));
+        let seen: Vec<(String, Instant)> = (0..2)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("handler ran"))
+            .collect();
+        rt.shutdown();
+        let order: Vec<&str> = seen.iter().map(|(what, _)| what.as_str()).collect();
+        assert_eq!(order, ["Ping(0)", "FlowDone { tag: 4, failed: false }"]);
+        let done_after = seen[1].1 - start;
+        assert!(done_after < Duration::from_millis(200), "done {done_after:?} after start");
+    }
+
     struct Panicker;
     impl Actor<TMsg> for Panicker {
         fn on_start(&mut self, _: &mut Ctx<'_, TMsg>) {
@@ -1335,9 +1443,10 @@ mod tests {
     impl Actor<TMsg> for Gated {
         fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
             for tag in 0..self.flows {
-                // Zero-size: the clock thread owes the completion at once.
+                // A byte: the clock thread owes the completion at its next
+                // turn. (A zero-size flow never reaches the clock.)
                 let kind = fuxi_sim::FlowKind::DiskWrite { machine: 0 };
-                ctx.start_flow(FlowSpec { kind, size_mb: 0.0, tag });
+                ctx.start_flow(FlowSpec { kind, size_mb: 1e-6, tag });
             }
             self.gate.recv().unwrap();
         }

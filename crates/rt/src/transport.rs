@@ -26,7 +26,7 @@
 use fuxi_proto::wire::{
     self, FrameType, Hello, HelloAck, WireError, HEADER_LEN, MAX_FRAME, PROTO_VERSION,
 };
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -45,6 +45,16 @@ pub struct Frame {
 pub trait Transport: Send {
     /// Sends one frame (header + payload).
     fn send(&mut self, frame_type: FrameType, payload: &[u8]) -> Result<(), WireError>;
+
+    /// Sends `frames` in order. Over TCP they leave in one write, so a
+    /// writer that drains its queue pays one system call per burst rather
+    /// than one per frame. On an error, how many of them went is unknown.
+    fn send_batch(&mut self, frames: &[(FrameType, Vec<u8>)]) -> Result<(), WireError> {
+        for (frame_type, payload) in frames {
+            self.send(*frame_type, payload)?;
+        }
+        Ok(())
+    }
 
     /// Blocks for the next frame. `Ok(None)` on orderly close (clean EOF
     /// or `Bye`); unknown frame types are skipped and counted.
@@ -70,12 +80,17 @@ fn lost(e: impl std::fmt::Display) -> WireError {
 // ---------------------------------------------------------------------
 
 fn write_frame(w: &mut impl Write, version: u16, frame_type: u16, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
-        return Err(WireError::FrameTooLarge(payload.len() as u32));
-    }
+    check_size(payload)?;
     let frame = wire::encode_frame(version, frame_type, payload);
     w.write_all(&frame).map_err(lost)?;
     w.flush().map_err(lost)
+}
+
+fn check_size(payload: &[u8]) -> Result<(), WireError> {
+    if payload.len() as u64 > MAX_FRAME as u64 {
+        return Err(WireError::FrameTooLarge(payload.len() as u32));
+    }
+    Ok(())
 }
 
 /// Reads one frame. `Ok(None)` on EOF at a frame boundary; EOF anywhere
@@ -129,6 +144,10 @@ fn read_frame(r: &mut impl Read, expect_version: u16) -> Result<Option<(u16, Vec
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
+    /// The receive side, buffered: one `read` takes in every frame already
+    /// on the socket. Made at the first [`Transport::recv`], so the
+    /// handshake's exact-length reads leave nothing behind in it.
+    reader: Option<BufReader<TcpStream>>,
     peer: String,
     skipped: Arc<AtomicU64>,
 }
@@ -154,7 +173,8 @@ impl TcpTransport {
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".into());
-        let mut t = TcpTransport { stream, peer, skipped: Arc::new(AtomicU64::new(0)) };
+        let skipped = Arc::new(AtomicU64::new(0));
+        let mut t = TcpTransport { stream, reader: None, peer, skipped };
         // The HELLO payload is always encoded at our build's version; the
         // *frame header* carries the claimed version under negotiation.
         let payload = wire::encode_payload(PROTO_VERSION, hello)?;
@@ -192,9 +212,22 @@ impl Transport for TcpTransport {
         write_frame(&mut self.stream, PROTO_VERSION, frame_type as u16, payload)
     }
 
+    fn send_batch(&mut self, frames: &[(FrameType, Vec<u8>)]) -> Result<(), WireError> {
+        let mut out = Vec::with_capacity(frames.iter().map(|(_, p)| HEADER_LEN + p.len()).sum());
+        for (frame_type, payload) in frames {
+            check_size(payload)?;
+            wire::append_frame(PROTO_VERSION, *frame_type as u16, payload, &mut out);
+        }
+        self.stream.write_all(&out).map_err(lost)
+    }
+
     fn recv(&mut self) -> Result<Option<Frame>, WireError> {
+        let reader = match &mut self.reader {
+            Some(reader) => reader,
+            None => self.reader.insert(BufReader::new(self.stream.try_clone().map_err(lost)?)),
+        };
         loop {
-            match read_frame(&mut self.stream, PROTO_VERSION)? {
+            match read_frame(reader, PROTO_VERSION)? {
                 None => return Ok(None),
                 Some((raw_type, payload)) => match FrameType::from_u16(raw_type) {
                     Some(FrameType::Bye) => return Ok(None),
@@ -218,6 +251,7 @@ impl Transport for TcpTransport {
     fn try_clone_box(&self) -> Result<Box<dyn Transport>, WireError> {
         Ok(Box::new(TcpTransport {
             stream: self.stream.try_clone().map_err(lost)?,
+            reader: None,
             peer: self.peer.clone(),
             skipped: Arc::clone(&self.skipped),
         }))
@@ -291,6 +325,7 @@ impl TransportListener {
                 Ok((
                     TcpTransport {
                         stream,
+                        reader: None,
                         peer: format!("{} ({})", hello.node, peer_addr),
                         skipped: Arc::new(AtomicU64::new(0)),
                     },

@@ -168,11 +168,31 @@ impl Actor<Probe> for Child {
     fn on_message(&mut self, _: &mut Ctx<'_, Probe>, _: ActorId, _: Probe) {}
 }
 
+/// Kills itself, then arms a zero-delay timer. An actor that is no longer
+/// registered drops its timers, so `on_timer` must never run.
+struct Quitter {
+    answers: Answers,
+}
+
+impl Actor<Probe> for Quitter {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Probe>) {
+        ctx.kill_self();
+        ctx.timer(SimDuration::ZERO, 0);
+    }
+    fn on_message(&mut self, _: &mut Ctx<'_, Probe>, _: ActorId, _: Probe) {}
+    fn on_timer(&mut self, _: &mut Ctx<'_, Probe>, _: u64) {
+        self.answers.lock().unwrap().push(QUITTER_FIRED.to_owned());
+    }
+}
+
+const QUITTER_FIRED: &str = "a dead actor's zero-delay timer fired";
+
 /// The script: spawn two children on one machine, read the process table
 /// once both have registered, kill one, then ask about both; read the
 /// table again in the next handler (a kill takes effect when the handler
 /// that made it returns); and after the harness has taken the machine
-/// down, ask about the machine and the survivor.
+/// down, ask about the machine and the survivor. A [`Quitter`] runs beside
+/// the script and must add nothing to it.
 struct ProbeActor {
     answers: Answers,
     children: Vec<ActorId>,
@@ -224,6 +244,7 @@ impl Actor<Probe> for ProbeActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Probe>) {
         self.say(format!("self placed on {:?}", ctx.self_machine()));
         self.machine(ctx, "start");
+        ctx.spawn(None, Box::new(Quitter { answers: self.answers.clone() }));
         for meta in [7, 9] {
             let child = ctx.spawn(Some(CHILD_MACHINE), Box::new(Child { parent: ctx.id(), meta }));
             self.children.push(child);
@@ -313,5 +334,6 @@ fn probe_live() -> Vec<String> {
 fn both_engines_answer_the_contract_alike() {
     let sim = probe_sim();
     assert_eq!(sim.last().map(String::as_str), Some("done"));
+    assert!(!sim.iter().any(|a| a == QUITTER_FIRED), "sim: {sim:?}");
     assert_eq!(sim, probe_live());
 }
