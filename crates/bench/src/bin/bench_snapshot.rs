@@ -29,8 +29,8 @@
 
 use criterion::{black_box, Criterion};
 use fuxi_bench::json::{fixed, obj, text, uint, Value};
+use fuxi_bench::tracetool::export_jsonl;
 use fuxi_bench::{scenarios, Args, SyntheticRun};
-use fuxi_sim::obs::export::export_jsonl;
 use fuxi_sim::obs::MetricsPlaneConfig;
 use fuxi_sim::{SimDuration, TracerConfig};
 use fuxi_core::scheduler::{LocalityTree, QueueKey};

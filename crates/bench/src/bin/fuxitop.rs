@@ -8,13 +8,13 @@
 //!     [--addr 127.0.0.1:9464] [--interval 1.0] [--once]
 //! ```
 //!
-//! Polls `GET /json`, parses the cluster view, and redraws a terminal
-//! dashboard: the master rollup line, utilisation, scheduling latency
-//! percentiles, the busiest agents, the jobs with the most pending
-//! instances, and any active SLO alerts. `--once` prints a single frame
-//! without clearing the screen.
+//! Polls `GET /json`, parses it into the `ViewDoc` the endpoint writes,
+//! and redraws a terminal dashboard: the master rollup line, utilisation,
+//! scheduling latency percentiles, the busiest agents, the jobs with the
+//! most pending instances, and any active SLO alerts. `--once` prints a
+//! single frame without clearing the screen.
 
-use serde_json::{value_from_str, Value};
+use fuxi_sim::obs::ViewDoc;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -72,16 +72,6 @@ fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
     Ok(body.to_owned())
 }
 
-/// Numeric coercion over the shim's exact-integer/float split.
-fn num(v: Option<&Value>) -> f64 {
-    match v {
-        Some(Value::UInt(u)) => *u as f64,
-        Some(Value::Int(i)) => *i as f64,
-        Some(Value::Float(f)) => *f,
-        _ => 0.0,
-    }
-}
-
 fn bar(frac: f64, width: usize) -> String {
     let filled = ((frac.clamp(0.0, 1.0)) * width as f64).round() as usize;
     let mut s = String::with_capacity(width);
@@ -91,114 +81,93 @@ fn bar(frac: f64, width: usize) -> String {
     s
 }
 
-fn render(view: &Value, addr: &str) -> String {
-    let s = view.get_field("summary");
-    let f = |k: &str| num(s.and_then(|s| s.get_field(k)));
+fn render(view: &ViewDoc, addr: &str) -> String {
+    let s = &view.summary;
+    let r = &s.rollup;
     let mut out = String::with_capacity(4096);
     out.push_str(&format!(
         "fuxitop — {addr}   epoch {}   agents {}   jobs live {}   reports {}\n",
-        f("master_epoch"),
-        f("agents"),
-        f("jobs_live"),
-        f("reports_received"),
+        r.master_epoch, s.agents, s.jobs_live, s.reports_received,
     ));
     out.push_str(&format!(
         "jobs  {:>6.1}/s   finished {:>8}   submitted {:>8}   instances {:>7.1}/s\n",
-        f("jobs_per_sec"),
-        f("jobs_finished_total") as u64,
-        f("jobs_submitted_total") as u64,
-        f("instances_per_sec"),
+        r.jobs_per_sec, r.jobs_finished_total, r.jobs_submitted_total, s.instances_per_sec,
     ));
     out.push_str(&format!(
         "cpu   [{}] {:5.1}%   mem [{}] {:5.1}%   frag {:4.2}\n",
-        bar(f("util_cpu"), 20),
-        f("util_cpu") * 100.0,
-        bar(f("util_mem"), 20),
-        f("util_mem") * 100.0,
-        f("frag_ratio"),
+        bar(s.util_cpu, 20),
+        s.util_cpu * 100.0,
+        bar(s.util_mem, 20),
+        s.util_mem * 100.0,
+        s.frag_ratio,
     ));
     out.push_str(&format!(
         "sched p50 {:>8.1}us  p95 {:>8.1}us  p99 {:>8.1}us  ({} decisions/win)   \
          waiting {}   pending {} (oldest {:.1}s)\n",
-        f("sched_p50_s") * 1e6,
-        f("sched_p95_s") * 1e6,
-        f("sched_p99_s") * 1e6,
-        f("sched_count_win") as u64,
-        f("waiting_entries") as u64,
-        f("pending_instances") as u64,
-        f("oldest_pending_age_s"),
+        r.sched_p50_s * 1e6,
+        r.sched_p95_s * 1e6,
+        r.sched_p99_s * 1e6,
+        r.sched_count_win,
+        r.waiting_entries,
+        s.pending_instances,
+        s.oldest_pending_age_s,
     ));
-    out.push_str(&format!(
-        "mail  depth {}   hwm {}\n",
-        f("mailbox_depth") as u64,
-        f("mailbox_hwm") as u64
-    ));
+    out.push_str(&format!("mail  depth {}   hwm {}\n", s.mailbox_depth, s.mailbox_hwm));
 
-    let alerts = view.get_field("alerts").and_then(Value::as_array);
-    match alerts {
-        Some(a) if !a.is_empty() => {
-            out.push_str(&format!("\nALERTS ({} active, {} raised total):\n", a.len(), f(
-                "alerts_total"
-            ) as u64));
-            for al in a {
-                out.push_str(&format!(
-                    "  !! {}  value {:.3} over threshold {:.3} since t={:.1}s\n",
-                    al.get_field("rule").and_then(Value::as_str).unwrap_or("?"),
-                    num(al.get_field("value")),
-                    num(al.get_field("threshold")),
-                    num(al.get_field("t_s")),
-                ));
-            }
-        }
-        _ => out.push_str(&format!(
-            "\nno active alerts ({} raised total)\n",
-            f("alerts_total") as u64
-        )),
-    }
-
-    if let Some(agents) = view.get_field("agents").and_then(Value::as_array) {
-        let mut rows: Vec<&Value> = agents.iter().collect();
-        rows.sort_by(|a, b| {
-            num(b.get_field("load")).partial_cmp(&num(a.get_field("load"))).unwrap()
-        });
-        out.push_str(&format!("\nbusiest agents ({} reporting):\n", rows.len()));
-        out.push_str("  machine  workers  used_cpu_m  used_mem_mb    load  starts  exits  launch_fail\n");
-        for a in rows.iter().take(8) {
-            let g = |k: &str| num(a.get_field(k));
+    if view.alerts.is_empty() {
+        out.push_str(&format!("\nno active alerts ({} raised total)\n", s.alerts_total));
+    } else {
+        out.push_str(&format!(
+            "\nALERTS ({} active, {} raised total):\n",
+            view.alerts.len(),
+            s.alerts_total
+        ));
+        for al in &view.alerts {
             out.push_str(&format!(
-                "  a{:<7} {:>7} {:>11} {:>12} {:>7.2} {:>7} {:>6} {:>12}\n",
-                g("machine") as u64,
-                g("workers") as u64,
-                g("used_cpu_milli") as u64,
-                g("used_mem_mb") as u64,
-                g("load"),
-                g("worker_starts") as u64,
-                g("worker_exits") as u64,
-                g("launch_failures") as u64,
+                "  !! {}  value {:.3} over threshold {:.3} since t={:.1}s\n",
+                al.rule.name(),
+                al.value,
+                al.threshold,
+                al.t_s,
             ));
         }
     }
 
-    if let Some(jobs) = view.get_field("jobs").and_then(Value::as_array) {
-        let mut rows: Vec<&Value> = jobs.iter().collect();
-        rows.sort_by_key(|j| std::cmp::Reverse(num(j.get_field("pending_instances")) as u64));
-        out.push_str(&format!("\njobs ({} reporting):\n", rows.len()));
-        out.push_str("  app/job     tasks     instances (run/done/total)  workers  pending\n");
-        for j in rows.iter().take(8) {
-            let g = |k: &str| num(j.get_field(k));
-            out.push_str(&format!(
-                "  {:>4}/{:<5} {:>4}/{:<4}  {:>10}/{:<6}/{:<8} {:>8} {:>8}\n",
-                g("app") as u64,
-                g("job") as u64,
-                g("tasks_finished") as u64,
-                g("tasks_total") as u64,
-                g("instances_running") as u64,
-                g("instances_finished") as u64,
-                g("instances_total") as u64,
-                g("workers_active") as u64,
-                g("pending_instances") as u64,
-            ));
-        }
+    let mut agents: Vec<_> = view.agents.iter().collect();
+    agents.sort_by(|a, b| b.load.total_cmp(&a.load));
+    out.push_str(&format!("\nbusiest agents ({} reporting):\n", agents.len()));
+    out.push_str("  machine  workers  used_cpu_m  used_mem_mb    load  starts  exits  launch_fail\n");
+    for a in agents.iter().take(8) {
+        out.push_str(&format!(
+            "  a{:<7} {:>7} {:>11} {:>12} {:>7.2} {:>7} {:>6} {:>12}\n",
+            a.machine,
+            a.workers,
+            a.used_cpu_milli,
+            a.used_mem_mb,
+            a.load,
+            a.worker_starts,
+            a.worker_exits,
+            a.launch_failures,
+        ));
+    }
+
+    let mut jobs: Vec<_> = view.jobs.iter().collect();
+    jobs.sort_by_key(|j| std::cmp::Reverse(j.pending_instances));
+    out.push_str(&format!("\njobs ({} reporting):\n", jobs.len()));
+    out.push_str("  app/job     tasks     instances (run/done/total)  workers  pending\n");
+    for j in jobs.iter().take(8) {
+        out.push_str(&format!(
+            "  {:>4}/{:<5} {:>4}/{:<4}  {:>10}/{:<6}/{:<8} {:>8} {:>8}\n",
+            j.app,
+            j.job,
+            j.tasks_finished,
+            j.tasks_total,
+            j.instances_running,
+            j.instances_finished,
+            j.instances_total,
+            j.workers_active,
+            j.pending_instances,
+        ));
     }
     out
 }
@@ -207,9 +176,9 @@ fn main() {
     let args = parse_args();
     loop {
         let frame = match http_get(&args.addr, "/json") {
-            Ok(body) => match value_from_str(&body) {
+            Ok(body) => match serde_json::from_str(&body) {
                 Ok(view) => render(&view, &args.addr),
-                Err(e) => format!("fuxitop: bad /json payload: {e:?}\n"),
+                Err(e) => format!("fuxitop: bad /json payload: {e}\n"),
             },
             Err(e) => format!("fuxitop: {} unreachable: {e}\n", args.addr),
         };
@@ -232,7 +201,8 @@ mod tests {
     };
 
     /// A frame rendered from the document the scrape endpoint serves at
-    /// `/json`: two agents, one live job, one active alert, second epoch.
+    /// `/json`, through text: two agents, one live job, one active alert,
+    /// second epoch.
     #[test]
     fn frame_shows_epoch_agents_jobs_and_alerts() {
         let mut v = ClusterView::default();
@@ -251,7 +221,8 @@ mod tests {
             t_s: 9.0,
         }]);
 
-        let doc = value_from_str(&v.to_json()).expect("/json parses");
+        let text = serde_json::to_string(&v.doc()).unwrap();
+        let doc = serde_json::from_str(&text).expect("/json parses");
         let frame = render(&doc, "127.0.0.1:9464");
         let top = frame.lines().next().unwrap();
         assert!(top.contains("epoch 2   agents 2   jobs live 1"), "{top}");

@@ -11,11 +11,11 @@
 //! `chrome_trace.json` (load it in Perfetto / `chrome://tracing`), and
 //! `metrics.json` — and verifies that the failover fired a flight dump.
 
+use fuxi_bench::tracetool;
 use fuxi_cluster::report::print_table;
 use fuxi_cluster::{fault_plan, Cluster, ClusterConfig, FaultRatios, SubmitOpts};
 use fuxi_proto::topology::MachineSpec;
 use fuxi_proto::ResourceVec;
-use fuxi_sim::obs::export;
 use fuxi_sim::SimTime;
 use fuxi_workloads::sortbench::{graysort_job, SortParams};
 use std::collections::BTreeSet;
@@ -96,9 +96,9 @@ fn export_run(c: &Cluster, dir: &str) {
         std::fs::write(&path, contents).expect("write trace export");
         println!("  wrote {path}");
     };
-    write("trace.jsonl", export::export_jsonl(t));
-    write("chrome_trace.json", export::export_chrome_trace(t));
-    write("metrics.json", c.world.metrics().snapshot_json());
+    write("trace.jsonl", tracetool::export_jsonl(t));
+    write("chrome_trace.json", tracetool::export_chrome_trace(t));
+    write("metrics.json", serde_json::to_string(c.world.metrics()).expect("metrics serialize"));
 }
 
 fn main() {

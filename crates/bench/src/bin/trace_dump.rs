@@ -20,7 +20,7 @@ use fuxi_bench::tracetool::{
 fn main() {
     let argv: Vec<String> = std::env::args().collect();
     let mut path: Option<String> = None;
-    let mut only_job: Option<u64> = None;
+    let mut only_job: Option<u32> = None;
     let mut only_failover = false;
     let mut max_events = 30usize;
     let mut i = 1;

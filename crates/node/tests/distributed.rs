@@ -5,6 +5,7 @@
 
 use fuxi_cluster::{ClusterConfig, DeployTopology, SubmitOpts};
 use fuxi_node::LiveNode;
+use fuxi_obs::ViewDoc;
 use fuxi_sim::{ActorId, SimDuration};
 use fuxi_workloads::mapreduce::{null_job, wordcount_job, MapReduceParams};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -256,16 +257,12 @@ fn sigkill() {
     let (head, prom) = http_get(addr, "/metrics").expect("scrape /metrics");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert!(prom.contains("# TYPE fuxi_jobs_per_sec gauge"), "{prom}");
-    let summary_ok = |v: &serde_json::Value| {
-        let reports = v.get_field("summary").and_then(|s| s.get_field("reports_received"));
-        let agents = v.get_field("agents").and_then(serde_json::Value::as_array);
-        matches!(reports, Some(serde_json::Value::UInt(n)) if *n > 0) && agents.is_some_and(|a| !a.is_empty())
-    };
+    let summary_ok = |v: &ViewDoc| v.summary.reports_received > 0 && !v.agents.is_empty();
     let start = Instant::now();
     let json = loop {
         let (head, body) = http_get(addr, "/json").expect("scrape /json");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let v = serde_json::value_from_str(&body).expect("/json parses");
+        let v: ViewDoc = serde_json::from_str(&body).expect("/json parses");
         if summary_ok(&v) || start.elapsed() > Duration::from_secs(10) {
             break (v, body);
         }

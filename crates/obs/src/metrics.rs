@@ -9,10 +9,10 @@
 //! windowed series are not kept here but owned directly by their one
 //! reader (the master's rollup, the cluster view).
 
-use std::collections::HashMap;
-use std::fmt::Write;
+use std::collections::{BTreeMap, HashMap};
 
-use crate::export::json_string;
+use serde::{Deserialize, Serialize};
+
 use crate::window::{Aggregate, Ring};
 
 /// A log-bucketed latency/size histogram with exact count/sum/min/max.
@@ -308,55 +308,60 @@ impl Metrics {
             upsert(&mut self.histograms, k, |mine| mine.merge(h));
         }
     }
-
-    /// A deterministic JSON snapshot of every counter, gauge and histogram
-    /// (count/mean/min/max/p50/p95/p99), keys sorted and escaped. Series
-    /// are summarised by length and time-weighted mean rather than dumped
-    /// point-by-point.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        write_sorted(&mut out, &self.counters, |out, _, v| out.push_str(&v.to_string()));
-        out.push_str("},\"gauges\":{");
-        write_sorted(&mut out, &self.gauges, |out, _, v| out.push_str(&v.to_string()));
-        out.push_str("},\"histograms\":{");
-        write_sorted(&mut out, &self.histograms, |out, _, h| {
-            let _ = write!(
-                out,
-                "{{\"count\":{},\"mean\":{:.9},\"min\":{:.9},\"max\":{:.9},\"p50\":{:.9},\"p95\":{:.9},\"p99\":{:.9}}}",
-                h.count(),
-                h.mean(),
-                h.min(),
-                h.max(),
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            );
-        });
-        out.push_str("},\"series\":{");
-        write_sorted(&mut out, &self.series, |out, k, pts| {
-            let _ = write!(out, "{{\"points\":{},\"mean\":{:.9}}}", pts.len(), self.series_mean(k));
-        });
-        out.push_str("}}");
-        out
-    }
 }
 
-/// Writes `map` as the comma-separated members of a JSON object, keys
-/// sorted and escaped, each value rendered by `value`.
-fn write_sorted<V>(
-    out: &mut String,
-    map: &HashMap<String, V>,
-    mut value: impl FnMut(&mut String, &str, &V),
-) {
-    let mut keys: Vec<&String> = map.keys().collect();
-    keys.sort();
-    for (i, k) in keys.into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// What a [`Metrics`] serializes as: every counter and gauge, each
+/// histogram summarised (count/mean/min/max/p50/p95/p99) and each series
+/// by its length and time-weighted mean, keys sorted so the snapshot is
+/// deterministic.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Snapshot {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, HistogramSummary>,
+    series: BTreeMap<String, SeriesSummary>,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct HistogramSummary {
+    count: u64,
+    mean: f64,
+    min: f64,
+    max: f64,
+    p50: f64,
+    p95: f64,
+    p99: f64,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct SeriesSummary {
+    points: usize,
+    mean: f64,
+}
+
+impl Serialize for Metrics {
+    fn to_value(&self) -> serde::Value {
+        fn sorted<V, T>(map: &HashMap<String, V>, f: impl Fn(&str, &V) -> T) -> BTreeMap<String, T> {
+            map.iter().map(|(k, v)| (k.clone(), f(k, v))).collect()
         }
-        out.push_str(&json_string(k));
-        out.push(':');
-        value(out, k, &map[k]);
+        Snapshot {
+            counters: sorted(&self.counters, |_, &c| c),
+            gauges: sorted(&self.gauges, |_, &g| g),
+            histograms: sorted(&self.histograms, |_, h| HistogramSummary {
+                count: h.count(),
+                mean: h.mean(),
+                min: h.min(),
+                max: h.max(),
+                p50: h.quantile(0.5),
+                p95: h.quantile(0.95),
+                p99: h.quantile(0.99),
+            }),
+            series: sorted(&self.series, |k, pts| SeriesSummary {
+                points: pts.len(),
+                mean: self.series_mean(k),
+            }),
+        }
+        .to_value()
     }
 }
 
@@ -545,23 +550,40 @@ mod tests {
         assert_eq!(h.max(), 0.0);
     }
 
+    /// The snapshot through text and back: every kind of reading, keys
+    /// sorted, and a key that needs escaping intact.
     #[test]
-    fn snapshot_json_is_deterministic_and_complete() {
+    fn snapshot_round_trips_with_sorted_keys() {
         let mut m = Metrics::new();
         m.count("b", 2);
+        m.count("evil\"key\\with\nspecials", 7);
         m.count("a", 1);
         m.gauge_add("g", 1.5);
         m.record("lat", 0.001);
         m.push_series("s", 0.0, 1.0);
         m.push_series("s", 1.0, 3.0);
-        let j = m.snapshot_json();
-        assert_eq!(j, m.snapshot_json(), "snapshot must be deterministic");
-        // Keys sorted: "a" before "b".
-        let ia = j.find("\"a\":1").unwrap();
-        let ib = j.find("\"b\":2").unwrap();
-        assert!(ia < ib);
-        assert!(j.contains("\"lat\":{\"count\":1"));
-        assert!(j.contains("\"s\":{\"points\":2,\"mean\":2.000000000"));
+        let text = serde_json::to_string(&m).unwrap();
+        assert_eq!(text, serde_json::to_string(&m).unwrap(), "snapshot must be deterministic");
+        assert!(text.starts_with(r#"{"counters":{"a":1,"b":2,"evil\"key\\with\nspecials":7},"#), "{text}");
+        let back: Snapshot = serde_json::from_str(&text).unwrap();
+        assert_eq!(back.counters["evil\"key\\with\nspecials"], 7);
+        assert_eq!(back.gauges["g"], 1.5);
+        assert_eq!((back.histograms["lat"].count, back.histograms["lat"].max), (1, 0.001));
+        assert_eq!((back.series["s"].points, back.series["s"].mean), (2, 2.0));
+    }
+
+    /// An infinite gauge is written as `null` and reads back as NaN: the
+    /// snapshot still parses.
+    #[test]
+    fn an_infinite_gauge_still_renders_a_snapshot_that_parses() {
+        let mut m = Metrics::new();
+        m.gauge_add("inf", f64::INFINITY);
+        m.count("c", 1);
+        let text = serde_json::to_string(&m).unwrap();
+        assert!(text.contains(r#""gauges":{"inf":null}"#), "{text}");
+        let back: Snapshot = serde_json::from_str(&text).unwrap();
+        assert!(back.gauges["inf"].is_nan());
+        assert_eq!(back.counters["c"], 1);
     }
 
     /// Exact sample quantile with the same rank convention as
@@ -596,21 +618,6 @@ mod tests {
                 "q={} exact={} est={}", q, exact, est
             );
         }
-    }
-
-    #[test]
-    fn snapshot_json_escapes_keys() {
-        // A key with quotes, backslashes, and control characters must not
-        // break the document (the pre-fix snapshot emitted them raw).
-        let mut m = Metrics::new();
-        m.count("evil\"key\\with\nspecials", 7);
-        m.gauge_add("also\"evil", 1.0);
-        m.record("hist\"key", 0.5);
-        let j = m.snapshot_json();
-        assert!(j.contains("\"evil\\\"key\\\\with\\nspecials\":7"), "{j}");
-        assert!(j.contains("\"also\\\"evil\":1"), "{j}");
-        assert!(j.contains("\"hist\\\"key\":{"), "{j}");
-        assert!(!j.contains("evil\"key"), "raw quote leaked into the JSON");
     }
 
     #[test]

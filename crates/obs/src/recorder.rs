@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use serde::{Deserialize, Serialize};
+
 use crate::trace::{SpanKind, SpanRecord, TraceEvent, TraceId, TraceRecord};
 
 /// Tracer switch.
@@ -70,21 +72,32 @@ impl FlightRing {
 }
 
 /// A flight-recorder dump: the frozen contents of every actor's ring at
-/// the moment a trigger fired.
-#[derive(Debug, Clone)]
+/// the moment a trigger fired. A `"kind":"dump"` line of the trace file,
+/// so one line is a self-contained forensic record.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename = "dump")]
 pub struct FlightDump {
     /// Simulated time of the trigger, seconds.
     pub t_s: f64,
     /// What fired it ("master_failover", "node_down_storm", "invariant").
     pub reason: &'static str,
-    /// Ring contents per actor, oldest-first, sorted by actor id.
-    pub rings: Vec<(u32, Vec<TraceRecord>)>,
+    /// Ring contents per actor, sorted by actor id.
+    pub rings: Vec<RingDump>,
+}
+
+/// One actor's frozen flight ring inside a [`FlightDump`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RingDump {
+    /// The actor whose ring this is.
+    pub actor: u32,
+    /// Its records, oldest-first.
+    pub events: Vec<TraceRecord>,
 }
 
 impl FlightDump {
     /// Total events across all dumped rings.
     pub fn total_events(&self) -> usize {
-        self.rings.iter().map(|(_, r)| r.len()).sum()
+        self.rings.iter().map(|r| r.events.len()).sum()
     }
 }
 
@@ -176,13 +189,13 @@ impl Tracer {
         if !self.cfg.enabled {
             return;
         }
-        let mut rings: Vec<(u32, Vec<TraceRecord>)> = self
+        let mut rings: Vec<RingDump> = self
             .rings
             .iter()
             .filter(|(_, r)| !r.is_empty())
-            .map(|(&a, r)| (a, r.iter().copied().collect()))
+            .map(|(&actor, r)| RingDump { actor, events: r.iter().copied().collect() })
             .collect();
-        rings.sort_by_key(|&(a, _)| a);
+        rings.sort_by_key(|r| r.actor);
         let dump = FlightDump { t_s, reason, rings };
         let total = dump.total_events() as u32;
         self.dumps.push(dump);
@@ -303,6 +316,21 @@ mod tests {
         t.span(1.0, 1, TraceId::NONE, SpanKind::SchedDecision, 1e-6);
         t.dump(1.0, "invariant");
         assert!(t.records.is_empty() && t.spans.is_empty() && t.dumps.is_empty());
+    }
+
+    #[test]
+    fn absorb_merges_and_sorts_streams() {
+        let mut a = Tracer::new(TracerConfig::default());
+        a.record(0.5, 3, TraceId::from_job(0), ev(1));
+        a.span(0.6, 3, TraceId::from_job(0), SpanKind::SchedDecision, 12e-6);
+        let mut b = Tracer::new(TracerConfig::default());
+        b.record(0.1, 9, TraceId::NONE, ev(2));
+        b.span(0.2, 9, TraceId::NONE, SpanKind::SchedDecision, 5e-6);
+        a.absorb(b);
+        assert_eq!(a.records.len(), 2);
+        assert_eq!(a.spans.len(), 2);
+        assert!(a.records.windows(2).all(|w| w[0].t_s <= w[1].t_s));
+        assert!(a.spans.windows(2).all(|w| w[0].t_s <= w[1].t_s));
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //!
 //! [`ClusterView`]: crate::view::ClusterView
 
+use serde::{Deserialize, Serialize};
+
 use crate::view::ClusterView;
 
-/// The rules the watchdog knows how to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The rules the watchdog knows how to evaluate. Serialized as
+/// [`SloRuleKind::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum SloRuleKind {
     /// Scheduling-decision p99 over the retained windows, seconds.
     SchedP99,
@@ -69,8 +73,9 @@ const FRAG_RATIO: f64 = 0.95;
 /// Breach when the sampled live mailbox backlog exceeds this depth.
 const MAILBOX_DEPTH: u64 = 6144;
 
-/// One edge-triggered alert transition.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One edge-triggered alert transition (an active one is an `alerts` row
+/// of the `/json` document).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SloAlert {
     /// Which rule transitioned.
     pub rule: SloRuleKind,
@@ -183,6 +188,13 @@ mod tests {
         assert_eq!(cleared.len(), 1);
         assert!(!cleared[0].raised);
         assert!(!wd.is_active(SloRuleKind::PendingAge));
+    }
+
+    #[test]
+    fn rules_serialize_as_their_names() {
+        for rule in SloRuleKind::ALL {
+            assert_eq!(serde::Serialize::to_value(&rule), serde::Value::Str(rule.name().into()));
+        }
     }
 
     #[test]

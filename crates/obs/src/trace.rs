@@ -2,14 +2,17 @@
 //!
 //! Events are a `Copy` enum — recording one is a ring-buffer write, no
 //! heap allocation, no string formatting. Strings only appear at export
-//! time.
+//! time: the derives below declare each record's JSON object (one line of
+//! the trace file `fuxi_bench::tracetool` writes and reads).
 
 use std::fmt;
+
+use serde::{Deserialize, Serialize};
 
 /// Causal identifier minted at job submission and propagated along every
 /// downstream message. `0` means "no causal context" (periodic timers,
 /// infrastructure chatter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct TraceId(pub u64);
 
 impl TraceId {
@@ -44,9 +47,12 @@ impl fmt::Display for TraceId {
     }
 }
 
-/// One structured event. Field types are raw integers so the crate stays
-/// dependency-free; the protocol layer converts its newtypes at call sites.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One structured event. Field types are raw integers so the crate needs
+/// no protocol types; the protocol layer converts its newtypes at call
+/// sites. Serialized as the [`TraceEvent::name`] under `"event"` beside
+/// the payload fields.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "event", rename_all = "snake_case")]
 pub enum TraceEvent {
     /// Client submission reached the FuxiMaster (trace minted here).
     JobSubmitted {
@@ -173,7 +179,9 @@ pub enum TraceEvent {
     },
     /// A FuxiMaster won the election lock.
     MasterElected {
-        /// The master's actor id.
+        /// The master's actor id (`"master"`: a record already has an
+        /// `"actor"` key, and JSON duplicates are undefined).
+        #[serde(rename = "master")]
         actor: u32,
         /// `true` when it inherited jobs from a previous primary (failover).
         failover: bool,
@@ -181,6 +189,7 @@ pub enum TraceEvent {
     /// A primary lost its lease.
     MasterLockLost {
         /// The master's actor id.
+        #[serde(rename = "master")]
         actor: u32,
     },
     /// Failover soft-state rebuild window opened.
@@ -243,112 +252,12 @@ impl TraceEvent {
             TraceEvent::SloAlert { .. } => "slo_alert",
         }
     }
-
-    /// Appends the event's fields as JSON object members (`,"k":v...`) —
-    /// shared by the JSONL and Chrome exporters.
-    pub fn write_json_fields(&self, out: &mut String) {
-        use std::fmt::Write;
-        match *self {
-            TraceEvent::JobSubmitted { job, app } => {
-                let _ = write!(out, ",\"job\":{job},\"app\":{app}");
-            }
-            TraceEvent::JmLaunchRequested { app, machine }
-            | TraceEvent::JmStarted { app, machine }
-            | TraceEvent::JmExited { app, machine } => {
-                let _ = write!(out, ",\"app\":{app},\"machine\":{machine}");
-            }
-            TraceEvent::Grant {
-                app,
-                unit,
-                machine,
-                count,
-            }
-            | TraceEvent::Revoke {
-                app,
-                unit,
-                machine,
-                count,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"app\":{app},\"unit\":{unit},\"machine\":{machine},\"count\":{count}"
-                );
-            }
-            TraceEvent::RequestApplied { app, deltas } => {
-                let _ = write!(out, ",\"app\":{app},\"deltas\":{deltas}");
-            }
-            TraceEvent::WorkerLaunchRequested { app, worker, machine }
-            | TraceEvent::WorkerStarted { app, worker, machine } => {
-                let _ = write!(out, ",\"app\":{app},\"worker\":{worker},\"machine\":{machine}");
-            }
-            TraceEvent::WorkerExited {
-                app,
-                worker,
-                machine,
-                reason,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"app\":{app},\"worker\":{worker},\"machine\":{machine},\"reason\":\"{reason}\""
-                );
-            }
-            TraceEvent::InstanceAssigned {
-                instance,
-                attempt,
-                worker,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"instance\":{instance},\"attempt\":{attempt},\"worker\":{worker}"
-                );
-            }
-            TraceEvent::InstanceFinished {
-                instance,
-                attempt,
-                ok,
-            } => {
-                let _ = write!(out, ",\"instance\":{instance},\"attempt\":{attempt},\"ok\":{ok}");
-            }
-            TraceEvent::JobFinished { job, app, success } => {
-                let _ = write!(out, ",\"job\":{job},\"app\":{app},\"success\":{success}");
-            }
-            TraceEvent::NodeDown { machine } | TraceEvent::NodeUp { machine } => {
-                let _ = write!(out, ",\"machine\":{machine}");
-            }
-            // "master", not "actor": the enclosing record line already has
-            // a top-level "actor" key and JSON duplicates are undefined.
-            TraceEvent::MasterElected { actor, failover } => {
-                let _ = write!(out, ",\"master\":{actor},\"failover\":{failover}");
-            }
-            TraceEvent::MasterLockLost { actor } => {
-                let _ = write!(out, ",\"master\":{actor}");
-            }
-            TraceEvent::RebuildStarted { jobs } => {
-                let _ = write!(out, ",\"jobs\":{jobs}");
-            }
-            TraceEvent::RebuildDone { apps_seen, capped } => {
-                let _ = write!(out, ",\"apps_seen\":{apps_seen},\"capped\":{capped}");
-            }
-            TraceEvent::FlightDumped { reason, events } => {
-                let _ = write!(out, ",\"reason\":\"{reason}\",\"events\":{events}");
-            }
-            TraceEvent::SloAlert {
-                rule,
-                raised,
-                value,
-                threshold,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"rule\":\"{rule}\",\"raised\":{raised},\"value\":{value},\"threshold\":{threshold}"
-                );
-            }
-        }
-    }
 }
 
-/// One recorded event: when, who, under which causal chain, what.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One recorded event: when, who, under which causal chain, what. One
+/// `"kind":"event"` line of the trace file, the event's fields inline.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename = "event")]
 pub struct TraceRecord {
     /// Simulated time, seconds.
     pub t_s: f64,
@@ -357,13 +266,15 @@ pub struct TraceRecord {
     /// Causal trace id (0 = none).
     pub trace: TraceId,
     /// What happened.
+    #[serde(flatten)]
     pub event: TraceEvent,
 }
 
 /// What a timed span covers. Spans measure *wall-clock* cost of real
 /// computation (the natively executing scheduler) at a *simulated*
 /// timestamp — the pairing behind the paper's Figure 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
 pub enum SpanKind {
     /// One scheduler decision pass (request delta, free-up, node event).
     SchedDecision,
@@ -390,8 +301,9 @@ impl SpanKind {
     }
 }
 
-/// One completed span.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One completed span: a `"kind":"span"` line of the trace file.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename = "span")]
 pub struct SpanRecord {
     /// Simulated time the span was recorded, seconds.
     pub t_s: f64,
@@ -400,6 +312,7 @@ pub struct SpanRecord {
     /// Causal trace id active when the span ran (0 = none).
     pub trace: TraceId,
     /// What it covers.
+    #[serde(rename = "span")]
     pub kind: SpanKind,
     /// Measured wall-clock duration, seconds.
     pub wall_s: f64,
@@ -422,27 +335,5 @@ mod tests {
     fn events_are_compact() {
         // The hot-path record must stay one cache line: no heap anywhere.
         assert!(std::mem::size_of::<TraceRecord>() <= 64);
-    }
-
-    #[test]
-    fn json_fields_render() {
-        let mut s = String::new();
-        TraceEvent::Grant {
-            app: 1,
-            unit: 2,
-            machine: 3,
-            count: 4,
-        }
-        .write_json_fields(&mut s);
-        assert_eq!(s, ",\"app\":1,\"unit\":2,\"machine\":3,\"count\":4");
-        let mut s = String::new();
-        TraceEvent::WorkerExited {
-            app: 9,
-            worker: 8,
-            machine: 7,
-            reason: "crashed",
-        }
-        .write_json_fields(&mut s);
-        assert!(s.contains("\"reason\":\"crashed\""));
     }
 }

@@ -20,7 +20,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::export::json_string;
+use serde::{Deserialize, Serialize};
+
 use crate::slo::SloAlert;
 use crate::window::WindowRing;
 
@@ -47,7 +48,7 @@ impl Default for MetricsPlaneConfig {
 /// One agent's status snapshot, pushed on the heartbeat cadence.
 /// Counters (`worker_starts`, `worker_exits`, `launch_failures`) are
 /// cumulative since agent start.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct AgentReport {
     /// Machine index of the reporting agent.
     pub machine: u32,
@@ -75,7 +76,7 @@ pub struct AgentReport {
 
 /// One job's progress snapshot, pushed by its JobMaster on the
 /// housekeeping cadence. Instance counters are cumulative.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct JobReport {
     /// Owning application id.
     pub app: u32,
@@ -100,7 +101,7 @@ pub struct JobReport {
 }
 
 /// The wire payload of the in-band metrics channel.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum MetricsReport {
     /// From a FuxiAgent.
     Agent(AgentReport),
@@ -110,7 +111,7 @@ pub enum MetricsReport {
 
 /// Scheduler-derived readings the master computes itself each window and
 /// folds into the view alongside the pushed reports.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct MasterRollup {
     /// Rollup time, seconds.
     pub t_s: f64,
@@ -294,96 +295,32 @@ impl ClusterView {
         (cpu, mem)
     }
 
-    /// Full JSON document: a summary object, per-agent rows, per-job rows,
-    /// and active alerts. Served by the scrape endpoint at `/json`.
-    pub fn to_json(&self) -> String {
-        let r = &self.rollup;
-        let (used_cpu, used_mem) = self.used();
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\"summary\":{");
-        push_kv(&mut s, "t_s", &fmt_f(r.t_s));
-        push_kv(&mut s, "jobs_per_sec", &fmt_f(r.jobs_per_sec));
-        push_kv(&mut s, "jobs_submitted_total", &r.jobs_submitted_total.to_string());
-        push_kv(&mut s, "jobs_finished_total", &r.jobs_finished_total.to_string());
-        push_kv(&mut s, "instances_per_sec", &fmt_f(self.instances_per_sec));
-        push_kv(&mut s, "util_cpu", &fmt_f(self.util_cpu));
-        push_kv(&mut s, "util_mem", &fmt_f(self.util_mem));
-        push_kv(&mut s, "used_cpu_milli", &used_cpu.to_string());
-        push_kv(&mut s, "used_mem_mb", &used_mem.to_string());
-        push_kv(&mut s, "sched_p50_s", &fmt_f(r.sched_p50_s));
-        push_kv(&mut s, "sched_p95_s", &fmt_f(r.sched_p95_s));
-        push_kv(&mut s, "sched_p99_s", &fmt_f(r.sched_p99_s));
-        push_kv(&mut s, "sched_count_win", &r.sched_count_win.to_string());
-        push_kv(&mut s, "waiting_entries", &r.waiting_entries.to_string());
-        push_kv(&mut s, "pending_instances", &self.pending_instances.to_string());
-        push_kv(&mut s, "oldest_pending_age_s", &fmt_f(self.oldest_pending_age_s));
-        push_kv(&mut s, "frag_ratio", &fmt_f(self.frag_ratio));
-        push_kv(&mut s, "free_mem_mb", &r.free_mem_mb.to_string());
-        push_kv(&mut s, "mailbox_depth", &self.mailbox_depth.to_string());
-        push_kv(&mut s, "mailbox_hwm", &self.mailbox_hwm.to_string());
-        push_kv(&mut s, "master_epoch", &r.master_epoch.to_string());
-        push_kv(&mut s, "agents", &self.agents.len().to_string());
-        push_kv(&mut s, "jobs_live", &self.jobs.len().to_string());
-        push_kv(&mut s, "alerts_active", &self.alerts.len().to_string());
-        push_kv(&mut s, "alerts_total", &self.alerts_total.to_string());
-        push_kv(&mut s, "reports_received", &self.reports_received.to_string());
-        s.pop(); // trailing comma
-        s.push_str("},\"agents\":[");
-        for (i, a) in self.agents.values().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            push_kv(&mut s, "machine", &a.machine.to_string());
-            push_kv(&mut s, "t_s", &fmt_f(a.t_s));
-            push_kv(&mut s, "used_cpu_milli", &a.used_cpu_milli.to_string());
-            push_kv(&mut s, "used_mem_mb", &a.used_mem_mb.to_string());
-            push_kv(&mut s, "total_cpu_milli", &a.total_cpu_milli.to_string());
-            push_kv(&mut s, "total_mem_mb", &a.total_mem_mb.to_string());
-            push_kv(&mut s, "workers", &a.workers.to_string());
-            push_kv(&mut s, "worker_starts", &a.worker_starts.to_string());
-            push_kv(&mut s, "worker_exits", &a.worker_exits.to_string());
-            push_kv(&mut s, "launch_failures", &a.launch_failures.to_string());
-            push_kv(&mut s, "load", &fmt_f(a.load));
-            s.pop();
-            s.push('}');
+    /// The document the scrape endpoint serves at `/json`.
+    pub fn doc(&self) -> ViewDoc {
+        let (used_cpu_milli, used_mem_mb) = self.used();
+        ViewDoc {
+            summary: ViewSummary {
+                rollup: self.rollup,
+                instances_per_sec: self.instances_per_sec,
+                util_cpu: self.util_cpu,
+                util_mem: self.util_mem,
+                used_cpu_milli,
+                used_mem_mb,
+                pending_instances: self.pending_instances,
+                oldest_pending_age_s: self.oldest_pending_age_s,
+                frag_ratio: self.frag_ratio,
+                mailbox_depth: self.mailbox_depth,
+                mailbox_hwm: self.mailbox_hwm,
+                agents: self.agents.len() as u64,
+                jobs_live: self.jobs.len() as u64,
+                alerts_active: self.alerts.len() as u64,
+                alerts_total: self.alerts_total,
+                reports_received: self.reports_received,
+            },
+            agents: self.agents.values().copied().collect(),
+            jobs: self.jobs.values().copied().collect(),
+            alerts: self.alerts.clone(),
         }
-        s.push_str("],\"jobs\":[");
-        for (i, j) in self.jobs.values().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            push_kv(&mut s, "app", &j.app.to_string());
-            push_kv(&mut s, "job", &j.job.to_string());
-            push_kv(&mut s, "t_s", &fmt_f(j.t_s));
-            push_kv(&mut s, "tasks_total", &j.tasks_total.to_string());
-            push_kv(&mut s, "tasks_finished", &j.tasks_finished.to_string());
-            push_kv(&mut s, "instances_total", &j.instances_total.to_string());
-            push_kv(&mut s, "instances_running", &j.instances_running.to_string());
-            push_kv(&mut s, "instances_finished", &j.instances_finished.to_string());
-            push_kv(&mut s, "workers_active", &j.workers_active.to_string());
-            push_kv(&mut s, "pending_instances", &j.pending_instances.to_string());
-            s.pop();
-            s.push('}');
-        }
-        s.push_str("],\"alerts\":[");
-        for (i, a) in self.alerts.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('{');
-            s.push_str("\"rule\":");
-            s.push_str(&json_string(a.rule.name()));
-            s.push(',');
-            push_kv(&mut s, "value", &fmt_f(a.value));
-            push_kv(&mut s, "threshold", &fmt_f(a.threshold));
-            push_kv(&mut s, "t_s", &fmt_f(a.t_s));
-            s.pop();
-            s.push('}');
-        }
-        s.push_str("]}");
-        s
     }
 
     /// Prometheus text exposition of the rollup. Served at `/metrics`.
@@ -498,11 +435,58 @@ fn fmt_f(v: f64) -> String {
     }
 }
 
-fn push_kv(s: &mut String, key: &str, val: &str) {
-    s.push_str(&json_string(key));
-    s.push(':');
-    s.push_str(val);
-    s.push(',');
+/// The `/json` document: the scrape endpoint writes it and `fuxitop` and
+/// the scraping tests read it back, all through this one type. A
+/// non-finite reading is written as `null` and reads back as NaN.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+pub struct ViewDoc {
+    /// Cluster-wide readings.
+    pub summary: ViewSummary,
+    /// The latest report of every agent, by machine.
+    pub agents: Vec<AgentReport>,
+    /// The latest report of every live job, by job id.
+    pub jobs: Vec<JobReport>,
+    /// Active alerts.
+    pub alerts: Vec<SloAlert>,
+}
+
+/// The `summary` object of a [`ViewDoc`]: the master's last rollup, inline,
+/// and the view's readings (see [`ClusterView`] for each).
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct ViewSummary {
+    /// The master's readings from its last rollup.
+    #[serde(flatten)]
+    pub rollup: MasterRollup,
+    /// Instances finished per second.
+    pub instances_per_sec: f64,
+    /// Planned-over-capacity CPU.
+    pub util_cpu: f64,
+    /// Planned-over-capacity memory.
+    pub util_mem: f64,
+    /// CPU in use, summed over agent reports.
+    pub used_cpu_milli: u64,
+    /// Memory in use, summed over agent reports.
+    pub used_mem_mb: u64,
+    /// Pending instances over all reporting jobs.
+    pub pending_instances: u64,
+    /// Age of the oldest continuously-pending job, seconds.
+    pub oldest_pending_age_s: f64,
+    /// Stranded fraction of free memory.
+    pub frag_ratio: f64,
+    /// Sampled live mailbox backlog.
+    pub mailbox_depth: u64,
+    /// Live mailbox high-water mark.
+    pub mailbox_hwm: u64,
+    /// Agents with a report in the view.
+    pub agents: u64,
+    /// Jobs with a report in the view.
+    pub jobs_live: u64,
+    /// Alerts raised and not yet cleared.
+    pub alerts_active: u64,
+    /// Raise transitions since cluster start.
+    pub alerts_total: u64,
+    /// Reports ingested since cluster start.
+    pub reports_received: u64,
 }
 
 /// Shared handle to the cluster's [`ClusterView`]. Cheap to clone; the
@@ -645,12 +629,59 @@ mod tests {
         assert!(prom.contains("fuxi_jobs_per_sec 1.500000"));
         assert!(prom.contains("fuxi_util_cpu 0.500000"));
         assert!(prom.contains("fuxi_agent_workers{machine=\"3\"} 4"));
-        let json = v.to_json();
-        assert!(json.contains("\"jobs_per_sec\":1.500000"));
-        assert!(json.contains("\"machine\":3"));
-        assert!(json.contains("\"pending_instances\":3"));
+        let doc = v.doc();
+        assert_eq!(doc.summary.rollup.jobs_per_sec, 1.5);
+        assert_eq!((doc.summary.agents, doc.agents[0].machine), (1, 3));
+        assert_eq!((doc.summary.pending_instances, doc.jobs[0].pending_instances), (3, 3));
         let hub = MetricsHub::default();
         hub.update(|view| *view = v.clone());
-        assert_eq!(hub.snapshot().to_json(), json);
+        assert_eq!(hub.snapshot().doc(), doc);
+    }
+
+    fn agent(machine: u32, load: f64) -> MetricsReport {
+        let used_mem_mb = 1024 * u64::from(machine);
+        MetricsReport::Agent(AgentReport { machine, load, used_mem_mb, ..AgentReport::default() })
+    }
+
+    /// The `/json` document: two agents, a job and an alert, through text
+    /// and back to the typed document.
+    #[test]
+    fn view_doc_round_trips_through_text() {
+        let mut v = ClusterView::default();
+        v.apply_report(0.5, &agent(3, 0.25));
+        v.apply_report(0.5, &agent(7, 1.5));
+        v.apply_report(0.6, &job_report(42, 2, 5));
+        v.apply_rollup(MasterRollup { t_s: 9.0, master_epoch: 2, jobs_per_sec: 0.1, ..MasterRollup::default() });
+        v.apply_alerts(&[SloAlert {
+            rule: crate::SloRuleKind::PendingAge,
+            raised: true,
+            value: 8.4,
+            threshold: 4.0,
+            t_s: 9.0,
+        }]);
+        let doc = v.doc();
+        let text = serde_json::to_string(&doc).unwrap();
+        assert!(text.starts_with(r#"{"summary":{"t_s":9.0,"#), "{text}");
+        assert!(text.contains(r#""alerts":[{"rule":"pending_age","#), "{text}");
+        let back: ViewDoc = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, doc);
+        assert_eq!((back.agents.len(), back.jobs.len(), back.alerts.len()), (2, 1, 1));
+        assert_eq!(back.summary.used_mem_mb, 10 * 1024);
+    }
+
+    /// A non-finite reading is written as `null` (JSON has no NaN) and
+    /// read back as NaN: the writer does not clamp, the reader tolerates.
+    #[test]
+    fn a_nan_reading_still_renders_a_document_that_parses() {
+        let mut v = ClusterView::default();
+        v.apply_report(0.5, &agent(3, f64::NAN));
+        v.apply_rollup(MasterRollup { t_s: 1.0, jobs_per_sec: f64::INFINITY, ..MasterRollup::default() });
+        let text = serde_json::to_string(&v.doc()).unwrap();
+        assert!(text.contains(r#""load":null"#) && text.contains(r#""jobs_per_sec":null"#), "{text}");
+        let back: ViewDoc = serde_json::from_str(&text).unwrap();
+        assert!(back.agents[0].load.is_nan() && back.summary.rollup.jobs_per_sec.is_nan());
+        assert_eq!(back.agents[0].machine, 3);
+        let without_load = text.replace(r#","load":null"#, "");
+        assert!(serde_json::from_str::<ViewDoc>(&without_load).is_err(), "a missing reading is no NaN");
     }
 }

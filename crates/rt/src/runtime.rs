@@ -851,22 +851,9 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         self.send_external_traced(to, msg, TraceId::NONE);
     }
 
-    /// Delivers a message that arrived from a peer process, preserving the
-    /// remote sender's address. The node supervisor's inbound path.
-    pub fn route_in(&self, from: ActorId, to: ActorId, msg: M) {
-        self.shared.metrics.lock().unwrap().count("net.remote_in", 1);
-        let _ = self.shared.push_envelope(
-            to,
-            Envelope::Msg {
-                from,
-                msg,
-                trace: TraceId::NONE,
-            },
-        );
-    }
-
-    /// A detached [`LiveRuntime::route_in`] handle the node supervisor's
-    /// reader threads can own without borrowing the runtime.
+    /// Delivers messages that arrived from a peer process, preserving the
+    /// remote sender's address: the node supervisor's inbound path, as a
+    /// handle its reader threads can own without borrowing the runtime.
     pub fn remote_injector(&self) -> Arc<dyn Fn(ActorId, ActorId, M) + Send + Sync> {
         let shared = Arc::clone(&self.shared);
         Arc::new(move |from, to, msg| {
@@ -944,11 +931,6 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
     /// starts feeding the view's `mailbox_depth`/`mailbox_hwm` fields.
     pub fn attach_hub(&self, hub: fuxi_obs::MetricsHub) {
         *self.shared.hub.lock().unwrap() = Some(hub);
-    }
-
-    /// First actor id this runtime assigns.
-    pub fn actor_base(&self) -> u32 {
-        self.shared.cfg.actor_base
     }
 
     /// Installs the outbound path for messages addressed outside this

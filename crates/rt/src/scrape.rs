@@ -1,4 +1,4 @@
-//! A dependency-free HTTP scrape endpoint over `std::net`.
+//! An HTTP scrape endpoint over plain `std::net`.
 //!
 //! One listener thread accepts connections; each request is answered from
 //! a [`MetricsHub`] snapshot and the connection closed (`Connection:
@@ -6,8 +6,8 @@
 //! both reconnect per poll). Routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition of the cluster view;
-//! * `GET /json` — the full [`fuxi_obs::ClusterView`] as JSON (agents,
-//!   jobs, active alerts);
+//! * `GET /json` — the view's [`fuxi_obs::ViewDoc`] (summary, agents,
+//!   jobs, active alerts), written by `serde_json`;
 //! * anything else — `404`.
 //!
 //! The server holds no locks while writing to sockets: it snapshots the
@@ -68,7 +68,10 @@ fn handle(hub: MetricsHub, mut stream: TcpStream) {
             "text/plain; version=0.0.4; charset=utf-8",
             view.to_prometheus(),
         ),
-        "/json" => ("200 OK", "application/json", view.to_json()),
+        "/json" => {
+            let doc = serde_json::to_string(&view.doc()).expect("the view document serializes");
+            ("200 OK", "application/json", doc)
+        }
         _ => (
             "404 Not Found",
             "text/plain; charset=utf-8",
@@ -113,7 +116,8 @@ mod tests {
 
         let (head, body) = get(addr, "/json");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        assert!(body.contains("\"jobs_finished_total\":4"), "{body}");
+        let doc: fuxi_obs::ViewDoc = serde_json::from_str(&body).expect("/json parses");
+        assert_eq!(doc.summary.rollup.jobs_finished_total, 4);
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");

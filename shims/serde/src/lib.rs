@@ -19,6 +19,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Mutex;
 
 /// The serialized form: a JSON-shaped value tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,17 +187,30 @@ macro_rules! int_impl {
 
 int_impl!(i8, i16, i32, i64, isize);
 
+impl Serialize for f64 {
+    fn to_value(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+impl Serialize for f32 {
+    /// The `f64` nearest the shortest decimal that reads back as `self`
+    /// (`0.1f32` renders as `0.1`, not `0.10000000149011612`), as real
+    /// serde_json writes an `f32`.
+    fn to_value(&self) -> Value {
+        Value::Float(self.to_string().parse().expect("an f32 prints as a number"))
+    }
+}
+
+// JSON has no NaN or infinity, so a non-finite float renders as `null`;
+// reading `null` back as a float gives NaN, so such a document still parses.
 macro_rules! float_impl {
     ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
-            }
-        }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
                 match *v {
                     Value::Float(f) => Ok(f as $t),
+                    Value::Null => Ok(<$t>::NAN),
                     Value::UInt(n) => Ok(n as $t),
                     Value::Int(n) => Ok(n as $t),
                     ref other => Err(DeError::custom(format_args!(
@@ -236,6 +250,22 @@ impl Deserialize for String {
         v.as_str()
             .map(str::to_owned)
             .ok_or_else(|| DeError::custom("expected string"))
+    }
+}
+
+/// A `&'static str` (the tracer's reason and rule labels) reads back
+/// interned: each distinct text is leaked once per process.
+impl Deserialize for &'static str {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+        let s = v.as_str().ok_or_else(|| DeError::custom("expected string"))?;
+        let mut interned = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(&known) = interned.get(s) {
+            return Ok(known);
+        }
+        let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
+        interned.insert(leaked);
+        Ok(leaked)
     }
 }
 
@@ -508,6 +538,26 @@ mod tests {
         let t = (1u32, -2i64, 0.5f64);
         let back: (u32, i64, f64) = Deserialize::from_value(&t.to_value()).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn f32_keeps_its_shortest_digits() {
+        assert_eq!(0.1f32.to_value(), Value::Float(0.1));
+        assert_eq!(f32::from_value(&0.1f32.to_value()).unwrap(), 0.1f32);
+    }
+
+    #[test]
+    fn null_reads_back_as_nan() {
+        assert!(f64::from_value(&Value::Null).unwrap().is_nan());
+        assert!(f32::from_value(&Value::Null).unwrap().is_nan());
+    }
+
+    #[test]
+    fn static_strs_are_interned() {
+        let a = <&'static str>::from_value(&Value::Str("killed".into())).unwrap();
+        let b = <&'static str>::from_value(&Value::Str("killed".into())).unwrap();
+        assert_eq!(a, "killed");
+        assert!(std::ptr::eq(a, b), "one leak per distinct text");
     }
 
     #[test]

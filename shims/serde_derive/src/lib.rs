@@ -10,14 +10,24 @@
 //! - enums with unit variants (serialized as strings), newtype variants and
 //!   struct variants (single-key objects), matching real serde's externally
 //!   tagged JSON convention
+//! - internally tagged enums (`tag = "..."`) of unit and struct variants:
+//!   one object, the variant name under the tag key beside its fields
+//! - untagged enums of newtype variants: the inner value as is; reading
+//!   takes the first variant that accepts it
 //!
-//! Container attributes: `rename_all = "PascalCase"`, `deny_unknown_fields`.
-//! Field attributes: `rename = "..."`, `default`, `default = "path"`,
-//! `skip_serializing_if = "path"`.
+//! Container attributes: `rename_all = "PascalCase"` (struct fields) or
+//! `"snake_case"` (enum variants), `deny_unknown_fields`, `tag = "..."`
+//! (on a struct: the struct's name, or its `rename`, under that key),
+//! `rename = "..."`, `untagged`.
+//! Field attributes (struct and struct-variant fields): `rename = "..."`,
+//! `default`, `default = "path"`, `skip_serializing_if = "path"`, `flatten`
+//! (the field's object members are spliced into the parent; `None`
+//! splices nothing).
 //!
-//! Missing fields with no `default` fall back to deserializing from `Null`,
-//! which makes `Option<T>` fields tolerate absence (as real serde does) while
-//! still producing a "missing field" error for required scalar fields.
+//! A missing field with no `default` reads as `None` when its type is
+//! written `Option<...>` (as real serde does) and is a "missing field"
+//! error otherwise — also for a float, which reads an explicit `null` as
+//! NaN.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -30,19 +40,33 @@ struct FieldAttrs {
     rename: Option<String>,
     default: Option<Option<String>>, // None = no default; Some(None) = Default::default; Some(Some(p)) = path
     skip_serializing_if: Option<String>,
+    flatten: bool,
 }
 
 #[derive(Debug)]
 struct Field {
     ident: String,
     attrs: FieldAttrs,
+    /// The field's type is written `Option<...>`.
+    optional: bool,
+}
+
+impl Field {
+    /// The key this field is written under.
+    fn wire(&self, pascal_case: bool) -> String {
+        match &self.attrs.rename {
+            Some(r) => r.clone(),
+            None if pascal_case => pascal(&self.ident),
+            None => self.ident.clone(),
+        }
+    }
 }
 
 #[derive(Debug)]
 enum VariantShape {
     Unit,
     Newtype,
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
 }
 
 #[derive(Debug)]
@@ -61,8 +85,11 @@ enum Shape {
 
 #[derive(Debug, Default)]
 struct ContainerAttrs {
-    rename_all_pascal: bool,
+    rename_all: Option<String>,
     deny_unknown_fields: bool,
+    tag: Option<String>,
+    rename: Option<String>,
+    untagged: bool,
 }
 
 #[derive(Debug)]
@@ -136,6 +163,7 @@ fn field_attrs_from(items: Vec<(String, Option<String>)>) -> FieldAttrs {
             "rename" => fa.rename = v,
             "default" => fa.default = Some(v),
             "skip_serializing_if" => fa.skip_serializing_if = v,
+            "flatten" => fa.flatten = true,
             _ => {}
         }
     }
@@ -144,14 +172,16 @@ fn field_attrs_from(items: Vec<(String, Option<String>)>) -> FieldAttrs {
 
 /// Skips a type expression up to a top-level `,` (or end of stream),
 /// balancing `<`/`>` so generic arguments don't end the field early.
-fn skip_type(tokens: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) {
+/// Returns whether the type is written `Option<...>`.
+fn skip_type(tokens: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) -> bool {
+    let optional = matches!(tokens.peek(), Some(TokenTree::Ident(id)) if id.to_string() == "Option");
     let mut depth = 0i32;
     while let Some(t) = tokens.peek() {
         if let TokenTree::Punct(p) = t {
             let c = p.as_char();
             if c == ',' && depth == 0 {
                 tokens.next();
-                return;
+                return optional;
             }
             if c == '<' {
                 depth += 1;
@@ -162,6 +192,7 @@ fn skip_type(tokens: &mut std::iter::Peekable<impl Iterator<Item = TokenTree>>) 
         }
         tokens.next();
     }
+    optional
 }
 
 /// Parses the named fields inside a struct/struct-variant brace group.
@@ -191,10 +222,11 @@ fn parse_named_fields(group: &proc_macro::Group) -> Vec<Field> {
         let Some(TokenTree::Punct(_)) = tokens.next() else {
             break;
         };
-        skip_type(&mut tokens);
+        let optional = skip_type(&mut tokens);
         fields.push(Field {
             ident: name.to_string(),
             attrs: field_attrs_from(items),
+            optional,
         });
     }
     fields
@@ -212,10 +244,7 @@ fn parse_variants(group: &proc_macro::Group) -> Vec<Variant> {
         if let Some(TokenTree::Group(g)) = tokens.peek() {
             match g.delimiter() {
                 Delimiter::Parenthesis => shape = VariantShape::Newtype,
-                Delimiter::Brace => {
-                    let names = parse_named_fields(g).into_iter().map(|f| f.ident).collect();
-                    shape = VariantShape::Struct(names);
-                }
+                Delimiter::Brace => shape = VariantShape::Struct(parse_named_fields(g)),
                 _ => {}
             }
             tokens.next();
@@ -240,8 +269,11 @@ fn parse_input(input: TokenStream) -> Input {
     let mut attrs = ContainerAttrs::default();
     for (k, v) in items {
         match k.as_str() {
-            "rename_all" => attrs.rename_all_pascal = v.as_deref() == Some("PascalCase"),
+            "rename_all" => attrs.rename_all = v,
             "deny_unknown_fields" => attrs.deny_unknown_fields = true,
+            "tag" => attrs.tag = v,
+            "rename" => attrs.rename = v,
+            "untagged" => attrs.untagged = true,
             _ => {}
         }
     }
@@ -299,7 +331,7 @@ fn parse_input(input: TokenStream) -> Input {
 // Codegen
 // ---------------------------------------------------------------------
 
-/// `snake_case` → `PascalCase` (the only `rename_all` value in the tree).
+/// `snake_case` → `PascalCase` (field renaming).
 fn pascal(s: &str) -> String {
     let mut out = String::new();
     for part in s.split('_') {
@@ -312,14 +344,55 @@ fn pascal(s: &str) -> String {
     out
 }
 
-fn wire_name(f: &Field, container: &ContainerAttrs) -> String {
-    if let Some(r) = &f.attrs.rename {
-        r.clone()
-    } else if container.rename_all_pascal {
-        pascal(&f.ident)
-    } else {
-        f.ident.clone()
+/// `PascalCase` → `snake_case` (variant renaming).
+fn snake(s: &str) -> String {
+    let mut out = String::new();
+    for (i, c) in s.chars().enumerate() {
+        if c.is_uppercase() && i > 0 {
+            out.push('_');
+        }
+        out.extend(c.to_lowercase());
     }
+    out
+}
+
+impl Input {
+    fn pascal_fields(&self) -> bool {
+        self.attrs.rename_all.as_deref() == Some("PascalCase")
+    }
+
+    /// The name a variant is written under.
+    fn variant_wire(&self, v: &Variant) -> String {
+        match self.attrs.rename_all.as_deref() {
+            Some("snake_case") => snake(&v.ident),
+            _ => v.ident.clone(),
+        }
+    }
+}
+
+/// Statements pushing `fields` onto `fields: Vec<(String, Value)>`, each
+/// field's value read from the expression `access(ident)`.
+fn push_fields(fields: &[Field], pascal_case: bool, access: impl Fn(&str) -> String) -> String {
+    let mut s = String::new();
+    for f in fields {
+        let value = format!("serde::Serialize::to_value({})", access(&f.ident));
+        let push = if f.attrs.flatten {
+            format!(
+                "match {value} {{ serde::Value::Object(o) => fields.extend(o), serde::Value::Null => {{}}, other => panic!(\"flattened field `{}` is not an object: {{other:?}}\") }}",
+                f.ident
+            )
+        } else {
+            format!("fields.push((\"{}\".to_string(), {value}));", f.wire(pascal_case))
+        };
+        match &f.attrs.skip_serializing_if {
+            Some(pred) => s.push_str(&format!("if !{pred}({}) {{ {push} }}\n", access(&f.ident))),
+            None => {
+                s.push_str(&push);
+                s.push('\n');
+            }
+        }
+    }
+    s
 }
 
 fn gen_serialize(input: &Input) -> String {
@@ -331,19 +404,13 @@ fn gen_serialize(input: &Input) -> String {
             let mut s = String::from(
                 "{ let mut fields: Vec<(String, serde::Value)> = Vec::new();\n",
             );
-            for f in fields {
-                let wire = wire_name(f, &input.attrs);
-                let push = format!(
-                    "fields.push((\"{wire}\".to_string(), serde::Serialize::to_value(&self.{id})));",
-                    id = f.ident
-                );
-                if let Some(pred) = &f.attrs.skip_serializing_if {
-                    s.push_str(&format!("if !{pred}(&self.{id}) {{ {push} }}\n", id = f.ident));
-                } else {
-                    s.push_str(&push);
-                    s.push('\n');
-                }
+            if let Some(tag) = &input.attrs.tag {
+                let value = input.attrs.rename.as_deref().unwrap_or(name);
+                s.push_str(&format!(
+                    "fields.push((\"{tag}\".to_string(), serde::Value::Str(\"{value}\".to_string())));\n"
+                ));
             }
+            s.push_str(&push_fields(fields, input.pascal_fields(), |id| format!("&self.{id}")));
             s.push_str("serde::Value::Object(fields) }");
             s
         }
@@ -351,28 +418,42 @@ fn gen_serialize(input: &Input) -> String {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.ident;
-                match &v.shape {
-                    VariantShape::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => serde::Value::Str(\"{vn}\".to_string()),\n"
-                    )),
-                    VariantShape::Newtype => arms.push_str(&format!(
-                        "{name}::{vn}(inner) => serde::Value::Object(vec![(\"{vn}\".to_string(), serde::Serialize::to_value(inner))]),\n"
-                    )),
-                    VariantShape::Struct(fs) => {
-                        let binds = fs.join(", ");
-                        let pushes: String = fs
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(\"{f}\".to_string(), serde::Serialize::to_value({f})), "
-                                )
-                            })
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => serde::Value::Object(vec![(\"{vn}\".to_string(), serde::Value::Object(vec![{pushes}]))]),\n"
-                        ));
+                let wire = input.variant_wire(v);
+                let arm = match (&v.shape, &input.attrs.tag, input.attrs.untagged) {
+                    (VariantShape::Newtype, None, true) => {
+                        format!("{name}::{vn}(inner) => serde::Serialize::to_value(inner),\n")
                     }
-                }
+                    (_, _, true) => panic!("serde_derive shim: untagged enums take newtype variants only"),
+                    (VariantShape::Unit, None, _) => {
+                        format!("{name}::{vn} => serde::Value::Str(\"{wire}\".to_string()),\n")
+                    }
+                    (VariantShape::Newtype, None, _) => format!(
+                        "{name}::{vn}(inner) => serde::Value::Object(vec![(\"{wire}\".to_string(), serde::Serialize::to_value(inner))]),\n"
+                    ),
+                    (VariantShape::Struct(fs), None, _) => {
+                        let binds: Vec<&str> = fs.iter().map(|f| f.ident.as_str()).collect();
+                        format!(
+                            "{name}::{vn} {{ {} }} => {{ let mut fields: Vec<(String, serde::Value)> = Vec::new();\n{}serde::Value::Object(vec![(\"{wire}\".to_string(), serde::Value::Object(fields))]) }}\n",
+                            binds.join(", "),
+                            push_fields(fs, false, str::to_string)
+                        )
+                    }
+                    (VariantShape::Newtype, Some(_), _) => {
+                        panic!("serde_derive shim: internally tagged newtype variants are unsupported")
+                    }
+                    (VariantShape::Unit, Some(tag), _) => format!(
+                        "{name}::{vn} => serde::Value::Object(vec![(\"{tag}\".to_string(), serde::Value::Str(\"{wire}\".to_string()))]),\n"
+                    ),
+                    (VariantShape::Struct(fs), Some(tag), _) => {
+                        let binds: Vec<&str> = fs.iter().map(|f| f.ident.as_str()).collect();
+                        format!(
+                            "{name}::{vn} {{ {} }} => {{ let mut fields: Vec<(String, serde::Value)> = vec![(\"{tag}\".to_string(), serde::Value::Str(\"{wire}\".to_string()))];\n{}serde::Value::Object(fields) }}\n",
+                            binds.join(", "),
+                            push_fields(fs, false, str::to_string)
+                        )
+                    }
+                };
+                arms.push_str(&arm);
             }
             format!("match self {{\n{arms}}}")
         }
@@ -382,16 +463,19 @@ fn gen_serialize(input: &Input) -> String {
     )
 }
 
-fn gen_field_read(f: &Field, wire: &str) -> String {
+/// One `ident: value,` initialiser reading `f` out of the object `obj`.
+fn gen_field_read(f: &Field, wire: &str, obj: &str) -> String {
+    if f.attrs.flatten {
+        return format!("{}: serde::Deserialize::from_value({obj})?,\n", f.ident);
+    }
     let missing = match &f.attrs.default {
         Some(None) => "Default::default()".to_string(),
         Some(Some(path)) => format!("{path}()"),
-        None => format!(
-            "serde::Deserialize::from_value(&serde::Value::Null).map_err(|_| serde::DeError::custom(\"missing field `{wire}`\"))?"
-        ),
+        None if f.optional => "None".to_string(),
+        None => format!("return Err(serde::DeError::custom(\"missing field `{wire}`\"))"),
     };
     format!(
-        "{id}: match __v.get_field(\"{wire}\") {{ Some(v) => serde::Deserialize::from_value(v)?, None => {missing} }},\n",
+        "{id}: match {obj}.get_field(\"{wire}\") {{ Some(v) => serde::Deserialize::from_value(v)?, None => {missing} }},\n",
         id = f.ident
     )
 }
@@ -407,10 +491,16 @@ fn gen_deserialize(input: &Input) -> String {
             let mut s = format!(
                 "let __obj = __v.as_object().ok_or_else(|| serde::DeError::custom(\"expected object for {name}\"))?;\n"
             );
+            if let Some(tag) = &input.attrs.tag {
+                let value = input.attrs.rename.as_deref().unwrap_or(name);
+                s.push_str(&format!(
+                    "if __v.get_field(\"{tag}\").and_then(serde::Value::as_str) != Some(\"{value}\") {{ return Err(serde::DeError::custom(\"expected `{tag}` = `{value}` for {name}\")); }}\n"
+                ));
+            }
             if input.attrs.deny_unknown_fields {
                 let wires: Vec<String> = fields
                     .iter()
-                    .map(|f| format!("\"{}\"", wire_name(f, &input.attrs)))
+                    .map(|f| format!("\"{}\"", f.wire(input.pascal_fields())))
                     .collect();
                 s.push_str(&format!(
                     "for (k, _) in __obj.iter() {{ if ![{}].contains(&k.as_str()) {{ return Err(serde::DeError::custom(format!(\"unknown field `{{}}` in {name}\", k))); }} }}\n",
@@ -419,49 +509,69 @@ fn gen_deserialize(input: &Input) -> String {
             }
             s.push_str(&format!("Ok({name} {{\n"));
             for f in fields {
-                let wire = wire_name(f, &input.attrs);
-                s.push_str(&gen_field_read(f, &wire));
+                s.push_str(&gen_field_read(f, &f.wire(input.pascal_fields()), "__v"));
             }
             s.push_str("})");
             s
         }
+        Shape::Enum(variants) if input.attrs.untagged => {
+            let tries: String = variants
+                .iter()
+                .map(|v| {
+                    format!(
+                        "if let Ok(inner) = serde::Deserialize::from_value(__v) {{ return Ok({name}::{}(inner)); }}\n",
+                        v.ident
+                    )
+                })
+                .collect();
+            format!(
+                "{tries}Err(serde::DeError::custom(\"data did not match any variant of untagged enum {name}\"))"
+            )
+        }
         Shape::Enum(variants) => {
+            let struct_reads = |fs: &[Field], obj: &str| -> String {
+                fs.iter().map(|f| gen_field_read(f, &f.wire(false), obj)).collect()
+            };
             let mut unit_arms = String::new();
             let mut keyed_arms = String::new();
             for v in variants {
                 let vn = &v.ident;
+                let wire = input.variant_wire(v);
                 match &v.shape {
                     VariantShape::Unit => unit_arms.push_str(&format!(
-                        "\"{vn}\" => return Ok({name}::{vn}),\n"
+                        "\"{wire}\" => return Ok({name}::{vn}),\n"
                     )),
                     VariantShape::Newtype => keyed_arms.push_str(&format!(
-                        "\"{vn}\" => return Ok({name}::{vn}(serde::Deserialize::from_value(__inner)?)),\n"
+                        "\"{wire}\" => return Ok({name}::{vn}(serde::Deserialize::from_value(__inner)?)),\n"
                     )),
                     VariantShape::Struct(fs) => {
-                        let reads: String = fs
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: match __inner.get_field(\"{f}\") {{ Some(v) => serde::Deserialize::from_value(v)?, None => serde::Deserialize::from_value(&serde::Value::Null).map_err(|_| serde::DeError::custom(\"missing field `{f}`\"))? }},\n"
-                                )
-                            })
-                            .collect();
+                        let obj = if input.attrs.tag.is_some() { "__v" } else { "__inner" };
                         keyed_arms.push_str(&format!(
-                            "\"{vn}\" => return Ok({name}::{vn} {{ {reads} }}),\n"
+                            "\"{wire}\" => return Ok({name}::{vn} {{ {} }}),\n",
+                            struct_reads(fs, obj)
                         ));
                     }
                 }
             }
-            format!(
-                "match __v {{\n\
-                 serde::Value::Str(s) => match s.as_str() {{ {unit_arms} other => Err(serde::DeError::custom(format!(\"unknown variant `{{}}` of {name}\", other))) }},\n\
-                 serde::Value::Object(o) if o.len() == 1 => {{\n\
-                   let (__tag, __inner) = &o[0];\n\
-                   match __tag.as_str() {{ {keyed_arms} other => Err(serde::DeError::custom(format!(\"unknown variant `{{}}` of {name}\", other))) }}\n\
-                 }}\n\
-                 _ => Err(serde::DeError::custom(\"expected string or single-key object for enum {name}\")),\n\
-                 }}"
-            )
+            let unknown = format!(
+                "other => Err(serde::DeError::custom(format!(\"unknown variant `{{}}` of {name}\", other)))"
+            );
+            match &input.attrs.tag {
+                Some(tag) => format!(
+                    "let __tag = __v.get_field(\"{tag}\").and_then(serde::Value::as_str).ok_or_else(|| serde::DeError::custom(\"missing tag `{tag}` for {name}\"))?;\n\
+                     match __tag {{ {unit_arms} {keyed_arms} {unknown} }}"
+                ),
+                None => format!(
+                    "match __v {{\n\
+                     serde::Value::Str(s) => match s.as_str() {{ {unit_arms} {unknown} }},\n\
+                     serde::Value::Object(o) if o.len() == 1 => {{\n\
+                       let (__tag, __inner) = &o[0];\n\
+                       match __tag.as_str() {{ {keyed_arms} {unknown} }}\n\
+                     }}\n\
+                     _ => Err(serde::DeError::custom(\"expected string or single-key object for enum {name}\")),\n\
+                     }}"
+                ),
+            }
         }
     };
     format!(

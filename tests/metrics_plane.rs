@@ -12,7 +12,7 @@
 
 use fuxi::cluster::{Cluster, ClusterConfig, SubmitOpts};
 use fuxi::job::JobDesc;
-use fuxi::obs::{ClusterView, TraceEvent};
+use fuxi::obs::{ClusterView, TraceEvent, ViewDoc};
 use fuxi::rt::LiveCluster;
 use fuxi::sim::{SimDuration, SimTime};
 use fuxi::workloads::mapreduce::{wordcount_job, MapReduceParams};
@@ -341,26 +341,12 @@ fn live_rollup_and_scrape_match_sim() {
     assert!(prom.contains(&format!("fuxi_agents_reporting {N_MACHINES}")), "{prom}");
     let (head, json) = http_get(addr, "/json");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let v = serde_json::value_from_str(&json).expect("scrape /json must parse");
-    let reports = v
-        .get_field("summary")
-        .and_then(|s| s.get_field("reports_received"))
-        .cloned()
-        .unwrap_or(serde_json::Value::Null);
-    assert!(
-        matches!(reports, serde_json::Value::UInt(n) if n > 0),
-        "live master must have ingested reports, got {reports:?}"
-    );
-    let agents = v.get_field("agents").and_then(|a| a.as_array()).expect("/json agent rows");
-    assert_eq!(agents.len(), N_MACHINES, "one scraped row per agent");
-    for row in agents {
-        let field = |k: &str| match row.get_field(k) {
-            Some(&serde_json::Value::UInt(n)) => n,
-            other => panic!("agent row field {k}: {other:?}"),
-        };
+    let doc: ViewDoc = serde_json::from_str(&json).expect("scrape /json must parse");
+    assert!(doc.summary.reports_received > 0, "live master must have ingested reports");
+    assert_eq!(doc.agents.len(), N_MACHINES, "one scraped row per agent");
+    for row in &doc.agents {
         assert!(
-            field("used_cpu_milli") <= field("total_cpu_milli")
-                && field("used_mem_mb") <= field("total_mem_mb"),
+            row.used_cpu_milli <= row.total_cpu_milli && row.used_mem_mb <= row.total_mem_mb,
             "a scraped agent row reports more in use than it has: {row:?}"
         );
     }

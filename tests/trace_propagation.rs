@@ -3,10 +3,9 @@
 //! (the causal chain client → FuxiMaster → FuxiAgent → JobMaster →
 //! TaskWorker never drops), and the event stream must be a pure function
 //! of the schedule — `reference_mode` (flat scans) and the indexed
-//! scheduler must emit byte-identical streams.
+//! scheduler must emit identical streams.
 
 use fuxi::cluster::{Cluster, ClusterConfig, SubmitOpts};
-use fuxi::sim::obs::export::record_line;
 use fuxi::sim::SimTime;
 use fuxi::workloads::mapreduce::{wordcount_job, MapReduceParams};
 use std::collections::BTreeSet;
@@ -122,17 +121,14 @@ fn reference_mode_emits_an_identical_event_stream() {
     // The indexed scheduler is a pure optimisation: with the same seed and
     // workload, the flat-scan reference engine must take the same
     // decisions, so the causal event streams (times, actors, traces,
-    // payloads) must match line for line. Spans are excluded — their
+    // payloads) must match record for record. Spans are excluded — their
     // wall-clock durations measure the host, not the schedule.
     let (indexed, _) = run_two_jobs(false);
     let (reference, _) = run_two_jobs(true);
-    let lines = |c: &Cluster| -> Vec<String> {
-        c.world.tracer().records.iter().map(record_line).collect()
-    };
-    let a = lines(&indexed);
-    let b = lines(&reference);
+    let a = &indexed.world.tracer().records;
+    let b = &reference.world.tracer().records;
     assert_eq!(a.len(), b.len(), "stream lengths diverge");
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(x, y, "streams diverge at event {i}");
     }
 }
