@@ -153,6 +153,15 @@ impl LiveNode {
         }
     }
 
+    /// Messages from peers that reached this leaf while it booted, held
+    /// until its actors existed (0 for hubs).
+    pub fn held_at_boot(&self) -> u64 {
+        match &self.supervisor {
+            Supervisor::Hub(_) => 0,
+            Supervisor::Leaf(l) => l.released_at_admit(),
+        }
+    }
+
     /// Leaf reconnect count (0 for hubs).
     pub fn reconnects(&self) -> u64 {
         match &self.supervisor {

@@ -390,6 +390,8 @@ struct LeafInner {
     /// still spawns its actors could spawn one of its own (an agent starts
     /// a JobMaster) and take an id the topology gave a later boot actor.
     held: Mutex<Option<Vec<Frame>>>,
+    /// How many held messages [`LeafSupervisor::admit`] released.
+    released: AtomicU64,
 }
 
 impl LeafInner {
@@ -509,6 +511,7 @@ impl LeafSupervisor {
             reconnects: AtomicU64::new(0),
             current: Mutex::new(None),
             held: Mutex::new(Some(Vec::new())),
+            released: AtomicU64::new(0),
         });
 
         // Local mutations replicate up to the hub (which rebroadcasts).
@@ -626,9 +629,17 @@ impl LeafSupervisor {
     /// overtakes the held messages.
     pub fn admit(&self) {
         let mut held = self.inner.held();
-        for frame in held.take().unwrap_or_default() {
+        let frames = held.take().unwrap_or_default();
+        self.inner.released.fetch_add(frames.len() as u64, Ordering::Relaxed);
+        for frame in frames {
             self.inner.inject(&frame);
         }
+    }
+
+    /// Messages that arrived before [`LeafSupervisor::admit`] and were
+    /// held until it.
+    pub fn released_at_admit(&self) -> u64 {
+        self.inner.released.load(Ordering::Relaxed)
     }
 
     /// Outbound router for this leaf's runtime: everything non-local goes

@@ -364,50 +364,61 @@ fn records_deleted_while_a_leaf_was_away_stay_deleted() {
 /// not yet spawned: `LiveNode::boot`'s "actor placement" assert, in about
 /// one `dist_null` run of fourteen. Here a bare hub sends the first agent
 /// `StartAppMaster` without pause while the agents' node boots: boot must
-/// place every agent where the topology says, after the node's link was up
-/// mid-boot, and the held messages must still arrive.
+/// place every agent where the topology says, and the held messages must
+/// still arrive. Whether any message reaches the node mid-boot is a race
+/// between its link coming up (a few ms) and the boot of its agents (256
+/// take about 1 ms), so the boot is repeated, each time on a fresh hub and
+/// with twice the agents up to 4,096, until one held a message.
 #[test]
 fn a_message_to_a_leaf_mid_boot_misplaces_no_actor() {
     use fuxi_apsara::{NameRegistry, StoreHandle};
     use fuxi_proto::msg::AppDescription;
     use fuxi_proto::{AppId, JobId, Msg};
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
     const MACHINES: usize = 256;
-    let deploy = fuxi_node::standard_topology(MACHINES, 16, "127.0.0.1:0");
-    let noop: fuxi_node::supervisor::Inject = Arc::new(|_, _, _| {});
-    let hub = fuxi_node::HubSupervisor::start("127.0.0.1:0", "hub", NameRegistry::new(), StoreHandle::new(), noop)
-        .expect("hub binds");
-    let (_, first_agent) = deploy.agent_ids()[0];
-    let (route, alive, from) = (hub.router(), hub.remote_alive(), deploy.client_id().id);
-    let stop = Arc::new(AtomicBool::new(false));
-    let link_up_at = Arc::new(Mutex::new(None::<Instant>));
-    let sender = {
-        let (stop, link_up_at) = (Arc::clone(&stop), Arc::clone(&link_up_at));
-        std::thread::spawn(move || {
-            let desc = AppDescription { master_package_mb: 0.0, ..AppDescription::default() };
-            for job in 1.. {
-                if stop.load(Ordering::Acquire) {
-                    break;
+    const BOOTS: usize = 20;
+    for boot in 0..BOOTS {
+        let deploy = fuxi_node::standard_topology(MACHINES << boot.min(4), 16, "127.0.0.1:0");
+        let (_, first_agent) = deploy.agent_ids()[0];
+        let noop: fuxi_node::supervisor::Inject = Arc::new(|_, _, _| {});
+        let hub = fuxi_node::HubSupervisor::start("127.0.0.1:0", "hub", NameRegistry::new(), StoreHandle::new(), noop)
+            .expect("hub binds");
+        let (route, from) = (hub.router(), deploy.client_id().id);
+        let stop = Arc::new(AtomicBool::new(false));
+        let sender = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let desc = AppDescription { master_package_mb: 0.0, ..AppDescription::default() };
+                for job in 1.. {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    route(from, first_agent.id, Msg::StartAppMaster { app: AppId(job), job: JobId(job), desc: desc.clone() });
+                    std::thread::sleep(Duration::from_micros(100));
                 }
-                if alive(first_agent.id) {
-                    link_up_at.lock().unwrap().get_or_insert_with(Instant::now);
-                }
-                route(from, first_agent.id, Msg::StartAppMaster { app: AppId(job), job: JobId(job), desc: desc.clone() });
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        })
-    };
-    let agents = LiveNode::boot(deploy.clone(), first_agent.node, Some(&hub.addr().to_string())).expect("agents boot");
-    let booted = Instant::now();
-    let delivered = || agents.rt.metrics_snapshot().counter("net.remote_in");
-    while delivered() == 0 && booted.elapsed() < Duration::from_secs(10) {
-        std::thread::sleep(Duration::from_millis(5));
+            })
+        };
+        let agents = LiveNode::boot(deploy.clone(), first_agent.node, Some(&hub.addr().to_string())).expect("agents boot");
+        if agents.held_at_boot() == 0 {
+            // The link came up only after boot: nothing was sent mid-boot.
+            stop.store(true, Ordering::Release);
+            sender.join().expect("sender thread");
+            agents.rt.shutdown();
+            continue;
+        }
+        let machines = deploy.cluster.n_machines;
+        eprintln!("boot {boot}, {machines} machines: {} messages held until the agents existed", agents.held_at_boot());
+        let booted = Instant::now();
+        let delivered = || agents.rt.metrics_snapshot().counter("net.remote_in");
+        while delivered() == 0 && booted.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::Release);
+        sender.join().expect("sender thread");
+        assert!(delivered() > 0, "the held messages never arrived");
+        agents.rt.shutdown();
+        return;
     }
-    stop.store(true, Ordering::Release);
-    sender.join().expect("sender thread");
-    let link_up = link_up_at.lock().unwrap().expect("the agents' link never came up");
-    assert!(link_up < booted, "the link came up only after boot: nothing was sent mid-boot");
-    assert!(delivered() > 0, "the held messages never arrived");
-    agents.rt.shutdown();
+    panic!("in {BOOTS} boots the link never came up mid-boot: nothing was held");
 }

@@ -216,10 +216,10 @@ impl Tracer {
     }
 
     /// Folds another tracer's output into this one. The live runtime gives
-    /// every actor thread its own tracer and merges them into one:
+    /// every actor its own tracer and merges them into one:
     /// events, spans, and dumps concatenate and re-sort by timestamp so
     /// the combined export reads as one time-ordered stream. Flight rings
-    /// are not merged — a thread's ring history is only meaningful inside
+    /// are not merged — an actor's ring history is only meaningful inside
     /// the dumps it already froze.
     pub fn absorb(&mut self, other: Tracer) {
         self.extend(other);
@@ -227,7 +227,7 @@ impl Tracer {
     }
 
     /// [`Tracer::absorb`] without the sort, for a sink that takes in many
-    /// tracers (one per exiting actor thread) and calls
+    /// tracers (one per exiting actor) and calls
     /// [`Tracer::sort_by_time`] once, when it is read.
     pub fn extend(&mut self, other: Tracer) {
         self.records.extend(other.records);

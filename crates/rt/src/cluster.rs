@@ -1,6 +1,6 @@
 //! A fully wired *live* Fuxi cluster: `fuxi_cluster::boot` — the same
 //! wiring, client and job ledger the simulated harness boots — spawned on
-//! OS threads under [`LiveRuntime`] instead of the kernel.
+//! the pool threads of a [`LiveRuntime`] instead of the kernel.
 //!
 //! It takes the harness's [`ClusterConfig`]/[`SubmitOpts`]/[`JobState`]
 //! types, so a scenario can be expressed once and run on either engine

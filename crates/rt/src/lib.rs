@@ -3,20 +3,22 @@
 //!
 //! A live multi-threaded runtime that runs the *unchanged* production
 //! actors — FuxiMaster, FuxiAgent, JobMaster, TaskWorker, the Apsara
-//! services — on OS threads with real clocks. The deterministic kernel in
+//! services — on a fixed pool of OS threads with real clocks. The deterministic kernel in
 //! `fuxi-sim` answers "is the protocol correct"; this crate answers "does
 //! the same code hold up under real concurrency and wall-clock time".
 //!
-//! * [`runtime`] — [`runtime::LiveRuntime`]: thread-per-actor execution
-//!   (a thread is reaped the moment its actor exits, so a runtime can
-//!   spawn without limit), bounded mailboxes, a hashed timer wheel and
-//!   wall-clock flow engine on a dedicated clock thread;
+//! * [`runtime`] — [`runtime::LiveRuntime`]: every actor a task on one
+//!   pool of `available_parallelism()` threads, however many actors there
+//!   are (an actor is reaped the moment it exits, so a runtime can spawn
+//!   without limit), bounded mailboxes with muting backpressure, a hashed
+//!   timer wheel and wall-clock flow engine on a dedicated clock thread;
 //! * [`cluster`] — [`cluster::LiveCluster`]: the full Fuxi stack wired
 //!   booted by `fuxi_cluster::boot`, the path the simulated harness takes;
 //! * [`scrape`] — an HTTP endpoint (`/metrics` Prometheus text, `/json`)
 //!   serving the live cluster view;
 //! * [`mailbox`] — the per-actor queue: grows as it fills, bounded by its
-//!   depth gauge, senders park (and are counted) when it is full;
+//!   depth gauge; at a full box a sending thread parks and a sending actor
+//!   is muted (both counted);
 //! * [`timer`] — the hashed timer wheel;
 //! * [`transport`] — the versioned, framed deployment transport (HELLO
 //!   handshake, typed version rejection, TCP | in-proc channel).

@@ -6,23 +6,39 @@
 //! messages in send order — so an idle mailbox costs a few hundred bytes
 //! whatever its bound. The bound is enforced in front of it: a sender first
 //! reserves a slot by compare-and-increment on [`MailboxGauges`]' `depth`
-//! and sends only once it holds one. When the box is full the sender parks
-//! on a condvar until the draining thread's [`MailboxGauges::on_pop`] frees
-//! a slot, and the stall is counted (`rt.mailbox_parked`), so overload shows
-//! up in metrics instead of as silent unbounded queues.
+//! and sends only once it holds one. What a sender does when the box is
+//! full depends on what it is, and every such stall is counted
+//! (`rt.mailbox_parked`), so overload shows up in metrics instead of as
+//! silent unbounded queues:
+//!
+//! * **A thread** ([`MailboxSender::push`]: external injection, the node
+//!   supervisors' inbound readers) parks on a condvar until the receiver's
+//!   [`MailboxGauges::on_pop`] frees a slot.
+//! * **An actor** ([`MailboxSender::push_overflow`]) never waits: it runs
+//!   on a pool thread shared with every other actor, and two pool threads
+//!   parked on one full box would leave nothing to drain it. Its value
+//!   goes in past the bound, and the runtime *mutes* the sender instead
+//!   (the Pony runtime's backpressure): it is not run again until it is
+//!   woken through [`MailboxGauges::wake_when_room`], which the receiver's
+//!   `on_pop` does once the depth falls below the bound. An actor whose own
+//!   box is full is never left muted, since others wait on it.
+//! * **The clock thread** ([`MailboxSender::push_nonblocking`]) takes the
+//!   value back and retries on its next tick.
 //!
 //! `depth` counts reservations, so it is never below the number of queued
-//! values and data pushes never take it past the bound. Control values
-//! ([`MailboxSender::push_control`]: an actor's start, its kill and the
-//! zero-delay timers it arms on itself) skip the reservation — the queue
-//! can always take them — and may overshoot the bound by their own number.
+//! values. Thread and clock pushes never take it past the bound; actor
+//! pushes overshoot it by at most what the senders muted on the box sent
+//! in their last handler. Control values ([`MailboxSender::push_control`]:
+//! an actor's start, its kill and the zero-delay timers it arms on itself)
+//! skip the reservation too — the queue can always take them.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::task::Waker;
 
-/// Shared depth counters of one mailbox, and the parking spot of senders
-/// that found it full.
+/// Shared depth counters of one mailbox, and where the senders that found
+/// it full wait: parked threads on a condvar, muted actors as wakers.
 #[derive(Debug)]
 pub struct MailboxGauges {
     capacity: usize,
@@ -35,12 +51,23 @@ pub struct MailboxGauges {
     closed: AtomicBool,
     lock: Mutex<()>,
     room: Condvar,
+    /// Wakers of muted senders, woken by the first pop that leaves the box
+    /// below its bound (or by `close`).
+    muted: Mutex<Vec<Waker>>,
+    /// `true` while `muted` may be non-empty, so `on_pop` takes its lock
+    /// only when someone is waiting.
+    any_muted: AtomicBool,
 }
 
 impl MailboxGauges {
     /// Current queue depth.
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.depth.load(Ordering::SeqCst)
+    }
+
+    /// `true` when the depth is at or past the bound.
+    pub fn full(&self) -> bool {
+        self.depth() >= self.capacity
     }
 
     /// Highest depth ever observed.
@@ -100,19 +127,59 @@ impl MailboxGauges {
     }
 
     /// Called by the draining thread after each receive: frees the value's
-    /// slot and wakes one parked sender, if any.
+    /// slot, wakes one parked sender, if any, and — once the box is below
+    /// its bound — every muted one.
     pub fn on_pop(&self) {
-        self.depth.fetch_sub(1, Ordering::SeqCst);
+        let depth = self.depth.fetch_sub(1, Ordering::SeqCst) - 1;
         if self.waiters.load(Ordering::SeqCst) > 0 {
             let _guard = self.parking_lock();
             self.room.notify_one();
+        }
+        if depth < self.capacity && self.any_muted.load(Ordering::SeqCst) {
+            self.wake_muted();
+        }
+    }
+
+    /// Wakes `waker` once this box has room: at the first pop that leaves
+    /// it below its bound, when it closes, or at once if it has room now.
+    ///
+    /// No wake-up is lost: the registration raises `any_muted` before it
+    /// re-checks the depth, and `on_pop` lowers the depth before it reads
+    /// `any_muted`, both `SeqCst`. Either the popper sees the waker, or the
+    /// registration sees the room. A waker may be woken more than once.
+    pub fn wake_when_room(&self, waker: Waker) {
+        {
+            let mut muted = self.muted_lock();
+            muted.push(waker);
+            self.any_muted.store(true, Ordering::SeqCst);
+        }
+        if !self.full() || self.closed.load(Ordering::SeqCst) {
+            self.wake_muted();
+        }
+    }
+
+    fn wake_muted(&self) {
+        let wakers = {
+            let mut muted = self.muted_lock();
+            self.any_muted.store(false, Ordering::SeqCst);
+            std::mem::take(&mut *muted)
+        };
+        for waker in wakers {
+            waker.wake();
         }
     }
 
     fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
-        let _guard = self.parking_lock();
-        self.room.notify_all();
+        {
+            let _guard = self.parking_lock();
+            self.room.notify_all();
+        }
+        self.wake_muted();
+    }
+
+    fn muted_lock(&self) -> MutexGuard<'_, Vec<Waker>> {
+        self.muted.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The lock guards no data (`()`), so a poisoned one is still valid —
@@ -127,7 +194,9 @@ impl MailboxGauges {
 pub enum PushOutcome {
     /// Enqueued without waiting.
     Sent,
-    /// Enqueued after parking on a full mailbox.
+    /// Enqueued on a full mailbox: after parking ([`MailboxSender::push`]),
+    /// or past the bound, for the sender to be muted
+    /// ([`MailboxSender::push_overflow`]).
     SentParked,
     /// The receiving actor is gone.
     Dead,
@@ -173,6 +242,19 @@ impl<T> MailboxSender<T> {
         }
     }
 
+    /// Enqueues `v` without ever blocking, past the bound if the box is
+    /// full, which it reports as [`PushOutcome::SentParked`]: the caller is
+    /// an actor on a pool thread, which the runtime mutes instead of
+    /// parking (see the module docs).
+    pub fn push_overflow(&self, v: T) -> PushOutcome {
+        if self.gauges.try_reserve() {
+            self.send_reserved(v, PushOutcome::Sent)
+        } else {
+            self.gauges.reserve_unbounded();
+            self.send_reserved(v, PushOutcome::SentParked)
+        }
+    }
+
     /// Enqueues `v` without ever blocking (the clock thread uses this so a
     /// stuck actor cannot stall every timer in the runtime). `Err` returns
     /// the value on a full mailbox for the caller to retry later.
@@ -215,6 +297,12 @@ impl<T> MailboxReceiver<T> {
         self.rx.recv()
     }
 
+    /// The next value if one is queued; never blocks. The caller reports
+    /// the pop with [`MailboxGauges::on_pop`].
+    pub fn try_recv(&self) -> Option<T> {
+        self.rx.try_recv().ok()
+    }
+
     /// The mailbox's depth gauges.
     pub fn gauges(&self) -> &MailboxGauges {
         &self.gauges
@@ -246,7 +334,7 @@ impl<T> IntoIterator for MailboxReceiver<T> {
 }
 
 /// Creates a mailbox bounded at `capacity` values; returns the sender, the
-/// receiver for the actor thread, and the shared gauges. Nothing is
+/// receiver for whoever drains it, and the shared gauges. Nothing is
 /// allocated for the queue until the first push.
 pub fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, MailboxReceiver<T>, Arc<MailboxGauges>) {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -258,6 +346,8 @@ pub fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, MailboxReceiver<T>, Arc
         closed: AtomicBool::new(false),
         lock: Mutex::new(()),
         room: Condvar::new(),
+        muted: Mutex::new(Vec::new()),
+        any_muted: AtomicBool::new(false),
     });
     (
         MailboxSender {
@@ -347,6 +437,51 @@ mod tests {
         }
         drop(rx);
         assert_eq!(t.join().unwrap(), PushOutcome::Dead);
+    }
+
+    #[test]
+    fn overflow_push_passes_the_bound_and_says_so() {
+        let (tx, rx, g) = mailbox::<u32>(1);
+        assert_eq!(tx.push_overflow(1), PushOutcome::Sent);
+        assert_eq!(tx.push_overflow(2), PushOutcome::SentParked);
+        assert_eq!(g.depth(), 2);
+        assert!(g.full());
+        drop(rx);
+        assert_eq!(tx.push_overflow(3), PushOutcome::Dead);
+    }
+
+    /// Counts its wakes.
+    struct Wakes(AtomicUsize);
+    impl std::task::Wake for Wakes {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_muted_sender_wakes_once_the_box_is_below_its_bound() {
+        let (tx, rx, g) = mailbox::<u32>(2);
+        let wakes = Arc::new(Wakes(AtomicUsize::new(0)));
+        let woken = || wakes.0.load(Ordering::SeqCst);
+        // Room now: woken at once.
+        g.wake_when_room(Waker::from(wakes.clone()));
+        assert_eq!(woken(), 1);
+        for v in 0..3 {
+            tx.push_overflow(v);
+        }
+        g.wake_when_room(Waker::from(wakes.clone()));
+        rx.recv().unwrap();
+        g.on_pop(); // depth 2: still at the bound
+        assert_eq!(woken(), 1);
+        rx.recv().unwrap();
+        g.on_pop(); // depth 1
+        assert_eq!(woken(), 2);
+        // Closing the box wakes whoever still waits on it.
+        tx.push_overflow(3);
+        g.wake_when_room(Waker::from(wakes.clone()));
+        assert_eq!(woken(), 2);
+        drop(rx);
+        assert_eq!(woken(), 3);
     }
 
     /// Four producers race into a box far smaller than what they send, so

@@ -1,33 +1,45 @@
-//! The live runtime: every actor on its own OS thread, timers on a real
-//! clock, mailboxes as bounded queues that grow as they fill.
+//! The live runtime: every actor a task on one fixed pool of threads,
+//! timers on a real clock, mailboxes as bounded queues that grow as they
+//! fill.
 //!
 //! The same actor code that runs under the deterministic kernel runs here
-//! unchanged — handlers see a [`Ctx`] over `ThreadCtx` below, the live
+//! unchanged — handlers see a [`Ctx`] over `ActorCtx` below, the live
 //! implementation of [`CtxOps`]. What changes is the execution substrate:
 //!
+//! * **Execution** is one scheduler: a pool of
+//!   `std::thread::available_parallelism()` threads (two at least) runs
+//!   every actor, however many there are. A push to an idle actor puts it
+//!   on a shared run queue; a pool thread takes it off, runs a turn of up
+//!   to 64 envelopes from its mailbox, and puts it back at the tail if
+//!   more are queued. An actor runs on one thread at a time and sees its
+//!   own mailbox in order. A handler that blocks holds its pool thread
+//!   (see [`LiveRuntime::spawn`]).
 //! * **Delivery** is one [`crate::mailbox`] per actor. A given sender's
 //!   messages to a given destination arrive in send order (the kernel's
 //!   per-source FIFO guarantee, restricted to each destination pair); there
-//!   is no global order across destinations.
+//!   is no global order across destinations. A pool thread never waits on
+//!   a full mailbox: an actor's send to one goes in past the bound, and the
+//!   sender is *muted* — not run again until the destination's depth falls
+//!   below its bound, when the destination's `on_pop` wakes it.
 //! * **Timers** with a delay live in a hashed [`TimerWheel`] owned by one
 //!   clock thread, which also drives the shared [`FlowNet`] I/O model on
 //!   wall time. A zero-delay timer never reaches the clock: like `Start`
 //!   and `Kill` it is a control envelope on the actor's own mailbox, so it
 //!   fires behind whatever is already queued — the kernel's "same instant,
 //!   after the backlog".
-//! * **Observability** is per-thread: each actor thread owns a `Metrics`
-//!   and a `Tracer` (so the hot path takes no locks), folded into the
-//!   runtime's sinks periodically and, in full, when the actor exits.
-//! * **Lifetime**: an actor's thread is detached and reaps itself when its
-//!   loop ends — observability folded, registry entry gone, stack
-//!   unmapped — so the registry holds live actors only and a runtime can
-//!   spawn for as long as it likes. Ids are never reused.
+//! * **Observability** is per-actor: each actor owns a `Metrics` and a
+//!   `Tracer` (so the hot path takes no locks), folded into the runtime's
+//!   sinks periodically and, in full, when the actor exits.
+//! * **Lifetime**: an actor is reaped by the pool thread that runs its
+//!   `Kill` — observability folded, registry entry gone, mailbox closed,
+//!   actor dropped — so the registry holds live actors only and a runtime
+//!   can spawn for as long as it likes. Ids are never reused.
 //!
 //! Determinism is deliberately traded away: two runs of the same workload
 //! interleave differently. The sim↔live parity test pins down what must
 //! still agree — terminal job outcomes, not schedules.
 
-use crate::mailbox::{mailbox, MailboxReceiver, MailboxSender, PushOutcome};
+use crate::mailbox::{mailbox, MailboxGauges, MailboxReceiver, MailboxSender, PushOutcome};
 use crate::timer::TimerWheel;
 use fuxi_sim::{
     Actor, ActorId, CtxOps, FlowDone, FlowNet, FlowSpec, KernelMsg, MachineConfig, Metrics, SimDuration,
@@ -38,11 +50,12 @@ use fuxi_obs::{SpanKind, TraceEvent, TraceId, Tracer};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,11 +64,12 @@ use std::time::{Duration, Instant};
 pub struct RuntimeConfig {
     /// Hardware description per machine (same shape the kernel takes).
     pub machines: Vec<MachineConfig>,
-    /// Seed from which every actor thread's RNG is derived.
+    /// Seed from which every actor's RNG is derived.
     pub seed: u64,
-    /// Observability configuration applied to each per-thread tracer.
+    /// Observability configuration applied to each per-actor tracer.
     pub obs: TracerConfig,
-    /// Mailbox bound: senders park (and are counted) beyond this depth.
+    /// Mailbox bound: beyond this depth a sending thread parks and a
+    /// sending actor is muted (both counted as `rt.mailbox_parked`).
     pub mailbox_capacity: usize,
     /// Timer-wheel granularity: a timer with a non-zero delay fires at the
     /// first tick edge at or after its deadline (a zero delay skips the
@@ -68,10 +82,12 @@ pub struct RuntimeConfig {
     /// edges by chance, and light-load throughput varies ±8 % from run to
     /// run.
     pub timer_tick: Duration,
-    /// How often each actor thread folds its private metrics into the
-    /// runtime-global sink (and the clock thread samples mailbox depths).
-    /// Sub-second values make the scrape endpoint near-live; the shutdown
-    /// merge still catches whatever accumulated since the last flush.
+    /// How often each actor folds its private metrics into the
+    /// runtime-global sink (checked at the end of each of its turns on the
+    /// pool, so an idle actor folds at its next turn or when it is reaped),
+    /// and how often the clock thread samples mailbox depths. Sub-second
+    /// values make the scrape endpoint near-live; the shutdown merge still
+    /// catches whatever accumulated since the last flush.
     pub metrics_flush: Duration,
     /// First actor id this runtime assigns (`node_index <<`
     /// [`ACTOR_WINDOW_SHIFT`]). In a multi-process deployment every node
@@ -127,7 +143,7 @@ enum Envelope<M> {
     },
     /// Fire `on_timer(tag)`.
     Timer { tag: u64 },
-    /// Terminate the actor thread.
+    /// Reap the actor.
     Kill,
 }
 
@@ -159,16 +175,14 @@ enum ClockCmd {
     Shutdown,
 }
 
-struct ActorSlot<M> {
-    sender: MailboxSender<Envelope<M>>,
+struct ActorSlot<M: KernelMsg + Send + 'static> {
+    task: Arc<Task<M>>,
     machine: Option<u32>,
 }
 
-/// The live actors, by id. An entry leaves when its actor is killed or its
-/// thread ends, whichever is first; `next` only grows, so a dead id stays
-/// dead.
-struct Registry<M> {
-    next: u32,
+/// The live actors, by id. An entry leaves when its actor is killed or
+/// reaped, whichever is first; ids only grow, so a dead id stays dead.
+struct Registry<M: KernelMsg + Send + 'static> {
     live: BTreeMap<u32, ActorSlot<M>>,
     /// Set by `shutdown`: actors spawned from then on are born dead, so
     /// that what `shutdown` waits for cannot grow behind its back.
@@ -181,15 +195,17 @@ struct MachineState {
 }
 
 /// State shared by every thread of one runtime.
-struct Shared<M: KernelMsg + Send> {
+struct Shared<M: KernelMsg + Send + 'static> {
     epoch: Instant,
     cfg: RuntimeConfig,
+    /// The next actor id, as an offset into this runtime's window.
+    next_id: AtomicU32,
     registry: RwLock<Registry<M>>,
-    /// Actor threads that have not finished reaping themselves; `shutdown`
-    /// waits on `all_reaped` for it to reach zero.
+    /// Actors not yet reaped; `shutdown` waits on `all_reaped` for it to
+    /// reach zero.
     running: Mutex<usize>,
     all_reaped: Condvar,
-    /// First panic of an actor thread, for `shutdown` to re-raise.
+    /// First panic of an actor, for `shutdown` to re-raise.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Deepest mailbox of any exited actor (live ones carry their own).
     hwm_exited: AtomicUsize,
@@ -201,7 +217,7 @@ struct Shared<M: KernelMsg + Send> {
     /// was armed.
     new_timers: Mutex<Vec<NewTimer>>,
     /// Runtime-global sinks: fault events, external sends, and what every
-    /// actor thread folds in (periodically, and in full when it is reaped).
+    /// actor folds in (periodically, and in full when it is reaped).
     metrics: Mutex<Metrics>,
     tracer: Mutex<Tracer>,
     /// Cluster metrics view, if a harness attached one: the clock thread
@@ -211,6 +227,8 @@ struct Shared<M: KernelMsg + Send> {
     remote_router: RwLock<Option<RemoteRouter<M>>>,
     /// Liveness oracle for remote ids (`ctx.alive` on a peer's actor).
     remote_alive: RwLock<Option<RemoteAlive>>,
+    /// Where actors with envelopes to handle wait for a pool thread.
+    runq: Arc<RunQueue<M>>,
 }
 
 impl<M: KernelMsg + Send + 'static> Shared<M> {
@@ -223,12 +241,11 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         same_window(id.0, self.cfg.actor_base)
     }
 
-    /// The mailbox of a live local actor. The sender is cloned under the
-    /// read lock and used outside it (a parked push must never hold the
-    /// registry lock).
-    fn sender_of(&self, id: ActorId) -> Option<MailboxSender<Envelope<M>>> {
+    /// The task of a live local actor, cloned under the read lock and used
+    /// outside it (a parked push must never hold the registry lock).
+    fn task_of(&self, id: ActorId) -> Option<Arc<Task<M>>> {
         let registry = self.registry.read().unwrap();
-        registry.live.get(&id.0).map(|s| s.sender.clone())
+        registry.live.get(&id.0).map(|s| Arc::clone(&s.task))
     }
 
     /// Hands a message for a non-local destination to the remote router.
@@ -248,15 +265,18 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         PushOutcome::Dead
     }
 
-    /// Delivers `env`, parking the caller while a local mailbox is full.
+    /// Delivers `env` from a thread outside the pool, parking the caller
+    /// while a local mailbox is full.
     fn push_envelope(&self, to: ActorId, env: Envelope<M>) -> PushOutcome {
         if !self.is_local(to) {
             return self.route_remote(to, env);
         }
-        match self.sender_of(to) {
-            Some(tx) => tx.push(env),
-            None => PushOutcome::Dead,
-        }
+        let Some(task) = self.task_of(to) else {
+            return PushOutcome::Dead;
+        };
+        let sent = task.tx.push(env);
+        task.notify();
+        sent
     }
 
     /// Non-blocking delivery used by the clock thread: remote envelopes are
@@ -267,9 +287,20 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
             self.route_remote(to, env);
             return Ok(());
         }
-        match self.sender_of(to) {
-            Some(tx) => tx.push_nonblocking(env).map(|_| ()),
-            None => Ok(()),
+        if let Some(task) = self.task_of(to) {
+            task.tx.push_nonblocking(env)?;
+            task.notify();
+        }
+        Ok(())
+    }
+
+    /// Puts a control envelope on a live local actor's own mailbox: never
+    /// refused, behind whatever is queued, and dropped once the actor is
+    /// unregistered.
+    fn push_control(&self, id: ActorId, env: Envelope<M>) {
+        if let Some(task) = self.task_of(id) {
+            task.tx.push_control(env);
+            task.notify();
         }
     }
 
@@ -291,29 +322,33 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
     }
 
     fn spawn(self: &Arc<Self>, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>, trace: TraceId) -> ActorId {
+        let n = self.next_id.fetch_add(1, Ordering::Relaxed);
+        assert!(n < (1 << ACTOR_WINDOW_SHIFT), "actor-id window exhausted");
+        let id = ActorId(self.cfg.actor_base + n);
         let (tx, rx, _) = mailbox(self.cfg.mailbox_capacity);
         // First in the box, before anyone can learn the id.
         tx.push_control(Envelope::Start { trace });
-        let id = {
+        let task = Arc::new(Task {
+            tx,
+            scheduled: AtomicBool::new(false),
+            muted: AtomicBool::new(false),
+            body: Mutex::new(Some(Body::new(self, id, machine, actor, rx))),
+            runq: Arc::clone(&self.runq),
+        });
+        let registered = {
             let mut registry = self.registry.write().unwrap();
-            assert!(registry.next < (1 << ACTOR_WINDOW_SHIFT), "actor-id window exhausted");
-            let id = ActorId(self.cfg.actor_base + registry.next);
-            registry.next += 1;
-            if registry.closed {
-                return id;
+            if !registry.closed {
+                registry.live.insert(id.0, ActorSlot { task: Arc::clone(&task), machine });
+                // Counted before anyone can kill it: its reaping must find
+                // it counted.
+                *self.running.lock().unwrap() += 1;
             }
-            registry.live.insert(id.0, ActorSlot { sender: tx, machine });
-            id
+            !registry.closed
         };
-        self.metrics.lock().unwrap().count("rt.actors_spawned", 1);
-        *self.running.lock().unwrap() += 1;
-        let shared = Arc::clone(self);
-        // Detached: the thread reaps itself (`actor_thread`), so its stack
-        // is unmapped when the actor ends, not when the runtime does.
-        std::thread::Builder::new()
-            .name(format!("fuxi-{id}"))
-            .spawn(move || actor_thread(shared, id, machine, actor, rx))
-            .expect("spawn actor thread");
+        if registered {
+            self.metrics.lock().unwrap().count("rt.actors_spawned", 1);
+            task.schedule();
+        }
         id
     }
 
@@ -333,7 +368,8 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         if let Some(slot) = self.unregister(id) {
             // A control envelope: never refused, and behind whatever was
             // sent before the kill.
-            slot.sender.push_control(Envelope::Kill);
+            slot.task.tx.push_control(Envelope::Kill);
+            slot.task.notify();
         }
     }
 
@@ -367,7 +403,7 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         let live = {
             let registry = self.registry.read().unwrap();
             for s in registry.live.values() {
-                let g = s.sender.gauges();
+                let g = s.task.tx.gauges();
                 hwm = hwm.max(g.hwm());
                 total += g.depth();
                 deepest = deepest.max(g.depth());
@@ -391,110 +427,283 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
     }
 }
 
-/// Body of an actor's dedicated, detached thread: runs the event loop
-/// until the actor is killed (or panics), then reaps the actor — folds
-/// everything its thread recorded into the runtime's sinks, takes it out
-/// of the registry, closes its mailbox — and reports the thread gone.
-fn actor_thread<M: KernelMsg + Send + 'static>(
-    shared: Arc<Shared<M>>,
-    id: ActorId,
-    machine: Option<u32>,
-    mut actor: Box<dyn Actor<M> + Send>,
+/// Most envelopes an actor handles in one turn on a pool thread before it
+/// goes back to the tail of the run queue, so that one busy actor (a
+/// master at saturation) cannot keep a pool thread from everyone else.
+const TURN: usize = 64;
+
+/// The pool's shared run queue: actors with envelopes to handle, in the
+/// order they became ready.
+struct RunQueue<M: KernelMsg + Send + 'static> {
+    state: Mutex<RunState<M>>,
+    ready: Condvar,
+}
+
+struct RunState<M: KernelMsg + Send + 'static> {
+    tasks: VecDeque<Arc<Task<M>>>,
+    /// Pool threads waiting on `ready`: a push signals only when one is.
+    idle: usize,
+    /// Set by `shutdown` once every actor is reaped.
+    stopped: bool,
+}
+
+impl<M: KernelMsg + Send + 'static> RunQueue<M> {
+    fn new() -> Self {
+        let state = RunState { tasks: VecDeque::new(), idle: 0, stopped: false };
+        RunQueue { state: Mutex::new(state), ready: Condvar::new() }
+    }
+
+    fn push(&self, task: Arc<Task<M>>) {
+        let wake = {
+            let mut state = self.state.lock().unwrap();
+            state.tasks.push_back(task);
+            state.idle > 0
+        };
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// The next ready actor, waiting for one; `None` once stopped.
+    fn pop(&self) -> Option<Arc<Task<M>>> {
+        let mut state = self.state.lock().unwrap();
+        loop {
+            if let Some(task) = state.tasks.pop_front() {
+                return Some(task);
+            }
+            if state.stopped {
+                return None;
+            }
+            state.idle += 1;
+            state = self.ready.wait(state).unwrap();
+            state.idle -= 1;
+        }
+    }
+
+    fn stop(&self) {
+        self.state.lock().unwrap().stopped = true;
+        self.ready.notify_all();
+    }
+}
+
+/// Body of a pool thread: runs turns of whatever actor is ready next.
+fn pool_thread<M: KernelMsg + Send + 'static>(runq: Arc<RunQueue<M>>) {
+    while let Some(task) = runq.pop() {
+        task.run();
+    }
+}
+
+/// One actor as the pool sees it: its mailbox, the two flags that decide
+/// who queues it next, and the actor itself.
+///
+/// A task is on the run queue at most once. `scheduled` is set while it is
+/// queued, running or muted; whoever sets it owns the next enqueue, so a
+/// push finds it set and leaves the task alone. A pool thread whose turn
+/// ends clears it and re-checks the depth (the pusher sets the depth before
+/// it reads the flag, the pool thread clears the flag before it reads the
+/// depth, all `SeqCst`, so one of them queues the task). `muted` is set
+/// while the task waits for room in a mailbox it overfilled; whoever clears
+/// it queues the task.
+struct Task<M: KernelMsg + Send + 'static> {
+    tx: MailboxSender<Envelope<M>>,
+    scheduled: AtomicBool,
+    muted: AtomicBool,
+    /// The actor and what it owns; `None` once reaped. Only the pool
+    /// thread running the task's turn locks it.
+    body: Mutex<Option<Body<M>>>,
+    runq: Arc<RunQueue<M>>,
+}
+
+/// How a turn ended.
+enum TurnEnd {
+    /// Out of envelopes or out of turn.
+    Yield,
+    /// A handler overfilled this mailbox: wait for room in it.
+    Muted(Arc<MailboxGauges>),
+    /// `Kill`, or a handler panicked: reap the actor.
+    Exit,
+}
+
+impl<M: KernelMsg + Send + 'static> Task<M> {
+    /// Queues the task unless it is already queued, running or muted.
+    fn schedule(self: &Arc<Self>) {
+        if !self.scheduled.load(Ordering::SeqCst) && !self.scheduled.swap(true, Ordering::SeqCst) {
+            self.runq.push(Arc::clone(self));
+        }
+    }
+
+    /// Ends a mute by queuing the task; nothing when it is not muted.
+    fn unmute(self: &Arc<Self>) {
+        if self.muted.load(Ordering::SeqCst) && self.muted.swap(false, Ordering::SeqCst) {
+            self.runq.push(Arc::clone(self));
+        }
+    }
+
+    /// After every push to this task's mailbox: queue it if it was idle. A
+    /// full mailbox also ends a mute — others wait on this actor, so it
+    /// must run (which is what keeps muting free of deadlock: every muted
+    /// actor waits on a full box, and a full box's actor is never left
+    /// muted).
+    fn notify(self: &Arc<Self>) {
+        if self.tx.gauges().full() {
+            self.unmute();
+        }
+        self.schedule();
+    }
+
+    /// One turn on the calling pool thread.
+    fn run(self: Arc<Self>) {
+        let mut body = self.body.lock().unwrap();
+        // `None` once reaped; `scheduled` then stays set, so it is never
+        // queued again.
+        let Some(end) = body.as_mut().map(Body::turn) else { return };
+        match end {
+            TurnEnd::Exit => {
+                let reaped = body.take().expect("a body to reap");
+                drop(body);
+                reaped.reap();
+            }
+            TurnEnd::Muted(dest) => {
+                drop(body);
+                // Muted before the checks below: a wake that comes after
+                // them finds the flag set.
+                self.muted.store(true, Ordering::SeqCst);
+                dest.wake_when_room(Waker::from(Arc::clone(&self)));
+                if self.tx.gauges().full() {
+                    self.unmute();
+                }
+            }
+            TurnEnd::Yield => {
+                drop(body);
+                self.scheduled.store(false, Ordering::SeqCst);
+                if self.tx.gauges().depth() > 0 {
+                    self.schedule(); // at the tail
+                }
+            }
+        }
+    }
+}
+
+impl<M: KernelMsg + Send + 'static> Wake for Task<M> {
+    fn wake(self: Arc<Self>) {
+        self.unmute();
+    }
+}
+
+/// An actor and everything it owns, lent to whichever pool thread runs
+/// its turn.
+struct Body<M: KernelMsg + Send + 'static> {
+    actor: Box<dyn Actor<M> + Send>,
     rx: MailboxReceiver<Envelope<M>>,
-) {
-    let obs = shared.cfg.obs.clone();
-    let mut tc = ThreadCtx {
-        id,
-        machine,
-        clock_tx: shared.clock_tx.clone(),
-        rng: SmallRng::seed_from_u64(
-            shared.cfg.seed.wrapping_add(u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        ),
-        shared,
-        metrics: Metrics::new(),
-        tracer: Tracer::new(obs),
-        current_trace: TraceId::NONE,
-    };
-    // The actor is dropped inside the guard too: a panicking `Drop` must
-    // not skip the reaping below.
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        actor_loop(&mut tc, actor.as_mut(), &rx);
-        drop(actor);
-    }));
-    let ThreadCtx { shared, metrics, tracer, .. } = tc;
-    if let Err(payload) = outcome {
-        shared.panic.lock().unwrap().get_or_insert(payload);
+    ctx: ActorCtx<M>,
+    last_flush: Instant,
+}
+
+impl<M: KernelMsg + Send + 'static> Body<M> {
+    fn new(
+        shared: &Arc<Shared<M>>,
+        id: ActorId,
+        machine: Option<u32>,
+        actor: Box<dyn Actor<M> + Send>,
+        rx: MailboxReceiver<Envelope<M>>,
+    ) -> Self {
+        // Stagger each actor's flush phase across the interval: hundreds
+        // of actors started in the same instant would otherwise all fold
+        // their metrics in the same tick, a burst of merges on the shared
+        // sink that holds up time-critical actors (e.g. the master's lease
+        // keepalive) queued behind it on the pool.
+        let phase = shared.cfg.metrics_flush.mul_f64(f64::from(id.0 % 64) / 64.0);
+        let ctx = ActorCtx {
+            id,
+            machine,
+            clock_tx: shared.clock_tx.clone(),
+            rng: SmallRng::seed_from_u64(
+                shared.cfg.seed.wrapping_add(u64::from(id.0).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            ),
+            shared: Arc::clone(shared),
+            metrics: Metrics::new(),
+            tracer: Tracer::new(shared.cfg.obs.clone()),
+            current_trace: TraceId::NONE,
+            overfilled: None,
+        };
+        let last_flush = Instant::now().checked_sub(phase).unwrap_or_else(Instant::now);
+        Body { actor, rx, ctx, last_flush }
     }
-    shared.unregister(id); // already gone unless the loop ended by panic
-    shared.hwm_exited.fetch_max(rx.gauges().hwm(), Ordering::Relaxed);
-    drop(rx); // closes the box: late and parked senders see a dead actor
-    shared.tracer.lock().unwrap().extend(tracer);
-    {
-        // One critical section, so whoever reads `rt.actors_reaped` also
-        // reads everything the reaped actors recorded.
-        let mut sink = shared.metrics.lock().unwrap();
-        sink.merge(&metrics);
-        sink.count("rt.actors_reaped", 1);
+
+    /// Handles up to [`TURN`] envelopes; stops early at `Kill`, at a
+    /// panic, and after a handler that overfilled a mailbox.
+    fn turn(&mut self) -> TurnEnd {
+        let mut end = TurnEnd::Yield;
+        for _ in 0..TURN {
+            let Some(env) = self.rx.try_recv() else { break };
+            self.rx.gauges().on_pop();
+            let Body { actor, ctx, .. } = self;
+            match catch_unwind(AssertUnwindSafe(|| ctx.handle(actor.as_mut(), env))) {
+                Ok(true) => {}
+                Ok(false) => return TurnEnd::Exit,
+                Err(payload) => {
+                    self.ctx.shared.panic.lock().unwrap().get_or_insert(payload);
+                    return TurnEnd::Exit;
+                }
+            }
+            if let Some(dest) = self.ctx.overfilled.take() {
+                end = TurnEnd::Muted(dest);
+                break;
+            }
+        }
+        self.flush_if_due();
+        end
     }
-    let mut running = shared.running.lock().unwrap();
-    *running -= 1;
-    if *running == 0 {
-        shared.all_reaped.notify_all();
+
+    /// Periodic flush: folds this actor's private metrics into the
+    /// runtime-global sink so live scrapes see near-current data instead
+    /// of waiting for the actor to exit. Safe because actor code only uses
+    /// additive instruments (counters, gauge deltas, histograms) whose
+    /// merge is take-and-sum.
+    fn flush_if_due(&mut self) {
+        let every = self.ctx.shared.cfg.metrics_flush;
+        if every > Duration::ZERO && self.last_flush.elapsed() >= every {
+            let m = std::mem::take(&mut self.ctx.metrics);
+            self.ctx.shared.metrics.lock().unwrap().merge(&m);
+            self.last_flush = Instant::now();
+        }
+    }
+
+    /// Reaps the actor: drops it, takes it out of the registry, closes its
+    /// mailbox (parked senders see a dead actor, muted ones wake), folds
+    /// everything it recorded into the runtime's sinks, and reports it gone.
+    fn reap(self) {
+        let Body { actor, rx, ctx, .. } = self;
+        let ActorCtx { id, shared, metrics, tracer, .. } = ctx;
+        // A panicking `Drop` must not skip the reaping below.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| drop(actor))) {
+            shared.panic.lock().unwrap().get_or_insert(payload);
+        }
+        shared.unregister(id); // already gone unless the actor ended by panic
+        shared.hwm_exited.fetch_max(rx.gauges().hwm(), Ordering::Relaxed);
+        drop(rx);
+        shared.tracer.lock().unwrap().extend(tracer);
+        {
+            // One critical section, so whoever reads `rt.actors_reaped` also
+            // reads everything the reaped actors recorded.
+            let mut sink = shared.metrics.lock().unwrap();
+            sink.merge(&metrics);
+            sink.count("rt.actors_reaped", 1);
+        }
+        let mut running = shared.running.lock().unwrap();
+        *running -= 1;
+        if *running == 0 {
+            shared.all_reaped.notify_all();
+        }
     }
 }
 
-/// One actor's event loop: until `Kill`.
-fn actor_loop<M: KernelMsg + Send + 'static>(
-    tc: &mut ThreadCtx<M>,
-    actor: &mut (dyn Actor<M> + Send),
-    rx: &MailboxReceiver<Envelope<M>>,
-) {
-    let id = tc.id;
-    let flush_every = tc.shared.cfg.metrics_flush;
-    // Stagger each thread's flush phase across the interval: hundreds of
-    // actors started in the same instant would otherwise all hit the
-    // shared sink's mutex in the same tick, which on a small host can
-    // stall time-critical actors (e.g. the master's lease keepalive).
-    let phase = flush_every.mul_f64(f64::from(id.0 % 64) / 64.0);
-    let mut last_flush = Instant::now().checked_sub(phase).unwrap_or_else(Instant::now);
-    while let Ok(env) = rx.recv() {
-        rx.gauges().on_pop();
-        match env {
-            Envelope::Start { trace } => {
-                tc.current_trace = trace;
-                actor.on_start(&mut Ctx::new(tc, id));
-            }
-            Envelope::Msg { from, msg, trace } => {
-                tc.current_trace = trace;
-                actor.on_message(&mut Ctx::new(tc, id), from, msg);
-            }
-            Envelope::Timer { tag } => {
-                // Like the kernel: timer-driven activity has no inherited
-                // causal context unless the actor re-establishes it.
-                tc.current_trace = TraceId::NONE;
-                actor.on_timer(&mut Ctx::new(tc, id), tag);
-            }
-            Envelope::Kill => break,
-        }
-        // Periodic flush: fold this thread's private metrics into the
-        // runtime-global sink so live scrapes see near-current data
-        // instead of waiting for the actor to exit. Safe because actor
-        // code only uses additive instruments (counters, gauge deltas,
-        // histograms) whose merge is take-and-sum.
-        if flush_every > Duration::ZERO && last_flush.elapsed() >= flush_every {
-            let m = std::mem::take(&mut tc.metrics);
-            tc.shared.metrics.lock().unwrap().merge(&m);
-            last_flush = Instant::now();
-        }
-    }
-}
-
-/// The live side of the actor contract: one per actor thread, owning that
-/// thread's RNG, metrics, and tracer.
-struct ThreadCtx<M: KernelMsg + Send + 'static> {
-    /// This thread's actor and its placement. Kept here because a killed
-    /// actor leaves the registry at once but still drains what was queued
-    /// before the kill, and must go on knowing where it runs.
+/// The live side of the actor contract: one per actor, owning that actor's
+/// RNG, metrics, and tracer.
+struct ActorCtx<M: KernelMsg + Send + 'static> {
+    /// This actor and its placement. Kept here because a killed actor
+    /// leaves the registry at once but still drains what was queued before
+    /// the kill, and must go on knowing where it runs.
     id: ActorId,
     machine: Option<u32>,
     shared: Arc<Shared<M>>,
@@ -503,16 +712,59 @@ struct ThreadCtx<M: KernelMsg + Send + 'static> {
     metrics: Metrics,
     tracer: Tracer,
     current_trace: TraceId,
+    /// The last mailbox this actor's current handler pushed past its bound:
+    /// the actor is muted on it when the handler returns.
+    overfilled: Option<Arc<MailboxGauges>>,
 }
 
-impl<M: KernelMsg + Send + 'static> CtxOps<M> for ThreadCtx<M> {
+impl<M: KernelMsg + Send + 'static> ActorCtx<M> {
+    /// Runs the handler `env` calls for; `false` at `Kill`.
+    fn handle(&mut self, actor: &mut (dyn Actor<M> + Send), env: Envelope<M>) -> bool {
+        let id = self.id;
+        match env {
+            Envelope::Start { trace } => {
+                self.current_trace = trace;
+                actor.on_start(&mut Ctx::new(self, id));
+            }
+            Envelope::Msg { from, msg, trace } => {
+                self.current_trace = trace;
+                actor.on_message(&mut Ctx::new(self, id), from, msg);
+            }
+            Envelope::Timer { tag } => {
+                // Like the kernel: timer-driven activity has no inherited
+                // causal context unless the actor re-establishes it.
+                self.current_trace = TraceId::NONE;
+                actor.on_timer(&mut Ctx::new(self, id), tag);
+            }
+            Envelope::Kill => return false,
+        }
+        true
+    }
+}
+
+impl<M: KernelMsg + Send + 'static> CtxOps<M> for ActorCtx<M> {
     fn now(&self) -> SimTime {
         self.shared.now()
     }
 
+    /// Never waits: a full local mailbox takes the message past its bound,
+    /// and this actor is muted on it once the handler returns.
     fn send(&mut self, from: ActorId, to: ActorId, msg: M, trace: TraceId) {
         self.metrics.count("net.sent", 1);
-        match self.shared.push_envelope(to, Envelope::Msg { from, msg, trace }) {
+        let env = Envelope::Msg { from, msg, trace };
+        let sent = if !self.shared.is_local(to) {
+            self.shared.route_remote(to, env)
+        } else if let Some(task) = self.shared.task_of(to) {
+            let sent = task.tx.push_overflow(env);
+            if sent == PushOutcome::SentParked {
+                self.overfilled = Some(Arc::clone(task.tx.gauges()));
+            }
+            task.notify();
+            sent
+        } else {
+            PushOutcome::Dead
+        };
+        match sent {
             PushOutcome::Sent => {}
             PushOutcome::SentParked => self.metrics.count("rt.mailbox_parked", 1),
             PushOutcome::Dead => self.metrics.count("net.to_dead", 1),
@@ -521,14 +773,12 @@ impl<M: KernelMsg + Send + 'static> CtxOps<M> for ThreadCtx<M> {
 
     /// A zero delay is the kernel's "same instant, after the backlog": the
     /// timer goes straight onto the actor's own mailbox, behind whatever is
-    /// queued, and never waits for a wheel edge. It is a control push (an
-    /// actor must not park on its own full box), and an actor no longer
+    /// queued, and never waits for a wheel edge. It is a control push (it
+    /// must not mute an actor on its own box), and an actor no longer
     /// registered drops it, as `ClockCmd::Forget` drops its wheel timers.
     fn timer(&mut self, actor: ActorId, delay: SimDuration, tag: u64) {
         if delay == SimDuration::ZERO {
-            if let Some(tx) = self.shared.sender_of(actor) {
-                tx.push_control(Envelope::Timer { tag });
-            }
+            self.shared.push_control(actor, Envelope::Timer { tag });
             return;
         }
         let at = self.shared.now();
@@ -606,10 +856,8 @@ impl<M: KernelMsg + Send + 'static> CtxOps<M> for ThreadCtx<M> {
     /// through the clock thread, by the zero-delay timer's rule.
     fn start_flow(&mut self, owner: ActorId, spec: FlowSpec) {
         if spec.size_mb <= 0.0 {
-            if let Some(tx) = self.shared.sender_of(owner) {
-                let msg = M::flow_done(spec.tag, false);
-                tx.push_control(Envelope::Msg { from: owner, msg, trace: self.current_trace });
-            }
+            let msg = M::flow_done(spec.tag, false);
+            self.shared.push_control(owner, Envelope::Msg { from: owner, msg, trace: self.current_trace });
             return;
         }
         let _ = self.clock_tx.send(ClockCmd::StartFlow { owner, spec });
@@ -773,16 +1021,20 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
     }
 }
 
-/// A running live world. Dropping it without [`LiveRuntime::shutdown`]
-/// leaves the threads running; call `shutdown` to stop them and collect
-/// the merged observability streams.
+/// A running live world: a pool of threads that runs every actor, and a
+/// clock thread. Dropping it without [`LiveRuntime::shutdown`] leaves the
+/// threads running; call `shutdown` to stop them and collect the merged
+/// observability streams.
 pub struct LiveRuntime<M: KernelMsg + Send + 'static> {
     shared: Arc<Shared<M>>,
     clock: Option<JoinHandle<()>>,
+    pool: Vec<JoinHandle<()>>,
 }
 
 impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
-    /// Boots the runtime: machine table, clock thread, no actors yet.
+    /// Boots the runtime: machine table, clock thread, and a pool of
+    /// `std::thread::available_parallelism()` threads (two at least, so
+    /// that one handler that blocks cannot stop the world); no actors yet.
     pub fn new(cfg: RuntimeConfig) -> Self {
         let (clock_tx, clock_rx) = std::sync::mpsc::channel();
         let machines = cfg
@@ -796,7 +1048,8 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         let shared = Arc::new(Shared {
             epoch: Instant::now(),
             cfg,
-            registry: RwLock::new(Registry { next: 0, live: BTreeMap::new(), closed: false }),
+            next_id: AtomicU32::new(0),
+            registry: RwLock::new(Registry { live: BTreeMap::new(), closed: false }),
             running: Mutex::new(0),
             all_reaped: Condvar::new(),
             panic: Mutex::new(None),
@@ -809,6 +1062,7 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             hub: Mutex::new(None),
             remote_router: RwLock::new(None),
             remote_alive: RwLock::new(None),
+            runq: Arc::new(RunQueue::new()),
         });
         let clock = {
             let shared = Arc::clone(&shared);
@@ -817,10 +1071,26 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
                 .spawn(move || clock_thread(shared, clock_rx))
                 .expect("spawn clock thread")
         };
+        let threads = std::thread::available_parallelism().map_or(2, |n| n.get()).max(2);
+        let pool = (0..threads)
+            .map(|i| {
+                let runq = Arc::clone(&shared.runq);
+                std::thread::Builder::new()
+                    .name(format!("fuxi-pool-{i}"))
+                    .spawn(move || pool_thread(runq))
+                    .expect("spawn pool thread")
+            })
+            .collect();
         LiveRuntime {
             shared,
             clock: Some(clock),
+            pool,
         }
+    }
+
+    /// Threads in the pool that runs every actor.
+    pub fn pool_threads(&self) -> usize {
+        self.pool.len()
     }
 
     /// Wall-clock time since the runtime epoch.
@@ -828,7 +1098,13 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         self.shared.now()
     }
 
-    /// Spawns an actor on its own thread, optionally placed on a machine.
+    /// Spawns an actor, optionally placed on a machine. It runs on the
+    /// runtime's pool, one turn at a time, never on two threads at once.
+    ///
+    /// A handler that blocks — on a channel, a lock held across handlers,
+    /// a sleep — holds its pool thread for as long as it blocks, and with it
+    /// every actor that thread would have run. No production actor blocks;
+    /// a test actor may, for as long as the pool's other thread is enough.
     pub fn spawn(&self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId {
         self.shared.spawn(machine, actor, TraceId::NONE)
     }
@@ -869,12 +1145,14 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
         })
     }
 
-    /// Terminates one actor (its thread exits after draining its mailbox).
+    /// Terminates one actor (it is reaped after it drains what was queued
+    /// before the kill).
     pub fn kill_actor(&self, id: ActorId) {
         self.shared.kill(id);
     }
 
-    /// `true` while `id`'s thread is accepting messages.
+    /// `true` while `id` is registered: spawned, and neither killed nor
+    /// reaped. Messages to it are accepted.
     pub fn alive(&self, id: ActorId) -> bool {
         self.shared.alive(id)
     }
@@ -947,14 +1225,14 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
     }
 
     /// A clone of the runtime-global metrics as of now. Exited actors are
-    /// in it in full; with periodic per-thread flushes (`metrics_flush`)
-    /// only the last sub-interval of each live actor thread is missing.
+    /// in it in full; with periodic per-actor flushes (`metrics_flush`)
+    /// only what each live actor recorded since its last flush is missing.
     pub fn metrics_snapshot(&self) -> Metrics {
         self.shared.metrics.lock().unwrap().clone()
     }
 
     /// Stops everything: kills the live actors, waits until every actor
-    /// thread has reaped itself, and returns the runtime-global metrics and
+    /// has been reaped, stops the pool, and returns the runtime-global metrics and
     /// tracer — by then holding every record of every actor that ever ran,
     /// the trace time-ordered. Re-raises the first actor panic, however
     /// long ago that actor was reaped.
@@ -966,7 +1244,8 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             std::mem::take(&mut registry.live)
         };
         for slot in live.into_values() {
-            slot.sender.push_control(Envelope::Kill);
+            slot.task.tx.push_control(Envelope::Kill);
+            slot.task.notify();
         }
         let _ = self.shared.clock_tx.send(ClockCmd::Shutdown);
         if let Some(clock) = self.clock.take() {
@@ -977,7 +1256,11 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             running = self.shared.all_reaped.wait(running).unwrap();
         }
         drop(running);
-        // A panicked actor thread must not vanish into a clean shutdown —
+        self.shared.runq.stop();
+        for thread in self.pool.drain(..) {
+            let _ = thread.join();
+        }
+        // A panicked actor must not vanish into a clean shutdown —
         // re-raise so callers (tests, the benchmark) fail.
         if let Some(payload) = self.shared.panic.lock().unwrap().take() {
             resume_unwind(payload);
@@ -1259,7 +1542,7 @@ mod tests {
         let cfg = RuntimeConfig { metrics_flush: Duration::from_millis(10), ..two_machine_cfg() };
         let rt: LiveRuntime<TMsg> = LiveRuntime::new(cfg);
         rt.spawn(None, Box::new(ArmsLong(Exit::Never)));
-        // 2,000 short-lived actors, in waves so threads stay few.
+        // 2,000 short-lived actors, in waves.
         for wave in 1..=20 {
             let exit = if wave % 2 == 0 { Exit::AfterArming } else { Exit::BeforeArming };
             for _ in 0..100 {
@@ -1477,6 +1760,153 @@ mod tests {
         assert!(wait_for(|| seen.load(Ordering::SeqCst) == 4, Duration::from_secs(5)));
         let (metrics, _) = rt.shutdown();
         assert!(metrics.counter("rt.clock_parked") >= 3);
+    }
+
+    /// Sends `total` pings to `sink`, a few per handler (the next few go
+    /// out from a zero-delay timer), and checks the pongs come back in
+    /// order.
+    struct Flooder {
+        sink: ActorId,
+        total: u64,
+        sent: u64,
+        next_pong: u64,
+        done: Arc<AtomicU64>,
+        disorder: Arc<AtomicU64>,
+    }
+    impl Flooder {
+        fn burst(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            for _ in 0..4 {
+                if self.sent < self.total {
+                    ctx.send(self.sink, TMsg::Ping(self.sent));
+                    self.sent += 1;
+                }
+            }
+            if self.sent < self.total {
+                ctx.timer(SimDuration::ZERO, 0);
+            }
+        }
+    }
+    impl Actor<TMsg> for Flooder {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            self.burst(ctx);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, msg: TMsg) {
+            if let TMsg::Pong(n) = msg {
+                if n != self.next_pong {
+                    self.disorder.fetch_add(1, Ordering::SeqCst);
+                }
+                self.next_pong = n + 1;
+                if self.next_pong == self.total {
+                    self.done.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TMsg>, _: u64) {
+            self.burst(ctx);
+        }
+    }
+
+    /// Spends a few microseconds on each ping, then answers it; checks each
+    /// source's pings arrive in order.
+    struct SlowSink {
+        next: HashMap<ActorId, u64>,
+        disorder: Arc<AtomicU64>,
+    }
+    impl Actor<TMsg> for SlowSink {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, TMsg>, from: ActorId, msg: TMsg) {
+            if let TMsg::Ping(n) = msg {
+                let next = self.next.entry(from).or_insert(0);
+                if n != *next {
+                    self.disorder.fetch_add(1, Ordering::SeqCst);
+                }
+                *next = n + 1;
+                let busy = Instant::now();
+                while busy.elapsed() < Duration::from_micros(5) {
+                    std::hint::spin_loop();
+                }
+                ctx.send(from, TMsg::Pong(n));
+            }
+        }
+    }
+
+    /// Three actors flood one slow one through mailboxes of two, and it
+    /// answers each of them through theirs: every box is full most of the
+    /// time, in both directions. A pool thread that waited on a full box
+    /// would wedge this (two flooders waiting on the sink leave no thread
+    /// for it; the sink waiting on a flooder's box closes the cycle even
+    /// with threads to spare). With muting, everything arrives, in order.
+    #[test]
+    fn actors_flooding_full_mailboxes_both_ways_do_not_wedge_the_pool() {
+        const FLOODERS: u64 = 3;
+        const PINGS: u64 = 2_000;
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(tiny_mailboxes(2));
+        let (done, disorder) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let sink = rt.spawn(None, Box::new(SlowSink { next: HashMap::new(), disorder: disorder.clone() }));
+        for _ in 0..FLOODERS {
+            rt.spawn(
+                None,
+                Box::new(Flooder {
+                    sink,
+                    total: PINGS,
+                    sent: 0,
+                    next_pong: 0,
+                    done: done.clone(),
+                    disorder: disorder.clone(),
+                }),
+            );
+        }
+        assert!(
+            wait_for(|| done.load(Ordering::SeqCst) == FLOODERS, Duration::from_secs(30)),
+            "wedged: {} of {FLOODERS} flooders got all {PINGS} pongs back",
+            done.load(Ordering::SeqCst)
+        );
+        assert_eq!(disorder.load(Ordering::SeqCst), 0, "a source's messages arrived out of order");
+        let (metrics, _) = rt.shutdown();
+        assert!(metrics.counter("rt.mailbox_parked") > 0, "no mailbox ever filled");
+    }
+
+    /// Exits in `on_start` or waits to be killed; counts its drop.
+    struct Counted {
+        exits: bool,
+        _probe: Arc<()>,
+        dropped: Arc<AtomicU64>,
+    }
+    impl Actor<TMsg> for Counted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            if self.exits {
+                ctx.kill_self();
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, _: TMsg) {}
+    }
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.dropped.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// An actor's context holds the runtime (`ctx.shared` → registry →
+    /// mailbox → actor): every way out — exiting, a kill, the shutdown's
+    /// kill — must still drop the actor and everything it holds.
+    #[test]
+    fn the_pool_drops_every_actor_it_ran() {
+        let rt: LiveRuntime<TMsg> = LiveRuntime::new(two_machine_cfg());
+        let probe = Arc::new(());
+        let dropped = Arc::new(AtomicU64::new(0));
+        let ids: Vec<ActorId> = (0..1_000)
+            .map(|i| {
+                let actor = Counted { exits: i % 2 == 0, _probe: probe.clone(), dropped: dropped.clone() };
+                rt.spawn(None, Box::new(actor))
+            })
+            .collect();
+        assert!(wait_for(|| dropped.load(Ordering::SeqCst) == 500, Duration::from_secs(10)));
+        // Half of the survivors by kill, the other half by the shutdown.
+        for &id in ids.iter().skip(1).step_by(4) {
+            rt.kill_actor(id);
+        }
+        rt.shutdown();
+        assert_eq!(dropped.load(Ordering::SeqCst), 1_000);
+        assert_eq!(Arc::strong_count(&probe), 1, "an actor outlived the shutdown");
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub trait Actor<M: KernelMsg> {
 /// What an actor can do to the world: the engine half of a [`Ctx`].
 ///
 /// Implemented by the kernel's [`WorldCore`](crate::world::WorldCore) and
-/// by `fuxi-rt`'s per-actor thread state, and nowhere else. Methods that act
+/// by `fuxi-rt`'s per-actor context, and nowhere else. Methods that act
 /// *as* an actor take the acting [`ActorId`] explicitly because one
 /// implementation may serve the handlers of every actor.
 pub trait CtxOps<M: KernelMsg> {
@@ -187,7 +187,8 @@ impl<'a, M: KernelMsg> Ctx<'a, M> {
     /// the new actor's address immediately so it can be communicated.
     ///
     /// The `Send` bound exists for the live runtime, where the new actor
-    /// moves to its own OS thread; in the kernel it coerces away.
+    /// runs on whichever pool thread takes its turn; in the kernel it
+    /// coerces away.
     pub fn spawn(&mut self, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>) -> ActorId {
         self.ops.spawn(machine, actor)
     }

@@ -357,9 +357,9 @@ fn live_rollup_and_scrape_match_sim() {
 }
 
 /// A JobMaster's share of the cluster-wide `am.obtained_*` gauges leaves
-/// with its job, live too — where every actor thread's metrics are taken
+/// with its job, live too — where every actor's metrics are taken
 /// into the runtime's sink on each flush, so a gauge read back from the
-/// thread reads 0 after one. A job whose grants change across many 20 ms
+/// actor reads 0 after one. A job whose grants change across many 20 ms
 /// flushes (two waves of containers, returned as the maps finish) must
 /// leave the gauges at 0. (Read back from the thread, the job added its
 /// whole holding again after a flush and left 14,336 MB and 4,500

@@ -74,7 +74,7 @@ fn null_job(maps: u32) -> fuxi::job::JobDesc {
 }
 
 /// Runs jobs at `in_flight` until `total` have finished, then lets the
-/// agents' sweeps notice the exited JobMasters and the actor threads reap.
+/// agents' sweeps notice the exited JobMasters and the pool reaps them.
 fn run_to(c: &mut LiveCluster, submitted: &mut usize, total: usize, in_flight: usize) {
     let opts = SubmitOpts { master_package_mb: 0.0, ..SubmitOpts::default() };
     let deadline = Instant::now() + Duration::from_secs(300);
