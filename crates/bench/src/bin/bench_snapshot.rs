@@ -18,7 +18,10 @@
 //! The snapshot also measures end-to-end kernel throughput
 //! (`sim_events_per_sec`: a 5k-machine × 100k-job event storm), runs the
 //! §5.2 synthetic experiment in interleaved pairs — tracing off and on —
-//! and records the Figure 9 decision-time medians of both legs. It exits
+//! and records the Figure 9 decision-time medians of both legs, and the
+//! untraced legs' simulator speed (`sim_stack_events_per_sec`: events per
+//! wall second of the whole stack — master, agents, JobMasters, workers,
+//! flows — under the kernel, set-up excluded). It exits
 //! non-zero if the median of the per-pair traced/untraced ratios exceeds
 //! 1.05, and writes a `trace_sample.jsonl` (next to the output file) from
 //! a traced run for CI artifact upload / `trace_dump` smoke tests.
@@ -36,6 +39,7 @@ use fuxi_sim::{SimDuration, TracerConfig};
 use fuxi_core::scheduler::{LocalityTree, QueueKey};
 use fuxi_proto::request::RequestDelta;
 use fuxi_proto::{AppId, MachineId, Priority, RackId, ResourceVec, UnitId};
+use std::time::{Duration, Instant};
 
 /// One scale's decision benches: free-up (return → decide → grant) and
 /// request-delta (±1 demand, forcing a cluster-level placement attempt),
@@ -115,6 +119,13 @@ struct Overhead {
     ratios: Vec<f64>,
     /// Median of `ratios` — the feature's tax on the hot path.
     ratio: f64,
+    /// Median over the pairs of the `base` run's simulator speed: events
+    /// it processed per second of wall time spent advancing it (set-up
+    /// excluded). With tracing off that is the whole sim stack's speed.
+    base_events_per_s: f64,
+    /// Events one `base` run processes after set-up, on how many machines.
+    base_events: u64,
+    machines: u64,
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -136,11 +147,30 @@ fn sched_median(run: &SyntheticRun) -> (f64, u64) {
 /// and the last `with` run.
 fn overhead(pairs: usize, base: impl Fn() -> SyntheticRun, with: impl Fn() -> SyntheticRun) -> (Overhead, SyntheticRun) {
     let mut medians = Vec::with_capacity(pairs);
+    let mut base_speeds = Vec::with_capacity(pairs);
+    let (mut base_events, mut machines) = (0, 0);
     let mut last = None;
     for i in 0..pairs {
         let (mut b, mut w) = (base(), with());
-        let mut turns = if i % 2 == 0 { [&mut b, &mut w] } else { [&mut w, &mut b] };
-        while turns.iter_mut().fold(false, |more, run| run.advance(TURN) | more) {}
+        let events0 = b.cluster.world.events_processed();
+        // Wall time each run spends advancing: [base, with].
+        let mut wall = [Duration::ZERO; 2];
+        let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
+        loop {
+            let mut more = false;
+            for leg in order {
+                let run = if leg == 0 { &mut b } else { &mut w };
+                let t = Instant::now();
+                more |= run.advance(TURN);
+                wall[leg] += t.elapsed();
+            }
+            if !more {
+                break;
+            }
+        }
+        base_events = b.cluster.world.events_processed() - events0;
+        machines = b.cluster.agents.len() as u64;
+        base_speeds.push(base_events as f64 / wall[0].as_secs_f64());
         medians.push((sched_median(&b), sched_median(&w)));
         last = Some(w);
     }
@@ -151,6 +181,9 @@ fn overhead(pairs: usize, base: impl Fn() -> SyntheticRun, with: impl Fn() -> Sy
         with_count: medians[0].1 .1,
         ratio: median(ratios.clone()),
         ratios,
+        base_events_per_s: median(base_speeds),
+        base_events,
+        machines,
     };
     (ovh, last.expect("at least one pair"))
 }
@@ -287,6 +320,14 @@ fn main() {
             ]),
         ),
         (
+            "sim_stack_events_per_sec",
+            obj([
+                ("machines", uint(ovh.machines)),
+                ("events", uint(ovh.base_events)),
+                ("events_per_sec", uint(ovh.base_events_per_s.round() as u64)),
+            ]),
+        ),
+        (
             "fig9_tracing_overhead",
             obj([
                 ("untraced_median_s", fixed(ovh.base_median_s, 9)),
@@ -320,6 +361,11 @@ fn main() {
     println!(
         "  sim_events_per_sec ({} machines, {} jobs): {:.0}/s ({:.2}s)",
         storm.machines, storm.jobs, storm.events_per_sec, storm.wall_s
+    );
+    println!(
+        "  sim_stack_events_per_sec ({} machines, untraced legs): {:.0}/s",
+        ovh.machines,
+        ovh.base_events_per_s
     );
     // The CI perf gate: the fit index must not lose its own hot paths, and
     // the end-to-end scenario must stay inside the 30 s wall budget.

@@ -10,7 +10,7 @@ use crate::blacklist::{Escalation, JobBlacklist};
 use crate::dag::TaskGraph;
 use crate::desc::JobDesc;
 use crate::snapshot::JobSnapshot;
-use crate::task_master::{AssignmentOut, Attempt, InstState, InstanceRt, TWorker, TaskMaster};
+use crate::task_master::{AssignmentOut, InstState, InstanceRt, TWorker, TaskMaster};
 use fuxi_agent::ProcMeta;
 use fuxi_apsara::{NameRegistry, PanguHandle, StoreHandle};
 use fuxi_proto::msg::{SeqCheck, SeqReceiver, SeqSender, WorkerSpec};
@@ -425,7 +425,7 @@ impl JobMaster {
         }
         let workers: Vec<WorkerId> = self.tms[task.0 as usize]
             .as_ref()
-            .map(|tm| tm.workers.keys().copied().collect())
+            .map(|tm| tm.workers().keys().copied().collect())
             .unwrap_or_default();
         for w in workers {
             self.release_worker(ctx, w);
@@ -551,22 +551,17 @@ impl JobMaster {
             return;
         };
         let unit = Self::unit_of(task);
-        let desired: BTreeMap<MachineId, u64> = self.ledger.machines(unit).collect();
-        let current = tm.worker_counts();
+        // The whole ledger against every worker: a stop the agent asked for
+        // (`CapacityWarning`) is repaired here, whatever machine it was on.
         let mut to_start: Vec<(MachineId, u64)> = Vec::new();
         let mut to_stop: Vec<(MachineId, u64)> = Vec::new();
-        for (&m, &want) in &desired {
-            let have = current.get(&m).copied().unwrap_or(0);
+        zip_counts(self.ledger.machines(unit), tm.worker_counts(), |m, want, have| {
             if want > have {
                 to_start.push((m, want - have));
-            }
-        }
-        for (&m, &have) in &current {
-            let want = desired.get(&m).copied().unwrap_or(0);
-            if have > want {
+            } else if have > want {
                 to_stop.push((m, have - want));
             }
-        }
+        });
         for (m, n) in to_start {
             for _ in 0..n {
                 self.start_worker(ctx, task, m);
@@ -575,16 +570,8 @@ impl JobMaster {
         for (m, n) in to_stop {
             // Idle workers go first; busy ones requeue their instance.
             let tm = self.tms[task.0 as usize].as_ref().unwrap();
-            let mut victims: Vec<WorkerId> = tm
-                .workers_on(m)
-                .into_iter()
-                .filter(|w| tm.workers[w].busy.is_none())
-                .collect();
-            let busy: Vec<WorkerId> = tm
-                .workers_on(m)
-                .into_iter()
-                .filter(|w| !victims.contains(w))
-                .collect();
+            let (mut victims, busy): (Vec<WorkerId>, Vec<WorkerId>) =
+                tm.workers_on(m).into_iter().partition(|w| tm.workers()[w].busy.is_none());
             victims.extend(busy);
             for w in victims.into_iter().take(n as usize) {
                 self.stop_worker(ctx, w);
@@ -673,12 +660,15 @@ impl JobMaster {
         self.tms[task.0 as usize].as_mut()
     }
 
-    /// Workers on the books whose row satisfies `pred`, in id order.
+    /// Workers on the books whose row satisfies `pred`, in id order. Walks
+    /// the rows, with no lookup per worker: the housekeeping of every job
+    /// runs it each second over all of the job's workers.
     fn workers_where(&self, pred: impl Fn(&TWorker) -> bool) -> Vec<WorkerId> {
-        (self.worker_task.iter())
-            .filter(|&(w, task)| self.tms[task.0 as usize].as_ref().is_some_and(|tm| pred(&tm.workers[w])))
-            .map(|(&w, _)| w)
-            .collect()
+        let mut found: Vec<WorkerId> = (self.tms.iter().flatten())
+            .flat_map(|tm| tm.workers().iter().filter(|(_, row)| pred(row)).map(|(&w, _)| w))
+            .collect();
+        found.sort_unstable();
+        found
     }
 
     /// The worker books agree: the index and the TaskMasters' rows name the
@@ -686,9 +676,9 @@ impl JobMaster {
     /// instances list.
     fn books_agree(&self) -> bool {
         let rows = || self.tms.iter().flatten();
-        rows().map(|tm| tm.workers.len()).sum::<usize>() == self.worker_task.len()
+        rows().map(|tm| tm.workers().len()).sum::<usize>() == self.worker_task.len()
             && rows().all(|tm| {
-                tm.books_agree() && tm.workers.keys().all(|w| self.worker_task.get(w) == Some(&tm.task))
+                tm.books_agree() && tm.workers().keys().all(|w| self.worker_task.get(w) == Some(&tm.task))
             })
     }
 
@@ -728,12 +718,10 @@ impl JobMaster {
         if tm.pending_count() > 0 || tm.is_complete() {
             return;
         }
-        let idle = tm.idle_workers();
-        if idle.len() > IDLE_SPARES {
-            let surplus = idle.len() - IDLE_SPARES;
-            for w in idle.into_iter().take(surplus) {
-                self.release_worker(ctx, w);
-            }
+        let surplus = tm.idle_count().saturating_sub(IDLE_SPARES);
+        let retired: Vec<WorkerId> = tm.idle_workers().take(surplus).collect();
+        for w in retired {
+            self.release_worker(ctx, w);
         }
     }
 
@@ -789,7 +777,7 @@ impl JobMaster {
                     ok: true,
                 });
                 for (lw, li, la) in losers {
-                    if let Some(actor) = tm.workers.get(&lw).and_then(|w| w.actor) {
+                    if let Some(actor) = tm.workers().get(&lw).and_then(|w| w.actor) {
                         ctx.send(actor, Msg::KillInstance { instance: li, attempt: la });
                     }
                     ctx.metrics().count("jm.backup_losers_killed", 1);
@@ -819,7 +807,7 @@ impl JobMaster {
             }
             InstanceOutcome::Failed(reason) => {
                 let real_failure = tm.attempt_failed(worker, instance.index, attempt);
-                let machine = tm.workers.get(&worker).map(|w| w.machine);
+                let machine = tm.workers().get(&worker).map(|w| w.machine);
                 if real_failure {
                     ctx.trace(TraceEvent::InstanceFinished {
                         instance: Self::inst_id(instance),
@@ -881,7 +869,7 @@ impl JobMaster {
                 .collect(),
             workers: started()
                 .flat_map(|tm| {
-                    tm.workers.iter().map(|(&w, tw)| (w, tm.task, tw.machine, tw.actor))
+                    tm.workers().iter().map(|(&w, tw)| (w, tm.task, tw.machine, tw.actor))
                 })
                 .collect(),
             next_worker: self.next_worker,
@@ -957,7 +945,7 @@ impl JobMaster {
             if let Some(tm) = self.tms[task.0 as usize].as_ref() {
                 if !tm.is_complete() {
                     let cap = tm.desc.worker_cap() as u64;
-                    let have = tm.workers.len() as u64;
+                    let have = tm.workers().len() as u64;
                     st.wants = fuxi_proto::request::WantLevels::anywhere(cap.saturating_sub(have));
                 }
             }
@@ -994,7 +982,7 @@ impl JobMaster {
             report.instances_total += tm.total_instances();
             report.instances_running += tm.running_count();
             report.instances_finished += tm.finished;
-            report.workers_active += tm.workers.len() as u64;
+            report.workers_active += tm.workers().len() as u64;
             report.pending_instances += tm.pending_count() as u64;
         }
         ctx.send(
@@ -1003,6 +991,21 @@ impl JobMaster {
                 report: fuxi_sim::obs::MetricsReport::Job(report),
             },
         );
+    }
+}
+
+/// Walks two per-machine count lists, each in machine order, side by side:
+/// `f(machine, a, b)` for every machine in either, with 0 where one has none.
+fn zip_counts(
+    a: impl Iterator<Item = (MachineId, u64)>,
+    b: impl Iterator<Item = (MachineId, u64)>,
+    mut f: impl FnMut(MachineId, u64, u64),
+) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    while let Some(m) = a.peek().map(|p| p.0).into_iter().chain(b.peek().map(|p| p.0)).min() {
+        let in_a = a.next_if(|p| p.0 == m).map_or(0, |p| p.1);
+        let in_b = b.next_if(|p| p.0 == m).map_or(0, |p| p.1);
+        f(m, in_a, in_b);
     }
 }
 
@@ -1128,19 +1131,15 @@ impl JobMaster {
                 // ignored: the agent has been told to stop it.
                 if let Some(tm) = self.task_master_of(worker) {
                     let task = tm.task;
-                    let row = tm.workers.get_mut(&worker).expect("an indexed worker has a row");
+                    let row = &tm.workers()[&worker];
                     if row.actor.is_none() {
                         let dt = ctx.now().since(row.requested_at).as_secs_f64();
                         ctx.metrics().record("am.worker_start_overhead_s", dt);
                     }
-                    row.actor = Some(from);
-                    row.machine = machine;
-                    // A registration always comes from a *fresh* process. If
-                    // the TaskMaster thought this worker was mid-instance, that
-                    // attempt died with the old process (agent restarted it):
-                    // requeue it.
-                    if let Some((idx, attempt)) = row.busy.take() {
-                        tm.abandon_attempt(idx, attempt);
+                    // If the TaskMaster thought this worker was mid-instance,
+                    // that attempt died with the old process (the agent
+                    // restarted it) and is requeued.
+                    if tm.worker_registered(worker, from, machine) {
                         ctx.metrics().count("jm.attempts_lost_on_restart", 1);
                     }
                     self.assign_work(ctx, task);
@@ -1216,31 +1215,8 @@ impl JobMaster {
                 // Recovery confirmation from a surviving worker.
                 self.unanswered.remove(&worker);
                 if let Some(tm) = self.task_master_of(worker) {
-                    let row = tm.workers.get_mut(&worker).expect("an indexed worker has a row");
-                    row.actor = Some(from);
-                    row.machine = machine;
-                    if let Some((inst, attempt, _)) = running {
-                        if inst.task == tm.task
-                            && (inst.index as usize) < tm.instances.len()
-                            && tm.instances[inst.index as usize].state != InstState::Done
-                        {
-                            // Re-adopt the running attempt untouched —
-                            // "during the absence of JobMaster process,
-                            // all the workers are still running the
-                            // instances without interruption".
-                            let i = &mut tm.instances[inst.index as usize];
-                            i.state = InstState::Running;
-                            i.attempts.push(Attempt {
-                                attempt,
-                                worker,
-                                machine,
-                                started: ctx.now(),
-                                confirmed: true,
-                            });
-                            i.next_attempt = i.next_attempt.max(attempt + 1);
-                            row.busy = Some((inst.index, attempt));
-                        }
-                    }
+                    let running = running.map(|(inst, attempt, _)| (inst, attempt));
+                    tm.worker_answered(worker, from, machine, running, ctx.now());
                 }
             }
             Msg::WorkerListQuery { app: _, machine } => {
@@ -1429,7 +1405,7 @@ mod tests {
             let t = cold.tms[map.0 as usize].as_mut().unwrap();
             for w in 0..4 {
                 t.add_worker(WorkerId(w), MachineId(w as u32), ctx.now());
-                t.workers.get_mut(&WorkerId(w)).unwrap().actor = Some(ctx.id());
+                t.worker_registered(WorkerId(w), ctx.id(), MachineId(w as u32));
             }
             for a in t.try_assign(ctx.now(), &cold.blacklist) {
                 t.attempt_succeeded(a.worker, a.instance.index, a.attempt, 3.5);
@@ -1548,7 +1524,7 @@ mod tests {
     }
 
     fn rows(jm: &JobMaster) -> usize {
-        jm.tms.iter().flatten().map(|tm| tm.workers.len()).sum()
+        jm.tms.iter().flatten().map(|tm| tm.workers().len()).sum()
     }
 
     /// A worker that exits before it ever registered takes its start clock

@@ -20,6 +20,7 @@ use fuxi_apsara::pangu::Chunk;
 use fuxi_proto::{InstanceId, InstanceWork, MachineId, TaskId, WorkerId};
 use fuxi_sim::{ActorId, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 
 /// Instance lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +94,7 @@ pub struct InstanceRt {
 
 /// One worker container from the moment the JobMaster asks an agent for it
 /// to the moment it is forgotten: the whole row the job keeps about it.
+/// Only the TaskMaster writes a row, so its indexes follow every change.
 #[derive(Debug)]
 pub struct TWorker {
     /// Machine this applies to.
@@ -136,7 +138,13 @@ pub struct TaskMaster {
     /// machine → instance indexes preferring it (local input data).
     prefer: BTreeMap<MachineId, Vec<u32>>,
     /// Worker containers assigned to this task.
-    pub workers: BTreeMap<WorkerId, TWorker>,
+    workers: BTreeMap<WorkerId, TWorker>,
+    /// The workers that have spoken and run nothing, in id order (the order
+    /// `try_assign` offers them instances in).
+    idle: BTreeSet<WorkerId>,
+    /// machine → this task's workers there; a machine with none has no
+    /// entry, so the keys are the task's homes.
+    on_machine: BTreeMap<MachineId, BTreeSet<WorkerId>>,
     /// Runtimes of finished instances.
     pub stats: RuntimeStats,
     /// Instances completed so far.
@@ -165,6 +173,8 @@ impl TaskMaster {
             pending,
             prefer,
             workers: BTreeMap::new(),
+            idle: BTreeSet::new(),
+            on_machine: BTreeMap::new(),
             stats: RuntimeStats::default(),
             finished: 0,
         }
@@ -269,17 +279,103 @@ impl TaskMaster {
     /// instance until it has spoken.
     pub fn add_worker(&mut self, worker: WorkerId, machine: MachineId, now: SimTime) {
         let row = TWorker { machine, busy: None, actor: None, requested_at: now };
-        self.workers.insert(worker, row);
+        if let Some(old) = self.workers.insert(worker, row) {
+            self.unindex(worker, &old);
+        }
+        self.on_machine.entry(machine).or_default().insert(worker);
     }
 
     /// Removes a worker's row and returns it; an instance it was running is
     /// requeued.
     pub fn remove_worker(&mut self, worker: WorkerId) -> Option<TWorker> {
         let w = self.workers.remove(&worker)?;
+        self.unindex(worker, &w);
         if let Some((idx, attempt)) = w.busy {
             self.abandon_attempt(idx, attempt);
         }
         Some(w)
+    }
+
+    /// A worker's process announced itself from `actor` on `machine`
+    /// (`WorkerRegister`). An announcement always comes from a fresh
+    /// process: an attempt the row still holds died with the old one and
+    /// is requeued. Returns whether there was one.
+    pub fn worker_registered(&mut self, worker: WorkerId, actor: ActorId, machine: MachineId) -> bool {
+        self.worker_spoke(worker, actor, machine);
+        let lost = self.set_busy(worker, None);
+        if let Some((idx, attempt)) = lost {
+            self.abandon_attempt(idx, attempt);
+        }
+        lost.is_some()
+    }
+
+    /// A surviving worker answered a restarted JobMaster from `actor` on
+    /// `machine`, running `running` (instance, attempt) if anything. The
+    /// running attempt is re-adopted untouched — "during the absence of
+    /// JobMaster process, all the workers are still running the instances
+    /// without interruption" — unless the instance is already done.
+    pub fn worker_answered(
+        &mut self,
+        worker: WorkerId,
+        actor: ActorId,
+        machine: MachineId,
+        running: Option<(InstanceId, u32)>,
+        now: SimTime,
+    ) {
+        self.worker_spoke(worker, actor, machine);
+        let Some((inst, attempt)) = running else { return };
+        let live = |i: &InstanceRt| i.state != InstState::Done;
+        if inst.task != self.task || !self.instances.get(inst.index as usize).is_some_and(live) {
+            return;
+        }
+        let i = &mut self.instances[inst.index as usize];
+        i.state = InstState::Running;
+        i.attempts.push(Attempt { attempt, worker, machine, started: now, confirmed: true });
+        i.next_attempt = i.next_attempt.max(attempt + 1);
+        self.set_busy(worker, Some((inst.index, attempt)));
+    }
+
+    /// Records where a worker answers and the machine it reports.
+    fn worker_spoke(&mut self, worker: WorkerId, actor: ActorId, machine: MachineId) {
+        let row = self.workers.get_mut(&worker).expect("a worker that speaks is on the books");
+        row.actor = Some(actor);
+        let old = std::mem::replace(&mut row.machine, machine);
+        if old != machine {
+            self.leave_machine(worker, old);
+            self.on_machine.entry(machine).or_default().insert(worker);
+        }
+        self.reindex_idle(worker);
+    }
+
+    /// Sets a worker's running attempt; returns the one it replaced.
+    fn set_busy(&mut self, worker: WorkerId, busy: Option<(u32, u32)>) -> Option<(u32, u32)> {
+        let row = self.workers.get_mut(&worker)?;
+        let old = std::mem::replace(&mut row.busy, busy);
+        self.reindex_idle(worker);
+        old
+    }
+
+    /// Puts a worker in or out of the idle set, from its row.
+    fn reindex_idle(&mut self, worker: WorkerId) {
+        match self.workers.get(&worker) {
+            Some(row) if row.actor.is_some() && row.busy.is_none() => self.idle.insert(worker),
+            _ => self.idle.remove(&worker),
+        };
+    }
+
+    /// Drops a worker whose row was `row` from both indexes.
+    fn unindex(&mut self, worker: WorkerId, row: &TWorker) {
+        self.idle.remove(&worker);
+        self.leave_machine(worker, row.machine);
+    }
+
+    fn leave_machine(&mut self, worker: WorkerId, machine: MachineId) {
+        if let Some(here) = self.on_machine.get_mut(&machine) {
+            here.remove(&worker);
+            if here.is_empty() {
+                self.on_machine.remove(&machine);
+            }
+        }
     }
 
     /// Marks one attempt dead; requeues the instance when no live attempts
@@ -299,35 +395,35 @@ impl TaskMaster {
         }
     }
 
-    /// Workers currently on `machine`.
+    /// Every worker row, by id.
+    pub fn workers(&self) -> &BTreeMap<WorkerId, TWorker> {
+        &self.workers
+    }
+
+    /// Workers currently on `machine`, in id order.
     pub fn workers_on(&self, machine: MachineId) -> Vec<WorkerId> {
-        self.workers
-            .iter()
-            .filter(|(_, w)| w.machine == machine)
-            .map(|(&id, _)| id)
-            .collect()
+        self.on_machine.get(&machine).map_or_else(Vec::new, |here| here.iter().copied().collect())
     }
 
-    /// Per-machine live worker counts (for grant reconciliation).
-    pub fn worker_counts(&self) -> BTreeMap<MachineId, u64> {
-        let mut out = BTreeMap::new();
-        for w in self.workers.values() {
-            *out.entry(w.machine).or_insert(0) += 1;
-        }
-        out
+    /// Workers per machine, in machine order, machines with none left out
+    /// (for grant reconciliation).
+    pub fn worker_counts(&self) -> impl Iterator<Item = (MachineId, u64)> + '_ {
+        self.on_machine.iter().map(|(&m, here)| (m, here.len() as u64))
     }
 
-    /// Idle workers that have spoken.
-    pub fn idle_workers(&self) -> Vec<WorkerId> {
-        self.workers
-            .iter()
-            .filter(|(_, w)| w.actor.is_some() && w.busy.is_none())
-            .map(|(&id, _)| id)
-            .collect()
+    /// Idle workers that have spoken, in id order.
+    pub fn idle_workers(&self) -> impl Iterator<Item = WorkerId> + '_ {
+        self.idle.iter().copied()
     }
 
-    /// The invariant between `workers` and `instances`: the busy rows are
-    /// exactly the live attempts the instances list.
+    /// How many workers are idle and have spoken.
+    pub fn idle_count(&self) -> usize {
+        self.idle.len()
+    }
+
+    /// The invariants of the books: the busy rows are exactly the live
+    /// attempts the instances list, and the idle set and the per-machine
+    /// sets are what the rows say.
     pub fn books_agree(&self) -> bool {
         let busy: BTreeSet<(WorkerId, u32, u32)> = (self.workers.iter())
             .filter_map(|(&w, row)| row.busy.map(|(idx, attempt)| (w, idx, attempt)))
@@ -335,7 +431,15 @@ impl TaskMaster {
         let listed: BTreeSet<(WorkerId, u32, u32)> = (self.instances.iter().enumerate())
             .flat_map(|(idx, inst)| inst.attempts.iter().map(move |a| (a.worker, idx as u32, a.attempt)))
             .collect();
-        busy == listed
+        let idle: BTreeSet<WorkerId> = (self.workers.iter())
+            .filter(|(_, row)| row.actor.is_some() && row.busy.is_none())
+            .map(|(&w, _)| w)
+            .collect();
+        let mut on_machine: BTreeMap<MachineId, BTreeSet<WorkerId>> = BTreeMap::new();
+        for (&w, row) in &self.workers {
+            on_machine.entry(row.machine).or_default().insert(w);
+        }
+        busy == listed && idle == self.idle && on_machine == self.on_machine
     }
 
     // ------------------------------------------------------------------
@@ -346,11 +450,14 @@ impl TaskMaster {
     /// anything unassigned. Returns the assignments to send.
     pub fn try_assign(&mut self, now: SimTime, bl: &JobBlacklist) -> Vec<AssignmentOut> {
         let mut out = Vec::new();
-        let idle = self.idle_workers();
-        for worker in idle {
+        // Walks the idle set in id order; an assignment takes only the
+        // worker at hand out of it, so the walk resumes past that id.
+        let mut next = self.idle.first().copied();
+        while let Some(worker) = next {
             if self.pending.is_empty() {
                 break;
             }
+            next = self.idle.range((Bound::Excluded(worker), Bound::Unbounded)).next().copied();
             let machine = self.workers[&worker].machine;
             if bl.task_avoids(self.task, machine) {
                 continue; // JobMaster will retire this worker
@@ -382,7 +489,7 @@ impl TaskMaster {
         // *orphan* (no replica on any machine where this task has a
         // worker) so instances with a live local home are left for it —
         // the cheap cousin of delay scheduling.
-        let homes: BTreeSet<MachineId> = self.workers.values().map(|w| w.machine).collect();
+        let homes = &self.on_machine;
         let mut skipped = Vec::new();
         let mut fallback: Option<u32> = None;
         let mut found = None;
@@ -401,7 +508,7 @@ impl TaskMaster {
                 .input_chunks
                 .iter()
                 .flat_map(|c| c.replicas.iter())
-                .any(|r| homes.contains(r));
+                .any(|r| homes.contains_key(r));
             if !has_local_home || scanned > 16 {
                 found = Some(idx);
                 break;
@@ -429,7 +536,7 @@ impl TaskMaster {
     }
 
     fn assign(&mut self, now: SimTime, worker: WorkerId, idx: u32) -> AssignmentOut {
-        let w = self.workers.get_mut(&worker).expect("assignments go to workers on the books");
+        let w = self.workers.get(&worker).expect("assignments go to workers on the books");
         let (machine, actor) = (w.machine, w.actor.expect("and only to one that has spoken"));
         let inst = &mut self.instances[idx as usize];
         let attempt = inst.next_attempt;
@@ -443,7 +550,7 @@ impl TaskMaster {
             confirmed: true,
         });
         let work = Self::build_work(&self.desc, inst, machine, idx);
-        w.busy = Some((idx, attempt));
+        self.set_busy(worker, Some((idx, attempt)));
         AssignmentOut {
             worker,
             actor,
@@ -497,11 +604,7 @@ impl TaskMaster {
         attempt: u32,
         runtime_s: f64,
     ) -> Vec<(WorkerId, InstanceId, u32)> {
-        if let Some(w) = self.workers.get_mut(&worker) {
-            if w.busy == Some((idx, attempt)) {
-                w.busy = None;
-            }
-        }
+        self.attempt_over(worker, idx, attempt);
         let task = self.task;
         let inst = &mut self.instances[idx as usize];
         let mut losers = Vec::new();
@@ -525,9 +628,7 @@ impl TaskMaster {
         }
         inst.attempts.clear();
         for &(loser_worker, _, _) in &losers {
-            if let Some(w) = self.workers.get_mut(&loser_worker) {
-                w.busy = None;
-            }
+            self.set_busy(loser_worker, None);
         }
         self.finished += 1;
         self.stats.record(runtime_s);
@@ -537,14 +638,17 @@ impl TaskMaster {
     /// Handles a failed attempt. Returns `true` if this was a real failure
     /// that should be recorded in the blacklist (machine suspect).
     pub fn attempt_failed(&mut self, worker: WorkerId, idx: u32, attempt: u32) -> bool {
-        if let Some(w) = self.workers.get_mut(&worker) {
-            if w.busy == Some((idx, attempt)) {
-                w.busy = None;
-            }
-        }
+        self.attempt_over(worker, idx, attempt);
         let done = self.instances[idx as usize].state == InstState::Done;
         self.abandon_attempt(idx, attempt);
         !done
+    }
+
+    /// Frees a worker whose row says it runs exactly this attempt.
+    fn attempt_over(&mut self, worker: WorkerId, idx: u32, attempt: u32) {
+        if self.workers.get(&worker).is_some_and(|w| w.busy == Some((idx, attempt))) {
+            self.set_busy(worker, None);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -558,7 +662,7 @@ impl TaskMaster {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let idle = self.idle_workers();
+        let idle: Vec<WorkerId> = self.idle_workers().collect();
         let mut idle_iter = idle.into_iter();
         for idx in 0..self.instances.len() as u32 {
             let (started, machines, backups) = {
@@ -639,7 +743,7 @@ mod tests {
     /// A worker that was requested and has registered.
     fn up(t: &mut TaskMaster, worker: u64, machine: u32) {
         t.add_worker(WorkerId(worker), MachineId(machine), SimTime::ZERO);
-        t.workers.get_mut(&WorkerId(worker)).unwrap().actor = Some(ActorId(worker as u32));
+        assert!(!t.worker_registered(WorkerId(worker), ActorId(worker as u32), MachineId(machine)));
     }
 
     #[test]
@@ -681,7 +785,7 @@ mod tests {
         }
         assert_eq!(done, 5);
         assert!(t.is_complete());
-        assert_eq!(t.workers.len(), 1, "one container executed all 5 instances");
+        assert_eq!(t.workers().len(), 1, "one container executed all 5 instances");
     }
 
     #[test]
@@ -738,7 +842,7 @@ mod tests {
         let b = &backups[0];
         assert_eq!(b.instance.index, 9);
         let orig_machine = MachineId(9);
-        let backup_machine = t.workers[&b.worker].machine;
+        let backup_machine = t.workers()[&b.worker].machine;
         assert_ne!(backup_machine, orig_machine);
         // No duplicate backups on the next scan.
         assert!(t.backup_scan(SimTime::from_secs(60), &bl()).is_empty());
@@ -767,9 +871,50 @@ mod tests {
         t.add_worker(WorkerId(1), MachineId(3), SimTime::ZERO);
         t.add_worker(WorkerId(2), MachineId(3), SimTime::ZERO);
         t.add_worker(WorkerId(3), MachineId(4), SimTime::ZERO);
-        let counts = t.worker_counts();
+        let counts: BTreeMap<MachineId, u64> = t.worker_counts().collect();
         assert_eq!(counts[&MachineId(3)], 2);
         assert_eq!(counts[&MachineId(4)], 1);
         assert_eq!(t.workers_on(MachineId(3)).len(), 2);
+    }
+
+    /// One worker's whole life, with the maintained indexes checked
+    /// against the rows at every step.
+    #[test]
+    fn indexes_follow_one_worker_through_its_life() {
+        let mut t = tm(vec![inst(&[], 1.0), inst(&[], 1.0)]);
+        let w = WorkerId(5);
+        let seen = |t: &TaskMaster| {
+            assert!(t.books_agree());
+            let idle: Vec<WorkerId> = t.idle_workers().collect();
+            let counts: Vec<(MachineId, u64)> = t.worker_counts().collect();
+            (idle, counts)
+        };
+        t.add_worker(w, MachineId(3), SimTime::ZERO);
+        assert_eq!(seen(&t), (vec![], vec![(MachineId(3), 1)]), "requested: not idle until it speaks");
+        assert!(t.try_assign(SimTime::ZERO, &bl()).is_empty());
+
+        assert!(!t.worker_registered(w, ActorId(50), MachineId(3)));
+        assert_eq!(seen(&t), (vec![w], vec![(MachineId(3), 1)]), "registered: idle");
+
+        let out = t.try_assign(SimTime::ZERO, &bl());
+        assert_eq!(out.len(), 1);
+        assert_eq!(seen(&t), (vec![], vec![(MachineId(3), 1)]), "assigned: busy");
+
+        assert!(t.attempt_succeeded(w, out[0].instance.index, out[0].attempt, 1.0).is_empty());
+        assert_eq!(seen(&t), (vec![w], vec![(MachineId(3), 1)]), "finished: idle again");
+
+        let out = t.try_assign(SimTime::ZERO, &bl());
+        assert_eq!(out.len(), 1);
+        // Restarted on another machine mid-instance: the attempt is lost and
+        // the worker moves.
+        assert!(t.worker_registered(w, ActorId(51), MachineId(4)));
+        assert_eq!(seen(&t), (vec![w], vec![(MachineId(4), 1)]), "re-registered elsewhere");
+        assert_eq!(t.pending_count(), 1, "its instance is pending again");
+        assert_eq!(t.workers_on(MachineId(3)), vec![]);
+        assert_eq!(t.workers_on(MachineId(4)), vec![w]);
+
+        let row = t.remove_worker(w).expect("on the books");
+        assert_eq!((row.machine, row.actor, row.busy), (MachineId(4), Some(ActorId(51)), None));
+        assert_eq!(seen(&t), (vec![], vec![]), "removed: in no index");
     }
 }

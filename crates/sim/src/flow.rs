@@ -15,7 +15,8 @@
 use crate::actor::ActorId;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// What a flow consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,24 +59,62 @@ pub struct FlowSpec {
     pub tag: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ResKey {
     machine: u32,
     kind: ResVariety,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+impl ResKey {
+    /// Where the resource sits in `FlowNet::resources`.
+    fn slot(self) -> usize {
+        self.machine as usize * 3 + self.kind as usize
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ResVariety {
-    Disk,
-    NetOut,
-    NetIn,
+    Disk = 0,
+    NetOut = 1,
+    NetIn = 2,
 }
 
 #[derive(Debug)]
 struct ResState {
     cap: f64,
-    flows: HashSet<u64>,
+    /// The flows sharing this resource, in no particular order (a flow uses
+    /// a resource at most once).
+    flows: Vec<u64>,
 }
+
+/// Hashes the integer keys of the flow tables with a multiply. SipHash's
+/// defence against chosen keys buys nothing for keys the program makes
+/// itself (flow ids, actor ids) and costs more than the rest of a lookup.
+/// Nothing iterates these maps in an order that reaches a result.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[derive(Debug)]
 struct Flow {
@@ -102,48 +141,43 @@ pub struct FlowDone {
 /// The flow network. Owned by the world; actors reach it through `Ctx`.
 #[derive(Debug, Default)]
 pub struct FlowNet {
-    resources: HashMap<ResKey, ResState>,
-    flows: HashMap<u64, Flow>,
+    /// Every machine's disk, NIC egress and NIC ingress, by `ResKey::slot`.
+    resources: Vec<ResState>,
+    flows: IdMap<u64, Flow>,
     /// Min-heap of predicted completions `(finish_us, version, flow_id)`.
     /// Entries are lazily invalidated via the per-flow version counter.
     heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    /// owner → its live flows, so an owner's exit costs its own flows, not
+    /// every flow in the cluster. An owner with none has no entry.
+    by_owner: IdMap<ActorId, Vec<u64>>,
+    /// Scratch for `reprice_resources` (kept to avoid an allocation a call).
+    affected: Vec<u64>,
+    /// Flow ids are handed out in start order and never reused: a tie on
+    /// `(finish_us, version)` in the completion heap breaks on the id.
     next_id: u64,
-    disk_bw: Vec<f64>,
-    net_bw: Vec<f64>,
 }
 
 impl FlowNet {
     /// Creates a new instance with the given configuration.
     pub fn new(disk_bw: Vec<f64>, net_bw: Vec<f64>) -> Self {
         assert_eq!(disk_bw.len(), net_bw.len());
+        let resources = (disk_bw.iter().zip(&net_bw))
+            .flat_map(|(&disk, &net)| [disk, net, net])
+            .map(|bw| ResState { cap: bw.max(1e-9), flows: Vec::new() })
+            .collect();
         Self {
-            resources: HashMap::new(),
-            flows: HashMap::new(),
+            resources,
+            flows: IdMap::default(),
             heap: BinaryHeap::new(),
+            by_owner: IdMap::default(),
+            affected: Vec::new(),
             next_id: 0,
-            disk_bw,
-            net_bw,
         }
     }
 
     /// Active flows.
     pub fn active_flows(&self) -> usize {
         self.flows.len()
-    }
-
-    fn res_state(&mut self, key: ResKey) -> &mut ResState {
-        let disk_bw = &self.disk_bw;
-        let net_bw = &self.net_bw;
-        self.resources.entry(key).or_insert_with(|| {
-            let bw = match key.kind {
-                ResVariety::Disk => disk_bw[key.machine as usize],
-                ResVariety::NetOut | ResVariety::NetIn => net_bw[key.machine as usize],
-            };
-            ResState {
-                cap: bw.max(1e-9),
-                flows: HashSet::new(),
-            }
-        })
     }
 
     fn uses_of(kind: FlowKind) -> [Option<ResKey>; 3] {
@@ -197,11 +231,10 @@ impl FlowNet {
         let id = self.next_id;
         self.next_id += 1;
         let uses = Self::uses_of(spec.kind);
-        let mut touched = Vec::with_capacity(3);
         for key in uses.iter().flatten() {
-            self.res_state(*key).flows.insert(id);
-            touched.push(*key);
+            self.resources[key.slot()].flows.push(id);
         }
+        self.by_owner.entry(owner).or_default().push(id);
         self.flows.insert(
             id,
             Flow {
@@ -214,47 +247,52 @@ impl FlowNet {
                 uses,
             },
         );
-        self.reprice_resources(now, &touched);
+        self.reprice_resources(now, uses);
         None
     }
 
-    /// Recomputes rates for every flow touching any of `keys`.
-    fn reprice_resources(&mut self, now: SimTime, keys: &[ResKey]) {
-        let mut affected: HashSet<u64> = HashSet::new();
-        for key in keys {
-            if let Some(rs) = self.resources.get(key) {
-                affected.extend(rs.flows.iter().copied());
-            }
+    /// Recomputes rates for every flow touching any of `keys`, each once.
+    /// The order does not matter: a reprice reads only the resources'
+    /// flow counts, which it does not change.
+    fn reprice_resources(&mut self, now: SimTime, keys: [Option<ResKey>; 3]) {
+        let mut affected = std::mem::take(&mut self.affected);
+        for key in keys.iter().flatten() {
+            affected.extend_from_slice(&self.resources[key.slot()].flows);
         }
-        for id in affected {
+        affected.sort_unstable();
+        affected.dedup();
+        for &id in &affected {
             self.reprice_flow(now, id);
         }
-    }
-
-    fn share_of(&self, key: ResKey) -> f64 {
-        let rs = &self.resources[&key];
-        rs.cap / rs.flows.len().max(1) as f64
+        affected.clear();
+        self.affected = affected;
     }
 
     fn reprice_flow(&mut self, now: SimTime, id: u64) {
-        let Some(flow) = self.flows.get(&id) else {
+        let Some(flow) = self.flows.get_mut(&id) else {
             return;
         };
         // Settle progress at the old rate.
         let elapsed = now.since(flow.last_update).as_secs_f64();
         let mut rate = f64::INFINITY;
         for key in flow.uses.iter().flatten() {
-            rate = rate.min(self.share_of(*key));
+            let rs = &self.resources[key.slot()];
+            rate = rate.min(rs.cap / rs.flows.len().max(1) as f64);
         }
-        let flow = self.flows.get_mut(&id).unwrap();
         flow.remaining_mb = (flow.remaining_mb - flow.rate * elapsed).max(0.0);
         flow.last_update = now;
         flow.rate = rate;
         flow.version += 1;
         let finish_s = flow.remaining_mb / rate.max(1e-9);
         let finish = now + crate::time::SimDuration::from_secs_f64(finish_s);
-        self.heap
-            .push(Reverse((finish.as_micros(), flow.version, id)));
+        self.heap.push(Reverse((finish.as_micros(), flow.version, id)));
+        // Every reprice leaves the flow's previous entry behind. Once they
+        // outnumber the live ones, drop them all: the heap's order among
+        // live entries, all that is ever popped, does not change.
+        if self.heap.len() > 2 * self.flows.len() + 64 {
+            let flows = &self.flows;
+            self.heap.retain(|&Reverse((_, version, id))| flows.get(&id).is_some_and(|f| f.version == version));
+        }
     }
 
     /// Earliest valid predicted completion.
@@ -294,14 +332,21 @@ impl FlowNet {
 
     fn remove_flow(&mut self, now: SimTime, id: u64) -> Flow {
         let flow = self.flows.remove(&id).expect("flow exists");
-        let mut touched = Vec::with_capacity(3);
-        for key in flow.uses.iter().flatten() {
-            if let Some(rs) = self.resources.get_mut(key) {
-                rs.flows.remove(&id);
-                touched.push(*key);
+        if let Some(owned) = self.by_owner.get_mut(&flow.owner) {
+            if let Some(at) = owned.iter().position(|&f| f == id) {
+                owned.swap_remove(at);
+            }
+            if owned.is_empty() {
+                self.by_owner.remove(&flow.owner);
             }
         }
-        self.reprice_resources(now, &touched);
+        for key in flow.uses.iter().flatten() {
+            let sharing = &mut self.resources[key.slot()].flows;
+            if let Some(at) = sharing.iter().position(|&f| f == id) {
+                sharing.swap_remove(at);
+            }
+        }
+        self.reprice_resources(now, flow.uses);
         flow
     }
 
@@ -309,18 +354,10 @@ impl FlowNet {
     /// the flows were started: the notifications become messages, and a run
     /// must not depend on the map's hash order.
     pub fn fail_machine(&mut self, now: SimTime, m: u32) -> Vec<FlowDone> {
-        let mut victims: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| {
-                f.uses
-                    .iter()
-                    .flatten()
-                    .any(|k| k.machine == m)
-            })
-            .map(|(&id, _)| id)
-            .collect();
+        let here = m as usize * 3..m as usize * 3 + 3;
+        let mut victims: Vec<u64> = (self.resources[here].iter()).flat_map(|rs| rs.flows.iter().copied()).collect();
         victims.sort_unstable();
+        victims.dedup();
         let mut done = Vec::with_capacity(victims.len());
         for id in victims {
             let flow = self.remove_flow(now, id);
@@ -334,14 +371,12 @@ impl FlowNet {
     }
 
     /// Cancels every flow owned by `owner` without notification (the owner
-    /// died or no longer cares).
+    /// died or no longer cares). The survivors end up repriced the same
+    /// whatever order the victims leave in.
     pub fn cancel_owned_by(&mut self, now: SimTime, owner: ActorId) {
-        let victims: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.owner == owner)
-            .map(|(&id, _)| id)
-            .collect();
+        let Some(victims) = self.by_owner.remove(&owner) else {
+            return;
+        };
         for id in victims {
             self.remove_flow(now, id);
         }
@@ -352,6 +387,8 @@ impl FlowNet {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn net2() -> FlowNet {
         // two machines, 100 MB/s disk, 50 MB/s NIC
@@ -449,7 +486,7 @@ mod tests {
     #[test]
     fn machine_failure_notifies_in_start_order() {
         for _ in 0..20 {
-            // A fresh net each time: a fresh hash seed.
+            // Victims are gathered from the machine's resource lists, in no set order.
             let mut n = net2();
             for owner in 0..8 {
                 n.start(SimTime::ZERO, ActorId(owner), spec(FlowKind::DiskRead { machine: 1 }, 100.0, 0));
@@ -474,12 +511,18 @@ mod tests {
         let mut n = net2();
         let t0 = SimTime::ZERO;
         n.start(t0, ActorId(1), spec(FlowKind::DiskRead { machine: 0 }, 100.0, 1));
+        n.start(t0, ActorId(1), spec(FlowKind::DiskRead { machine: 1 }, 100.0, 3));
         n.start(t0, ActorId(2), spec(FlowKind::DiskRead { machine: 0 }, 100.0, 2));
+        let rate_of_2 = |n: &FlowNet| n.flows.values().find(|f| f.owner == ActorId(2)).unwrap().rate;
+        assert_eq!(rate_of_2(&n), 50.0, "owners 1 and 2 share disk 0");
         n.cancel_owned_by(t0 + SimDuration::from_secs(1), ActorId(1));
-        assert_eq!(n.active_flows(), 1);
+        assert_eq!(n.active_flows(), 1, "both of owner 1's flows are gone");
+        assert_eq!(rate_of_2(&n), 100.0, "the survivor's rate doubles");
         // survivor got repriced at t=1 with 50MB left at full 100 MB/s.
         let f = n.next_completion().unwrap();
         assert!((f.as_secs_f64() - 1.5).abs() < 1e-6, "f = {f}");
+        assert_eq!(n.advance(f), vec![FlowDone { owner: ActorId(2), tag: 2, failed: false }]);
+        assert!(n.by_owner.is_empty(), "the owner index is empty with the net");
     }
 
     #[test]
@@ -495,5 +538,75 @@ mod tests {
         );
         let f = n.next_completion().unwrap();
         assert!((f.as_secs_f64() - 1.5).abs() < 1e-6, "f = {f}");
+    }
+
+    /// The owner index, read back: owner → its flow ids, sorted.
+    fn indexed(n: &FlowNet) -> BTreeMap<u32, BTreeSet<u64>> {
+        (n.by_owner.iter()).map(|(o, ids)| (o.0, ids.iter().copied().collect())).collect()
+    }
+
+    /// The same, by a scan of every live flow.
+    fn scanned(n: &FlowNet) -> BTreeMap<u32, BTreeSet<u64>> {
+        let mut out: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
+        for (&id, f) in &n.flows {
+            out.entry(f.owner.0).or_default().insert(id);
+        }
+        out
+    }
+
+    /// Replays `ops` on a 4-machine net: `(op, a, b, c)` starts a flow,
+    /// advances time, cancels an owner or fails a machine. Every cancel
+    /// must remove exactly the flows a scan finds for the owner, the index
+    /// must agree with a scan after every op, and nothing is left at the end.
+    fn owner_index_replay(ops: &[(u8, u32, u32, u32)]) -> proptest::TestCaseResult {
+        let mut n = FlowNet::new(vec![100.0; 4], vec![50.0; 4]);
+        let mut now = SimTime::ZERO;
+        for &(op, a, b, c) in ops {
+            let owner = ActorId(a % 5);
+            let (m1, m2) = (b % 4, c % 4);
+            match op {
+                0..=3 => {
+                    let kind = match op {
+                        0 => FlowKind::DiskRead { machine: m1 },
+                        1 => FlowKind::DiskWrite { machine: m1 },
+                        2 => FlowKind::Transfer { src: m1, dst: m2 },
+                        _ => FlowKind::RemoteRead { src: m1, dst: m2 },
+                    };
+                    n.start(now, owner, spec(kind, f64::from(c % 400), 0));
+                }
+                4 => {
+                    now += SimDuration::from_millis(u64::from(c % 3_000));
+                    n.advance(now);
+                }
+                5 => {
+                    let before = scanned(&n);
+                    let owned = before.get(&owner.0).cloned().unwrap_or_default();
+                    n.cancel_owned_by(now, owner);
+                    let mut expect = before;
+                    expect.remove(&owner.0);
+                    prop_assert_eq!(scanned(&n), expect);
+                    prop_assert!(owned.iter().all(|id| !n.flows.contains_key(id)));
+                }
+                _ => {
+                    n.fail_machine(now, m1);
+                }
+            }
+            prop_assert_eq!(indexed(&n), scanned(&n));
+        }
+        for o in 0..5 {
+            n.cancel_owned_by(now, ActorId(o));
+        }
+        prop_assert_eq!(n.active_flows(), 0);
+        prop_assert!(n.by_owner.is_empty(), "the index leaks {:?}", n.by_owner);
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn owner_index_matches_a_full_scan(
+            ops in prop::collection::vec((0u8..7, 0u32..1_000, 0u32..1_000, 0u32..10_000), 1..200),
+        ) {
+            owner_index_replay(&ops)?;
+        }
     }
 }

@@ -491,7 +491,11 @@ impl<M: KernelMsg> World<M> {
         match ev.kind {
             EventKind::Deliver { to, from, msg, trace } => {
                 self.core.current_trace = trace;
-                self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
+                // Only an undelivered message counts: a timer of a dead
+                // actor is dropped silently, as the live runtime forgets it.
+                if !self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg)) {
+                    self.core.metrics.count("net.to_dead", 1);
+                }
                 self.core.current_trace = TraceId::NONE;
             }
             EventKind::Timer { actor, tag } => {
@@ -522,18 +526,18 @@ impl<M: KernelMsg> World<M> {
         true
     }
 
+    /// Runs `f` on a live actor; false when `id` is dead.
     fn dispatch(
         &mut self,
         id: ActorId,
         f: impl FnOnce(&mut dyn Actor<M>, &mut Ctx<'_, M>),
-    ) {
+    ) -> bool {
         if !self.core.alive(id) {
-            self.core.metrics.count("net.to_dead", 1);
-            return;
+            return false;
         }
         let slot = id.0 as usize;
         let Some(mut actor) = self.actors.get_mut(slot).and_then(Option::take) else {
-            return;
+            return true;
         };
         {
             f(actor.as_mut(), &mut Ctx::new(&mut self.core, id));
@@ -542,6 +546,7 @@ impl<M: KernelMsg> World<M> {
         if self.core.alive(id) {
             self.actors[slot] = Some(actor);
         }
+        true
     }
 
     fn drain_spawns_and_kills(&mut self) {
@@ -755,10 +760,26 @@ mod tests {
         assert_eq!(*log.borrow(), vec![1, 2, 3]);
     }
 
+    /// Replies like `Echo` and has a timer pending from its start.
+    struct ArmedEcho;
+    impl Actor<TMsg> for ArmedEcho {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            ctx.timer(SimDuration::from_millis(500), 1);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, TMsg>, from: ActorId, msg: TMsg) {
+            Echo.on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, TMsg>, _: u64) {
+            unreachable!("the actor is dead before its timer is due");
+        }
+    }
+
+    /// The message is counted as undelivered; the dead actor's timer is
+    /// dropped without a count, as the live runtime drops it.
     #[test]
     fn kill_machine_kills_placed_actors_and_drops_messages() {
         let mut w = world(4);
-        let echo = w.spawn(Some(2), Box::new(Echo));
+        let echo = w.spawn(Some(2), Box::new(ArmedEcho));
         assert!(w.actor_alive(echo));
         w.kill_machine(2);
         assert!(!w.actor_alive(echo));
