@@ -4,7 +4,7 @@
 //!
 //! Every experiment binary reads its table/figure data out of the world's
 //! [`Metrics`] sink after the run; the live runtime additionally merges
-//! per-thread sinks into a shared one every flush interval so the same
+//! per-actor sinks into a shared one every flush interval so the same
 //! data is readable *during* the run. Everything in a sink is additive;
 //! windowed series are not kept here but owned directly by their one
 //! reader (the master's rollup, the cluster view).

@@ -16,9 +16,10 @@
 //!   booted by `fuxi_cluster::boot`, the path the simulated harness takes;
 //! * [`scrape`] — an HTTP endpoint (`/metrics` Prometheus text, `/json`)
 //!   serving the live cluster view;
-//! * [`mailbox`] — the per-actor queue: grows as it fills, bounded by its
-//!   depth gauge; at a full box a sending thread parks and a sending actor
-//!   is muted (both counted);
+//! * [`mailbox`] — the per-actor queue: one lock over the queue, its depth,
+//!   its waiters and the draining task's run state; at a full box a sending
+//!   thread parks and a sending actor is muted (both counted), and control
+//!   values go past the bound;
 //! * [`timer`] — the hashed timer wheel;
 //! * [`transport`] — the versioned, framed deployment transport (HELLO
 //!   handshake, typed version rejection, TCP | in-proc channel).

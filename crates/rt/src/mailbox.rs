@@ -1,191 +1,197 @@
-//! Per-actor mailboxes: a queue that grows as it fills, bounded by its own
-//! depth gauge, with backpressure accounting.
+//! Per-actor mailboxes: a queue bounded by its depth, with backpressure
+//! accounting, all under one lock.
 //!
-//! The queue is std's unbounded `mpsc::channel()` — a linked list of
-//! 31-slot blocks that allocates on first use and keeps each sender's
-//! messages in send order — so an idle mailbox costs a few hundred bytes
-//! whatever its bound. The bound is enforced in front of it: a sender first
-//! reserves a slot by compare-and-increment on [`MailboxGauges`]' `depth`
-//! and sends only once it holds one. What a sender does when the box is
-//! full depends on what it is, and every such stall is counted
-//! (`rt.mailbox_parked`), so overload shows up in metrics instead of as
-//! silent unbounded queues:
+//! One `Mutex` guards everything a mailbox is: the `VecDeque` of values
+//! (which allocates on its first push, so an idle box allocates nothing
+//! for it whatever its bound), the depth and high-water mark, whether the
+//! box is closed, the threads blocked on it, the wakers of the actors muted
+//! on it, and the run state of the task that drains it. A push, a pop, the
+//! end of a turn, a mute and the close are each one critical section, and
+//! the box's one `Condvar` is where its threads block, so no wake-up is
+//! lost for the plainest of reasons: whoever waits and whoever wakes hold
+//! the same lock. A muted actor's waker is woken only once the lock is
+//! released (waking it takes the lock of the actor's own box), so no thread
+//! ever holds two mailboxes' locks.
 //!
-//! * **A thread** ([`MailboxSender::push`]: external injection, the node
-//!   supervisors' inbound readers) parks on a condvar until the receiver's
-//!   [`MailboxGauges::on_pop`] frees a slot.
-//! * **An actor** ([`MailboxSender::push_overflow`]) never waits: it runs
-//!   on a pool thread shared with every other actor, and two pool threads
-//!   parked on one full box would leave nothing to drain it. Its value
-//!   goes in past the bound, and the runtime *mutes* the sender instead
-//!   (the Pony runtime's backpressure): it is not run again until it is
-//!   woken through [`MailboxGauges::wake_when_room`], which the receiver's
-//!   `on_pop` does once the depth falls below the bound. An actor whose own
-//!   box is full is never left muted, since others wait on it.
-//! * **The clock thread** ([`MailboxSender::push_nonblocking`]) takes the
-//!   value back and retries on its next tick.
+//! What a sender does when the box is full is the `AtFull` it pushes with,
+//! and every stall is counted (`rt.mailbox_parked`), so overload shows up
+//! in metrics instead of as silent unbounded queues:
 //!
-//! `depth` counts reservations, so it is never below the number of queued
-//! values. Thread and clock pushes never take it past the bound; actor
-//! pushes overshoot it by at most what the senders muted on the box sent
-//! in their last handler. Control values ([`MailboxSender::push_control`]:
-//! an actor's start, its kill and the zero-delay timers it arms on itself)
-//! skip the reservation too — the queue can always take them.
+//! * **A thread** (`AtFull::Park`, [`MailboxSender::push`]: external
+//!   injection, the node supervisors' inbound readers) parks on the condvar
+//!   until a pop frees a slot.
+//! * **An actor** (`AtFull::Overflow`) never waits: it runs on a pool
+//!   thread shared with every other actor, and two pool threads parked on
+//!   one full box would leave nothing to drain it. Its value goes in past
+//!   the bound, and the runtime *mutes* the sender instead (the Pony
+//!   runtime's backpressure): it is not run again until it is woken through
+//!   [`MailboxGauges::wake_when_room`], which the first pop that leaves the
+//!   box below its bound does. An actor whose own box is full is never left
+//!   muted, since others wait on it.
+//! * **A control value** (`AtFull::Pass`: an actor's start, its kill, its
+//!   timers and its flow completions) goes in past the bound and never
+//!   stalls: the queue can always take it, and each actor's share of them
+//!   is bounded by the timers and flows it armed.
+//!
+//! Values leave in push order, so each sender's arrive in the order it sent
+//! them. A closed box (its receiver dropped) answers every push with
+//! [`PushOutcome::Dead`]. Thread pushes never take the depth past the
+//! bound; actor pushes overshoot it by at most what the senders muted on
+//! the box sent in their last handler, and control values by their number.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvError, Sender};
+use std::collections::VecDeque;
+use std::sync::mpsc::RecvError;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::Waker;
 
-/// Shared depth counters of one mailbox, and where the senders that found
-/// it full wait: parked threads on a condvar, muted actors as wakers.
-#[derive(Debug)]
-pub struct MailboxGauges {
-    capacity: usize,
-    depth: AtomicUsize,
-    hwm: AtomicUsize,
-    /// Senders parked in [`MailboxGauges::reserve_parking`]; `on_pop` takes
-    /// the lock and signals only when this is non-zero.
-    waiters: AtomicUsize,
-    /// Set when the receiver is dropped, so parked senders give up.
-    closed: AtomicBool,
-    lock: Mutex<()>,
-    room: Condvar,
-    /// Wakers of muted senders, woken by the first pop that leaves the box
-    /// below its bound (or by `close`).
-    muted: Mutex<Vec<Waker>>,
-    /// `true` while `muted` may be non-empty, so `on_pop` takes its lock
-    /// only when someone is waiting.
-    any_muted: AtomicBool,
+/// Where the task that drains a box stands. Only the runtime's tasks read
+/// it; a push moves it, and tells the pusher when that leaves the task to
+/// be queued by the pusher.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// Neither queued nor running: the next push queues it.
+    Idle,
+    /// On the run queue or running a turn: a push leaves it alone.
+    Queued,
+    /// Waiting for room in a box it overfilled: its wake queues it, and so
+    /// does a push that fills its own box (others wait on it).
+    Muted,
 }
 
-impl MailboxGauges {
+struct State<T> {
+    queue: VecDeque<T>,
+    /// Values queued, plus values received and not yet reported by
+    /// [`MailboxGauges::on_pop`].
+    depth: usize,
+    hwm: usize,
+    /// Set when the receiver is dropped: pushes answer `Dead`.
+    closed: bool,
+    /// Live senders; `recv` ends once there are none and the queue is
+    /// empty.
+    senders: usize,
+    /// Threads blocked on the condvar: senders waiting for room, the
+    /// receiver waiting for a value. They share it, so every signal wakes
+    /// all of them.
+    parked: usize,
+    /// Wakers of muted actors, woken by the first pop that leaves the box
+    /// below its bound, or by the close.
+    muted: Vec<Waker>,
+    run: Run,
+}
+
+/// One mailbox: its queue, depth counters and waiters under one lock, and
+/// the condvar its threads block on.
+pub struct MailboxGauges<T> {
+    capacity: usize,
+    state: Mutex<State<T>>,
+    cond: Condvar,
+}
+
+impl<T> MailboxGauges<T> {
     /// Current queue depth.
     pub fn depth(&self) -> usize {
-        self.depth.load(Ordering::SeqCst)
-    }
-
-    /// `true` when the depth is at or past the bound.
-    pub fn full(&self) -> bool {
-        self.depth() >= self.capacity
+        self.lock().depth
     }
 
     /// Highest depth ever observed.
     pub fn hwm(&self) -> usize {
-        self.hwm.load(Ordering::Relaxed)
-    }
-
-    /// Takes a slot if the box is below its bound. The slot is taken BEFORE
-    /// the channel send: the receiver can only observe (and release) a value
-    /// whose reservation already happened, so depth never underflows.
-    fn try_reserve(&self) -> bool {
-        let mut d = self.depth.load(Ordering::SeqCst);
-        while d < self.capacity {
-            match self
-                .depth
-                .compare_exchange_weak(d, d + 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    self.hwm.fetch_max(d + 1, Ordering::Relaxed);
-                    return true;
-                }
-                Err(now) => d = now,
-            }
-        }
-        false
-    }
-
-    /// Takes a slot whatever the depth (control values).
-    fn reserve_unbounded(&self) {
-        let d = self.depth.fetch_add(1, Ordering::SeqCst) + 1;
-        self.hwm.fetch_max(d, Ordering::Relaxed);
-    }
-
-    /// Waits for a slot; `false` when the receiver went away instead.
-    ///
-    /// No wake-up is lost: the waiter announces itself (`waiters`, under the
-    /// lock) before it re-checks `depth`, and `on_pop` lowers `depth` before
-    /// it reads `waiters`, both `SeqCst`. Either the popper sees the waiter
-    /// and signals it under the lock, or the waiter sees the freed slot.
-    fn reserve_parking(&self) -> bool {
-        let mut guard = self.parking_lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let reserved = loop {
-            if self.closed.load(Ordering::SeqCst) {
-                break false;
-            }
-            if self.try_reserve() {
-                break true;
-            }
-            guard = self
-                .room
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        reserved
+        self.lock().hwm
     }
 
     /// Called by the draining thread after each receive: frees the value's
-    /// slot, wakes one parked sender, if any, and — once the box is below
-    /// its bound — every muted one.
+    /// slot, wakes the parked threads, if any, and — once the box is below
+    /// its bound — every muted actor.
     pub fn on_pop(&self) {
-        let depth = self.depth.fetch_sub(1, Ordering::SeqCst) - 1;
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _guard = self.parking_lock();
-            self.room.notify_one();
-        }
-        if depth < self.capacity && self.any_muted.load(Ordering::SeqCst) {
-            self.wake_muted();
-        }
+        let muted = self.free_slot(&mut self.lock());
+        wake_all(muted);
     }
 
     /// Wakes `waker` once this box has room: at the first pop that leaves
     /// it below its bound, when it closes, or at once if it has room now.
-    ///
-    /// No wake-up is lost: the registration raises `any_muted` before it
-    /// re-checks the depth, and `on_pop` lowers the depth before it reads
-    /// `any_muted`, both `SeqCst`. Either the popper sees the waker, or the
-    /// registration sees the room. A waker may be woken more than once.
+    /// A waker may be woken more than once.
     pub fn wake_when_room(&self, waker: Waker) {
-        {
-            let mut muted = self.muted_lock();
-            muted.push(waker);
-            self.any_muted.store(true, Ordering::SeqCst);
-        }
-        if !self.full() || self.closed.load(Ordering::SeqCst) {
-            self.wake_muted();
-        }
-    }
-
-    fn wake_muted(&self) {
-        let wakers = {
-            let mut muted = self.muted_lock();
-            self.any_muted.store(false, Ordering::SeqCst);
-            std::mem::take(&mut *muted)
-        };
-        for waker in wakers {
+        let mut state = self.lock();
+        if state.closed || state.depth < self.capacity {
+            drop(state);
             waker.wake();
+        } else {
+            state.muted.push(waker);
         }
     }
 
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        {
-            let _guard = self.parking_lock();
-            self.room.notify_all();
+    /// Ends a turn of the task: `true` while values are queued, and it goes
+    /// back on the run queue; otherwise it is idle.
+    pub(crate) fn end_turn(&self) -> bool {
+        let mut state = self.lock();
+        if state.queue.is_empty() {
+            state.run = Run::Idle;
         }
-        self.wake_muted();
+        !state.queue.is_empty()
     }
 
-    fn muted_lock(&self) -> MutexGuard<'_, Vec<Waker>> {
-        self.muted.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Mutes the task at the end of a turn, unless its own box is full:
+    /// others wait on it, so it runs on (`false`: the caller queues it
+    /// again). A muted task registers on the box it overfilled only after
+    /// this, so that a wake that follows the registration finds it muted.
+    pub(crate) fn mute(&self) -> bool {
+        let mut state = self.lock();
+        let mute = state.depth < self.capacity;
+        if mute {
+            state.run = Run::Muted;
+        }
+        mute
     }
 
-    /// The lock guards no data (`()`), so a poisoned one is still valid —
-    /// and `close` runs in a `Drop`, which must not panic.
-    fn parking_lock(&self) -> MutexGuard<'_, ()> {
-        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Ends a mute: `true` when the task was muted, and the caller queues
+    /// it.
+    pub(crate) fn unmute(&self) -> bool {
+        let mut state = self.lock();
+        let muted = state.run == Run::Muted;
+        if muted {
+            state.run = Run::Queued;
+        }
+        muted
+    }
+
+    /// `(parked threads, muted actors)`.
+    #[cfg(test)]
+    pub(crate) fn waiters(&self) -> (usize, usize) {
+        let state = self.lock();
+        (state.parked, state.muted.len())
+    }
+
+    /// Frees a slot: signals the parked threads and, once the box is below
+    /// its bound, hands back the muted actors' wakers to wake outside the
+    /// lock.
+    fn free_slot(&self, state: &mut State<T>) -> Vec<Waker> {
+        state.depth -= 1;
+        self.signal(state);
+        if state.depth < self.capacity {
+            std::mem::take(&mut state.muted)
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn signal(&self, state: &State<T>) {
+        if state.parked > 0 {
+            self.cond.notify_all();
+        }
+    }
+
+    /// Blocks on the condvar, counted as parked.
+    fn park<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        state.parked += 1;
+        state = self.cond.wait(state).unwrap_or_else(PoisonError::into_inner);
+        state.parked -= 1;
+        state
+    }
+
+    /// The state stays consistent at every point where a panic can leave a
+    /// critical section, so a poisoned lock is still valid — and the close
+    /// runs in a `Drop`, which must not panic.
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -195,98 +201,91 @@ pub enum PushOutcome {
     /// Enqueued without waiting.
     Sent,
     /// Enqueued on a full mailbox: after parking ([`MailboxSender::push`]),
-    /// or past the bound, for the sender to be muted
-    /// ([`MailboxSender::push_overflow`]).
+    /// or past the bound, for the sender to be muted.
     SentParked,
     /// The receiving actor is gone.
     Dead,
 }
 
-/// Sending half of a mailbox.
-#[derive(Debug)]
-pub struct MailboxSender<T> {
-    tx: Sender<T>,
-    gauges: Arc<MailboxGauges>,
+/// What a push does when the box is full (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AtFull {
+    /// Wait for room: a thread outside the pool.
+    Park,
+    /// Go in past the bound, reported as `SentParked`: an actor, which the
+    /// runtime mutes.
+    Overflow,
+    /// Go in past the bound, reported as `Sent`: a control value.
+    Pass,
 }
 
-// Manual impl: a derive would wrongly require `T: Clone`.
+/// Sending half of a mailbox.
+pub struct MailboxSender<T> {
+    shared: Arc<MailboxGauges<T>>,
+}
+
 impl<T> Clone for MailboxSender<T> {
     fn clone(&self) -> Self {
-        MailboxSender {
-            tx: self.tx.clone(),
-            gauges: self.gauges.clone(),
+        self.shared.lock().senders += 1;
+        MailboxSender { shared: Arc::clone(&self.shared) }
+    }
+}
+
+impl<T> Drop for MailboxSender<T> {
+    fn drop(&mut self) {
+        let mut state = self.shared.lock();
+        state.senders -= 1;
+        if state.senders == 0 {
+            self.shared.signal(&state);
         }
     }
 }
 
 impl<T> MailboxSender<T> {
-    /// Sends under a slot already reserved; gives the slot back if the
-    /// receiver is gone.
-    fn send_reserved(&self, v: T, sent: PushOutcome) -> PushOutcome {
-        if self.tx.send(v).is_ok() {
-            sent
-        } else {
-            self.gauges.on_pop(); // nobody will pop it: give the slot back
-            PushOutcome::Dead
-        }
-    }
-
     /// Enqueues `v`, blocking only when the mailbox is full.
     pub fn push(&self, v: T) -> PushOutcome {
-        if self.gauges.try_reserve() {
-            self.send_reserved(v, PushOutcome::Sent)
-        } else if self.gauges.reserve_parking() {
-            self.send_reserved(v, PushOutcome::SentParked)
-        } else {
-            PushOutcome::Dead
-        }
+        self.send(v, AtFull::Park).0
     }
 
-    /// Enqueues `v` without ever blocking, past the bound if the box is
-    /// full, which it reports as [`PushOutcome::SentParked`]: the caller is
-    /// an actor on a pool thread, which the runtime mutes instead of
-    /// parking (see the module docs).
-    pub fn push_overflow(&self, v: T) -> PushOutcome {
-        if self.gauges.try_reserve() {
-            self.send_reserved(v, PushOutcome::Sent)
-        } else {
-            self.gauges.reserve_unbounded();
-            self.send_reserved(v, PushOutcome::SentParked)
+    /// Enqueues `v`, meeting a full box as `at_full` says. The flag is
+    /// `true` when the push leaves the receiving task to be queued by the
+    /// caller: it was idle, or muted with its own box now full.
+    pub(crate) fn send(&self, v: T, at_full: AtFull) -> (PushOutcome, bool) {
+        let g = &*self.shared;
+        let mut state = g.lock();
+        let mut sent = PushOutcome::Sent;
+        while !state.closed && state.depth >= g.capacity && at_full != AtFull::Pass {
+            sent = PushOutcome::SentParked;
+            if at_full == AtFull::Overflow {
+                break;
+            }
+            state = g.park(state);
         }
-    }
-
-    /// Enqueues `v` without ever blocking (the clock thread uses this so a
-    /// stuck actor cannot stall every timer in the runtime). `Err` returns
-    /// the value on a full mailbox for the caller to retry later.
-    pub fn push_nonblocking(&self, v: T) -> Result<PushOutcome, T> {
-        if self.gauges.try_reserve() {
-            Ok(self.send_reserved(v, PushOutcome::Sent))
-        } else if self.gauges.closed.load(Ordering::SeqCst) {
-            Ok(PushOutcome::Dead)
-        } else {
-            Err(v)
+        if state.closed {
+            return (PushOutcome::Dead, false);
         }
-    }
-
-    /// Enqueues a control value past the bound: it is never refused and
-    /// never waits, and it is delivered behind everything pushed before it.
-    pub fn push_control(&self, v: T) -> PushOutcome {
-        self.gauges.reserve_unbounded();
-        self.send_reserved(v, PushOutcome::Sent)
+        state.queue.push_back(v);
+        state.depth += 1;
+        state.hwm = state.hwm.max(state.depth);
+        let queue = state.run == Run::Idle || (state.run == Run::Muted && state.depth >= g.capacity);
+        if queue {
+            state.run = Run::Queued;
+        }
+        g.signal(&state);
+        (sent, queue)
     }
 
     /// The mailbox's depth gauges.
-    pub fn gauges(&self) -> &Arc<MailboxGauges> {
-        &self.gauges
+    pub fn gauges(&self) -> &Arc<MailboxGauges<T>> {
+        &self.shared
     }
 }
 
 /// Receiving half of a mailbox. Dropping it closes the box: queued values
-/// are dropped and parked senders return [`PushOutcome::Dead`].
-#[derive(Debug)]
+/// are dropped, parked senders return [`PushOutcome::Dead`] and muted ones
+/// wake.
 pub struct MailboxReceiver<T> {
-    rx: Receiver<T>,
-    gauges: Arc<MailboxGauges>,
+    shared: Arc<MailboxGauges<T>>,
 }
 
 impl<T> MailboxReceiver<T> {
@@ -294,24 +293,60 @@ impl<T> MailboxReceiver<T> {
     /// queue is empty. The caller reports the pop with
     /// [`MailboxGauges::on_pop`].
     pub fn recv(&self) -> Result<T, RecvError> {
-        self.rx.recv()
+        let g = &*self.shared;
+        let mut state = g.lock();
+        loop {
+            if let Some(v) = state.queue.pop_front() {
+                return Ok(v);
+            }
+            if state.senders == 0 {
+                return Err(RecvError);
+            }
+            state = g.park(state);
+        }
     }
 
     /// The next value if one is queued; never blocks. The caller reports
     /// the pop with [`MailboxGauges::on_pop`].
     pub fn try_recv(&self) -> Option<T> {
-        self.rx.try_recv().ok()
+        self.shared.lock().queue.pop_front()
+    }
+
+    /// [`MailboxReceiver::try_recv`] and [`MailboxGauges::on_pop`] in one
+    /// critical section: how the pool drains a task's box.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let g = &*self.shared;
+        let mut state = g.lock();
+        let v = state.queue.pop_front()?;
+        let muted = g.free_slot(&mut state);
+        drop(state);
+        wake_all(muted);
+        Some(v)
     }
 
     /// The mailbox's depth gauges.
-    pub fn gauges(&self) -> &MailboxGauges {
-        &self.gauges
+    pub fn gauges(&self) -> &MailboxGauges<T> {
+        &self.shared
     }
 }
 
 impl<T> Drop for MailboxReceiver<T> {
     fn drop(&mut self) {
-        self.gauges.close();
+        let g = &*self.shared;
+        let mut state = g.lock();
+        state.closed = true;
+        g.signal(&state);
+        let queued = std::mem::take(&mut state.queue);
+        let muted = std::mem::take(&mut state.muted);
+        drop(state);
+        drop(queued); // a value's own `Drop` runs outside the lock
+        wake_all(muted);
+    }
+}
+
+fn wake_all(wakers: Vec<Waker>) {
+    for waker in wakers {
+        waker.wake();
     }
 }
 
@@ -336,35 +371,38 @@ impl<T> IntoIterator for MailboxReceiver<T> {
 /// Creates a mailbox bounded at `capacity` values; returns the sender, the
 /// receiver for whoever drains it, and the shared gauges. Nothing is
 /// allocated for the queue until the first push.
-pub fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, MailboxReceiver<T>, Arc<MailboxGauges>) {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let gauges = Arc::new(MailboxGauges {
-        capacity,
-        depth: AtomicUsize::new(0),
-        hwm: AtomicUsize::new(0),
-        waiters: AtomicUsize::new(0),
-        closed: AtomicBool::new(false),
-        lock: Mutex::new(()),
-        room: Condvar::new(),
-        muted: Mutex::new(Vec::new()),
-        any_muted: AtomicBool::new(false),
-    });
+pub fn mailbox<T>(capacity: usize) -> (MailboxSender<T>, MailboxReceiver<T>, Arc<MailboxGauges<T>>) {
+    let state = State {
+        queue: VecDeque::new(),
+        depth: 0,
+        hwm: 0,
+        closed: false,
+        senders: 1,
+        parked: 0,
+        muted: Vec::new(),
+        run: Run::Idle,
+    };
+    let shared = Arc::new(MailboxGauges { capacity, state: Mutex::new(state), cond: Condvar::new() });
     (
-        MailboxSender {
-            tx,
-            gauges: gauges.clone(),
-        },
-        MailboxReceiver {
-            rx,
-            gauges: gauges.clone(),
-        },
-        gauges,
+        MailboxSender { shared: Arc::clone(&shared) },
+        MailboxReceiver { shared: Arc::clone(&shared) },
+        shared,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    fn overflow<T>(tx: &MailboxSender<T>, v: T) -> PushOutcome {
+        tx.send(v, AtFull::Overflow).0
+    }
+
+    fn control<T>(tx: &MailboxSender<T>, v: T) -> PushOutcome {
+        tx.send(v, AtFull::Pass).0
+    }
 
     #[test]
     fn depth_and_hwm_track_pushes_and_pops() {
@@ -377,13 +415,8 @@ mod tests {
         g.on_pop();
         assert_eq!(g.depth(), 1);
         assert_eq!(g.hwm(), 2, "hwm is sticky");
-    }
-
-    #[test]
-    fn nonblocking_push_reports_full() {
-        let (tx, _rx, _) = mailbox::<u32>(1);
-        assert_eq!(tx.push_nonblocking(1), Ok(PushOutcome::Sent));
-        assert_eq!(tx.push_nonblocking(2), Err(2));
+        assert_eq!(rx.pop(), Some(2));
+        assert_eq!(g.depth(), 0, "pop reports itself");
     }
 
     #[test]
@@ -398,7 +431,9 @@ mod tests {
         let (tx, rx, g) = mailbox::<u32>(1);
         assert_eq!(tx.push(1), PushOutcome::Sent);
         let t = std::thread::spawn(move || tx.push(2));
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        while g.waiters().0 == 0 {
+            std::thread::yield_now();
+        }
         assert_eq!(rx.recv().unwrap(), 1);
         g.on_pop();
         assert_eq!(t.join().unwrap(), PushOutcome::SentParked);
@@ -410,8 +445,8 @@ mod tests {
         let (tx, rx, g) = mailbox::<u32>(1);
         drop(rx);
         assert_eq!(tx.push(1), PushOutcome::Dead);
-        assert_eq!(tx.push_nonblocking(2), Ok(PushOutcome::Dead));
-        assert_eq!(tx.push_control(3), PushOutcome::Dead);
+        assert_eq!(overflow(&tx, 2), PushOutcome::Dead);
+        assert_eq!(control(&tx, 3), PushOutcome::Dead);
         assert_eq!(g.depth(), 0);
     }
 
@@ -419,10 +454,11 @@ mod tests {
     fn control_push_passes_a_full_box_and_keeps_its_place() {
         let (tx, rx, g) = mailbox::<u32>(1);
         assert_eq!(tx.push(1), PushOutcome::Sent);
-        assert_eq!(tx.push_nonblocking(2), Err(2));
-        assert_eq!(tx.push_control(3), PushOutcome::Sent);
-        assert_eq!(g.depth(), 2);
+        assert_eq!(control(&tx, 2), PushOutcome::Sent);
+        assert_eq!(control(&tx, 3), PushOutcome::Sent);
+        assert_eq!(g.depth(), 3);
         assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(rx.recv().unwrap(), 2);
         assert_eq!(rx.recv().unwrap(), 3);
     }
 
@@ -431,8 +467,8 @@ mod tests {
         let (tx, rx, g) = mailbox::<u32>(1);
         assert_eq!(tx.push(1), PushOutcome::Sent);
         let t = std::thread::spawn(move || tx.push(2));
-        // The push can only end through `close`: nobody pops.
-        while g.waiters.load(Ordering::SeqCst) == 0 {
+        // The push can only end through the close: nobody pops.
+        while g.waiters().0 == 0 {
             std::thread::yield_now();
         }
         drop(rx);
@@ -440,19 +476,35 @@ mod tests {
     }
 
     #[test]
+    fn a_receiver_blocked_on_an_empty_box_ends_with_the_last_sender() {
+        let (tx, rx, g) = mailbox::<u32>(1);
+        let tx2 = tx.clone();
+        let t = std::thread::spawn(move || rx.into_iter().collect::<Vec<_>>());
+        while g.waiters().0 == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(tx.push(1), PushOutcome::Sent);
+        drop(tx);
+        // One sender is still there: the receiver waits on.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!t.is_finished());
+        drop(tx2);
+        assert_eq!(t.join().unwrap(), [1]);
+    }
+
+    #[test]
     fn overflow_push_passes_the_bound_and_says_so() {
         let (tx, rx, g) = mailbox::<u32>(1);
-        assert_eq!(tx.push_overflow(1), PushOutcome::Sent);
-        assert_eq!(tx.push_overflow(2), PushOutcome::SentParked);
+        assert_eq!(overflow(&tx, 1), PushOutcome::Sent);
+        assert_eq!(overflow(&tx, 2), PushOutcome::SentParked);
         assert_eq!(g.depth(), 2);
-        assert!(g.full());
         drop(rx);
-        assert_eq!(tx.push_overflow(3), PushOutcome::Dead);
+        assert_eq!(overflow(&tx, 3), PushOutcome::Dead);
     }
 
     /// Counts its wakes.
-    struct Wakes(AtomicUsize);
-    impl std::task::Wake for Wakes {
+    struct WakeCount(AtomicUsize);
+    impl std::task::Wake for WakeCount {
         fn wake(self: Arc<Self>) {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
@@ -461,27 +513,95 @@ mod tests {
     #[test]
     fn a_muted_sender_wakes_once_the_box_is_below_its_bound() {
         let (tx, rx, g) = mailbox::<u32>(2);
-        let wakes = Arc::new(Wakes(AtomicUsize::new(0)));
+        let wakes = Arc::new(WakeCount(AtomicUsize::new(0)));
         let woken = || wakes.0.load(Ordering::SeqCst);
         // Room now: woken at once.
         g.wake_when_room(Waker::from(wakes.clone()));
         assert_eq!(woken(), 1);
         for v in 0..3 {
-            tx.push_overflow(v);
+            overflow(&tx, v);
         }
         g.wake_when_room(Waker::from(wakes.clone()));
-        rx.recv().unwrap();
-        g.on_pop(); // depth 2: still at the bound
+        rx.pop().unwrap(); // depth 2: still at the bound
         assert_eq!(woken(), 1);
-        rx.recv().unwrap();
-        g.on_pop(); // depth 1
+        rx.pop().unwrap(); // depth 1
         assert_eq!(woken(), 2);
         // Closing the box wakes whoever still waits on it.
-        tx.push_overflow(3);
+        overflow(&tx, 3);
         g.wake_when_room(Waker::from(wakes.clone()));
         assert_eq!(woken(), 2);
         drop(rx);
         assert_eq!(woken(), 3);
+    }
+
+    /// The task's run state, one transition at a time: a push queues an
+    /// idle task and leaves a queued one alone; a turn that ends with
+    /// values queued goes again; a muted task is queued by its wake or by a
+    /// push that fills its own box, and a task whose box is full is never
+    /// muted.
+    #[test]
+    fn a_push_queues_the_task_only_when_nobody_else_will() {
+        let (tx, rx, g) = mailbox::<u32>(3);
+        assert_eq!(tx.send(1, AtFull::Pass), (PushOutcome::Sent, true), "idle: queue it");
+        assert_eq!(tx.send(2, AtFull::Pass), (PushOutcome::Sent, false), "already queued");
+        rx.pop();
+        assert!(g.end_turn(), "a value is left: go again");
+        rx.pop();
+        assert!(!g.end_turn(), "drained: idle");
+        assert_eq!(tx.send(3, AtFull::Overflow), (PushOutcome::Sent, true));
+        assert!(g.mute(), "room in its own box: muted");
+        assert!(!tx.send(4, AtFull::Overflow).1, "muted, and its box not full");
+        assert!(tx.send(5, AtFull::Overflow).1, "its box is full: others wait on it");
+        assert!(!g.unmute(), "no longer muted");
+        assert!(!g.mute(), "its box is full: never muted");
+        rx.pop();
+        rx.pop();
+        assert!(g.mute());
+        assert!(g.unmute(), "the wake queues it");
+        assert!(!g.unmute(), "once");
+    }
+
+    /// Producers push while the test thread plays the pool: it runs a turn
+    /// only when handed the task by a push or a turn end that said so. A
+    /// lost wake-up leaves values queued with nobody to run the task (the
+    /// hand-off times out); a task queued twice shows up as a second
+    /// hand-off while a turn runs.
+    #[test]
+    fn the_task_is_queued_once_and_never_forgotten() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 5_000;
+        let (tx, rx, g) = mailbox::<u64>(8);
+        let (runq_tx, runq) = std::sync::mpsc::channel::<()>();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|_| {
+                let (tx, runq_tx) = (tx.clone(), runq_tx.clone());
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        if tx.send(i, AtFull::Overflow).1 {
+                            runq_tx.send(()).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut got = 0;
+        while got < PRODUCERS * PER_PRODUCER {
+            runq.recv_timeout(Duration::from_secs(10)).expect("a wake-up was lost");
+            assert!(runq.try_recv().is_err(), "the task was queued twice");
+            for _ in 0..64 {
+                match rx.pop() {
+                    Some(_) => got += 1,
+                    None => break,
+                }
+            }
+            if g.end_turn() {
+                runq_tx.send(()).unwrap();
+            }
+        }
+        for t in producers {
+            t.join().unwrap();
+        }
+        assert_eq!(g.depth(), 0);
     }
 
     /// Four producers race into a box far smaller than what they send, so

@@ -14,13 +14,14 @@
 //!   more are queued. An actor runs on one thread at a time and sees its
 //!   own mailbox in order. A handler that blocks holds its pool thread
 //!   (see [`LiveRuntime::spawn`]).
-//! * **Delivery** is one [`crate::mailbox`] per actor. A given sender's
-//!   messages to a given destination arrive in send order (the kernel's
-//!   per-source FIFO guarantee, restricted to each destination pair); there
-//!   is no global order across destinations. A pool thread never waits on
-//!   a full mailbox: an actor's send to one goes in past the bound, and the
-//!   sender is *muted* — not run again until the destination's depth falls
-//!   below its bound, when the destination's `on_pop` wakes it.
+//! * **Delivery** is one [`crate::mailbox`] per actor, whose lock also
+//!   holds the actor's run state. A given sender's messages to a given
+//!   destination arrive in send order (the kernel's per-source FIFO
+//!   guarantee, restricted to each destination pair); there is no global
+//!   order across destinations. A pool thread never waits on a full
+//!   mailbox: an actor's send to one goes in past the bound, and the sender
+//!   is *muted* — not run again until the destination's depth falls below
+//!   its bound, when the destination's pop wakes it.
 //! * **Timers** with a delay live in a hashed [`TimerWheel`] owned by one
 //!   clock thread, which also drives the shared [`FlowNet`] I/O model on
 //!   wall time. A zero-delay timer never reaches the clock: like `Start`
@@ -39,7 +40,7 @@
 //! interleave differently. The sim↔live parity test pins down what must
 //! still agree — terminal job outcomes, not schedules.
 
-use crate::mailbox::{mailbox, MailboxGauges, MailboxReceiver, MailboxSender, PushOutcome};
+use crate::mailbox::{mailbox, AtFull, MailboxGauges, MailboxReceiver, MailboxSender, PushOutcome};
 use crate::timer::TimerWheel;
 use fuxi_sim::{
     Actor, ActorId, CtxOps, FlowDone, FlowNet, FlowSpec, KernelMsg, MachineConfig, Metrics, SimDuration,
@@ -52,7 +53,7 @@ use rand::SeedableRng;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::task::{Wake, Waker};
@@ -271,54 +272,25 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         if !self.is_local(to) {
             return self.route_remote(to, env);
         }
-        let Some(task) = self.task_of(to) else {
-            return PushOutcome::Dead;
-        };
-        let sent = task.tx.push(env);
-        task.notify();
-        sent
-    }
-
-    /// Non-blocking delivery used by the clock thread: remote envelopes are
-    /// routed (never parked), local ones try the mailbox and hand the
-    /// envelope back on a full box so the caller can retry next tick.
-    fn try_deliver(&self, to: ActorId, env: Envelope<M>) -> Result<(), Envelope<M>> {
-        if !self.is_local(to) {
-            self.route_remote(to, env);
-            return Ok(());
+        match self.task_of(to) {
+            Some(task) => task.push(env, AtFull::Park),
+            None => PushOutcome::Dead,
         }
-        if let Some(task) = self.task_of(to) {
-            task.tx.push_nonblocking(env)?;
-            task.notify();
-        }
-        Ok(())
     }
 
     /// Puts a control envelope on a live local actor's own mailbox: never
-    /// refused, behind whatever is queued, and dropped once the actor is
-    /// unregistered.
+    /// refused, never waited for, behind whatever is queued, and dropped
+    /// once the actor is unregistered.
     fn push_control(&self, id: ActorId, env: Envelope<M>) {
         if let Some(task) = self.task_of(id) {
-            task.tx.push_control(env);
-            task.notify();
-        }
-    }
-
-    /// Everything the clock thread owes an actor goes through here: a full
-    /// mailbox puts the envelope on the backlog for the next tick (counted
-    /// as `rt.clock_parked`) instead of parking every timer in the runtime.
-    fn clock_deliver(&self, backlog: &mut Vec<(ActorId, Envelope<M>)>, to: ActorId, env: Envelope<M>) {
-        if let Err(env) = self.try_deliver(to, env) {
-            self.metrics.lock().unwrap().count("rt.clock_parked", 1);
-            backlog.push((to, env));
+            task.push(env, AtFull::Pass);
         }
     }
 
     /// A flow completion, told to the flow's owner.
-    fn clock_flow_done(&self, backlog: &mut Vec<(ActorId, Envelope<M>)>, done: FlowDone) {
+    fn flow_done(&self, done: FlowDone) {
         let msg = M::flow_done(done.tag, done.failed);
-        let env = Envelope::Msg { from: done.owner, msg, trace: TraceId::NONE };
-        self.clock_deliver(backlog, done.owner, env);
+        self.push_control(done.owner, Envelope::Msg { from: done.owner, msg, trace: TraceId::NONE });
     }
 
     fn spawn(self: &Arc<Self>, machine: Option<u32>, actor: Box<dyn Actor<M> + Send>, trace: TraceId) -> ActorId {
@@ -326,12 +298,11 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         assert!(n < (1 << ACTOR_WINDOW_SHIFT), "actor-id window exhausted");
         let id = ActorId(self.cfg.actor_base + n);
         let (tx, rx, _) = mailbox(self.cfg.mailbox_capacity);
-        // First in the box, before anyone can learn the id.
-        tx.push_control(Envelope::Start { trace });
+        // First in the box, before anyone can learn the id; it leaves the
+        // task queued, for this spawn to put on the run queue.
+        tx.send(Envelope::Start { trace }, AtFull::Pass);
         let task = Arc::new(Task {
             tx,
-            scheduled: AtomicBool::new(false),
-            muted: AtomicBool::new(false),
             body: Mutex::new(Some(Body::new(self, id, machine, actor, rx))),
             runq: Arc::clone(&self.runq),
         });
@@ -347,7 +318,7 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         };
         if registered {
             self.metrics.lock().unwrap().count("rt.actors_spawned", 1);
-            task.schedule();
+            self.runq.push(task);
         }
         id
     }
@@ -368,8 +339,7 @@ impl<M: KernelMsg + Send + 'static> Shared<M> {
         if let Some(slot) = self.unregister(id) {
             // A control envelope: never refused, and behind whatever was
             // sent before the kill.
-            slot.task.tx.push_control(Envelope::Kill);
-            slot.task.notify();
+            slot.task.push(Envelope::Kill, AtFull::Pass);
         }
     }
 
@@ -493,21 +463,18 @@ fn pool_thread<M: KernelMsg + Send + 'static>(runq: Arc<RunQueue<M>>) {
     }
 }
 
-/// One actor as the pool sees it: its mailbox, the two flags that decide
-/// who queues it next, and the actor itself.
+/// One actor as the pool sees it: its mailbox, whose lock also holds the
+/// task's run state (idle, queued or running, muted), and the actor itself.
 ///
-/// A task is on the run queue at most once. `scheduled` is set while it is
-/// queued, running or muted; whoever sets it owns the next enqueue, so a
-/// push finds it set and leaves the task alone. A pool thread whose turn
-/// ends clears it and re-checks the depth (the pusher sets the depth before
-/// it reads the flag, the pool thread clears the flag before it reads the
-/// depth, all `SeqCst`, so one of them queues the task). `muted` is set
-/// while the task waits for room in a mailbox it overfilled; whoever clears
-/// it queues the task.
+/// A task is on the run queue at most once: it is queued only by whoever
+/// moved its run state to queued inside the mailbox's lock — a push to an
+/// idle task, a push that fills a muted task's own box, the wake of a
+/// muted task — or by the pool thread whose turn ends with envelopes still
+/// queued, which leaves the state queued. Each of those is one critical
+/// section on the one lock, so a push and a turn end cannot both miss, or
+/// both take, the task.
 struct Task<M: KernelMsg + Send + 'static> {
     tx: MailboxSender<Envelope<M>>,
-    scheduled: AtomicBool,
-    muted: AtomicBool,
     /// The actor and what it owns; `None` once reaped. Only the pool
     /// thread running the task's turn locks it.
     body: Mutex<Option<Body<M>>>,
@@ -515,78 +482,70 @@ struct Task<M: KernelMsg + Send + 'static> {
 }
 
 /// How a turn ended.
-enum TurnEnd {
+enum TurnEnd<M: KernelMsg + Send + 'static> {
     /// Out of envelopes or out of turn.
     Yield,
     /// A handler overfilled this mailbox: wait for room in it.
-    Muted(Arc<MailboxGauges>),
+    Muted(Arc<MailboxGauges<Envelope<M>>>),
     /// `Kill`, or a handler panicked: reap the actor.
     Exit,
 }
 
 impl<M: KernelMsg + Send + 'static> Task<M> {
-    /// Queues the task unless it is already queued, running or muted.
-    fn schedule(self: &Arc<Self>) {
-        if !self.scheduled.load(Ordering::SeqCst) && !self.scheduled.swap(true, Ordering::SeqCst) {
+    /// Pushes `env`, meeting a full mailbox as `at_full` says, and queues
+    /// the task when the push leaves that to the pusher. A full mailbox
+    /// ends a mute — others wait on this actor, so it must run (which is
+    /// what keeps muting free of deadlock: every muted actor waits on a
+    /// full box, and a full box's actor is never left muted).
+    fn push(self: &Arc<Self>, env: Envelope<M>, at_full: AtFull) -> PushOutcome {
+        let (sent, queue) = self.tx.send(env, at_full);
+        if queue {
             self.runq.push(Arc::clone(self));
         }
-    }
-
-    /// Ends a mute by queuing the task; nothing when it is not muted.
-    fn unmute(self: &Arc<Self>) {
-        if self.muted.load(Ordering::SeqCst) && self.muted.swap(false, Ordering::SeqCst) {
-            self.runq.push(Arc::clone(self));
-        }
-    }
-
-    /// After every push to this task's mailbox: queue it if it was idle. A
-    /// full mailbox also ends a mute — others wait on this actor, so it
-    /// must run (which is what keeps muting free of deadlock: every muted
-    /// actor waits on a full box, and a full box's actor is never left
-    /// muted).
-    fn notify(self: &Arc<Self>) {
-        if self.tx.gauges().full() {
-            self.unmute();
-        }
-        self.schedule();
+        sent
     }
 
     /// One turn on the calling pool thread.
     fn run(self: Arc<Self>) {
         let mut body = self.body.lock().unwrap();
-        // `None` once reaped; `scheduled` then stays set, so it is never
-        // queued again.
+        // `None` once reaped: the box is closed and the run state stays
+        // queued, so it is never queued again.
         let Some(end) = body.as_mut().map(Body::turn) else { return };
-        match end {
+        let mailbox = self.tx.gauges();
+        let again = match end {
             TurnEnd::Exit => {
                 let reaped = body.take().expect("a body to reap");
                 drop(body);
                 reaped.reap();
+                false
             }
             TurnEnd::Muted(dest) => {
                 drop(body);
-                // Muted before the checks below: a wake that comes after
-                // them finds the flag set.
-                self.muted.store(true, Ordering::SeqCst);
-                dest.wake_when_room(Waker::from(Arc::clone(&self)));
-                if self.tx.gauges().full() {
-                    self.unmute();
+                // Muted before it registers on `dest` under that box's
+                // lock, so a wake that follows the registration finds it
+                // muted. An actor whose own box is full runs on instead.
+                let muted = mailbox.mute();
+                if muted {
+                    dest.wake_when_room(Waker::from(Arc::clone(&self)));
                 }
+                !muted
             }
             TurnEnd::Yield => {
                 drop(body);
-                self.scheduled.store(false, Ordering::SeqCst);
-                if self.tx.gauges().depth() > 0 {
-                    self.schedule(); // at the tail
-                }
+                mailbox.end_turn()
             }
+        };
+        if again {
+            self.runq.push(Arc::clone(&self)); // at the tail
         }
     }
 }
 
 impl<M: KernelMsg + Send + 'static> Wake for Task<M> {
     fn wake(self: Arc<Self>) {
-        self.unmute();
+        if self.tx.gauges().unmute() {
+            self.runq.push(Arc::clone(&self));
+        }
     }
 }
 
@@ -632,11 +591,10 @@ impl<M: KernelMsg + Send + 'static> Body<M> {
 
     /// Handles up to [`TURN`] envelopes; stops early at `Kill`, at a
     /// panic, and after a handler that overfilled a mailbox.
-    fn turn(&mut self) -> TurnEnd {
+    fn turn(&mut self) -> TurnEnd<M> {
         let mut end = TurnEnd::Yield;
         for _ in 0..TURN {
-            let Some(env) = self.rx.try_recv() else { break };
-            self.rx.gauges().on_pop();
+            let Some(env) = self.rx.pop() else { break };
             let Body { actor, ctx, .. } = self;
             match catch_unwind(AssertUnwindSafe(|| ctx.handle(actor.as_mut(), env))) {
                 Ok(true) => {}
@@ -714,7 +672,7 @@ struct ActorCtx<M: KernelMsg + Send + 'static> {
     current_trace: TraceId,
     /// The last mailbox this actor's current handler pushed past its bound:
     /// the actor is muted on it when the handler returns.
-    overfilled: Option<Arc<MailboxGauges>>,
+    overfilled: Option<Arc<MailboxGauges<Envelope<M>>>>,
 }
 
 impl<M: KernelMsg + Send + 'static> ActorCtx<M> {
@@ -755,11 +713,10 @@ impl<M: KernelMsg + Send + 'static> CtxOps<M> for ActorCtx<M> {
         let sent = if !self.shared.is_local(to) {
             self.shared.route_remote(to, env)
         } else if let Some(task) = self.shared.task_of(to) {
-            let sent = task.tx.push_overflow(env);
+            let sent = task.push(env, AtFull::Overflow);
             if sent == PushOutcome::SentParked {
                 self.overfilled = Some(Arc::clone(task.tx.gauges()));
             }
-            task.notify();
             sent
         } else {
             PushOutcome::Dead
@@ -905,9 +862,10 @@ impl<M: KernelMsg + Send + 'static> CtxOps<M> for ActorCtx<M> {
 }
 
 /// The clock thread: hashed timer wheel plus the shared flow model, both
-/// driven by wall time. Deliveries it owes to full mailboxes are retried on
-/// the next tick rather than blocking (a stuck actor must not stall every
-/// timer in the runtime).
+/// driven by wall time. What it owes an actor — a timer's expiry, a flow's
+/// completion — is a control push: past a full mailbox's bound, never
+/// waited for (a stuck actor must not stall every timer in the runtime),
+/// and bounded per actor by the timers and flows it armed.
 fn clock_thread<M: KernelMsg + Send + 'static>(
     shared: Arc<Shared<M>>,
     rx: Receiver<ClockCmd>,
@@ -921,7 +879,6 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
     let disk_bw: Vec<f64> = shared.cfg.machines.iter().map(|m| m.disk_bw_mbps).collect();
     let net_bw: Vec<f64> = shared.cfg.machines.iter().map(|m| m.net_bw_mbps).collect();
     let mut flows = FlowNet::new(disk_bw, net_bw);
-    let mut backlog: Vec<(ActorId, Envelope<M>)> = Vec::new();
     let sample_every = shared.cfg.metrics_flush;
     let mut last_sample = Instant::now();
     // The wheel ticks on multiples of `tick_us` of the host's real-time
@@ -961,7 +918,7 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                 ClockCmd::StartFlow { owner, spec } => {
                     // (`start_flow` completes a zero-size flow itself.)
                     if let Some(done) = flows.start(now, owner, spec) {
-                        shared.clock_flow_done(&mut backlog, done);
+                        shared.flow_done(done);
                     }
                 }
                 ClockCmd::CancelFlows { owner } => flows.cancel_owned_by(now, owner),
@@ -973,7 +930,7 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                 }
                 ClockCmd::FailMachine { m } => {
                     for done in flows.fail_machine(now, m) {
-                        shared.clock_flow_done(&mut backlog, done);
+                        shared.flow_done(done);
                     }
                 }
             }
@@ -995,20 +952,11 @@ fn clock_thread<M: KernelMsg + Send + 'static>(
                 ticks.push(tick);
             }
         }
-        // Retry deliveries parked on full mailboxes.
-        if !backlog.is_empty() {
-            let pending = std::mem::take(&mut backlog);
-            for (to, env) in pending {
-                if let Err(env) = shared.try_deliver(to, env) {
-                    backlog.push((to, env));
-                }
-            }
-        }
         for (actor, tag) in wheel.expire(grid(now)) {
-            shared.clock_deliver(&mut backlog, actor, Envelope::Timer { tag });
+            shared.push_control(actor, Envelope::Timer { tag });
         }
         for done in flows.advance(now) {
-            shared.clock_flow_done(&mut backlog, done);
+            shared.flow_done(done);
         }
         // Queue pressure is live state, not a shutdown summary: sample
         // depths on the flush cadence so a mid-run spike is visible in the
@@ -1244,8 +1192,7 @@ impl<M: KernelMsg + Send + 'static> LiveRuntime<M> {
             std::mem::take(&mut registry.live)
         };
         for slot in live.into_values() {
-            slot.task.tx.push_control(Envelope::Kill);
-            slot.task.notify();
+            slot.task.push(Envelope::Kill, AtFull::Pass);
         }
         let _ = self.shared.clock_tx.send(ClockCmd::Shutdown);
         if let Some(clock) = self.clock.take() {
@@ -1746,20 +1693,106 @@ mod tests {
         let rt: LiveRuntime<TMsg> = LiveRuntime::new(tiny_mailboxes(1));
         let (open, gate) = std::sync::mpsc::channel();
         let seen = Arc::new(AtomicU64::new(0));
-        rt.spawn(Some(0), Box::new(Gated { gate, flows: 4, seen: seen.clone() }));
-        // One completion fits; the other three must wait on the backlog, not
-        // hold up this actor's timers.
+        let gated = rt.spawn(Some(0), Box::new(Gated { gate, flows: 4, seen: seen.clone() }));
+        // The four completions go past the bound of one; none may hold up
+        // this actor's timers.
         let fired = Arc::new(AtomicU64::new(0));
         rt.spawn(None, Box::new(Ticker { fired: fired.clone() }));
         assert!(
             wait_for(|| fired.load(Ordering::SeqCst) >= 5, Duration::from_secs(5)),
-            "the clock thread parked on a full mailbox"
+            "the clock thread stalled on a full mailbox"
         );
+        let depth = rt.shared.task_of(gated).expect("gated is live").tx.gauges().depth();
+        assert!(depth >= 1, "the box was not full while the ticker fired");
         assert_eq!(seen.load(Ordering::SeqCst), 0);
         open.send(()).unwrap();
-        assert!(wait_for(|| seen.load(Ordering::SeqCst) == 4, Duration::from_secs(5)));
-        let (metrics, _) = rt.shutdown();
-        assert!(metrics.counter("rt.clock_parked") >= 3);
+        assert!(
+            wait_for(|| seen.load(Ordering::SeqCst) == 4, Duration::from_secs(5)),
+            "{} of 4 flow completions arrived",
+            seen.load(Ordering::SeqCst)
+        );
+        rt.shutdown();
+        assert_eq!(seen.load(Ordering::SeqCst), 4);
+    }
+
+    /// Sends one ping to `to`, a full box, which mutes it, and arms a
+    /// zero-delay timer on itself, which it can run only once unmuted;
+    /// counts that timer.
+    struct Overfiller {
+        to: ActorId,
+        ran: Arc<AtomicU64>,
+    }
+    impl Actor<TMsg> for Overfiller {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TMsg>) {
+            ctx.send(self.to, TMsg::Ping(0));
+            ctx.timer(SimDuration::ZERO, 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TMsg>, _: ActorId, _: TMsg) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_, TMsg>, _: u64) {
+            self.ran.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A box of two is full, a thread is parked on it and two actors are
+    /// muted on it; then its actor is killed. The kill sits behind the
+    /// backlog: when the actor drains it, the room that makes releases the
+    /// waiters, or the close does if they see it first. When the handler
+    /// that held the box up panics instead, the actor leaves the box full
+    /// and only the close releases them: the thread's push is `Dead`. Either
+    /// way the push returns and both muted actors run their next handler.
+    #[test]
+    fn closing_a_full_box_releases_its_parked_thread_and_muted_actors() {
+        for panics in [false, true] {
+            let rt: LiveRuntime<TMsg> = LiveRuntime::new(tiny_mailboxes(2));
+            let (open, gate) = std::sync::mpsc::channel();
+            let seen = Arc::new(AtomicU64::new(0));
+            let full = rt.spawn(None, Box::new(Gated { gate, flows: 0, seen: seen.clone() }));
+            rt.send_external(full, TMsg::Ping(1));
+            rt.send_external(full, TMsg::Ping(2));
+            let waiters = {
+                let task = rt.shared.task_of(full).expect("live");
+                let gauges = Arc::clone(task.tx.gauges());
+                move || gauges.waiters()
+            };
+            let (pushed_tx, pushed) = std::sync::mpsc::channel();
+            let shared = Arc::clone(&rt.shared);
+            let parked = std::thread::spawn(move || {
+                let env = Envelope::Msg { from: ActorId::NONE, msg: TMsg::Ping(3), trace: TraceId::NONE };
+                let _ = pushed_tx.send(shared.push_envelope(full, env));
+            });
+            assert!(wait_for(|| waiters().0 == 1, Duration::from_secs(5)), "the thread never parked");
+            let ran = Arc::new(AtomicU64::new(0));
+            for _ in 0..2 {
+                rt.spawn(None, Box::new(Overfiller { to: full, ran: ran.clone() }));
+            }
+            assert!(
+                wait_for(|| waiters() == (1, 2), Duration::from_secs(5)),
+                "waiters {:?}, not one thread and two actors",
+                waiters()
+            );
+            rt.kill_actor(full);
+            if panics {
+                drop(open); // `Gated` unwraps the closed gate
+            } else {
+                open.send(()).unwrap();
+            }
+            let sent = pushed.recv_timeout(Duration::from_secs(5)).expect("the parked thread never returned");
+            parked.join().unwrap();
+            assert!(
+                wait_for(|| ran.load(Ordering::SeqCst) == 2, Duration::from_secs(5)),
+                "{} of 2 muted actors ran again",
+                ran.load(Ordering::SeqCst)
+            );
+            let down = catch_unwind(AssertUnwindSafe(|| rt.shutdown()));
+            assert_eq!(down.is_err(), panics, "shutdown re-raises the panic, and only it");
+            if panics {
+                assert_eq!(sent, PushOutcome::Dead, "released by the close");
+                assert_eq!(seen.load(Ordering::SeqCst), 0);
+            } else {
+                assert_ne!(sent, PushOutcome::Sent, "the box was full");
+                assert_eq!(seen.load(Ordering::SeqCst), 4, "the kill came after the backlog");
+            }
+        }
     }
 
     /// Sends `total` pings to `sink`, a few per handler (the next few go
